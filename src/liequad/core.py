@@ -217,26 +217,31 @@ class LieSuperalgebra:
         return Matrix(bk, tuple(tuple(cols[j][k] for j in range(n)) for k in range(n)))
 
     def structure_violations(self) -> list:
-        """Parity-consistency and graded-antisymmetry violations, as messages."""
+        """Parity-consistency and graded-antisymmetry violations, as messages.
+
+        Only the exactly nonzero entries of c[i][j] and c[j][i] are compared:
+        where both are exactly zero nothing can fail, and an entry below the
+        tolerance still counts, since two of them can differ by more than it."""
         bk, sp = self.backend, self.space
+        nz = [[_nonzeros(row) for row in block] for block in self.c]
         out = []
         for i in range(self.dim):
             for j in range(self.dim):
                 pij = (sp.parity(i) + sp.parity(j)) % 2
-                for k, x in enumerate(self.c[i][j]):
+                for k, x in nz[i][j]:
                     if not bk.is_zero(x) and sp.parity(k) != pij:
                         out.append(
                             f"parity: [{sp.labels[i]},{sp.labels[j]}] has a "
                             f"{sp.labels[k]}-component of the wrong parity"
                         )
+                keys = {k for k, _ in nz[i][j]} | {k for k, _ in nz[j][i]}
                 sign = bk.one if (sp.parity(i) * sp.parity(j)) % 2 == 1 else -bk.one
-                for k in range(self.dim):
-                    if not bk.is_zero(self.c[j][i][k] - sign * self.c[i][j][k]):
-                        out.append(
-                            f"antisymmetry: c[{sp.labels[j]},{sp.labels[i]}] != "
-                            f"(-1)^(|i||j|+1) c[{sp.labels[i]},{sp.labels[j]}]"
-                        )
-                        break
+                cij, cji = self.c[i][j], self.c[j][i]
+                if any(not bk.is_zero(cji[k] - sign * cij[k]) for k in keys):
+                    out.append(
+                        f"antisymmetry: c[{sp.labels[j]},{sp.labels[i]}] != "
+                        f"(-1)^(|i||j|+1) c[{sp.labels[i]},{sp.labels[j]}]"
+                    )
         return out
 
     def to_backend(self, backend) -> "LieSuperalgebra":

@@ -5,6 +5,10 @@ entries: the Leibniz rule contributes an equation per basis pair and coordinate,
 the skew condition B(Dx, y) = -B(x, Dy) one per pair, and on super inputs the
 parity-preservation constraints pin the off-blocks to zero (only even
 derivations are computed; the classification needs no odd ones).
+
+The rows are assembled as {unknown: coefficient} dicts straight from the
+nonzero structure constants and Gram entries, a handful of terms each, and go
+to the sparse elimination of `linalg` without a dense matrix in between.
 """
 
 from __future__ import annotations
@@ -12,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .core import BilinearForm, LieSuperalgebra, StructureError
-from .linalg import Matrix, Subspace, matrix_span, nullspace, solve_linear, vec_is_zero
+from .core import BilinearForm, LieSuperalgebra, StructureError, _basis
+from .linalg import Matrix, Subspace, _nullspace_rows, matrix_span, solve_linear
 
 
 @dataclass(frozen=True)
@@ -38,61 +42,82 @@ class DerivationSpace:
         return self.span().contains(flat)
 
 
+def _output_index(alg: LieSuperalgebra):
+    """(left, right): left[i][k] and right[j][k] list the (l, c[i][l][k]) and
+    (l, c[l][j][k]) pairs of the nonzero structure constants, in increasing l."""
+    n = alg.dim
+    left = [[[] for _ in range(n)] for _ in range(n)]
+    right = [[[] for _ in range(n)] for _ in range(n)]
+    for a, block in enumerate(alg._nz):
+        for b, pairs in enumerate(block):
+            for k, x in pairs:
+                left[a][k].append((b, x))
+                right[b][k].append((a, x))
+    return left, right
+
+
+def _add_row(rows: list, bk, row: dict) -> None:
+    """Append the exactly nonzero entries of row, unless every entry is zero to bk."""
+    row = {u: x for u, x in row.items() if x}
+    if not all(bk.is_zero(x) for x in row.values()):
+        rows.append(row)
+
+
 def _leibniz_rows(alg: LieSuperalgebra):
-    """Rows of the Leibniz system over unknowns x[(k,j)] = D[k][j]."""
+    """Sparse rows of the Leibniz system over unknowns x[(k,j)] = D[k][j]."""
     bk, n = alg.backend, alg.dim
+    zero = bk.zero
+    left, right = _output_index(alg)
     rows = []
     for i in range(n):
         for j in range(i, n):
             for k in range(n):
-                row = [bk.zero] * (n * n)
+                row = {}
                 # D([e_i,e_j])_k = sum_m c[i][j][m] D[k][m]
-                for m, x in enumerate(alg.c[i][j]):
-                    if not bk.is_zero(x):
-                        row[k * n + m] = row[k * n + m] + x
+                for m, x in alg._nz[i][j]:
+                    u = k * n + m
+                    row[u] = row.get(u, zero) + x
                 # -[D e_i, e_j]_k = -sum_l D[l][i] c[l][j][k]
-                for l in range(n):
-                    x = alg.c[l][j][k]
-                    if not bk.is_zero(x):
-                        row[l * n + i] = row[l * n + i] - x
+                for l, x in right[j][k]:
+                    u = l * n + i
+                    row[u] = row.get(u, zero) - x
                 # -[e_i, D e_j]_k = -sum_l D[l][j] c[i][l][k]
-                for l in range(n):
-                    x = alg.c[i][l][k]
-                    if not bk.is_zero(x):
-                        row[l * n + j] = row[l * n + j] - x
-                if not vec_is_zero(bk, row):
-                    rows.append(tuple(row))
+                for l, x in left[i][k]:
+                    u = l * n + j
+                    row[u] = row.get(u, zero) - x
+                _add_row(rows, bk, row)
     return rows
 
 
 def _skew_rows(alg: LieSuperalgebra, form: BilinearForm):
     bk, n = alg.backend, alg.dim
+    zero = bk.zero
     g = form.gram.entries
+    g_rows = [[(k, x) for k, x in enumerate(r) if not bk.is_zero(x)] for r in g]
+    g_cols = [[(k, r[j]) for k, r in enumerate(g) if not bk.is_zero(r[j])] for j in range(n)]
     rows = []
     for i in range(n):
         for j in range(i, n):
-            row = [bk.zero] * (n * n)
+            row = {}
             # B(D e_i, e_j) + B(e_i, D e_j) = sum_k D[k][i] g[k][j] + D[k][j] g[i][k]
-            for k in range(n):
-                if not bk.is_zero(g[k][j]):
-                    row[k * n + i] = row[k * n + i] + g[k][j]
-                if not bk.is_zero(g[i][k]):
-                    row[k * n + j] = row[k * n + j] + g[i][k]
-            if not vec_is_zero(bk, row):
-                rows.append(tuple(row))
+            for k, x in g_cols[j]:
+                u = k * n + i
+                row[u] = row.get(u, zero) + x
+            for k, x in g_rows[i]:
+                u = k * n + j
+                row[u] = row.get(u, zero) + x
+            _add_row(rows, bk, row)
     return rows
 
 
 def _parity_rows(alg: LieSuperalgebra):
-    bk, n = alg.backend, alg.dim
-    rows = []
-    for k in range(n):
-        for j in range(n):
-            if alg.parity(k) != alg.parity(j):
-                row = [bk.zero] * (n * n)
-                row[k * n + j] = bk.one
-                rows.append(tuple(row))
-    return rows
+    n = alg.dim
+    return [
+        {k * n + j: alg.backend.one}
+        for k in range(n)
+        for j in range(n)
+        if alg.parity(k) != alg.parity(j)
+    ]
 
 
 def derivation_space(alg: LieSuperalgebra, kind: str = "all", form: Optional[BilinearForm] = None) -> DerivationSpace:
@@ -116,8 +141,7 @@ def derivation_space(alg: LieSuperalgebra, kind: str = "all", form: Optional[Bil
     if not rows:
         # no constraints at all: every matrix is a derivation
         return DerivationSpace(alg, kind, tuple(_full_matrix_space(bk, n)), form)
-    m = Matrix(bk, tuple(rows))
-    sols = nullspace(m)
+    sols = _nullspace_rows(bk, rows, n * n)
     basis = [
         Matrix(bk, tuple(tuple(s[k * n + j] for j in range(n)) for k in range(n)))
         for s in sols
@@ -146,19 +170,13 @@ def is_derivation(alg: LieSuperalgebra, d: Matrix) -> bool:
             rhs = tuple(
                 a + b
                 for a, b in zip(
-                    alg.bracket(d.col(i), _basis_vec(bk, n, j)),
-                    alg.bracket(_basis_vec(bk, n, i), d.col(j)),
+                    alg.bracket(d.col(i), _basis(bk, n, j)),
+                    alg.bracket(_basis(bk, n, i), d.col(j)),
                 )
             )
             if any(not bk.is_zero(a - b) for a, b in zip(lhs, rhs)):
                 return False
     return True
-
-
-def _basis_vec(bk, n, i):
-    v = [bk.zero] * n
-    v[i] = bk.one
-    return tuple(v)
 
 
 def is_inner(alg: LieSuperalgebra, d: Matrix) -> Optional[tuple]:

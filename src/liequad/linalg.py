@@ -1,10 +1,14 @@
-"""Small dense linear algebra over a scalar backend.
+"""Linear algebra over a scalar backend, with one sparse elimination routine.
 
-Everything here is desk scale (dimensions below ~70), so the implementation is
-plain Gaussian elimination: first-nonzero pivoting on the exact backend for
-determinism, largest-magnitude pivoting on the float backend for stability.
-Subspaces are kept as reduced-row-echelon bases so equality is literal tuple
-equality.
+Everything here is desk scale (dimensions below ~70).  Every elimination goes
+through `_rref_sparse`, Gauss-Jordan on rows held as {column: value} dicts of
+the exactly nonzero entries: derivation and cocycle systems have a handful of
+nonzeros per row.  The exact backend pivots on the candidate row with the
+fewest nonzeros (Markowitz's rule) to limit fill-in; the reduced form is
+unique, so results do not depend on the choice.  The float backend keeps
+largest-magnitude pivoting for stability, with the row order of dense
+elimination.  Subspaces are kept as reduced-row-echelon bases so equality is
+literal tuple equality.
 """
 
 from __future__ import annotations
@@ -134,45 +138,101 @@ class Matrix:
         return f"Matrix[{self.rows}x{self.cols}: {body}]"
 
 
-def _rref_rows(backend, rows: list) -> tuple:
-    """In-place reduced row echelon; returns pivot column tuple."""
+def _rref_sparse(backend, rows: list, ncols: int) -> tuple:
+    """Gauss-Jordan elimination on sparse rows, reducing the given dicts in place.
+
+    Rows are {column: value} dicts holding only exactly nonzero entries.  Returns
+    (pivot columns, the reduced pivot rows in pivot order, the rows left over).
+    Columns are taken in order, as in dense elimination.  A row is eliminated
+    where its entry is nonzero to the backend, and an entry is dropped only when
+    it is exactly zero.  The exact backend pivots on the candidate with the
+    fewest nonzeros.  The float backend takes the largest pivot weight, the
+    first in row order on a tie, and moves the first pending row into the
+    pivot's slot like a dense row swap, so its pivots and values are those of
+    dense elimination.
+    """
+    exact = backend.name == "exact"
+    is_zero, weight, one, zero = backend.is_zero, backend.pivot_weight, backend.one, backend.zero
     nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+    where = [set() for _ in range(ncols)]  # where[c] = rows with an entry in column c
+    for i, row in enumerate(rows):
+        for c in row:
+            where[c].add(i)
+    order = list(range(nrows))  # order[s] = row in slot s; slots below r hold pivots
+    slot = list(range(nrows))
     pivots = []
     r = 0
     for c in range(ncols):
         if r >= nrows:
             break
-        best, weight = None, 0
-        for i in range(r, nrows):
-            w = backend.pivot_weight(rows[i][c])
-            if w > weight:
-                best, weight = i, w
-                if backend.name == "exact":
-                    break  # first nonzero pivot: deterministic
-        if best is None:
+        cands = [i for i in where[c] if slot[i] >= r and (exact or weight(rows[i][c]))]
+        if not cands:
             continue
-        rows[r], rows[best] = rows[best], rows[r]
-        inv = backend.one / rows[r][c]
-        rows[r] = [inv * v for v in rows[r]]
-        for i in range(nrows):
-            if i != r and not backend.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        if exact:  # the sparsest candidate limits fill-in
+            best = min(cands, key=lambda i: (len(rows[i]), slot[i]))
+        else:  # the largest weight, the first in row order on a tie
+            best = min(cands, key=lambda i: (-weight(rows[i][c]), slot[i]))
+        s, moved = slot[best], order[r]  # swap the rows in slots r and s
+        order[r], order[s] = best, moved
+        slot[best], slot[moved] = r, s
+        prow = rows[best]
+        inv = one / prow[c]
+        for j, v in list(prow.items()):
+            v = inv * v
+            if v:
+                prow[j] = v
+            else:
+                del prow[j]
+                where[j].discard(best)
+        for i in list(where[c]):
+            if i == best:
+                continue
+            row = rows[i]
+            f = row[c]
+            if is_zero(f):
+                continue
+            for j, b in prow.items():
+                v = row.get(j, zero) - f * b
+                if v:
+                    if j not in row:
+                        where[j].add(i)
+                    row[j] = v
+                elif j in row:
+                    del row[j]
+                    where[j].discard(i)
         pivots.append(c)
         r += 1
-    return tuple(pivots)
+    return tuple(pivots), [rows[i] for i in order[:r]], [rows[i] for i in order[r:]]
+
+
+def _sparse_row(values) -> dict:
+    return {j: x for j, x in enumerate(values) if x}
+
+
+def _dense_row(backend, row: dict, ncols: int) -> Vector:
+    out = [backend.zero] * ncols
+    for j, x in row.items():
+        out[j] = x
+    return tuple(out)
+
+
+def _rref_rows(backend, rows: list) -> tuple:
+    """Dense reduced row echelon form, in place; returns the pivot column tuple."""
+    ncols = len(rows[0]) if rows else 0
+    pivots, reduced, rest = _rref_sparse(backend, [_sparse_row(r) for r in rows], ncols)
+    rows[:] = [_dense_row(backend, r, ncols) for r in reduced + rest]
+    return pivots
 
 
 def rref(m: Matrix):
     """Reduced row echelon form; returns (Matrix, pivot column indices)."""
-    rows = [list(r) for r in m.entries]
+    rows = list(m.entries)
     pivots = _rref_rows(m.backend, rows)
-    return Matrix(m.backend, tuple(tuple(r) for r in rows)), pivots
+    return Matrix(m.backend, tuple(rows)), pivots
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    return len(_rref_sparse(m.backend, [_sparse_row(r) for r in m.entries], m.cols)[0])
 
 
 def solve_linear(a: Matrix, b: Sequence) -> Optional[Vector]:
@@ -181,30 +241,35 @@ def solve_linear(a: Matrix, b: Sequence) -> Optional[Vector]:
     b = vec(bk, b)
     if a.rows != len(b):
         raise ValueError(f"A has {a.rows} rows but b has {len(b)} entries")
-    aug = Matrix(bk, tuple(row + (bv,) for row, bv in zip(a.entries, b)))
-    red, pivots = rref(aug)
+    pivots, reduced, _ = _rref_sparse(bk, [_sparse_row(row + (bv,)) for row, bv in zip(a.entries, b)], a.cols + 1)
     if a.cols in pivots:
         return None  # pivot in the constant column: inconsistent
     x = [bk.zero] * a.cols
-    for r, c in enumerate(pivots):
-        x[c] = red.entries[r][a.cols]
+    for c, row in zip(pivots, reduced):
+        x[c] = row.get(a.cols, bk.zero)
     return tuple(x)
+
+
+def _nullspace_rows(backend, rows: list, ncols: int) -> list:
+    """Kernel basis of the sparse rows, one vector per free column."""
+    pivots, reduced, _ = _rref_sparse(backend, rows, ncols)
+    pivset = set(pivots)
+    zero = backend.zero
+    basis = {}
+    for fc in range(ncols):
+        if fc not in pivset:
+            v = basis[fc] = [zero] * ncols
+            v[fc] = backend.one
+    for pc, row in zip(pivots, reduced):
+        for j, x in row.items():
+            if j in basis:
+                basis[j][pc] = -x
+    return [tuple(v) for v in basis.values()]
 
 
 def nullspace(a: Matrix) -> list:
     """Basis of the kernel of A, one vector per free column."""
-    bk = a.backend
-    red, pivots = rref(a)
-    pivset = set(pivots)
-    free = [c for c in range(a.cols) if c not in pivset]
-    basis = []
-    for fc in free:
-        v = [bk.zero] * a.cols
-        v[fc] = bk.one
-        for r, pc in enumerate(pivots):
-            v[pc] = -red.entries[r][fc]
-        basis.append(tuple(v))
-    return basis
+    return _nullspace_rows(a.backend, [_sparse_row(r) for r in a.entries], a.cols)
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,10 +305,10 @@ class Subspace:
                 raise ValueError("vector length does not match ambient dimension")
         if not vectors:
             return Subspace(backend, ambient_dim, ())
-        rows = [list(v) for v in vectors]
-        _rref_rows(backend, rows)
-        kept = tuple(tuple(r) for r in rows if not vec_is_zero(backend, r))
-        return Subspace(backend, ambient_dim, kept)
+        _, reduced, rest = _rref_sparse(backend, [_sparse_row(v) for v in vectors], ambient_dim)
+        # on the float backend a left-over row can keep entries above the tolerance
+        rest = [r for r in rest if not all(backend.is_zero(x) for x in r.values())]
+        return Subspace(backend, ambient_dim, tuple(_dense_row(backend, r, ambient_dim) for r in reduced + rest))
 
     @staticmethod
     def full(backend, n: int) -> "Subspace":

@@ -180,7 +180,8 @@ def parse_complex(token: str) -> complex:
 
 @dataclass(frozen=True)
 class ExactBackend:
-    """Exact Gaussian-rational arithmetic; deterministic first-nonzero pivoting."""
+    """Exact Gaussian-rational arithmetic; elimination pivots on the candidate
+    row with the fewest nonzeros, and the reduced form it reaches is canonical."""
 
     name: str = "exact"
 
@@ -205,7 +206,7 @@ class ExactBackend:
         return not x
 
     def pivot_weight(self, x):
-        # any nonzero entry is as good as another
+        # any nonzero entry can pivot; linalg prefers the sparsest row
         return 1 if x else 0
 
     def format(self, x) -> str:

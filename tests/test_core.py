@@ -7,6 +7,7 @@ from liequad.core import (
     LieSuperalgebra,
     QuadraticAlgebra,
     StructureError,
+    SuperSpace,
     center,
     derived_series,
     derived_subalgebra,
@@ -21,7 +22,7 @@ from liequad.core import (
     verify_jacobi,
 )
 from liequad.linalg import Subspace
-from liequad.scalars import EXACT
+from liequad.scalars import EXACT, complex_backend
 
 
 def diamond():
@@ -144,6 +145,54 @@ def test_axiom_failures_match_definitions(tampered):
         if c.name.startswith(("jacobi(", "invariance("))
     }
     assert got == want
+
+
+def structure_violations_from_definitions(alg):
+    """The messages of structure_violations, from a dense loop over all entries."""
+    bk, sp, n = alg.backend, alg.space, alg.dim
+    out = []
+    for i in range(n):
+        for j in range(n):
+            pij = (sp.parity(i) + sp.parity(j)) % 2
+            for k in range(n):
+                if not bk.is_zero(alg.c[i][j][k]) and sp.parity(k) != pij:
+                    out.append(f"parity: [{sp.labels[i]},{sp.labels[j]}] has a {sp.labels[k]}-component of the wrong parity")
+            sign = (-1) ** (sp.parity(i) * sp.parity(j) + 1)
+            if any(not bk.is_zero(alg.c[j][i][k] - sign * alg.c[i][j][k]) for k in range(n)):
+                out.append(f"antisymmetry: c[{sp.labels[j]},{sp.labels[i]}] != (-1)^(|i||j|+1) c[{sp.labels[i]},{sp.labels[j]}]")
+    return out
+
+
+def raw_superalgebra(backend, entries):
+    """A LieSuperalgebra on even X, Y and odd F, G with exactly the given
+    (i, j, k): value structure constants, both orientations as written."""
+    space = SuperSpace.make(["X", "Y"], ["F", "G"])
+    ix = space.index
+    c = [[[backend.zero] * 4 for _ in range(4)] for _ in range(4)]
+    for (a, b, k), v in entries.items():
+        c[ix(a)][ix(b)][ix(k)] = backend.coerce(v)
+    return LieSuperalgebra(space, backend, tuple(tuple(tuple(r) for r in blk) for blk in c))
+
+
+@pytest.mark.parametrize(
+    "backend, entries, expected",
+    [
+        # [X,Y] = F has the wrong parity; the mirror is antisymmetric
+        (EXACT, {("X", "Y", "F"): 1, ("Y", "X", "F"): -1}, 2),
+        # [F,X] should be -[X,F]; [F,G] is symmetric, as it should be
+        (EXACT, {("X", "F", "G"): 1, ("F", "X", "G"): 1, ("F", "G", "X"): 2, ("G", "F", "X"): 2}, 2),
+        # below the tolerance on both sides, but 1.8e-9 apart: still reported
+        (complex_backend(1e-9), {("X", "Y", "X"): 0.9e-9, ("Y", "X", "X"): 0.9e-9}, 2),
+        # below the tolerance and antisymmetric, or below it with a wrong parity
+        (complex_backend(1e-9), {("X", "Y", "X"): 0.9e-9, ("Y", "X", "X"): -0.9e-9, ("X", "Y", "G"): 0.5e-9}, 0),
+        (EXACT, {("X", "Y", "Y"): 1, ("Y", "X", "Y"): -1, ("F", "G", "Y"): 1, ("G", "F", "Y"): 1}, 0),
+    ],
+)
+def test_structure_violations_match_definitions(backend, entries, expected):
+    alg = raw_superalgebra(backend, entries)
+    got = alg.structure_violations()
+    assert got == structure_violations_from_definitions(alg)
+    assert len(got) == expected
 
 
 def test_parity_consistency_rejected():

@@ -125,8 +125,9 @@ def test_g2n2_not_inner_member():
     assert is_inner(q.algebra, d) is None
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", range(1, 11))
 def test_g2n2_family_matches_generic_solver(n):
+    # dimension 2n+2 up to 22; the paper's skew dimension is n^2 + 2n
     fam = skew_derivation_family_g2n2(n)
     q = catalog.build("g2n2", n=n)
     generic = derivation_space(q.algebra, "skew", q.form)

@@ -15,7 +15,7 @@ from liequad.linalg import (
     vec,
     vec_is_zero,
 )
-from liequad.scalars import EXACT, BackendMismatch, complex_backend
+from liequad.scalars import EXACT, BackendMismatch, Exact, complex_backend
 
 
 def M(rows):
@@ -155,3 +155,131 @@ def test_float_rank_respects_tolerance():
     cb = complex_backend(1e-9)
     a = Matrix.from_rows(cb, [[1.0, 0.0], [0.0, 1e-12]])
     assert rank(a) == 1
+
+
+# -- the sparse elimination against dense Gauss-Jordan ---------------------------
+
+
+def dense_rref(backend, rows):
+    """Reference: dense Gauss-Jordan, first-nonzero pivoting on the exact backend
+    and largest-magnitude pivoting (first on a tie) on the float backend."""
+    rows = [list(r) for r in rows]
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    pivots, r = [], 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        best, weight = None, 0
+        for i in range(r, nrows):
+            w = backend.pivot_weight(rows[i][c])
+            if w > weight:
+                best, weight = i, w
+                if backend.name == "exact":
+                    break
+        if best is None:
+            continue
+        rows[r], rows[best] = rows[best], rows[r]
+        inv = backend.one / rows[r][c]
+        rows[r] = [inv * v for v in rows[r]]
+        for i in range(nrows):
+            if i != r and not backend.is_zero(rows[i][c]):
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return [tuple(row) for row in rows], tuple(pivots)
+
+
+def dense_nullspace(backend, rows, ncols):
+    red, pivots = dense_rref(backend, rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [backend.zero] * ncols
+        v[fc] = backend.one
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def dense_solve(backend, rows, b):
+    ncols = len(rows[0])
+    red, pivots = dense_rref(backend, [row + (bv,) for row, bv in zip(rows, b)])
+    if ncols in pivots:
+        return None
+    x = [backend.zero] * ncols
+    for r, c in enumerate(pivots):
+        x[c] = red[r][ncols]
+    return tuple(x)
+
+
+def dense_span(backend, rows):
+    red, _ = dense_rref(backend, rows)
+    return tuple(r for r in red if not vec_is_zero(backend, r))
+
+
+CB = complex_backend(1e-9)
+exact_entry = st.one_of(
+    st.just(0),
+    st.just(0),
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+    st.builds(Exact, st.integers(-3, 3), st.integers(-3, 3)),  # Gaussian rationals
+)
+complex_entry = st.one_of(
+    st.just(0j),
+    st.just(0j),
+    st.builds(complex, st.integers(-3, 3), st.integers(-2, 2)),
+    st.builds(complex, st.floats(-10, 10), st.floats(-1, 1)),
+    st.builds(complex, st.floats(-1e-10, 1e-10)),  # below the tolerance
+    st.builds(complex, st.floats(-1e9, 1e9)),
+)
+
+
+@st.composite
+def sparse_matrices(draw, entry):
+    """Mostly-zero matrices, wide and tall, some with zero and repeated rows."""
+    nrows, ncols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    for r in draw(st.lists(st.integers(0, nrows - 1), max_size=2)):
+        rows[r] = [0] * ncols
+    if draw(st.booleans()):
+        a, b = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+        rows.append([x + 2 * y for x, y in zip(rows[a], rows[b])])
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=sparse_matrices(exact_entry), data=st.data())
+def test_sparse_elimination_matches_dense_exact(rows, data):
+    a = M(rows)
+    red, pivots = rref(a)
+    assert (list(red.entries), pivots) == dense_rref(EXACT, a.entries)
+    assert nullspace(a) == dense_nullspace(EXACT, a.entries, a.cols)
+    b = vec(EXACT, [data.draw(exact_entry) for _ in range(a.rows)])
+    assert solve_linear(a, b) == dense_solve(EXACT, a.entries, b)
+    assert Subspace.span(EXACT, a.entries, a.cols).basis == dense_span(EXACT, a.entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=sparse_matrices(complex_entry), data=st.data())
+def test_sparse_elimination_matches_dense_complex(rows, data):
+    a = Matrix.from_rows(CB, rows)
+    red, pivots = rref(a)
+    want, want_pivots = dense_rref(CB, a.entries)
+    assert pivots == want_pivots
+    assert list(red.entries) == want
+    assert nullspace(a) == dense_nullspace(CB, a.entries, a.cols)
+    b = vec(CB, [data.draw(complex_entry) for _ in range(a.rows)])
+    assert solve_linear(a, b) == dense_solve(CB, a.entries, b)
+    assert Subspace.span(CB, a.entries, a.cols).basis == dense_span(CB, a.entries)
+
+
+@settings(max_examples=50, deadline=None)
+@given(rows=sparse_matrices(exact_entry))
+def test_rank_and_nullity_match_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    a = M(rows)
+    s = sympy.Matrix([[sympy.Rational(x.re.numerator, x.re.denominator) + sympy.I * sympy.Rational(x.im.numerator, x.im.denominator) for x in r] for r in a.entries])
+    assert rank(a) == s.rank()
+    assert len(nullspace(a)) == len(s.nullspace())
