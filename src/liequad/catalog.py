@@ -50,7 +50,7 @@ class InadmissibleParameter(ValueError):
 
 def _mod_le_one(bk, x) -> bool:
     if bk.name == "exact":
-        return x.abs2() <= 1
+        return bk.abs2(x) <= 1
     return abs(x) <= 1 + bk.tol
 
 

@@ -21,6 +21,7 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _span_rows,
     dot,
     nullspace,
     rank,
@@ -557,8 +558,21 @@ def graded_center_basis(alg: LieSuperalgebra):
 
 
 def subspace_bracket(alg: LieSuperalgebra, u: Subspace, v: Subspace) -> Subspace:
-    vecs = [alg.bracket(a, b) for a in u.basis for b in v.basis]
-    return Subspace.span(alg.backend, vecs, alg.dim)
+    """Span of [a, b] over the basis pairs, summed over the nonzero structure
+    constants in the order of `bracket`, one row per pair."""
+    bk, nz = alg.backend, alg._nz
+    us, vs = ([[(i, a) for i, a in enumerate(x) if not bk.is_zero(a)] for x in s.basis] for s in (u, v))
+    rows = []
+    for x in us:
+        for y in vs:
+            out = {}
+            for i, a in x:
+                for j, b in y:
+                    ab = a * b
+                    for k, c in nz[i][j]:
+                        out[k] = out[k] + ab * c if k in out else ab * c
+            rows.append({k: w for k, w in out.items() if w})
+    return _span_rows(bk, rows, alg.dim)
 
 
 def derived_subalgebra(alg: LieSuperalgebra) -> Subspace:

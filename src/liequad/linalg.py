@@ -272,6 +272,15 @@ def nullspace(a: Matrix) -> list:
     return _nullspace_rows(a.backend, [_sparse_row(r) for r in a.entries], a.cols)
 
 
+def _span_rows(backend, rows: list, ambient_dim: int) -> "Subspace":
+    """Span of the sparse rows, which it reduces in place."""
+    _, reduced, rest = _rref_sparse(backend, rows, ambient_dim)
+    # on the float backend a reduced row can end up below the tolerance, and a
+    # left-over row can keep entries above it
+    basis = [r for r in reduced + rest if not all(backend.is_zero(x) for x in r.values())]
+    return Subspace(backend, ambient_dim, tuple(_dense_row(backend, r, ambient_dim) for r in basis))
+
+
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """Row span held in reduced row echelon form.
@@ -303,12 +312,7 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
-        if not vectors:
-            return Subspace(backend, ambient_dim, ())
-        _, reduced, rest = _rref_sparse(backend, [_sparse_row(v) for v in vectors], ambient_dim)
-        # on the float backend a left-over row can keep entries above the tolerance
-        rest = [r for r in rest if not all(backend.is_zero(x) for x in r.values())]
-        return Subspace(backend, ambient_dim, tuple(_dense_row(backend, r, ambient_dim) for r in reduced + rest))
+        return _span_rows(backend, [_sparse_row(v) for v in vectors], ambient_dim)
 
     @staticmethod
     def full(backend, n: int) -> "Subspace":

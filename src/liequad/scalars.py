@@ -1,11 +1,12 @@
 """Scalar backends: exact Gaussian-rational numbers and tolerance-based complex floats.
 
-All structural verification runs on the exact backend, where a scalar is a + b*i
-with arbitrary-precision `fractions.Fraction` components.  Almost every scalar in
-the library has b = 0; the imaginary part exists because the orthonormal-basis
-presentation of the five-dimensional simple entry cannot be realised inside the
-plain rationals.  The complex backend is ordinary `complex` plus a zero tolerance
-and is only used for isomorphisms that involve cube roots.
+All structural verification runs on the exact backend, where a real value is a
+plain `fractions.Fraction` and only a value a + b*i with b != 0 is an `Exact`
+(with Fraction components).  `Exact(a)`, and every `Exact` operation with a real
+result, returns the Fraction, so each value has one representation.  Almost
+every scalar is real; i is needed only by the orthonormal-basis presentation of
+the five-dimensional simple entry.  The complex backend is ordinary `complex`
+plus a zero tolerance and is only used for isomorphisms that involve cube roots.
 """
 
 from __future__ import annotations
@@ -25,83 +26,76 @@ class ScalarParseError(ValueError):
 
 
 class Exact:
-    """Gaussian rational a + b*i with exact Fraction components."""
+    """Gaussian rational a + b*i with b != 0 and exact Fraction components.
 
-    __slots__ = ("re", "im")
+    `Exact(a, 0)` and every operation with a real result return the Fraction
+    instead, so an Exact is never zero (and always true)."""
+
+    __slots__ = ("real", "imag")
+
+    def __new__(cls, re=0, im=0):
+        if not im:
+            return re if type(re) is Fraction else Fraction(re)
+        return object.__new__(cls)
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
+        object.__setattr__(self, "real", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "imag", im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("Exact scalars are immutable")
 
     def __add__(self, other):
-        other = _as_exact(other)
-        return Exact(self.re + other.re, self.im + other.im)
+        a, b = _parts(other)
+        return Exact(self.real + a, self.imag + b)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _as_exact(other)
-        return Exact(self.re - other.re, self.im - other.im)
+        a, b = _parts(other)
+        return Exact(self.real - a, self.imag - b)
 
     def __rsub__(self, other):
-        return _as_exact(other).__sub__(self)
+        a, b = _parts(other)
+        return Exact(a - self.real, b - self.imag)
 
     def __mul__(self, other):
-        other = _as_exact(other)
-        if not self.im and not other.im:
-            return Exact(self.re * other.re)
-        return Exact(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b = _parts(other)
+        if not b:
+            return Exact(self.real * a, self.imag * a)
+        return Exact(self.real * a - self.imag * b, self.real * b + self.imag * a)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _as_exact(other)
-        if not other.re and not other.im:
+        a, b = _parts(other)
+        if not a and not b:
             raise ZeroDivisionError("division by zero scalar")
-        if not self.im and not other.im:
-            return Exact(self.re / other.re)
-        d = other.re * other.re + other.im * other.im
-        return Exact(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        d = a * a + b * b
+        return Exact((self.real * a + self.imag * b) / d, (self.imag * a - self.real * b) / d)
 
     def __rtruediv__(self, other):
-        return _as_exact(other).__truediv__(self)
+        a, b = _parts(other)
+        d = self.abs2()
+        return Exact((a * self.real + b * self.imag) / d, (b * self.real - a * self.imag) / d)
 
     def __neg__(self):
-        return Exact(-self.re, -self.im)
-
-    def __pos__(self):
-        return self
+        return Exact(-self.real, -self.imag)
 
     def __eq__(self, other):
         if isinstance(other, (Exact, int, Fraction)):
-            other = _as_exact(other)
-            return self.re == other.re and self.im == other.im
+            return (self.real, self.imag) == _parts(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def conjugate(self):
-        return Exact(self.re, -self.im)
+        return hash((self.real, self.imag))
 
     def abs2(self):
         """|z|^2 as a Fraction; exact, no square roots."""
-        return self.re * self.re + self.im * self.im
+        return self.real * self.real + self.imag * self.imag
 
     def __complex__(self):
-        return complex(self.re) + 1j * complex(self.im)
+        return complex(self.real) + 1j * complex(self.imag)
 
     def __repr__(self):
         return f"Exact({self})"
@@ -110,25 +104,22 @@ class Exact:
         return format_exact(self)
 
 
-def _as_exact(v):
-    if isinstance(v, Exact):
-        return v
+def _parts(v):
+    """(real, imaginary) parts of an exact operand."""
+    if type(v) is Exact:
+        return v.real, v.imag
     if isinstance(v, (int, Fraction)):
-        return Exact(v)
+        return v, 0
     raise BackendMismatch(f"cannot mix {type(v).__name__} with exact scalars")
 
 
-EXACT_ZERO = Exact(0)
-EXACT_ONE = Exact(1)
-
-
-def format_exact(z: Exact) -> str:
-    if not z.im:
-        return str(z.re)
-    if not z.re:
-        return f"{z.im}i"
-    sign = "+" if z.im > 0 else ""
-    return f"{z.re}{sign}{z.im}i"
+def format_exact(z) -> str:
+    if type(z) is not Exact:
+        return str(z)
+    if not z.real:
+        return f"{z.imag}i"
+    sign = "+" if z.imag > 0 else ""
+    return f"{z.real}{sign}{z.imag}i"
 
 
 def format_complex(z: complex) -> str:
@@ -158,7 +149,7 @@ def _split_token(token: str):
     return None, body
 
 
-def parse_exact(token: str) -> Exact:
+def parse_exact(token: str) -> Fraction | Exact:
     re_s, im_s = _split_token(token)
     try:
         re = Fraction(re_s) if re_s is not None else Fraction(0)
@@ -173,31 +164,28 @@ def parse_complex(token: str) -> complex:
     try:
         re = float(Fraction(re_s)) if re_s is not None else 0.0
         im = float(Fraction(im_s)) if im_s is not None else 0.0
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ScalarParseError(f"bad complex scalar {token!r}: {exc}") from None
     return complex(re, im)
 
 
 @dataclass(frozen=True)
 class ExactBackend:
-    """Exact Gaussian-rational arithmetic; elimination pivots on the candidate
-    row with the fewest nonzeros, and the reduced form it reaches is canonical."""
+    """Exact Gaussian-rational arithmetic: real values are bare Fractions and
+    only values with a nonzero imaginary part are `Exact`.  Elimination pivots
+    on the candidate row with the fewest nonzeros, and the reduced form it
+    reaches is canonical."""
 
     name: str = "exact"
 
-    @property
-    def zero(self):
-        return EXACT_ZERO
+    zero = Fraction(0)
+    one = Fraction(1)
 
-    @property
-    def one(self):
-        return EXACT_ONE
-
-    def coerce(self, v) -> Exact:
-        if isinstance(v, Exact):
+    def coerce(self, v) -> Fraction | Exact:
+        if isinstance(v, (Fraction, Exact)):
             return v
-        if isinstance(v, (int, Fraction)):
-            return Exact(v)
+        if isinstance(v, int):
+            return Fraction(v)
         if isinstance(v, str):
             return parse_exact(v)
         raise BackendMismatch(f"cannot coerce {type(v).__name__} to an exact scalar")
@@ -212,11 +200,11 @@ class ExactBackend:
     def format(self, x) -> str:
         return format_exact(x)
 
-    def parse(self, token: str) -> Exact:
+    def parse(self, token: str) -> Fraction | Exact:
         return parse_exact(token)
 
     def abs2(self, x):
-        return x.abs2()
+        return x.abs2() if type(x) is Exact else x * x
 
 
 @dataclass(frozen=True)
@@ -226,20 +214,13 @@ class ComplexBackend:
     tol: float = DEFAULT_TOL
     name: str = "complex"
 
-    @property
-    def zero(self):
-        return 0j
-
-    @property
-    def one(self):
-        return 1 + 0j
+    zero = 0j
+    one = 1 + 0j
 
     def coerce(self, v) -> complex:
         if isinstance(v, complex):
             return v
-        if isinstance(v, (int, float, Fraction)):
-            return complex(v)
-        if isinstance(v, Exact):
+        if isinstance(v, (int, float, Fraction, Exact)):
             return complex(v)
         if isinstance(v, str):
             return parse_complex(v)
@@ -287,6 +268,4 @@ def same_backend(*objs):
 
 def residual_magnitude(backend, x) -> float:
     """A float magnitude for report output; exact values convert losslessly enough."""
-    if isinstance(x, Exact):
-        return abs(complex(x))
-    return abs(x)
+    return abs(complex(x))

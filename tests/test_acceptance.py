@@ -418,7 +418,7 @@ def test_c09_odd_constructions():
         for s in sols:
             target.add(
                 tuple(
-                    int(x.re)
+                    int(x.real)
                     for x in (s.phi[0][0][0], s.phi[0][0][1], s.phi[0][1][1], s.phi[1][1][1])
                 )
             )

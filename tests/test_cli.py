@@ -263,3 +263,15 @@ def test_invariance_keeps_coefficients_below_tol(tmp_path, capsys):
         ("scaled:invariance(Y,X,Y)", "residual=2e-08"),
         ("scaled:invariance(Y,Y,X)", "residual=1e-08"),
     ]
+
+
+def test_complex_overflow_is_a_parse_error(tmp_path, capsys):
+    # 1e400 does not fit a double: a parse error (exit 2), not a traceback
+    f = tmp_path / "huge.alg"
+    f.write_text(
+        "algebra huge\nbackend complex\ndim_even 2\ndim_odd 0\nbasis X P\n"
+        "bracket X P = 1e400 P\nform X X = 1\nform P P = 1\n"
+    )
+    code, out, err = run(capsys, "--no-timestamp", "verify", str(f))
+    assert code == 2
+    assert "bad complex scalar '1e400'" in err

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liequad.core import (
     BilinearForm,
@@ -18,11 +19,12 @@ from liequad.core import (
     is_solvable,
     lower_central_series,
     orthogonal_complement,
+    subspace_bracket,
     verify_form,
     verify_jacobi,
 )
 from liequad.linalg import Subspace
-from liequad.scalars import EXACT, complex_backend
+from liequad.scalars import EXACT, Exact, complex_backend
 
 
 def diamond():
@@ -122,7 +124,7 @@ def axiom_failures_from_definitions(alg, form):
                 ]
                 total = [sum((s * v[l] for s, v in cyclic), bk.zero) for l in range(n)]
                 if any(total):
-                    worst = max(total, key=lambda x: x.abs2())
+                    worst = max(total, key=bk.abs2)
                     out.add((f"jacobi({lab[i]},{lab[j]},{lab[k]})", bk.format(worst)))
     for i in range(n):
         for j in range(n):
@@ -193,6 +195,57 @@ def test_structure_violations_match_definitions(backend, entries, expected):
     got = alg.structure_violations()
     assert got == structure_violations_from_definitions(alg)
     assert len(got) == expected
+
+
+CB = complex_backend(1e-9)
+ENTRIES = {
+    "exact": st.one_of(
+        st.just(0),
+        st.just(0),
+        st.just(0),
+        st.integers(-3, 3),
+        st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3)),
+        st.builds(Exact, st.integers(-2, 2), st.integers(-2, 2)),
+    ),
+    "complex": st.one_of(
+        st.just(0j),
+        st.just(0j),
+        st.just(0j),
+        st.builds(complex, st.integers(-3, 3), st.integers(-2, 2)),
+        st.builds(complex, st.floats(-5, 5), st.floats(-1, 1)),
+        st.builds(complex, st.floats(-1e-9, 1e-9), st.floats(-1e-9, 1e-9)),  # below the tolerance
+    ),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(backend=st.sampled_from([EXACT, CB]), data=st.data())
+def test_subspace_bracket_matches_definition(backend, data):
+    # random sparse tables and raw bases (not reduced, entries below the
+    # tolerance, zero rows): the sparse bracket spans what [a, b] spans
+    entry = ENTRIES[backend.name]
+    n = data.draw(st.integers(1, 5))
+    vectors = st.lists(st.tuples(*[entry.map(backend.coerce)] * n), max_size=4)
+    space = SuperSpace.make([f"E{i}" for i in range(n)])
+    c = tuple(tuple(data.draw(st.tuples(*[entry.map(backend.coerce)] * n)) for _ in range(n)) for _ in range(n))
+    alg = LieSuperalgebra(space, backend, c)
+    subspaces = st.one_of(st.just(Subspace.full(backend, n)), vectors.map(lambda b: Subspace(backend, n, tuple(b))))
+    u, v = data.draw(subspaces), data.draw(subspaces)
+    want = Subspace.span(backend, [alg.bracket(a, b) for a in u.basis for b in v.basis], n)
+    assert subspace_bracket(alg, u, v).basis == want.basis
+
+
+def test_subspace_bracket_keeps_empty_rows():
+    # the float elimination breaks pivot ties by row slot: with the empty
+    # [X,X] row dropped, the tie in column Y would go to [X,Z], not [X,Y], and
+    # the Y row of the basis would end in 0.33333333333299997
+    z = (0j, 0j, 0j)
+    c = ((z, (0j, 3 + 0j, 1 + 0j), (0j, -3 + 0j, -1 + 1e-12 + 0j)), ((1 + 0j, 0j, 0j), z, z), (z, z, z))
+    alg = LieSuperalgebra(SuperSpace.make(["X", "Y", "Z"]), CB, c)
+    full = Subspace.full(CB, 3)
+    want = Subspace.span(CB, [alg.bracket(a, b) for a in full.basis for b in full.basis], 3)
+    assert want.basis == ((1, 0, 0), (0, 1, 1 / 3))
+    assert subspace_bracket(alg, full, full).basis == want.basis
 
 
 def test_parity_consistency_rejected():

@@ -320,7 +320,7 @@ def test_tsstar_abelian2_pairing_family_is_4_dimensional():
         lam = s.phi[1][1][1]
         assert s.phi[0][1][0] == beta
         assert s.phi[1][1][0] == gamma
-        got.add(tuple(int(x.re) for x in (alpha, beta, gamma, lam)))
+        got.add(tuple(int(x.real) for x in (alpha, beta, gamma, lam)))
     assert got == vals
 
 

@@ -280,6 +280,16 @@ def test_sparse_elimination_matches_dense_complex(rows, data):
 def test_rank_and_nullity_match_sympy(rows):
     sympy = pytest.importorskip("sympy")
     a = M(rows)
-    s = sympy.Matrix([[sympy.Rational(x.re.numerator, x.re.denominator) + sympy.I * sympy.Rational(x.im.numerator, x.im.denominator) for x in r] for r in a.entries])
+    s = sympy.Matrix([[sympy.Rational(x.real.numerator, x.real.denominator) + sympy.I * sympy.Rational(x.imag.numerator, x.imag.denominator) for x in r] for r in a.entries])
     assert rank(a) == s.rank()
     assert len(nullspace(a)) == len(s.nullspace())
+
+
+def test_complex_span_drops_pivot_row_below_tolerance():
+    # the first pivot row is reduced to entries below the tolerance by the
+    # second pivot; the dense reference drops it, and so must the span
+    rows = [[1e-09j, 1j], [3.0000000000000004e-09j, 3j]]
+    want = dense_span(CB, Matrix.from_rows(CB, rows).entries)
+    got = Subspace.span(CB, rows, 2)
+    assert len(want) == 1
+    assert got.basis == want

@@ -254,7 +254,7 @@ def test_sp2_lemma_200_random_solutions():
             rhs.append(_f(bb[i][j]))
         sol = solve_linear(Matrix.from_rows(EXACT, rows), rhs)
         assert sol is not None
-        p, qv, r = (s.re for s in sol)
+        p, qv, r = (s.real for s in sol)
         # [A + tB, B] = [A, B], so adding a random multiple of B sweeps solutions
         t = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
         a = sp2_of(p + t * x * y, qv - t * x * x, r + t * y * y)
@@ -264,7 +264,7 @@ def test_sp2_lemma_200_random_solutions():
 
 
 def _f(x):
-    return x.re
+    return x.real
 
 
 def test_i_isomorphism_report_subsumes_isomorphism_report():

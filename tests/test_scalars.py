@@ -40,7 +40,7 @@ def test_division_and_inverse():
 
 def test_reduced_storage():
     x = Exact(Fraction(2, 4))
-    assert x.re.numerator == 1 and x.re.denominator == 2
+    assert x.real.numerator == 1 and x.real.denominator == 2
 
 
 @given(
@@ -93,3 +93,70 @@ def test_complex_backend_zero_tolerance():
     assert cb.is_zero(5e-10)
     assert not cb.is_zero(5e-9)
     assert not EXACT.is_zero(Exact(Fraction(1, 10**12)))
+
+
+# -- real values are bare Fractions, Gaussian ones Exact --------------------------
+
+small_fraction = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+exact_value = st.one_of(
+    small_fraction,
+    st.builds(Exact, small_fraction, small_fraction),
+    st.builds(Exact, small_fraction, st.just(0)),
+)
+operand = st.one_of(st.integers(-50, 50), exact_value)
+
+
+def ref_pair(x):
+    """(re, im) of an int, Fraction or Exact value, as Fractions."""
+    return Fraction(x.real), Fraction(x.imag)
+
+
+def ref_op(op, x, y):
+    (a, b), (c, d) = ref_pair(x), ref_pair(y)
+    if op == "+":
+        return a + c, b + d
+    if op == "-":
+        return a - c, b - d
+    if op == "*":
+        return a * c - b * d, a * d + b * c
+    n = c * c + d * d
+    return (a * c + b * d) / n, (b * c - a * d) / n
+
+
+OPS = {
+    "+": lambda x, y: x + y,
+    "-": lambda x, y: x - y,
+    "*": lambda x, y: x * y,
+    "/": lambda x, y: x / y,
+}
+
+
+def assert_canonical(z, pair):
+    assert ref_pair(z) == pair
+    assert type(z) is (Fraction if pair[1] == 0 else Exact)
+    assert z == Exact(*pair) and hash(z) == hash(Exact(*pair))
+
+
+@given(x=exact_value, y=operand)
+def test_mixed_arithmetic_matches_pair_reference(x, y):
+    for u, v in ((x, y), (y, x)):
+        for op, f in OPS.items():
+            if op == "/" and not v:
+                with pytest.raises(ZeroDivisionError):
+                    f(u, v)
+                continue
+            assert_canonical(f(u, v), ref_op(op, u, v))
+    assert_canonical(-x, tuple(-p for p in ref_pair(x)))
+
+
+@given(a=small_fraction)
+def test_real_exact_is_a_fraction(a):
+    z = Exact(a, 0)
+    assert type(z) is Fraction and z == a and hash(z) == hash(a)
+    assert type(EXACT.coerce(int(a))) is Fraction
+    assert type(parse_exact(str(a))) is Fraction
+    assert EXACT.format(z) == str(a)
+    assert EXACT.abs2(z) == a * a
+    w = Exact(a, 1)
+    assert w != a and EXACT.abs2(w) == a * a + 1
+    assert (w.real, w.imag) == (a, 1)
