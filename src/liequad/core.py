@@ -25,6 +25,7 @@ from .linalg import (
     dot,
     nullspace,
     rank,
+    vec,
     vec_is_zero,
     zero_vec,
 )
@@ -69,6 +70,11 @@ class SuperSpace:
         v = [backend.zero] * self.dim
         v[self.index(label)] = backend.one
         return tuple(v)
+
+
+def _graded_sign(space: SuperSpace, i: int, j: int) -> int:
+    """(-1)^{|e_i||e_j|}: -1 when both basis vectors are odd, else 1."""
+    return -1 if space.parity(i) and space.parity(j) else 1
 
 
 def format_vector(backend, space: SuperSpace, v: Vector) -> str:
@@ -136,7 +142,7 @@ class LieSuperalgebra:
             i, j = space.index(la), space.index(lb)
             v = _coerce_bracket_value(backend, space, value)
             _check_parity_of_value(space, i, j, v, backend, la, lb)
-            sign = -backend.one if (space.parity(i) * space.parity(j)) % 2 == 0 else backend.one
+            sign = -_graded_sign(space, i, j)
             mirror = tuple(sign * x for x in v)
             if table[i][j] is not None:
                 raise StructureError(f"bracket [{la},{lb}] given twice")
@@ -186,6 +192,7 @@ class LieSuperalgebra:
 
     def bracket(self, u: Vector, v: Vector) -> Vector:
         bk = self.backend
+        u, v = vec(bk, u), vec(bk, v)
         out = [bk.zero] * self.dim
         for i, a in enumerate(u):
             if bk.is_zero(a):
@@ -236,7 +243,7 @@ class LieSuperalgebra:
                             f"{sp.labels[k]}-component of the wrong parity"
                         )
                 keys = {k for k, _ in nz[i][j]} | {k for k, _ in nz[j][i]}
-                sign = bk.one if (sp.parity(i) * sp.parity(j)) % 2 == 1 else -bk.one
+                sign = -_graded_sign(sp, i, j)
                 cij, cji = self.c[i][j], self.c[j][i]
                 if any(not bk.is_zero(cji[k] - sign * cij[k]) for k in keys):
                     out.append(
@@ -304,7 +311,7 @@ class BilinearForm:
             if (i, j) in seen:
                 raise StructureError(f"form entry ({la},{lb}) given twice")
             seen.add((i, j))
-            sign = -backend.one if pi * pj == 1 else backend.one
+            sign = _graded_sign(space, i, j)
             g[i][j] = x
             if i != j:
                 g[j][i] = sign * x
@@ -313,10 +320,7 @@ class BilinearForm:
         return BilinearForm(space, backend, parity, Matrix(backend, tuple(tuple(r) for r in g)))
 
     def value(self, u: Vector, v: Vector):
-        return dot(u, self.gram.apply(v))
-
-    def pair_basis(self, i: int, j: int):
-        return self.gram.entries[i][j]
+        return dot(vec(self.backend, u), self.gram.apply(vec(self.backend, v)))
 
     def restrict(self, vectors: Sequence[Vector]) -> Matrix:
         gv = [self.gram.apply(v) for v in vectors]
@@ -389,19 +393,13 @@ def verify_jacobi(alg: LieSuperalgebra) -> Report:
     nz = alg._nz
     fails = 0
     for i in range(n):
-        pi = sp.parity(i)
         for j in range(i, n):
-            pj = sp.parity(j)
             for k in range(j, n):
-                pk = sp.parity(k)
-                # s1 [e_i,[e_j,e_k]] + s2 [e_j,[e_k,e_i]] + s3 [e_k,[e_i,e_j]] over
-                # the nonzero structure constants only
+                # s1 [e_i,[e_j,e_k]] + s2 [e_j,[e_k,e_i]] + s3 [e_k,[e_i,e_j]] with
+                # s1 = (-1)^{|i||k|} and so on, over the nonzero structure constants only
                 term = {}
-                for a, inner, negate in (
-                    (i, nz[j][k], pi * pk % 2),
-                    (j, nz[k][i], pj * pi % 2),
-                    (k, nz[i][j], pk * pj % 2),
-                ):
+                for a, inner, b in ((i, nz[j][k], k), (j, nz[k][i], i), (k, nz[i][j], j)):
+                    negate = _graded_sign(sp, a, b) < 0
                     for l, x in _combine(inner, nz[a]).items():
                         if negate:
                             x = -x
@@ -441,12 +439,6 @@ def _combine(coeffs, rows) -> dict:
     return out
 
 
-def _basis(bk, n: int, i: int) -> Vector:
-    v = [bk.zero] * n
-    v[i] = bk.one
-    return tuple(v)
-
-
 def verify_form(alg: LieSuperalgebra, form: BilinearForm) -> Report:
     """Supersymmetry, parity pattern, non-degeneracy and invariance of a form."""
     bk, sp = alg.backend, alg.space
@@ -458,7 +450,7 @@ def verify_form(alg: LieSuperalgebra, form: BilinearForm) -> Report:
     ok = True
     for i in range(n):
         for j in range(i, n):
-            sign = -bk.one if sp.parity(i) * sp.parity(j) == 1 else bk.one
+            sign = _graded_sign(sp, i, j)
             if not bk.is_zero(g[j][i] - sign * g[i][j]):
                 ok = False
                 rep.add(
@@ -626,11 +618,13 @@ def orthogonal_complement(q: QuadraticAlgebra, s: Subspace) -> Subspace:
 
 
 def is_ideal(alg: LieSuperalgebra, s: Subspace) -> bool:
+    """[e_i, b] lies in s for every basis vector e_i and every b in the basis of s."""
     bk, n = alg.backend, alg.dim
-    for i in range(n):
-        e = _basis(bk, n, i)
-        for b in s.basis:
-            if not s.contains(alg.bracket(e, b)):
+    for b in s.basis:
+        coeffs = [(j, x) for j, x in enumerate(b) if not bk.is_zero(x)]
+        for i in range(n):
+            v = _combine(coeffs, alg._nz[i])
+            if not s.contains(tuple(v.get(k, bk.zero) for k in range(n))):
                 return False
     return True
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .core import BilinearForm, LieSuperalgebra, StructureError, _basis
+from .core import BilinearForm, LieSuperalgebra, StructureError, _combine
 from .linalg import Matrix, Subspace, _nullspace_rows, matrix_span, solve_linear
 
 
@@ -163,18 +163,15 @@ def is_derivation(alg: LieSuperalgebra, d: Matrix) -> bool:
     bk, n = alg.backend, alg.dim
     if d.rows != n or d.cols != n:
         return False
+    zero, nz = bk.zero, alg._nz
+    cols = [[(l, x) for l, x in enumerate(d.col(i)) if not bk.is_zero(x)] for i in range(n)]
     for i in range(n):
         for j in range(i, n):
-            lhs = d.apply(alg.c[i][j])
-            # D[e_i,e_j] = [D e_i, e_j] + [e_i, D e_j]
-            rhs = tuple(
-                a + b
-                for a, b in zip(
-                    alg.bracket(d.col(i), _basis(bk, n, j)),
-                    alg.bracket(_basis(bk, n, i), d.col(j)),
-                )
-            )
-            if any(not bk.is_zero(a - b) for a, b in zip(lhs, rhs)):
+            # D[e_i,e_j] = [D e_i, e_j] + [e_i, D e_j], over the nonzero entries
+            lhs = _combine(nz[i][j], cols)
+            r1 = _combine(cols[i], [block[j] for block in nz])
+            r2 = _combine(cols[j], nz[i])
+            if any(not bk.is_zero(lhs.get(k, zero) - (r1.get(k, zero) + r2.get(k, zero))) for k in range(n)):
                 return False
     return True
 

@@ -1,19 +1,30 @@
 """Constructors: double extensions, T*-extensions and their odd/super variants.
 
-Sign conventions used throughout (fixed once, exercised by the Jacobi checker):
+Every constructor except the direct sum builds g + h + g* through one routine,
+`_extend`, with these conventions (the Jacobi checker exercises the signs):
 
-* coadjoint action  ad*(x)(f) = -f o ad(x), so on dual basis vectors
+* g is an even Lie algebra, g* its dual, and dual basis labels carry a
+  trailing star;
+* the coadjoint action is ad*(x)(f) = -f o ad(x), so on dual basis vectors
   [e_i, e_j*] = -sum_k c[i][k][j] e_k*;
-* dual basis labels carry a trailing star;
-* basis order of an extension output is  base, (middle part), duals  for the
-  purely even constructions, and  base, duals, odd part  for the super one so
-  that the even block stays in front.
+* g acts on a quadratic core (h, B_h) through psi by skew derivations, and
+  [a, b] = [a, b]_h + sum_k B_h(psi(e_k) a, b) e_k* for a, b in h;
+* an optional cocycle theta adds theta(x, y) in g* to [x, y];
+* the form pairs e_i with e_i* and restricts to B_h on h;
+* the basis order is g, the even part of h, g*, the odd part of h.
+
+The T*-extension is this double extension with h = 0, the one-dimensional
+double extension has g = span{e} with dual label f, and the super double
+extension is the double extension by an odd symplectic space h (an abelian
+odd core).  The odd T*-extension makes g* odd, so g* leads the odd block, and
+brackets g* x g* into g by a symmetric pairing phi.
 
 Cocycles theta, pairings phi and representations psi are accepted only as
 explicit tensors/matrices and are validated eagerly: a constructor never
 returns something that fails its own axioms.  The only soft spot is the cyclic
 condition, whose failure downgrades the output to a bare Lie superalgebra with
-a warning instead of a quadratic one.
+a warning instead of a quadratic one.  The validators sum over the nonzero
+structure constants `_nz` of the base.
 """
 
 from __future__ import annotations
@@ -27,9 +38,11 @@ from .core import (
     LieSuperalgebra,
     QuadraticAlgebra,
     StructureError,
+    _coerce_bracket_value,
+    _combine,
 )
-from .derivations import is_derivation
-from .linalg import Matrix, nullspace, vec_is_zero, zero_vec
+from .derivations import _add_row, _output_index, is_derivation
+from .linalg import Matrix, _nullspace_rows, dot, vec_is_zero, zero_vec
 
 
 class ExtensionError(StructureError):
@@ -45,6 +58,39 @@ def _require_even(alg: LieSuperalgebra, what: str):
         raise ExtensionError(f"{what} requires a purely even algebra")
 
 
+def _tensor_from_labels(base: LieSuperalgebra, entries, what: str, symmetric: bool) -> tuple:
+    """t[i][j] = coordinates of the value on the basis pair (e_i, e_j), from one
+    orientation per pair; the other is mirrored, negated unless symmetric, and
+    pairs not given are zero."""
+    bk, sp, n = base.backend, base.space, base.dim
+    t = [[None] * n for _ in range(n)]
+    for (la, lb), value in dict(entries).items():
+        i, j = sp.index(la), sp.index(lb)
+        v = _coerce_bracket_value(bk, sp, value)
+        if t[i][j] is not None or (i != j and t[j][i] is not None):
+            raise ExtensionError(f"{what} ({la},{lb}) specified twice")
+        t[i][j] = v
+        if i != j:
+            t[j][i] = v if symmetric else tuple(-x for x in v)
+        elif not symmetric and not vec_is_zero(bk, v):
+            raise ExtensionError("theta(x,x) must vanish")
+    zero = zero_vec(bk, n)
+    return tuple(tuple(row if row is not None else zero for row in block) for block in t)
+
+
+def _named(bk, labels, v) -> dict:
+    """{label: coordinate} for the coordinates of v that are nonzero to bk."""
+    return {l: x for l, x in zip(labels, v) if not bk.is_zero(x)}
+
+
+def _is_cyclic(bk, t) -> bool:
+    """t(x,y)z = t(y,z)x on all basis triples."""
+    n = len(t)
+    return all(
+        bk.is_zero(t[i][j][k] - t[j][k][i]) for i in range(n) for j in range(n) for k in range(n)
+    )
+
+
 # -- cocycles -------------------------------------------------------------------
 
 
@@ -58,24 +104,7 @@ class Cocycle2:
     @staticmethod
     def build(base: LieSuperalgebra, entries: Mapping[Tuple[str, str], Mapping[str, object]]) -> "Cocycle2":
         _require_even(base, "a 2-cocycle")
-        bk, n = base.backend, base.dim
-        t = [[None] * n for _ in range(n)]
-        for (la, lb), value in dict(entries).items():
-            i, j = base.space.index(la), base.space.index(lb)
-            v = [bk.zero] * n
-            for lc, coeff in dict(value).items():
-                v[base.space.index(lc)] = bk.coerce(coeff)
-            v = tuple(v)
-            if t[i][j] is not None or (i != j and t[j][i] is not None):
-                raise ExtensionError(f"cocycle pair ({la},{lb}) specified twice")
-            t[i][j] = v
-            if i != j:
-                t[j][i] = tuple(-x for x in v)
-            elif not vec_is_zero(bk, v):
-                raise ExtensionError("theta(x,x) must vanish")
-        zero = zero_vec(bk, n)
-        theta = tuple(tuple(row if row is not None else zero for row in block) for block in t)
-        c = Cocycle2(base, theta)
+        c = Cocycle2(base, _tensor_from_labels(base, entries, "cocycle pair", symmetric=False))
         c.validate()
         return c
 
@@ -91,40 +120,32 @@ class Cocycle2:
 
     def validate(self) -> None:
         """Antisymmetry plus the 2-cocycle identity on all basis triples."""
-        bk, n = self.base.backend, self.base.dim
-        c = self.base.c
-        th = self.theta
+        bk, n, nz = self.base.backend, self.base.dim, self.base._nz
+        labels, th = self.base.labels, self.theta
         for i in range(n):
             for j in range(n):
-                for k in range(n):
-                    if not bk.is_zero(th[j][i][k] + th[i][j][k]):
-                        raise ExtensionError(
-                            f"theta is not skew on ({self.base.labels[i]},{self.base.labels[j]})"
-                        )
+                if any(not bk.is_zero(a + b) for a, b in zip(th[j][i], th[i][j])):
+                    raise ExtensionError(f"theta is not skew on ({labels[i]},{labels[j]})")
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
                     for m in range(n):
+                        # sum over the cyclic turns (a,b,z) of
+                        # theta(a,b)([e_z,e_m]) + theta([a,b],z)(e_m)
                         acc = bk.zero
-                        for (a, b, z) in ((i, j, k), (j, k, i), (k, i, j)):
-                            for l in range(n):
-                                acc = acc + c[z][m][l] * th[a][b][l]
-                                acc = acc + c[a][b][l] * th[l][z][m]
+                        for a, b, z in ((i, j, k), (j, k, i), (k, i, j)):
+                            for l, x in nz[z][m]:
+                                acc = acc + x * th[a][b][l]
+                            for l, x in nz[a][b]:
+                                acc = acc + x * th[l][z][m]
                         if not bk.is_zero(acc):
                             raise ExtensionError(
-                                "2-cocycle identity fails on triple "
-                                f"({self.base.labels[i]},{self.base.labels[j]},{self.base.labels[k]})"
+                                f"2-cocycle identity fails on triple ({labels[i]},{labels[j]},{labels[k]})"
                             )
 
     def is_cyclic(self) -> bool:
         """theta(x,y)z = theta(y,z)x on all basis triples."""
-        bk, n = self.base.backend, self.base.dim
-        return all(
-            bk.is_zero(self.theta[i][j][k] - self.theta[j][k][i])
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-        )
+        return _is_cyclic(self.base.backend, self.theta)
 
 
 # -- symmetric pairings for the odd extension ------------------------------------
@@ -140,24 +161,7 @@ class SymPairing:
     @staticmethod
     def build(base: LieSuperalgebra, entries: Mapping[Tuple[str, str], Mapping[str, object]]) -> "SymPairing":
         _require_even(base, "a symmetric pairing")
-        bk, n = base.backend, base.dim
-        t = [[None] * n for _ in range(n)]
-        for (la, lb), value in dict(entries).items():
-            i, j = base.space.index(la), base.space.index(lb)
-            v = [bk.zero] * n
-            for lc, coeff in dict(value).items():
-                v[base.space.index(lc)] = bk.coerce(coeff)
-            v = tuple(v)
-            if t[i][j] is not None or (i != j and t[j][i] is not None):
-                raise ExtensionError(f"pairing ({la},{lb}) specified twice")
-            t[i][j] = v
-            if i != j:
-                t[j][i] = v
-        zero = zero_vec(bk, n)
-        phi = tuple(tuple(row if row is not None else zero for row in block) for block in t)
-        p = SymPairing(base, phi)
-        p.validate()
-        return p
+        return SymPairing.from_tensor(base, _tensor_from_labels(base, entries, "pairing", symmetric=True))
 
     @staticmethod
     def from_tensor(base: LieSuperalgebra, phi: tuple) -> "SymPairing":
@@ -175,20 +179,15 @@ class SymPairing:
             raise ExtensionError(rep[0])
 
     def is_cyclic(self) -> bool:
-        bk, n = self.base.backend, self.base.dim
-        return all(
-            bk.is_zero(self.phi[i][j][k] - self.phi[j][k][i])
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-        )
+        return _is_cyclic(self.base.backend, self.phi)
 
 
 def _pairing_condition_failures(base: LieSuperalgebra, phi) -> list:
     """Symmetry plus the two compatibility conditions of the odd construction."""
-    bk, n = base.backend, base.dim
-    c = base.c
-    labels = base.labels
+    bk, n, nz = base.backend, base.dim, base._nz
+    zero, labels = bk.zero, base.labels
+    # left[x][k] lists the (m, c[x][m][k]), right[m][f] the (l, c[l][m][f])
+    left, right = _output_index(base)
     out = []
     for i in range(n):
         for j in range(i, n):
@@ -196,16 +195,15 @@ def _pairing_condition_failures(base: LieSuperalgebra, phi) -> list:
                 out.append(f"phi is not symmetric on ({labels[i]},{labels[j]})")
     # condition (1): ad(x)(phi(f,g)) + phi(f, g o ad(x)) + phi(g, f o ad(x)) = 0
     for x in range(n):
-        adx = base.ad(x)
         for i in range(n):
             for j in range(i, n):
-                term = list(adx.apply(phi[i][j]))
-                for m in range(n):
-                    if not bk.is_zero(c[x][m][j]):
-                        term = [a + c[x][m][j] * b for a, b in zip(term, phi[i][m])]
-                    if not bk.is_zero(c[x][m][i]):
-                        term = [a + c[x][m][i] * b for a, b in zip(term, phi[j][m])]
-                if not vec_is_zero(bk, term):
+                term = _combine([(l, y) for l, y in enumerate(phi[i][j]) if y], nz[x])
+                for p, q in ((i, j), (j, i)):
+                    for m, y in left[x][q]:
+                        for k, z in enumerate(phi[p][m]):
+                            if z:
+                                term[k] = term.get(k, zero) + y * z
+                if not all(bk.is_zero(v) for v in term.values()):
                     out.append(
                         f"pairing condition (1) fails at (x,f,g) = ({labels[x]},{labels[i]}*,{labels[j]}*)"
                     )
@@ -214,10 +212,10 @@ def _pairing_condition_failures(base: LieSuperalgebra, phi) -> list:
         for j in range(i, n):
             for k in range(j, n):
                 for m in range(n):
-                    acc = bk.zero
-                    for (a, b, f) in ((j, k, i), (k, i, j), (i, j, k)):
-                        for l in range(n):
-                            acc = acc + phi[a][b][l] * c[l][m][f]
+                    acc = zero
+                    for a, b, f in ((j, k, i), (k, i, j), (i, j, k)):
+                        for l, y in right[m][f]:
+                            acc = acc + phi[a][b][l] * y
                     if not bk.is_zero(acc):
                         out.append(
                             f"pairing condition (2) fails at ({labels[i]}*,{labels[j]}*,{labels[k]}*)"
@@ -226,74 +224,59 @@ def _pairing_condition_failures(base: LieSuperalgebra, phi) -> list:
     return out
 
 
+def _sum_terms(zero, terms) -> dict:
+    """{unknown: summed coefficient} of (unknown, coefficient) terms."""
+    row = {}
+    for u, y in terms:
+        row[u] = row.get(u, zero) + y
+    return row
+
+
 def sym_pairing_space(base: LieSuperalgebra, cyclic: bool = True) -> list:
     """Basis of all pairings satisfying the two conditions (and optionally the
-    cyclic identity), as SymPairing objects; a finite linear solve."""
+    cyclic identity), as SymPairing objects; a finite linear solve over the
+    unknowns phi[i][j][k], i <= j, in sparse {unknown: coefficient} rows."""
     _require_even(base, "the pairing solver")
     bk, n = base.backend, base.dim
-    c = base.c
+    zero = bk.zero
+    left, right = _output_index(base)
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     pidx = {p: a for a, p in enumerate(pairs)}
 
     def unknown(i, j, k):
         return pidx[(min(i, j), max(i, j))] * n + k
 
-    nun = len(pairs) * n
     rows = []
     # condition (1)
     for x in range(n):
         for i, j in pairs:
-            for out_k in range(n):
-                row = [bk.zero] * nun
-                for l in range(n):
-                    if not bk.is_zero(c[x][l][out_k]):
-                        u = unknown(i, j, l)
-                        row[u] = row[u] + c[x][l][out_k]
-                for m in range(n):
-                    if not bk.is_zero(c[x][m][j]):
-                        u = unknown(i, m, out_k)
-                        row[u] = row[u] + c[x][m][j]
-                    if not bk.is_zero(c[x][m][i]):
-                        u = unknown(j, m, out_k)
-                        row[u] = row[u] + c[x][m][i]
-                if not vec_is_zero(bk, row):
-                    rows.append(tuple(row))
+            for k in range(n):
+                terms = [(unknown(i, j, l), y) for l, y in left[x][k]]
+                terms += [(unknown(i, m, k), y) for m, y in left[x][j]]
+                terms += [(unknown(j, m, k), y) for m, y in left[x][i]]
+                _add_row(rows, bk, _sum_terms(zero, terms))
     # condition (2)
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                for m in range(n):
-                    row = [bk.zero] * nun
-                    for (a, b, f) in ((j, k, i), (k, i, j), (i, j, k)):
-                        for l in range(n):
-                            if not bk.is_zero(c[l][m][f]):
-                                u = unknown(a, b, l)
-                                row[u] = row[u] + c[l][m][f]
-                    if not vec_is_zero(bk, row):
-                        rows.append(tuple(row))
+    for i, j in pairs:
+        for k in range(j, n):
+            for m in range(n):
+                terms = [
+                    (unknown(a, b, l), y)
+                    for a, b, f in ((j, k, i), (k, i, j), (i, j, k))
+                    for l, y in right[m][f]
+                ]
+                _add_row(rows, bk, _sum_terms(zero, terms))
     if cyclic:
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    row = [bk.zero] * nun
                     u1, u2 = unknown(i, j, k), unknown(j, k, i)
-                    if u1 == u2:
-                        continue
-                    row[u1] = row[u1] + bk.one
-                    row[u2] = row[u2] - bk.one
-                    if not vec_is_zero(bk, row):
-                        rows.append(tuple(row))
-    if rows:
-        sols = nullspace(Matrix(bk, tuple(rows)))
-    else:
-        sols = nullspace(Matrix.zeros(bk, 1, nun))
+                    if u1 != u2:
+                        rows.append({u1: bk.one, u2: -bk.one})
     out = []
-    for s in sols:
+    for s in _nullspace_rows(bk, rows, len(pairs) * n):
         phi = [[None] * n for _ in range(n)]
         for (i, j), a in pidx.items():
-            v = tuple(s[a * n + k] for k in range(n))
-            phi[i][j] = v
-            phi[j][i] = v
+            phi[i][j] = phi[j][i] = s[a * n : a * n + n]
         out.append(SymPairing.from_tensor(base, tuple(tuple(r) for r in phi)))
     return out
 
@@ -367,39 +350,95 @@ class Representation:
         rep.validate()
         return rep
 
-    def matrix_of(self, v) -> Matrix:
-        bk = self.base.backend
-        out = Matrix.zeros(bk, self.target.dim, self.target.dim)
-        for coeff, m in zip(v, self.psi):
-            if not bk.is_zero(coeff):
-                out = out + m.scale(coeff)
-        return out
-
     def validate(self) -> None:
-        bk, n = self.base.backend, self.base.dim
-        if len(self.psi) != n:
+        if len(self.psi) != self.base.dim:
             raise ExtensionError("psi needs one matrix per basis element")
-        g = self.target.gram
-        for i, m in enumerate(self.psi):
-            if m.rows != self.target.dim or m.cols != self.target.dim:
+        _check_action(self.base, self.psi, self.target.gram)
+
+
+def _is_skew(m: Matrix, gram: Matrix) -> bool:
+    """m^T G + G m = 0: B(m x, y) = -B(x, m y)."""
+    return (m.transpose() * gram + gram * m).is_zero()
+
+
+def _check_action(g: LieSuperalgebra, psi, gram: Matrix, core: Optional[LieSuperalgebra] = None) -> None:
+    """Raise unless each psi(e_i) is a derivation of the core that is skew for
+    gram and psi is a homomorphism of g.  Without a core, psi acts on a
+    symplectic space, where every matrix of the right shape is a derivation."""
+    bk, nh = g.backend, gram.rows
+    for label, m in zip(g.labels, psi):
+        if core is None:
+            if m.rows != nh or m.cols != nh:
                 raise ExtensionError("psi matrix has the wrong shape")
-            # skewness psi^T G + G psi = 0
-            if not (m.transpose() * g + g * m).is_zero():
-                raise ExtensionError(
-                    f"psi({self.base.labels[i]}) is not skew for the symplectic form"
-                )
-        for i in range(n):
-            for j in range(i + 1, n):
-                want = self.matrix_of(self.base.c[i][j])
-                have = self.psi[i] * self.psi[j] - self.psi[j] * self.psi[i]
-                if not (want - have).is_zero():
-                    raise ExtensionError(
-                        "psi is not a homomorphism on "
-                        f"({self.base.labels[i]},{self.base.labels[j]})"
-                    )
+        elif not is_derivation(core, m):
+            raise ExtensionError(f"psi({label}) is not a derivation of the core")
+        if not _is_skew(m, gram):
+            form = "symplectic form" if core is None else "core form"
+            raise ExtensionError(f"psi({label}) is not skew for the {form}")
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            want = Matrix.zeros(bk, nh, nh)
+            for k, x in g._nz[i][j]:
+                want = want + psi[k].scale(x)
+            if not (want - (psi[i] * psi[j] - psi[j] * psi[i])).is_zero():
+                raise ExtensionError(f"psi is not a homomorphism on ({g.labels[i]},{g.labels[j]})")
 
 
 # -- the constructors -------------------------------------------------------------
+
+
+def _extend(
+    g: LieSuperalgebra,
+    h: Optional[LieSuperalgebra] = None,
+    hgram: Optional[Matrix] = None,
+    psi: Sequence[Matrix] = (),
+    theta: Optional[Cocycle2] = None,
+    phi: Optional[SymPairing] = None,
+    duals: Optional[Tuple[str, ...]] = None,
+    warning: str = "",
+) -> Union[QuadraticAlgebra, LieSuperalgebra]:
+    """g + h + g* with the brackets and form of the module docstring.
+
+    g* is odd exactly when the pairing phi is given.  If theta or phi is not
+    cyclic, the bare algebra is returned with the warning."""
+    bk, n = g.backend, g.dim
+    h = h if h is not None else LieSuperalgebra.abelian((), backend=bk)
+    gl, hl = g.labels, h.labels
+    dl = duals or tuple(star(l) for l in gl)
+    br = {}  # one orientation per pair: {label: coefficient}, nonzero terms only
+    for i in range(n):
+        for j in range(i + 1, n):
+            br[gl[i], gl[j]] = {gl[k]: x for k, x in g._nz[i][j]}
+            if theta is not None:
+                br[gl[i], gl[j]].update(_named(bk, dl, theta.theta[i][j]))
+        for k, row in enumerate(g._nz[i]):
+            for j, x in row:
+                br.setdefault((gl[i], dl[j]), {})[dl[k]] = -x
+        for a in range(h.dim):
+            br[gl[i], hl[a]] = _named(bk, hl, psi[i].col(a))
+    for a in range(h.dim):
+        # [a, a] can be nonzero only on an odd a
+        for b in range(a if h.parity(a) else a + 1, h.dim):
+            br[hl[a], hl[b]] = {hl[k]: x for k, x in h._nz[a][b]}
+            br[hl[a], hl[b]].update(_named(bk, dl, [dot(m.col(a), hgram.col(b)) for m in psi]))
+    if phi is not None:
+        for i in range(n):
+            for j in range(i, n):
+                br[dl[i], dl[j]] = _named(bk, gl, phi.phi[i][j])
+    he = hl[: h.space.dim_even]
+    even, odd = (gl + he, dl + hl[len(he) :]) if phi is not None else (gl + he + dl, hl[len(he) :])
+    out = LieSuperalgebra.build(even, odd, {pair: v for pair, v in br.items() if v}, bk)
+    twist = phi if phi is not None else theta
+    if twist is not None and not twist.is_cyclic():
+        warnings.warn(warning, UserWarning, stacklevel=3)
+        return out
+    entries = {(gl[i], dl[i]): bk.one for i in range(n)}
+    for a in range(h.dim):
+        for b in range(a, h.dim):
+            if not bk.is_zero(hgram.entries[a][b]):
+                entries[hl[a], hl[b]] = hgram.entries[a][b]
+    form = BilinearForm.build(out.space, entries, "odd" if phi is not None else "even", bk)
+    return QuadraticAlgebra.build(out, form)
 
 
 def double_extension_1d(q: QuadraticAlgebra, d: Matrix, ext_labels: Tuple[str, str] = ("e", "f")) -> QuadraticAlgebra:
@@ -408,40 +447,14 @@ def double_extension_1d(q: QuadraticAlgebra, d: Matrix, ext_labels: Tuple[str, s
     central and the form extended hyperbolically by B(e,f) = 1."""
     alg, form = q.algebra, q.form
     _require_even(alg, "the one-dimensional double extension")
-    bk, n = alg.backend, alg.dim
     if not is_derivation(alg, d):
         raise ExtensionError("the extension map is not a derivation")
-    g = form.gram
-    if not (d.transpose() * g + g * d).is_zero():
+    if not _is_skew(d, form.gram):
         raise ExtensionError("the extension map is not skew for the form")
     le, lf = ext_labels
     if le in alg.labels or lf in alg.labels or le == lf:
         raise ExtensionError("extension labels collide with the base labels")
-    labels = (le,) + alg.labels + (lf,)
-    brackets = {}
-    for j, lab in enumerate(alg.labels):
-        col = d.col(j)
-        if not vec_is_zero(bk, col):
-            brackets[(le, lab)] = {alg.labels[k]: x for k, x in enumerate(col) if not bk.is_zero(x)}
-    for i in range(n):
-        for j in range(i + 1, n):
-            value = {alg.labels[k]: x for k, x in enumerate(alg.c[i][j]) if not bk.is_zero(x)}
-            acc = bk.zero
-            dcol = d.col(i)
-            for k in range(n):
-                acc = acc + dcol[k] * g.entries[k][j]
-            if not bk.is_zero(acc):
-                value[lf] = acc
-            if value:
-                brackets[(alg.labels[i], alg.labels[j])] = value
-    out = LieSuperalgebra.build(labels, (), brackets, bk)
-    entries = {(le, lf): bk.one}
-    for i in range(n):
-        for j in range(i, n):
-            if not bk.is_zero(g.entries[i][j]):
-                entries[(alg.labels[i], alg.labels[j])] = g.entries[i][j]
-    new_form = BilinearForm.build(out.space, entries, "even", bk)
-    return QuadraticAlgebra.build(out, new_form)
+    return _extend(LieSuperalgebra.abelian([le], backend=alg.backend), alg, form.gram, [d], duals=(lf,))
 
 
 def double_extension_general(galg: LieSuperalgebra, h: Optional[QuadraticAlgebra], psi: Sequence[Matrix]) -> QuadraticAlgebra:
@@ -449,74 +462,16 @@ def double_extension_general(galg: LieSuperalgebra, h: Optional[QuadraticAlgebra
     through skew derivations; h may be None for the plain coadjoint semidirect
     product on g + g*."""
     _require_even(galg, "the double extension")
-    bk = galg.backend
-    ng = galg.dim
     if h is None:
-        halg = LieSuperalgebra.abelian((), backend=bk)
-        hform = BilinearForm.build(halg.space, {}, "even", bk)
-        h = QuadraticAlgebra(halg, hform)
+        core, gram = LieSuperalgebra.abelian((), backend=galg.backend), Matrix.zeros(galg.backend, 0, 0)
     else:
         _require_even(h.algebra, "the double extension core")
-    nh = h.dim
+        core, gram = h.algebra, h.form.gram
     psi = tuple(psi)
-    if len(psi) != ng:
+    if len(psi) != galg.dim:
         raise ExtensionError("psi needs one matrix per base generator")
-    hg = h.form.gram
-    for i, m in enumerate(psi):
-        if not is_derivation(h.algebra, m):
-            raise ExtensionError(f"psi({galg.labels[i]}) is not a derivation of the core")
-        if not (m.transpose() * hg + hg * m).is_zero():
-            raise ExtensionError(f"psi({galg.labels[i]}) is not skew for the core form")
-    for i in range(ng):
-        for j in range(i + 1, ng):
-            want = Matrix.zeros(bk, nh, nh)
-            for coeff, m in zip(galg.c[i][j], psi):
-                if not bk.is_zero(coeff):
-                    want = want + m.scale(coeff)
-            have = psi[i] * psi[j] - psi[j] * psi[i]
-            if not (want - have).is_zero():
-                raise ExtensionError(
-                    f"psi is not a homomorphism on ({galg.labels[i]},{galg.labels[j]})"
-                )
-
-    glabels = galg.labels
-    hlabels = h.algebra.labels
-    dlabels = tuple(star(l) for l in glabels)
-    labels = glabels + hlabels + dlabels
-    brackets = {}
-
-    def put(la, lb, vecdict):
-        vecdict = {k: v for k, v in vecdict.items() if not bk.is_zero(v)}
-        if vecdict:
-            brackets[(la, lb)] = vecdict
-
-    for i in range(ng):
-        for j in range(i + 1, ng):
-            put(glabels[i], glabels[j], {glabels[k]: x for k, x in enumerate(galg.c[i][j])})
-        for a in range(nh):
-            put(glabels[i], hlabels[a], {hlabels[k]: x for k, x in enumerate(psi[i].col(a))})
-        for j in range(ng):
-            # [x_i, x_j*] = -sum_k c[i][k][j] x_k*
-            put(glabels[i], dlabels[j], {dlabels[k]: -galg.c[i][k][j] for k in range(ng)})
-    for a in range(nh):
-        for b in range(a + 1, nh):
-            value = {hlabels[k]: x for k, x in enumerate(h.algebra.c[a][b])}
-            for k in range(ng):
-                coeff = bk.zero
-                col = psi[k].col(a)
-                for r in range(nh):
-                    coeff = coeff + col[r] * hg.entries[r][b]
-                if not bk.is_zero(coeff):
-                    value[dlabels[k]] = coeff
-            put(hlabels[a], hlabels[b], value)
-    out = LieSuperalgebra.build(labels, (), brackets, bk)
-    entries = {(glabels[i], dlabels[i]): bk.one for i in range(ng)}
-    for a in range(nh):
-        for b in range(a, nh):
-            if not bk.is_zero(hg.entries[a][b]):
-                entries[(hlabels[a], hlabels[b])] = hg.entries[a][b]
-    new_form = BilinearForm.build(out.space, entries, "even", bk)
-    return QuadraticAlgebra.build(out, new_form)
+    _check_action(galg, psi, gram, core)
+    return _extend(galg, core, gram, psi)
 
 
 def t_star_extension(galg: LieSuperalgebra, theta: Optional[Cocycle2] = None) -> Union[QuadraticAlgebra, LieSuperalgebra]:
@@ -525,34 +480,9 @@ def t_star_extension(galg: LieSuperalgebra, theta: Optional[Cocycle2] = None) ->
     _require_even(galg, "the T*-extension")
     if theta is not None and theta.base is not galg and theta.base != galg:
         raise ExtensionError("theta is a cocycle of a different algebra")
-    bk, n = galg.backend, galg.dim
-    labels = galg.labels
-    dlabels = tuple(star(l) for l in labels)
-    brackets = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            value = {labels[k]: x for k, x in enumerate(galg.c[i][j]) if not bk.is_zero(x)}
-            if theta is not None:
-                for k, x in enumerate(theta.theta[i][j]):
-                    if not bk.is_zero(x):
-                        value[dlabels[k]] = x
-            if value:
-                brackets[(labels[i], labels[j])] = value
-        for j in range(n):
-            value = {dlabels[k]: -galg.c[i][k][j] for k in range(n) if not bk.is_zero(galg.c[i][k][j])}
-            if value:
-                brackets[(labels[i], dlabels[j])] = value
-    out = LieSuperalgebra.build(labels + dlabels, (), brackets, bk)
-    if theta is not None and not theta.is_cyclic():
-        warnings.warn(
-            "theta is not cyclic: the T*-extension is returned as a plain Lie algebra",
-            UserWarning,
-            stacklevel=2,
-        )
-        return out
-    entries = {(labels[i], dlabels[i]): bk.one for i in range(n)}
-    form = BilinearForm.build(out.space, entries, "even", bk)
-    return QuadraticAlgebra.build(out, form)
+    return _extend(
+        galg, theta=theta, warning="theta is not cyclic: the T*-extension is returned as a plain Lie algebra"
+    )
 
 
 def super_double_extension(
@@ -569,59 +499,17 @@ def super_double_extension(
         raise ExtensionError("the representation acts for a different base algebra")
     if theta is not None and theta.base != galg:
         raise ExtensionError("theta is a cocycle of a different algebra")
-    bk, ng = galg.backend, galg.dim
     hsp = rep.target
-    nh = hsp.dim
-    glabels = galg.labels
-    dlabels = tuple(star(l) for l in glabels)
-    olabels = hsp.labels
-    if set(olabels) & set(glabels + dlabels):
+    if set(hsp.labels) & set(galg.labels + tuple(star(l) for l in galg.labels)):
         raise ExtensionError("odd labels collide with the even labels")
-    brackets = {}
-
-    def put(la, lb, vecdict):
-        vecdict = {k: v for k, v in vecdict.items() if not bk.is_zero(v)}
-        if vecdict:
-            brackets[(la, lb)] = vecdict
-
-    for i in range(ng):
-        for j in range(i + 1, ng):
-            value = {glabels[k]: x for k, x in enumerate(galg.c[i][j])}
-            if theta is not None:
-                for k, x in enumerate(theta.theta[i][j]):
-                    value[dlabels[k]] = value.get(dlabels[k], bk.zero) + x
-            put(glabels[i], glabels[j], value)
-        for j in range(ng):
-            put(glabels[i], dlabels[j], {dlabels[k]: -galg.c[i][k][j] for k in range(ng)})
-        for a in range(nh):
-            put(glabels[i], olabels[a], {olabels[k]: x for k, x in enumerate(rep.psi[i].col(a))})
-    hg = hsp.gram.entries
-    for a in range(nh):
-        for b in range(a, nh):
-            value = {}
-            for k in range(ng):
-                col = rep.psi[k].col(a)
-                coeff = bk.zero
-                for r in range(nh):
-                    coeff = coeff + col[r] * hg[r][b]
-                if not bk.is_zero(coeff):
-                    value[dlabels[k]] = coeff
-            put(olabels[a], olabels[b], value)
-    out = LieSuperalgebra.build(glabels + dlabels, olabels, brackets, bk)
-    if theta is not None and not theta.is_cyclic():
-        warnings.warn(
-            "theta is not cyclic: the super double extension is returned without a form",
-            UserWarning,
-            stacklevel=2,
-        )
-        return out
-    entries = {(glabels[i], dlabels[i]): bk.one for i in range(ng)}
-    for a in range(nh):
-        for b in range(a + 1, nh):
-            if not bk.is_zero(hg[a][b]):
-                entries[(olabels[a], olabels[b])] = hg[a][b]
-    form = BilinearForm.build(out.space, entries, "even", bk)
-    return QuadraticAlgebra.build(out, form)
+    return _extend(
+        galg,
+        LieSuperalgebra.abelian((), hsp.labels, galg.backend),
+        hsp.gram,
+        rep.psi,
+        theta,
+        warning="theta is not cyclic: the super double extension is returned without a form",
+    )
 
 
 def ts_star_extension(galg: LieSuperalgebra, phi: SymPairing) -> Union[QuadraticAlgebra, LieSuperalgebra]:
@@ -631,35 +519,9 @@ def ts_star_extension(galg: LieSuperalgebra, phi: SymPairing) -> Union[Quadratic
     _require_even(galg, "the odd T*-extension")
     if phi.base != galg:
         raise ExtensionError("phi pairs the dual of a different algebra")
-    bk, n = galg.backend, galg.dim
-    labels = galg.labels
-    dlabels = tuple(star(l) for l in labels)
-    brackets = {}
-
-    def put(la, lb, vecdict):
-        vecdict = {k: v for k, v in vecdict.items() if not bk.is_zero(v)}
-        if vecdict:
-            brackets[(la, lb)] = vecdict
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            put(labels[i], labels[j], {labels[k]: x for k, x in enumerate(galg.c[i][j])})
-        for j in range(n):
-            put(labels[i], dlabels[j], {dlabels[k]: -galg.c[i][k][j] for k in range(n)})
-    for i in range(n):
-        for j in range(i, n):
-            put(dlabels[i], dlabels[j], {labels[k]: x for k, x in enumerate(phi.phi[i][j])})
-    out = LieSuperalgebra.build(labels, dlabels, brackets, bk)
-    if not phi.is_cyclic():
-        warnings.warn(
-            "phi is not cyclic: the odd T*-extension is returned without a form",
-            UserWarning,
-            stacklevel=2,
-        )
-        return out
-    entries = {(labels[i], dlabels[i]): bk.one for i in range(n)}
-    form = BilinearForm.build(out.space, entries, "odd", bk)
-    return QuadraticAlgebra.build(out, form)
+    return _extend(
+        galg, phi=phi, warning="phi is not cyclic: the odd T*-extension is returned without a form"
+    )
 
 
 def direct_sum(

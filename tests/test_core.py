@@ -24,7 +24,7 @@ from liequad.core import (
     verify_jacobi,
 )
 from liequad.linalg import Subspace
-from liequad.scalars import EXACT, Exact, complex_backend
+from liequad.scalars import EXACT, BackendMismatch, Exact, complex_backend
 
 
 def diamond():
@@ -342,3 +342,40 @@ def test_quadratic_build_rejects_bad_form():
     bad = BilinearForm.build(alg.space, {("X", "Z"): 1, ("P", "Q"): 2})
     with pytest.raises(StructureError):
         QuadraticAlgebra.build(alg, bad)
+
+
+def test_vector_arguments_are_coerced_to_the_backend():
+    # a float reaches exact arithmetic only through an unchecked entry point
+    alg, form = diamond()
+    with pytest.raises(BackendMismatch):
+        form.value((0.5, 0, 0, 0), (0, 0, 0, 1))
+    with pytest.raises(BackendMismatch):
+        alg.bracket((0.5, 0, 0, 0), (0, 1, 0, 0))
+    assert form.value((2, 0, 0, 0), (0, 0, 0, "1/2")) == EXACT.one
+    assert alg.bracket((1, 0, 0, 0), (0, 3, 0, 0)) == (0, 3, 0, 0)
+
+
+def is_ideal_from_definition(alg, s):
+    """[e_i, b] in s for every basis vector e_i and basis vector b of s, from the
+    dense structure constants (entries zero to the backend count as zero)."""
+    bk, n = alg.backend, alg.dim
+    z = lambda x: bk.zero if bk.is_zero(x) else x  # noqa: E731
+    for i in range(n):
+        for b in s.basis:
+            v = [sum((z(b[j]) * z(alg.c[i][j][k]) for j in range(n)), bk.zero) for k in range(n)]
+            if not s.contains(v):
+                return False
+    return True
+
+
+@settings(max_examples=120, deadline=None)
+@given(backend=st.sampled_from([EXACT, CB]), data=st.data())
+def test_is_ideal_matches_definition(backend, data):
+    entry = ENTRIES[backend.name]
+    n = data.draw(st.integers(1, 4))
+    space = SuperSpace.make([f"E{i}" for i in range(n)])
+    c = tuple(tuple(data.draw(st.tuples(*[entry.map(backend.coerce)] * n)) for _ in range(n)) for _ in range(n))
+    alg = LieSuperalgebra(space, backend, c)
+    vectors = data.draw(st.lists(st.tuples(*[entry.map(backend.coerce)] * n), max_size=n))
+    s = Subspace.span(backend, vectors, n)
+    assert is_ideal(alg, s) == is_ideal_from_definition(alg, s)

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liequad import catalog
-from liequad.core import StructureError
+from liequad.core import LieSuperalgebra, StructureError
 from liequad.derivations import (
     derivation_space,
     is_derivation,
@@ -9,7 +12,7 @@ from liequad.derivations import (
     skew_derivation_family_g2n2,
 )
 from liequad.linalg import Matrix, Subspace
-from liequad.scalars import EXACT
+from liequad.scalars import EXACT, complex_backend
 
 
 def d_g4(x, y, z):
@@ -166,3 +169,50 @@ def test_inner_subset_of_all_derivations():
         assert inner.dim <= full.dim
         for m in inner.basis:
             assert full.contains(m), qid
+
+
+def is_derivation_from_definition(alg, d):
+    """D[e_i,e_j] = [D e_i, e_j] + [e_i, D e_j] on all basis pairs, from the dense
+    structure constants (entries zero to the backend count as zero)."""
+    bk, n = alg.backend, alg.dim
+    if (d.rows, d.cols) != (n, n):
+        return False
+    z = lambda x: bk.zero if bk.is_zero(x) else x  # noqa: E731
+    c, m = [[[z(x) for x in row] for row in block] for block in alg.c], [[z(x) for x in r] for r in d.entries]
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(n):
+                lhs = sum((m[k][l] * c[i][j][l] for l in range(n)), bk.zero)
+                rhs = sum((m[l][i] * c[l][j][k] + m[l][j] * c[i][l][k] for l in range(n)), bk.zero)
+                if not bk.is_zero(lhs - rhs):
+                    return False
+    return True
+
+
+CB = complex_backend(1e-9)
+ENTRY = {
+    "exact": st.one_of(
+        st.just(0), st.just(0), st.integers(-2, 2), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
+    ),
+    "complex": st.one_of(
+        st.just(0j),
+        st.builds(complex, st.integers(-2, 2), st.integers(-1, 1)),
+        st.builds(complex, st.floats(-1e-9, 1e-9), st.floats(-1e-9, 1e-9)),  # below the tolerance
+    ),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(backend=st.sampled_from([EXACT, CB]), data=st.data())
+def test_is_derivation_matches_definition(backend, data):
+    # a random map, some ad(e_i) (a derivation when the table is a Lie algebra)
+    # and a map of the wrong shape, on random tables
+    entry = ENTRY[backend.name].map(backend.coerce)
+    n = data.draw(st.integers(1, 4))
+    labels = [f"E{i}" for i in range(n)]
+    pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)]
+    brackets = {p: dict(zip(labels, data.draw(st.tuples(*[entry] * n)))) for p in pairs if data.draw(st.booleans())}
+    alg = LieSuperalgebra.build(labels, (), brackets, backend)
+    rows = data.draw(st.tuples(*[st.tuples(*[entry] * n)] * n))
+    for d in (Matrix(backend, rows), alg.ad(data.draw(st.integers(0, n - 1))), Matrix.zeros(backend, n + 1, n + 1)):
+        assert is_derivation(alg, d) == is_derivation_from_definition(alg, d)

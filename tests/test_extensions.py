@@ -8,12 +8,14 @@ from liequad.core import (
     BilinearForm,
     LieSuperalgebra,
     QuadraticAlgebra,
+    StructureError,
     center,
     is_ideal,
     verify_jacobi,
 )
 from liequad.extensions import (
     Cocycle2,
+    _pairing_condition_failures,
     ExtensionError,
     Representation,
     SymPairing,
@@ -27,9 +29,9 @@ from liequad.extensions import (
     t_star_extension,
     ts_star_extension,
 )
-from liequad.linalg import Matrix, Subspace
+from liequad.linalg import Matrix, Subspace, nullspace
 from liequad.morphisms import GradedLinearMap, verify_i_isomorphism, verify_isomorphism
-from liequad.scalars import EXACT
+from liequad.scalars import EXACT, Exact, complex_backend
 
 
 def heisenberg_cocycle(lam):
@@ -472,3 +474,296 @@ def test_cyclic_pairing_family_over_abelian3_is_10_dimensional():
         for a in range(3, 6):
             for b in range(3, 6):
                 assert all(EXACT.is_zero(x) for x in alg.bracket_basis(a, b)[3:])
+
+
+# -- the validators against dense definitions ------------------------------------------
+#
+# Dense loops over every structure constant, as the validators were first
+# written.  An entry that is zero to the backend counts as zero, as in `bracket`
+# and the nonzero lists the validators sum over.
+
+
+CB = complex_backend(1e-9)
+ENTRY = {
+    "exact": st.one_of(
+        st.just(0),
+        st.just(0),
+        st.integers(-2, 2),
+        st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2)),
+        st.builds(Exact, st.integers(-1, 1), st.integers(-1, 1)),
+    ),
+    "complex": st.one_of(
+        st.just(0j),
+        st.just(0j),
+        st.builds(complex, st.integers(-2, 2), st.integers(-1, 1)),
+        st.builds(complex, st.floats(-2, 2), st.floats(-1, 1)),
+        st.builds(complex, st.floats(-1e-9, 1e-9), st.floats(-1e-9, 1e-9)),  # below the tolerance
+    ),
+}
+
+
+def structure_constants(alg):
+    bk = alg.backend
+    return [[[bk.zero if bk.is_zero(x) else x for x in row] for row in block] for block in alg.c]
+
+
+def cocycle_failure_from_definition(base, th):
+    bk, n, labels = base.backend, base.dim, base.labels
+    c = structure_constants(base)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if not bk.is_zero(th[j][i][k] + th[i][j][k]):
+                    return f"theta is not skew on ({labels[i]},{labels[j]})"
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                for m in range(n):
+                    acc = bk.zero
+                    for a, b, z in ((i, j, k), (j, k, i), (k, i, j)):
+                        for l in range(n):
+                            acc = acc + c[z][m][l] * th[a][b][l] + c[a][b][l] * th[l][z][m]
+                    if not bk.is_zero(acc):
+                        return f"2-cocycle identity fails on triple ({labels[i]},{labels[j]},{labels[k]})"
+    return None
+
+
+def pairing_failures_from_definition(base, phi):
+    bk, n, labels = base.backend, base.dim, base.labels
+    c = structure_constants(base)
+    out = []
+    for i in range(n):
+        for j in range(i, n):
+            if any(not bk.is_zero(phi[i][j][k] - phi[j][i][k]) for k in range(n)):
+                out.append(f"phi is not symmetric on ({labels[i]},{labels[j]})")
+    # (1): [x, phi(f,g)] + phi(f, g o ad x) + phi(g, f o ad x) = 0
+    for x in range(n):
+        for i in range(n):
+            for j in range(i, n):
+                term = [
+                    sum((c[x][l][k] * phi[i][j][l] for l in range(n)), bk.zero)
+                    + sum((c[x][m][j] * phi[i][m][k] + c[x][m][i] * phi[j][m][k] for m in range(n)), bk.zero)
+                    for k in range(n)
+                ]
+                if not all(bk.is_zero(v) for v in term):
+                    out.append(f"pairing condition (1) fails at (x,f,g) = ({labels[x]},{labels[i]}*,{labels[j]}*)")
+    # (2): f o ad(phi(g,h)) + cycle = 0, one message per triple
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                for m in range(n):
+                    acc = bk.zero
+                    for a, b, f in ((j, k, i), (k, i, j), (i, j, k)):
+                        for l in range(n):
+                            acc = acc + phi[a][b][l] * c[l][m][f]
+                    if not bk.is_zero(acc):
+                        out.append(f"pairing condition (2) fails at ({labels[i]}*,{labels[j]}*,{labels[k]}*)")
+                        break
+    return out
+
+
+def is_cyclic_from_definition(bk, t):
+    n = len(t)
+    return all(bk.is_zero(t[i][j][k] - t[j][k][i]) for i in range(n) for j in range(n) for k in range(n))
+
+
+def psi_failure_from_definition(g, psi, gram, core=None):
+    """First failing psi condition of a symplectic representation (core None)
+    or of a general double extension, or None."""
+    bk, nh, labels = g.backend, gram.rows, g.labels
+    zero = Matrix.zeros(bk, nh, nh)
+    for label, m in zip(labels, psi):
+        if (m.rows, m.cols) != (nh, nh):
+            return "psi matrix has the wrong shape" if core is None else f"psi({label}) is not a derivation of the core"
+        if core is not None:
+            # D[a,b] = [Da,b] + [a,Db] on all basis pairs
+            h, d = structure_constants(core), m.entries
+            for a in range(nh):
+                for b in range(a, nh):
+                    for k in range(nh):
+                        lhs = sum((d[k][r] * core.c[a][b][r] for r in range(nh)), bk.zero)
+                        rhs = sum((d[r][a] * h[r][b][k] + d[r][b] * h[a][r][k] for r in range(nh)), bk.zero)
+                        if not bk.is_zero(lhs - rhs):
+                            return f"psi({label}) is not a derivation of the core"
+        if not (m.transpose() * gram + gram * m).is_zero():
+            return f"psi({label}) is not skew for the {'symplectic form' if core is None else 'core form'}"
+    c = structure_constants(g)
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            want = zero
+            for k in range(g.dim):
+                want = want + psi[k].scale(c[i][j][k])
+            if not (want - (psi[i] * psi[j] - psi[j] * psi[i])).is_zero():
+                return f"psi is not a homomorphism on ({labels[i]},{labels[j]})"
+    return None
+
+
+def pairing_rows_from_definition(base, cyclic):
+    """Dense rows of the pairing system over the unknowns phi[i][j][k], i <= j."""
+    bk, n = base.backend, base.dim
+    c = structure_constants(base)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+
+    def u(i, j, k):
+        return pairs.index((min(i, j), max(i, j))) * n + k
+
+    rows = []
+
+    def add(terms):
+        row = [bk.zero] * (len(pairs) * n)
+        for col, x in terms:
+            row[col] = row[col] + x
+        rows.append(tuple(row))
+
+    for x in range(n):
+        for i, j in pairs:
+            for k in range(n):
+                add(
+                    [(u(i, j, l), c[x][l][k]) for l in range(n)]
+                    + [(u(i, m, k), c[x][m][j]) for m in range(n)]
+                    + [(u(j, m, k), c[x][m][i]) for m in range(n)]
+                )
+    for i, j in pairs:
+        for k in range(j, n):
+            for m in range(n):
+                add([(u(a, b, l), c[l][m][f]) for a, b, f in ((j, k, i), (k, i, j), (i, j, k)) for l in range(n)])
+    if cyclic:
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    add([(u(i, j, k), bk.one), (u(j, k, i), -bk.one)])
+    return pairs, rows
+
+
+def random_algebra(data, backend, max_dim=4):
+    """An even algebra on a random sparse table (not necessarily Lie)."""
+    entry = ENTRY[backend.name].map(backend.coerce)
+    n = data.draw(st.integers(1, max_dim))
+    labels = [f"E{i}" for i in range(n)]
+    brackets = {
+        (labels[i], labels[j]): dict(zip(labels, data.draw(st.tuples(*[entry] * n))))
+        for i in range(n)
+        for j in range(i + 1, n)
+        if data.draw(st.booleans())
+    }
+    return LieSuperalgebra.build(labels, (), brackets, backend)
+
+
+def random_tensor(data, base, symmetric):
+    """t[i][j] = a random vector (zero on the diagonal unless symmetric),
+    mirrored on t[j][i], negated unless symmetric; one pair in forty breaks
+    the mirror, and one tensor in four is zero."""
+    bk, n = base.backend, base.dim
+    entry = st.one_of(st.just(0), st.just(0), ENTRY[bk.name]).map(bk.coerce)
+    vector = st.tuples(*[entry] * n)
+    zero = data.draw(st.integers(0, 3)) == 0
+    t = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            v = (bk.zero,) * n if zero or (i == j and not symmetric) else data.draw(vector)
+            t[i][j] = v
+            t[j][i] = v if symmetric else tuple(-x for x in v)
+            if data.draw(st.integers(0, 39)) == 0:
+                t[j][i] = data.draw(vector)
+    return tuple(tuple(r) for r in t)
+
+
+def error_of(call):
+    try:
+        call()
+    except ExtensionError as e:
+        return str(e)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(backend=st.sampled_from([EXACT, CB]), data=st.data())
+def test_cocycle_validation_matches_definition(backend, data):
+    base = random_algebra(data, backend)
+    th = random_tensor(data, base, symmetric=False)
+    cocycle = Cocycle2(base, th)
+    assert error_of(cocycle.validate) == cocycle_failure_from_definition(base, th)
+    assert cocycle.is_cyclic() == is_cyclic_from_definition(backend, th)
+
+
+@settings(max_examples=150, deadline=None)
+@given(backend=st.sampled_from([EXACT, CB]), data=st.data())
+def test_pairing_validation_matches_definition(backend, data):
+    base = random_algebra(data, backend)
+    phi = random_tensor(data, base, symmetric=True)
+    want = pairing_failures_from_definition(base, phi)
+    assert _pairing_condition_failures(base, phi) == want
+    assert error_of(SymPairing(base, phi).validate) == (want[0] if want else None)
+    assert SymPairing(base, phi).is_cyclic() == is_cyclic_from_definition(backend, phi)
+
+
+def psi_pool(bk):
+    m = lambda rows: Matrix.from_rows(bk, rows)  # noqa: E731
+    return [
+        Matrix.zeros(bk, 2, 2),
+        m([[1, 0], [0, -1]]),
+        m([[0, 1], [0, 0]]),
+        m([[0, 0], [1, 0]]),
+        m([[0, 1], [1, 0]]),
+        Matrix.identity(bk, 2),
+        Matrix.zeros(bk, 3, 3),
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(backend=st.sampled_from([EXACT, CB]), data=st.data())
+def test_psi_checks_match_definition(backend, data):
+    g = random_algebra(data, backend, max_dim=3)
+    pool = psi_pool(backend)
+    psi = data.draw(st.lists(st.sampled_from(pool), min_size=g.dim, max_size=g.dim + (g.dim < 3)))
+    # a representation on the symplectic plane F1, G1 with B(F1, G1) = 1
+    target = SymplecticSpace.canonical(backend, 1)
+    want = "psi needs one matrix per basis element" if len(psi) != g.dim else None
+    want = want or psi_failure_from_definition(g, psi, target.gram)
+    assert error_of(lambda: Representation(g, target, tuple(psi)).validate()) == want
+    # a double extension of the hyperbolic plane U, V, or of the diamond with a
+    # random inner derivation in the pool
+    core = data.draw(st.sampled_from(["plane", "g4"]))
+    if core == "plane":
+        alg = LieSuperalgebra.abelian(["U", "V"], backend=backend)
+        q = QuadraticAlgebra.build(alg, BilinearForm.build(alg.space, {("U", "V"): 1}, "even", backend))
+    else:
+        q = catalog.build("g4", backend=backend)
+        pool = [q.algebra.ad(i) for i in range(4)] + [Matrix.zeros(backend, 4, 4), Matrix.identity(backend, 4)]
+        psi = data.draw(st.lists(st.sampled_from(pool), min_size=g.dim, max_size=g.dim + (g.dim < 3)))
+    want = "psi needs one matrix per base generator" if len(psi) != g.dim else None
+    want = want or psi_failure_from_definition(g, psi, q.form.gram, q.algebra)
+    try:
+        got = error_of(lambda: double_extension_general(g, q, psi))
+    except StructureError:  # psi passes, but a random table need not be a Lie algebra
+        got = None
+    assert got == want
+
+
+def assert_pairing_space_matches_dense_nullspace(base):
+    n = base.dim
+    for cyclic in (False, True):
+        pairs, rows = pairing_rows_from_definition(base, cyclic)
+        want = []
+        for s in nullspace(Matrix(EXACT, tuple(rows))):
+            phi = [[None] * n for _ in range(n)]
+            for a, (i, j) in enumerate(pairs):
+                phi[i][j] = phi[j][i] = s[a * n : a * n + n]
+            want.append(tuple(x for block in phi for row in block for x in row))
+        got = [tuple(x for block in p.phi for row in block for x in row) for p in sym_pairing_space(base, cyclic)]
+        assert Subspace.span(EXACT, got, n**3) == Subspace.span(EXACT, want, n**3)
+        assert len(got) == len(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_pairing_space_matches_dense_nullspace(data):
+    assert_pairing_space_matches_dense_nullspace(random_algebra(data, EXACT, max_dim=3))
+
+
+def test_pairing_space_of_filiform4_matches_dense_nullspace():
+    # [X,Y] = Z, [X,Z] = W: most small tables leave a term of either condition
+    # redundant, this one does not (3 pairings, 2 of them cyclic)
+    g = LieSuperalgebra.build(["X", "Y", "Z", "W"], (), {("X", "Y"): {"Z": 1}, ("X", "Z"): {"W": 1}})
+    assert_pairing_space_matches_dense_nullspace(g)
+    assert [len(sym_pairing_space(g, cyclic)) for cyclic in (False, True)] == [3, 2]
