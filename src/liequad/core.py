@@ -213,6 +213,7 @@ class LieSuperalgebra:
     def ad_vector(self, v: Vector) -> Matrix:
         n = self.dim
         bk = self.backend
+        v = vec(bk, v)
         cols = [zero_vec(bk, n)] * n
         for j in range(n):
             col = [bk.zero] * n
@@ -323,6 +324,7 @@ class BilinearForm:
         return dot(vec(self.backend, u), self.gram.apply(vec(self.backend, v)))
 
     def restrict(self, vectors: Sequence[Vector]) -> Matrix:
+        vectors = [vec(self.backend, v) for v in vectors]
         gv = [self.gram.apply(v) for v in vectors]
         return Matrix(self.backend, tuple(tuple(dot(u, col) for col in gv) for u in vectors))
 

@@ -176,7 +176,7 @@ def _rref_sparse(backend, rows: list, ncols: int) -> tuple:
         order[r], order[s] = best, moved
         slot[best], slot[moved] = r, s
         prow = rows[best]
-        inv = one / prow[c]
+        inv = backend.div(one, prow[c])
         for j, v in list(prow.items()):
             v = inv * v
             if v:
@@ -338,7 +338,7 @@ class Subspace:
         for row in self.basis:
             lead = next(i for i, x in enumerate(row) if not bk.is_zero(x))
             if not bk.is_zero(v[lead]):
-                f = v[lead] / row[lead]
+                f = bk.div(v[lead], row[lead])
                 v = [a - f * b for a, b in zip(v, row)]
         return tuple(v)
 
@@ -415,7 +415,7 @@ def _poly_mod(backend, a: list, b: list) -> list:
         if backend.is_zero(a[-1]):
             a.pop()
             continue
-        f = a[-1] / lb
+        f = backend.div(a[-1], lb)
         shift = len(a) - 1 - db
         for i, bi in enumerate(b):
             a[shift + i] = a[shift + i] - f * bi
@@ -442,7 +442,7 @@ def _char_poly(a: Matrix) -> list:
     for k in range(1, n + 1):
         m = a * m + Matrix.identity(bk, n).scale(c)
         am = a * m
-        c = -(am.trace() / bk.coerce(k))
+        c = -bk.div(am.trace(), bk.coerce(k))
         coeffs[n - k] = c
     return coeffs
 

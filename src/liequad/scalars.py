@@ -1,12 +1,16 @@
 """Scalar backends: exact Gaussian-rational numbers and tolerance-based complex floats.
 
-All structural verification runs on the exact backend, where a real value is a
-plain `fractions.Fraction` and only a value a + b*i with b != 0 is an `Exact`
-(with Fraction components).  `Exact(a)`, and every `Exact` operation with a real
-result, returns the Fraction, so each value has one representation.  Almost
-every scalar is real; i is needed only by the orthonormal-basis presentation of
-the five-dimensional simple entry.  The complex backend is ordinary `complex`
-plus a zero tolerance and is only used for isomorphisms that involve cube roots.
+All structural verification runs on the exact backend, where each value has one
+canonical form: an integral real is a plain `int`, any other real a
+`fractions.Fraction`, and only a value a + b*i with b != 0 is an `Exact` (with
+Fraction components).  Constructors (`Exact(a, 0)`, `coerce`, `parse_exact`)
+and `ExactBackend.div` return that form; sums and products of ints and
+Fractions are left as Python computes them, and an integral Fraction compares,
+hashes and prints like the int.  Since `/` on two ints is a float, exact
+scalars are divided with `backend.div`, never with `/`.  Almost every scalar is
+real; i is needed only by the orthonormal-basis presentation of the
+five-dimensional simple entry.  The complex backend is ordinary `complex` plus a
+zero tolerance and is only used for isometries by irrational cube roots.
 """
 
 from __future__ import annotations
@@ -25,17 +29,22 @@ class ScalarParseError(ValueError):
     """Raised when a scalar token cannot be parsed."""
 
 
+def _real(q):
+    """The canonical form of an exact real: the int when q is integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
 class Exact:
     """Gaussian rational a + b*i with b != 0 and exact Fraction components.
 
-    `Exact(a, 0)` and every operation with a real result return the Fraction
-    instead, so an Exact is never zero (and always true)."""
+    `Exact(a, 0)` and every operation with a real result return the real value
+    (an int or a Fraction) instead, so an Exact is never zero (and always true)."""
 
     __slots__ = ("real", "imag")
 
     def __new__(cls, re=0, im=0):
         if not im:
-            return re if type(re) is Fraction else Fraction(re)
+            return _real(re if type(re) is Fraction else Fraction(re))
         return object.__new__(cls)
 
     def __init__(self, re=0, im=0):
@@ -149,7 +158,7 @@ def _split_token(token: str):
     return None, body
 
 
-def parse_exact(token: str) -> Fraction | Exact:
+def parse_exact(token: str) -> int | Fraction | Exact:
     re_s, im_s = _split_token(token)
     try:
         re = Fraction(re_s) if re_s is not None else Fraction(0)
@@ -171,21 +180,22 @@ def parse_complex(token: str) -> complex:
 
 @dataclass(frozen=True)
 class ExactBackend:
-    """Exact Gaussian-rational arithmetic: real values are bare Fractions and
-    only values with a nonzero imaginary part are `Exact`.  Elimination pivots
-    on the candidate row with the fewest nonzeros, and the reduced form it
-    reaches is canonical."""
+    """Exact Gaussian-rational arithmetic: an integral real is a bare int, any
+    other real a bare Fraction, and only values with a nonzero imaginary part
+    are `Exact`.  Divide with `div`, which returns the canonical form; `/` on
+    two ints would give a float.  Elimination pivots on the candidate row with
+    the fewest nonzeros, and the reduced form it reaches is canonical."""
 
     name: str = "exact"
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
-    def coerce(self, v) -> Fraction | Exact:
-        if isinstance(v, (Fraction, Exact)):
+    def coerce(self, v) -> int | Fraction | Exact:
+        if isinstance(v, (int, Fraction)):
+            return _real(v)
+        if isinstance(v, Exact):
             return v
-        if isinstance(v, int):
-            return Fraction(v)
         if isinstance(v, str):
             return parse_exact(v)
         raise BackendMismatch(f"cannot coerce {type(v).__name__} to an exact scalar")
@@ -200,8 +210,13 @@ class ExactBackend:
     def format(self, x) -> str:
         return format_exact(x)
 
-    def parse(self, token: str) -> Fraction | Exact:
+    def parse(self, token: str) -> int | Fraction | Exact:
         return parse_exact(token)
+
+    def div(self, a, b):
+        if type(a) is Exact or type(b) is Exact:
+            return a / b
+        return _real(Fraction(a, b))
 
     def abs2(self, x):
         return x.abs2() if type(x) is Exact else x * x
@@ -239,6 +254,9 @@ class ComplexBackend:
     def parse(self, token: str) -> complex:
         return parse_complex(token)
 
+    def div(self, a, b):
+        return a / b
+
     def abs2(self, x):
         return abs(x) ** 2
 
@@ -266,6 +284,7 @@ def same_backend(*objs):
     return objs[0].backend
 
 
-def residual_magnitude(backend, x) -> float:
-    """A float magnitude for report output; exact values convert losslessly enough."""
-    return abs(complex(x))
+def residual_magnitude(backend, x):
+    """The key that picks the worst residual: the exact |x|^2 on the exact
+    backend (no float, so no overflow), the float |x| on the complex one."""
+    return backend.abs2(x) if backend.name == "exact" else abs(complex(x))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -233,6 +234,19 @@ def test_report_all_deterministic(capsys):
     assert payload["ok"] is True
 
 
+REPORT_SHA256 = "f96918a7de8214eb30824a45f20faca1261ecc48675b3a6cb6c3e13e7ae1b352"
+
+
+def test_report_all_output_is_pinned(capsys):
+    # the full report is byte-identical across refactors of the scalar and
+    # linear-algebra layers: 608 passing checks and one fixed digest
+    code, out, _ = run(capsys, "--no-timestamp", "--format", "json", "report", "--all")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 608 and all(c["status"] == "pass" for c in checks)
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256
+
+
 def test_tol_flag_controls_zero_threshold(tmp_path, capsys):
     # a 1e-12 invariance defect is below the default tolerance but above a
     # strict one
@@ -275,3 +289,17 @@ def test_complex_overflow_is_a_parse_error(tmp_path, capsys):
     code, out, err = run(capsys, "--no-timestamp", "verify", str(f))
     assert code == 2
     assert "bad complex scalar '1e400'" in err
+
+
+def test_huge_exact_coefficient_is_a_failed_check(tmp_path, capsys):
+    # 1e400 does not fit a double: the worst residual is picked exactly, so the
+    # failed Jacobi check is reported (exit 1), not a traceback
+    f = tmp_path / "huge.alg"
+    f.write_text(
+        "algebra huge\ndim_even 3\ndim_odd 0\nbasis X Y Z\n"
+        "bracket X Y = 1e400 Y\nbracket X Z = 1 Y\nbracket Y Z = 1 X\n"
+    )
+    code, out, err = run(capsys, "--no-timestamp", "verify", str(f))
+    assert code == 1
+    assert f"FAIL  huge:jacobi(X,Y,Z)  [graded Jacobi identity]  residual={-10**400}" in out
+    assert err == ""

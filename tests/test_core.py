@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liequad import catalog
 from liequad.core import (
     BilinearForm,
     LieSuperalgebra,
@@ -353,6 +354,16 @@ def test_vector_arguments_are_coerced_to_the_backend():
         alg.bracket((0.5, 0, 0, 0), (0, 1, 0, 0))
     assert form.value((2, 0, 0, 0), (0, 0, 0, "1/2")) == EXACT.one
     assert alg.bracket((1, 0, 0, 0), (0, 3, 0, 0)) == (0, 3, 0, 0)
+
+
+def test_ad_vector_and_restrict_coerce_their_arguments():
+    q = catalog.build("g4")
+    with pytest.raises(BackendMismatch):
+        q.algebra.ad_vector((0.5, 0, 0, 0))
+    with pytest.raises(BackendMismatch):
+        q.form.restrict([(0.5, 0, 0, 0), (0, 0, 0, 1)])
+    assert q.algebra.ad_vector(("1/2", 0, 0, 0)) == q.algebra.ad(0).scale(Fraction(1, 2))
+    assert q.form.restrict([("1/2", 0, 0, 0), (0, 0, 0, 1)]).entries == ((0, Fraction(1, 2)), (Fraction(1, 2), 0))
 
 
 def is_ideal_from_definition(alg, s):

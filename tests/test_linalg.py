@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liequad.core import BilinearForm, LieSuperalgebra, SuperSpace
+from liequad.derivations import derivation_space
 from liequad.linalg import (
     Matrix,
     Subspace,
@@ -179,7 +181,7 @@ def dense_rref(backend, rows):
         if best is None:
             continue
         rows[r], rows[best] = rows[best], rows[r]
-        inv = backend.one / rows[r][c]
+        inv = backend.div(backend.one, rows[r][c])
         rows[r] = [inv * v for v in rows[r]]
         for i in range(nrows):
             if i != r and not backend.is_zero(rows[i][c]):
@@ -293,3 +295,49 @@ def test_complex_span_drops_pivot_row_below_tolerance():
     got = Subspace.span(CB, rows, 2)
     assert len(want) == 1
     assert got.basis == want
+
+
+# -- no float leaks out of exact linear algebra ------------------------------------
+
+
+def scalars_of(obj):
+    """Every scalar inside nested tuples, lists, Matrices and Subspaces."""
+    if isinstance(obj, Matrix):
+        obj = obj.entries
+    elif isinstance(obj, Subspace):
+        obj = obj.basis
+    if isinstance(obj, (tuple, list)):
+        for x in obj:
+            yield from scalars_of(x)
+    else:
+        yield obj
+
+
+def assert_no_float(*results):
+    for r in results:
+        for x in scalars_of(r):
+            assert type(x) in (int, Fraction, Exact), repr(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=sparse_matrices(exact_entry), data=st.data())
+def test_exact_results_hold_no_float(rows, data):
+    a = M(rows)
+    red, _ = rref(a)
+    b = vec(EXACT, [data.draw(exact_entry) for _ in range(a.rows)])
+    x = solve_linear(a, b)
+    s = Subspace.span(EXACT, a.entries, a.cols)
+    v = vec(EXACT, [data.draw(exact_entry) for _ in range(a.cols)])
+    s.contains(v)
+    assert_no_float(red, nullspace(a), x or (), s, s.reduce(v))
+    n = data.draw(st.integers(1, 4))
+    square = M([[data.draw(exact_entry) for _ in range(n)] for _ in range(n)])
+    assert_no_float(minimal_polynomial(square))
+    # derivations of an arbitrary product table on an even space, skew for the
+    # random form as well
+    space = SuperSpace.make([f"E{i}" for i in range(n)])
+    c = tuple(tuple(vec(EXACT, [data.draw(exact_entry) for _ in range(n)]) for _ in range(n)) for _ in range(n))
+    alg = LieSuperalgebra(space, EXACT, c)
+    form = BilinearForm(space, EXACT, "even", square)
+    for kind in ("all", "skew", "inner"):
+        assert_no_float(derivation_space(alg, kind, form).basis)

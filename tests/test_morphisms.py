@@ -282,3 +282,16 @@ def test_whole_space_center_is_not_a_witness():
     # the trivial splitting g = g + 0 must not count
     q = catalog.build("go2", **{"lambda": 0})
     assert decomposability_via_center(q) is None
+
+
+def test_huge_exact_residuals_are_reported():
+    # coefficients beyond any double: the worst residual is picked exactly,
+    # not through a float conversion that overflows
+    q = catalog.build("go2", **{"lambda": 1})
+    s = 10**400
+    a = GradedLinearMap.from_images(q.algebra.space, q.algebra.space, {"X0": {"X0": s}, "X1": {"X1": s}}, EXACT)
+    rep = verify_i_isomorphism(a, q, q)
+    assert {c.name: c.residual for c in rep.failures} == {
+        "homomorphism(X1,X1)": str(s - s * s),
+        "isometry": str(s * s - 1),
+    }

@@ -1,9 +1,13 @@
+import ast
+import pathlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import liequad
 from liequad.scalars import (
     EXACT,
     Exact,
@@ -57,7 +61,7 @@ def test_exact_serialisation_round_trips(n, d, m, e):
 @pytest.mark.parametrize(
     "token,expected",
     [
-        ("3", Exact(3)),
+        ("3", Fraction(3)),
         ("-1/2", Exact(Fraction(-1, 2))),
         ("i", Exact(0, 1)),
         ("-i", Exact(0, -1)),
@@ -95,11 +99,12 @@ def test_complex_backend_zero_tolerance():
     assert not EXACT.is_zero(Exact(Fraction(1, 10**12)))
 
 
-# -- real values are bare Fractions, Gaussian ones Exact --------------------------
+# -- integral reals are ints, other reals Fractions, Gaussian ones Exact ----------
 
 small_fraction = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
 exact_value = st.one_of(
     small_fraction,
+    st.integers(-50, 50),
     st.builds(Exact, small_fraction, small_fraction),
     st.builds(Exact, small_fraction, st.just(0)),
 )
@@ -127,14 +132,27 @@ OPS = {
     "+": lambda x, y: x + y,
     "-": lambda x, y: x - y,
     "*": lambda x, y: x * y,
-    "/": lambda x, y: x / y,
+    "/": EXACT.div,
 }
 
 
-def assert_canonical(z, pair):
+def canonical_type(pair):
+    """int for an integral real, Fraction for another real, Exact otherwise."""
+    if pair[1]:
+        return Exact
+    return int if pair[0].denominator == 1 else Fraction
+
+
+def assert_result(z, pair, canonical):
+    """z has the value of pair; in canonical form when an Exact or `div` made it,
+    else int or Fraction as Python's arithmetic leaves it (not renormalized)."""
     assert ref_pair(z) == pair
-    assert type(z) is (Fraction if pair[1] == 0 else Exact)
     assert z == Exact(*pair) and hash(z) == hash(Exact(*pair))
+    assert EXACT.format(z) == EXACT.format(Exact(*pair))
+    if canonical:
+        assert type(z) is canonical_type(pair)
+    else:
+        assert type(z) in (int, Fraction)
 
 
 @given(x=exact_value, y=operand)
@@ -145,18 +163,59 @@ def test_mixed_arithmetic_matches_pair_reference(x, y):
                 with pytest.raises(ZeroDivisionError):
                     f(u, v)
                 continue
-            assert_canonical(f(u, v), ref_op(op, u, v))
-    assert_canonical(-x, tuple(-p for p in ref_pair(x)))
+            assert_result(f(u, v), ref_op(op, u, v), op == "/" or Exact in (type(u), type(v)))
+    assert_result(-x, tuple(-p for p in ref_pair(x)), type(x) is Exact)
 
 
 @given(a=small_fraction)
 def test_real_exact_is_a_fraction(a):
+    real = canonical_type((a, 0))
     z = Exact(a, 0)
-    assert type(z) is Fraction and z == a and hash(z) == hash(a)
-    assert type(EXACT.coerce(int(a))) is Fraction
-    assert type(parse_exact(str(a))) is Fraction
+    assert type(z) is real and z == a and hash(z) == hash(a)
+    assert type(EXACT.coerce(a)) is real and type(EXACT.coerce(int(a))) is int
+    assert type(parse_exact(str(a))) is real
+    assert type(EXACT.div(a.numerator, a.denominator)) is real
     assert EXACT.format(z) == str(a)
     assert EXACT.abs2(z) == a * a
     w = Exact(a, 1)
     assert w != a and EXACT.abs2(w) == a * a + 1
     assert (w.real, w.imag) == (a, 1)
+    assert type(w.real) is Fraction and type(w.imag) is Fraction
+
+
+# -- exact scalars are divided only by backend.div ---------------------------------
+
+# (module, enclosing function): number of `/` it may hold
+DIVISIONS_ALLOWED = {
+    ("__init__.py", "data_file"): 2,  # pathlib join
+    ("scalars.py", "Exact.__truediv__"): 2,  # Fraction parts
+    ("scalars.py", "Exact.__rtruediv__"): 2,
+    ("scalars.py", "ExactBackend.div"): 1,  # an Exact operand
+    ("scalars.py", "ComplexBackend.div"): 1,
+    ("linalg.py", "_roots_durand_kerner"): 2,  # complex floats only
+}
+
+
+def divisions(path):
+    """Counter of (module, enclosing function) for every `/` in the module."""
+    found = Counter()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found[(path.name, scope)] += 1
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def test_every_division_is_on_the_allowlist():
+    # `/` on two ints is a float, so an exact quotient must go through
+    # backend.div; the allowlist names the few sites that may use `/` directly
+    found = Counter()
+    for path in sorted(pathlib.Path(liequad.__file__).parent.glob("*.py")):
+        found += divisions(path)
+    assert {site: n for site, n in found.items() if n > DIVISIONS_ALLOWED.get(site, 0)} == {}
