@@ -246,10 +246,7 @@ def emit(algebra: LieSuperalgebra, form: Optional[BilinearForm], name: str, para
     for i in range(n):
         jstart = i + 1 if sp.parity(i) == 0 else i
         for j in range(jstart, n):
-            v = algebra.c[i][j]
-            terms = [
-                f"{bk.format(x)} {sp.labels[k]}" for k, x in enumerate(v) if not bk.is_zero(x)
-            ]
+            terms = [f"{bk.format(x)} {sp.labels[k]}" for k, x in algebra._nz[i][j]]
             if terms:
                 out.append(f"bracket {sp.labels[i]} {sp.labels[j]} = " + " + ".join(terms))
     if form is not None:

@@ -369,7 +369,7 @@ def build_full_report() -> Report:
         rep.add(
             f"reconstruction:{cat_id}",
             "zero-cocycle T*-extension reproduces the catalog table",
-            ext.algebra.c == ref.algebra.c and ext.form.gram == ref.form.gram,
+            ext.algebra.nz == ref.algebra.nz and ext.form.gram == ref.form.gram,
         )
 
     h3 = catalog.base("g3_1")
@@ -396,7 +396,7 @@ def build_full_report() -> Report:
         rep.add(
             f"direct-sum:go6_5[gamma={gamma}]",
             "orthogonal sum reproduces the catalog row constant-for-constant",
-            s.algebra.c == ref.algebra.c and s.form.gram == ref.form.gram,
+            s.algebra.nz == ref.algebra.nz and s.form.gram == ref.form.gram,
         )
 
     from .morphisms import check_sp2_lemma

@@ -3,8 +3,11 @@
 Conventions, fixed project-wide:
 
 * basis order is the even block first, then the odd block;
-* the structure tensor stores both orientations, c[i][j] = coordinates of
-  [e_i, e_j], with graded antisymmetry validated at construction;
+* the structure constants are stored sparse: nz[i][j] lists the exactly
+  nonzero (k, x) pairs of [e_i, e_j] = sum_k x e_k in increasing k, both
+  orientations, with graded antisymmetry validated at construction; `_nz` is
+  the same table without the entries that are zero to the backend tolerance,
+  and the dense c[i][j][k] is a view rebuilt on each access;
 * ad(e_i) is the matrix whose j-th column holds the coordinates of [e_i, e_j]
   (matrices act on column coordinate vectors);
 * supersymmetry of a form means B(y, x) = (-1)^{|x||y|} B(x, y); an even form
@@ -21,6 +24,8 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _dense_row,
+    _nullspace_rows,
     _span_rows,
     dot,
     nullspace,
@@ -108,20 +113,13 @@ BracketTable = Mapping[Tuple[str, str], Mapping[str, object]]
 class LieSuperalgebra:
     space: SuperSpace
     backend: object
-    c: tuple = field(repr=False)  # c[i][j] = coordinate tuple of [e_i, e_j]
-    _nz: tuple = field(default=None, repr=False, compare=False)
+    nz: tuple = field(repr=False)  # nz[i][j] = nonzero (k, x) pairs of [e_i, e_j]
+    _nz: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self._nz is None:
-            bk = self.backend
-            nz = tuple(
-                tuple(
-                    tuple((k, x) for k, x in enumerate(row) if not bk.is_zero(x))
-                    for row in block
-                )
-                for block in self.c
-            )
-            object.__setattr__(self, "_nz", nz)
+        is_zero = self.backend.is_zero
+        view = tuple(tuple(tuple(p for p in row if not is_zero(p[1])) for row in block) for block in self.nz)
+        object.__setattr__(self, "_nz", view)
 
     # -- construction ---------------------------------------------------------
 
@@ -140,10 +138,10 @@ class LieSuperalgebra:
         brackets = dict(brackets or {})
         for (la, lb), value in brackets.items():
             i, j = space.index(la), space.index(lb)
-            v = _coerce_bracket_value(backend, space, value)
-            _check_parity_of_value(space, i, j, v, backend, la, lb)
-            sign = -_graded_sign(space, i, j)
-            mirror = tuple(sign * x for x in v)
+            pairs = _nonzeros(_coerce_bracket_value(backend, space, value))
+            wrong = _parity_violations(space, backend, i, j, pairs)
+            if wrong:
+                raise StructureError(wrong[0])
             if table[i][j] is not None:
                 raise StructureError(f"bracket [{la},{lb}] given twice")
             if table[j][i] is not None and i != j:
@@ -152,23 +150,15 @@ class LieSuperalgebra:
                     "graded antisymmetry fixes the second one"
                 )
             if i == j:
-                if space.parity(i) == 0 and not vec_is_zero(backend, v):
+                if space.parity(i) == 0 and any(not backend.is_zero(x) for _, x in pairs):
                     raise StructureError(f"[{la},{la}] must vanish on an even element")
-                table[i][i] = v
+                table[i][i] = pairs
             else:
-                table[i][j] = v
-                table[j][i] = mirror
-        zero = zero_vec(backend, n)
-        c = tuple(tuple(row if row is not None else zero for row in block) for block in table)
-        return LieSuperalgebra(space, backend, c)
-
-    @staticmethod
-    def from_tensor(space: SuperSpace, backend, c) -> "LieSuperalgebra":
-        alg = LieSuperalgebra(space, backend, tuple(tuple(tuple(r) for r in b) for b in c))
-        errs = alg.structure_violations()
-        if errs:
-            raise StructureError("; ".join(errs[:4]))
-        return alg
+                sign = -_graded_sign(space, i, j)
+                table[i][j] = pairs
+                table[j][i] = tuple((k, sign * x) for k, x in pairs)
+        nz = tuple(tuple(row if row is not None else () for row in block) for block in table)
+        return LieSuperalgebra(space, backend, nz)
 
     @staticmethod
     def abelian(even: Sequence[str], odd: Sequence[str] = (), backend=EXACT) -> "LieSuperalgebra":
@@ -187,8 +177,13 @@ class LieSuperalgebra:
     def parity(self, i: int) -> int:
         return self.space.parity(i)
 
+    @property
+    def c(self) -> tuple:
+        """Dense view c[i][j] = coordinate tuple of [e_i, e_j], rebuilt on each access."""
+        return tuple(tuple(_dense_row(self.backend, dict(row), self.dim) for row in block) for block in self.nz)
+
     def bracket_basis(self, i: int, j: int) -> Vector:
-        return self.c[i][j]
+        return _dense_row(self.backend, dict(self.nz[i][j]), self.dim)
 
     def bracket(self, u: Vector, v: Vector) -> Vector:
         bk = self.backend
@@ -207,8 +202,7 @@ class LieSuperalgebra:
 
     def ad(self, i: int) -> Matrix:
         """Matrix of [e_i, -], images in columns."""
-        n = self.dim
-        return Matrix(self.backend, tuple(tuple(self.c[i][j][k] for j in range(n)) for k in range(n)))
+        return Matrix(self.backend, tuple(zip(*(self.bracket_basis(i, j) for j in range(self.dim)))))
 
     def ad_vector(self, v: Vector) -> Matrix:
         n = self.dim
@@ -228,25 +222,19 @@ class LieSuperalgebra:
     def structure_violations(self) -> list:
         """Parity-consistency and graded-antisymmetry violations, as messages.
 
-        Only the exactly nonzero entries of c[i][j] and c[j][i] are compared:
-        where both are exactly zero nothing can fail, and an entry below the
-        tolerance still counts, since two of them can differ by more than it."""
-        bk, sp = self.backend, self.space
-        nz = [[_nonzeros(row) for row in block] for block in self.c]
+        Every stored entry counts, also one below the tolerance: two of them
+        can differ by more than it."""
+        bk, sp, nz = self.backend, self.space, self.nz
+        zero = bk.zero
         out = []
         for i in range(self.dim):
             for j in range(self.dim):
-                pij = (sp.parity(i) + sp.parity(j)) % 2
-                for k, x in nz[i][j]:
-                    if not bk.is_zero(x) and sp.parity(k) != pij:
-                        out.append(
-                            f"parity: [{sp.labels[i]},{sp.labels[j]}] has a "
-                            f"{sp.labels[k]}-component of the wrong parity"
-                        )
-                keys = {k for k, _ in nz[i][j]} | {k for k, _ in nz[j][i]}
+                out += _parity_violations(sp, bk, i, j, nz[i][j])
+                if not (nz[i][j] or nz[j][i]):
+                    continue
+                cij, cji = dict(nz[i][j]), dict(nz[j][i])
                 sign = -_graded_sign(sp, i, j)
-                cij, cji = self.c[i][j], self.c[j][i]
-                if any(not bk.is_zero(cji[k] - sign * cij[k]) for k in keys):
+                if any(not bk.is_zero(cji.get(k, zero) - sign * cij.get(k, zero)) for k in cij.keys() | cji.keys()):
                     out.append(
                         f"antisymmetry: c[{sp.labels[j]},{sp.labels[i]}] != "
                         f"(-1)^(|i||j|+1) c[{sp.labels[i]},{sp.labels[j]}]"
@@ -254,12 +242,13 @@ class LieSuperalgebra:
         return out
 
     def to_backend(self, backend) -> "LieSuperalgebra":
-        c = tuple(tuple(tuple(backend.coerce(x) for x in row) for row in block) for block in self.c)
-        return LieSuperalgebra(self.space, backend, c)
+        coerce = backend.coerce
+        nz = tuple(tuple(tuple((k, y) for k, x in row for y in (coerce(x),) if y) for row in b) for b in self.nz)
+        return LieSuperalgebra(self.space, backend, nz)
 
     def relabel(self, mapping: Mapping[str, str]) -> "LieSuperalgebra":
         labels = tuple(mapping.get(l, l) for l in self.labels)
-        return LieSuperalgebra(SuperSpace(self.space.dim_even, self.space.dim_odd, labels), self.backend, self.c)
+        return LieSuperalgebra(SuperSpace(self.space.dim_even, self.space.dim_odd, labels), self.backend, self.nz)
 
     def format_vector(self, v: Vector) -> str:
         return format_vector(self.backend, self.space, v)
@@ -275,13 +264,15 @@ def _coerce_bracket_value(backend, space: SuperSpace, value) -> Vector:
     return tuple(out)
 
 
-def _check_parity_of_value(space, i, j, v, backend, la, lb):
+def _parity_violations(space: SuperSpace, backend, i: int, j: int, pairs) -> list:
+    """Messages for the (k, x) pairs of [e_i, e_j] nonzero to the backend and of the wrong parity."""
     pij = (space.parity(i) + space.parity(j)) % 2
-    for k, x in enumerate(v):
-        if not backend.is_zero(x) and space.parity(k) != pij:
-            raise StructureError(
-                f"bracket [{la},{lb}] maps to {space.labels[k]} of the wrong parity"
-            )
+    return [
+        f"parity: [{space.labels[i]},{space.labels[j]}] has a "
+        f"{space.labels[k]}-component of the wrong parity"
+        for k, x in pairs
+        if space.parity(k) != pij and not backend.is_zero(x)
+    ]
 
 
 @dataclass(frozen=True)
@@ -490,8 +481,7 @@ def verify_form(alg: LieSuperalgebra, form: BilinearForm) -> Report:
     # B([e_i,e_j],e_k) and B(e_i,[e_j,e_k]) are summed over the exactly nonzero
     # structure constants and Gram entries: entries below the tolerance still
     # count, since a large Gram entry can scale them above it
-    zero = bk.zero
-    c = [[_nonzeros(row) for row in block] for block in alg.c]
+    zero, c = bk.zero, alg.nz
     g_rows = [_nonzeros(row) for row in g]
     g_cols = [_nonzeros(form.gram.col(m)) for m in range(n)]
     rhs = [[{} for _ in range(n)] for _ in range(n)]  # rhs[i][j][k] = B(e_i,[e_j,e_k])
@@ -525,12 +515,12 @@ def verify_form(alg: LieSuperalgebra, form: BilinearForm) -> Report:
 def center(alg: LieSuperalgebra) -> Subspace:
     """Joint kernel of all right-bracket maps v -> [v, e_j]."""
     bk, n = alg.backend, alg.dim
-    rows = []
-    for j in range(n):
-        for k in range(n):
-            rows.append(tuple(alg.c[i][j][k] for i in range(n)))
-    m = Matrix(bk, tuple(rows))
-    return Subspace.span(bk, nullspace(m), n)
+    rows = [{} for _ in range(n * n)]  # row j*n+k holds the (i, c[i][j][k])
+    for i, block in enumerate(alg.nz):
+        for j, pairs in enumerate(block):
+            for k, x in pairs:
+                rows[j * n + k][i] = x
+    return Subspace.span(bk, _nullspace_rows(bk, rows, n), n)
 
 
 def graded_center_basis(alg: LieSuperalgebra):

@@ -85,7 +85,8 @@ def _leibniz_rows(alg: LieSuperalgebra):
                 for l, x in left[i][k]:
                     u = l * n + j
                     row[u] = row.get(u, zero) - x
-                _add_row(rows, bk, row)
+                if row:
+                    _add_row(rows, bk, row)
     return rows
 
 

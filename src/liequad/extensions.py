@@ -23,8 +23,9 @@ Cocycles theta, pairings phi and representations psi are accepted only as
 explicit tensors/matrices and are validated eagerly: a constructor never
 returns something that fails its own axioms.  The only soft spot is the cyclic
 condition, whose failure downgrades the output to a bare Lie superalgebra with
-a warning instead of a quadratic one.  The validators sum over the nonzero
-structure constants `_nz` of the base.
+a warning instead of a quadratic one.  The validators sum over the structure
+constants of the base that are nonzero to its backend: `_nz`, the tolerance
+view of the stored sparse table `nz`.
 """
 
 from __future__ import annotations
@@ -254,7 +255,8 @@ def sym_pairing_space(base: LieSuperalgebra, cyclic: bool = True) -> list:
                 terms = [(unknown(i, j, l), y) for l, y in left[x][k]]
                 terms += [(unknown(i, m, k), y) for m, y in left[x][j]]
                 terms += [(unknown(j, m, k), y) for m, y in left[x][i]]
-                _add_row(rows, bk, _sum_terms(zero, terms))
+                if terms:
+                    _add_row(rows, bk, _sum_terms(zero, terms))
     # condition (2)
     for i, j in pairs:
         for k in range(j, n):
@@ -264,7 +266,8 @@ def sym_pairing_space(base: LieSuperalgebra, cyclic: bool = True) -> list:
                     for a, b, f in ((j, k, i), (k, i, j), (i, j, k))
                     for l, y in right[m][f]
                 ]
-                _add_row(rows, bk, _sum_terms(zero, terms))
+                if terms:
+                    _add_row(rows, bk, _sum_terms(zero, terms))
     if cyclic:
         for i in range(n):
             for j in range(n):
@@ -552,11 +555,7 @@ def direct_sum(
         for i in range(n):
             jstart = i + 1 if alg.parity(i) == 0 else i
             for j in range(jstart, n):
-                value = {
-                    alg.labels[k]: x
-                    for k, x in enumerate(alg.c[i][j])
-                    if not bk.is_zero(x)
-                }
+                value = {alg.labels[k]: x for k, x in alg._nz[i][j]}
                 if value:
                     brackets[(alg.labels[i], alg.labels[j])] = value
     out = LieSuperalgebra.build(even, odd, brackets, bk)

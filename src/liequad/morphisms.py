@@ -92,7 +92,7 @@ def verify_homomorphism(a: GradedLinearMap, src: LieSuperalgebra, tgt: LieSupera
     for i in range(n):
         jstart = i + 1 if src.parity(i) == 0 else i
         for j in range(jstart, n):
-            lhs = a.apply(src.c[i][j])
+            lhs = a.apply(src.bracket_basis(i, j))
             rhs = tgt.bracket(a.matrix.col(i), a.matrix.col(j))
             diff = tuple(x - y for x, y in zip(lhs, rhs))
             if not vec_is_zero(bk, diff):

@@ -1,7 +1,10 @@
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liequad import data_file
 from liequad.cli import main
@@ -303,3 +306,50 @@ def test_huge_exact_coefficient_is_a_failed_check(tmp_path, capsys):
     assert code == 1
     assert f"FAIL  huge:jacobi(X,Y,Z)  [graded Jacobi identity]  residual={-10**400}" in out
     assert err == ""
+
+
+SHIPPED = sorted(data_file("g4.alg").parent.glob("*.alg"))
+FUZZ_COMMANDS = (
+    ("verify", "FILE"),
+    ("derivations", "FILE", "--kind", "all"),
+    ("derivations", "FILE", "--kind", "skew"),
+    ("derivations", "FILE", "--kind", "inner"),
+    ("decompose", "FILE"),
+    ("extend", "tstar", "FILE"),
+)
+
+
+@st.composite
+def mutated_alg_files(draw):
+    """A shipped .alg file with one token after a line's directive replaced,
+    inserted or deleted."""
+    lines = [l.split() for l in draw(st.sampled_from(SHIPPED)).read_text().splitlines()]
+    labels = next(l[1:] for l in lines if l[0] == "basis")
+    token = st.sampled_from(["0", "1/2", "i", "1e400", "1e-12", "nan", "1/0", "="]) | st.sampled_from(labels)
+    # half the draws go to a bracket or form line, where a mutation most often
+    # still parses
+    line = draw(st.sampled_from(lines) | st.sampled_from([l for l in lines if l[0] in ("bracket", "form")]))
+    op = draw(st.sampled_from(["replace", "insert", "delete"])) if len(line) > 1 else "insert"
+    at = draw(st.sampled_from(range(1, len(line) + (op == "insert"))))
+    if op == "delete":
+        del line[at]
+    else:
+        line[at : at + (op == "replace")] = [draw(token)]
+    return "\n".join(" ".join(l) for l in lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "mutated.alg"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=mutated_alg_files())
+def test_mutated_shipped_files_exit_cleanly(fuzz_file, text):
+    # a mutated input is accepted, fails a check or is rejected with a
+    # message: exit 0, 1 or 2, never an uncaught exception
+    fuzz_file.write_text(text)
+    for command in FUZZ_COMMANDS:
+        argv = ["--no-timestamp"] + [str(fuzz_file) if a == "FILE" else a for a in command]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2)

@@ -28,6 +28,11 @@ from liequad.linalg import Subspace
 from liequad.scalars import EXACT, BackendMismatch, Exact, complex_backend
 
 
+def sparse(c):
+    """The stored table of a dense c[i][j][k]: every exactly nonzero entry, sub-tolerance ones included."""
+    return tuple(tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in block) for block in c)
+
+
 def diamond():
     alg = LieSuperalgebra.build(
         ["X", "P", "Q", "Z"],
@@ -174,7 +179,7 @@ def raw_superalgebra(backend, entries):
     c = [[[backend.zero] * 4 for _ in range(4)] for _ in range(4)]
     for (a, b, k), v in entries.items():
         c[ix(a)][ix(b)][ix(k)] = backend.coerce(v)
-    return LieSuperalgebra(space, backend, tuple(tuple(tuple(r) for r in blk) for blk in c))
+    return LieSuperalgebra(space, backend, sparse(c))
 
 
 @pytest.mark.parametrize(
@@ -229,7 +234,7 @@ def test_subspace_bracket_matches_definition(backend, data):
     vectors = st.lists(st.tuples(*[entry.map(backend.coerce)] * n), max_size=4)
     space = SuperSpace.make([f"E{i}" for i in range(n)])
     c = tuple(tuple(data.draw(st.tuples(*[entry.map(backend.coerce)] * n)) for _ in range(n)) for _ in range(n))
-    alg = LieSuperalgebra(space, backend, c)
+    alg = LieSuperalgebra(space, backend, sparse(c))
     subspaces = st.one_of(st.just(Subspace.full(backend, n)), vectors.map(lambda b: Subspace(backend, n, tuple(b))))
     u, v = data.draw(subspaces), data.draw(subspaces)
     want = Subspace.span(backend, [alg.bracket(a, b) for a in u.basis for b in v.basis], n)
@@ -242,11 +247,46 @@ def test_subspace_bracket_keeps_empty_rows():
     # the Y row of the basis would end in 0.33333333333299997
     z = (0j, 0j, 0j)
     c = ((z, (0j, 3 + 0j, 1 + 0j), (0j, -3 + 0j, -1 + 1e-12 + 0j)), ((1 + 0j, 0j, 0j), z, z), (z, z, z))
-    alg = LieSuperalgebra(SuperSpace.make(["X", "Y", "Z"]), CB, c)
+    alg = LieSuperalgebra(SuperSpace.make(["X", "Y", "Z"]), CB, sparse(c))
     full = Subspace.full(CB, 3)
     want = Subspace.span(CB, [alg.bracket(a, b) for a in full.basis for b in full.basis], 3)
     assert want.basis == ((1, 0, 0), (0, 1, 1 / 3))
     assert subspace_bracket(alg, full, full).basis == want.basis
+
+
+@settings(max_examples=120, deadline=None)
+@given(backend=st.sampled_from([EXACT, CB]), data=st.data())
+def test_stored_table_is_the_nonzero_entries(backend, data):
+    # random parity-consistent brackets, one orientation per pair, entries
+    # below the tolerance on the complex backend
+    entry = ENTRIES[backend.name]
+    ne, no = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 2))
+    space = SuperSpace.make([f"E{i}" for i in range(ne)], [f"O{i}" for i in range(no)])
+    n, labels, parity = space.dim, space.labels, space.parity
+    want = [[[backend.zero] * n for _ in range(n)] for _ in range(n)]
+    brackets = {}
+    for i in range(n):
+        for j in range(i + (parity(i) == 0), n):
+            if not data.draw(st.booleans()):
+                continue
+            a, b = (i, j) if data.draw(st.booleans()) else (j, i)
+            p = (parity(a) + parity(b)) % 2
+            value = {k: backend.coerce(data.draw(entry)) for k in range(n) if parity(k) == p}
+            brackets[labels[a], labels[b]] = {labels[k]: x for k, x in value.items()}
+            sign = 1 if parity(a) and parity(b) else -1
+            for k, x in value.items():
+                want[a][b][k], want[b][a][k] = x, sign * x
+    alg = LieSuperalgebra.build(labels[:ne], labels[ne:], brackets, backend)
+    for i in range(n):
+        for j in range(n):
+            assert alg.nz[i][j] == tuple((k, x) for k, x in enumerate(want[i][j]) if x)
+            assert alg.bracket_basis(i, j) == tuple(want[i][j])
+    assert alg.c == tuple(tuple(map(tuple, block)) for block in want)
+    assert alg.relabel({l: l.lower() for l in labels}).nz == alg.nz
+    if backend is EXACT:
+        assert alg.to_backend(EXACT).nz == alg.nz
+    again = LieSuperalgebra.build(labels[:ne], labels[ne:], dict(reversed(brackets.items())), backend)
+    assert again == alg and hash(again) == hash(alg)
 
 
 def test_parity_consistency_rejected():
@@ -386,7 +426,7 @@ def test_is_ideal_matches_definition(backend, data):
     n = data.draw(st.integers(1, 4))
     space = SuperSpace.make([f"E{i}" for i in range(n)])
     c = tuple(tuple(data.draw(st.tuples(*[entry.map(backend.coerce)] * n)) for _ in range(n)) for _ in range(n))
-    alg = LieSuperalgebra(space, backend, c)
+    alg = LieSuperalgebra(space, backend, sparse(c))
     vectors = data.draw(st.lists(st.tuples(*[entry.map(backend.coerce)] * n), max_size=n))
     s = Subspace.span(backend, vectors, n)
     assert is_ideal(alg, s) == is_ideal_from_definition(alg, s)

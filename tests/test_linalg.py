@@ -20,6 +20,11 @@ from liequad.linalg import (
 from liequad.scalars import EXACT, BackendMismatch, Exact, complex_backend
 
 
+def sparse(c):
+    """The stored table of a dense c[i][j][k]: every exactly nonzero entry."""
+    return tuple(tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in block) for block in c)
+
+
 def M(rows):
     return Matrix.from_rows(EXACT, rows)
 
@@ -337,7 +342,7 @@ def test_exact_results_hold_no_float(rows, data):
     # random form as well
     space = SuperSpace.make([f"E{i}" for i in range(n)])
     c = tuple(tuple(vec(EXACT, [data.draw(exact_entry) for _ in range(n)]) for _ in range(n)) for _ in range(n))
-    alg = LieSuperalgebra(space, EXACT, c)
+    alg = LieSuperalgebra(space, EXACT, sparse(c))
     form = BilinearForm(space, EXACT, "even", square)
     for kind in ("all", "skew", "inner"):
         assert_no_float(derivation_space(alg, kind, form).basis)
