@@ -14,9 +14,11 @@ Algebra files:
 
 Unspecified brackets and form entries are zero, and only one orientation of
 each unordered pair may appear (the other is forced by graded antisymmetry or
-supersymmetry).  Exact coefficients are fractions p/q, optionally with an
-imaginary part written like 1/2+3/4i; the complex backend takes decimal
-literals.  Parsing round-trips bit-exactly on the exact backend.
+supersymmetry).  A nonzero coefficient on a label of the wrong parity is
+rejected by LieSuperalgebra.build; a zero one is dropped.  Exact coefficients
+are fractions p/q, optionally with an imaginary part written like 1/2+3/4i;
+the complex backend takes decimal literals.  Parsing round-trips bit-exactly
+on the exact backend.
 
 Auxiliary files reuse the same term syntax with the keywords map, psi, theta
 and phi:
@@ -134,7 +136,6 @@ def parse(text: str, tol: float = None) -> AlgebraFile:
                 )
             seen_pairs[pair] = line_no
             terms = _tokenize_terms(tokens[4:], line_no, set(basis), "bracket")
-            _check_parity(basis, dim_even, a, b, terms, line_no)
             brackets[(a, b)] = terms
         elif key == "form":
             _need_header(basis, dim_even, dim_odd, line_no)
@@ -218,16 +219,6 @@ def _int_field(tokens, line_no) -> int:
 def _need_header(basis, dim_even, dim_odd, line_no):
     if basis is None or dim_even is None or dim_odd is None:
         raise ParseError("dim_even, dim_odd and basis must precede bracket/form lines", line_no)
-
-
-def _check_parity(basis, dim_even, a, b, terms, line_no):
-    par = {l: (0 if i < dim_even else 1) for i, l in enumerate(basis)}
-    want = (par[a] + par[b]) % 2
-    for l in terms:
-        if par[l] != want:
-            raise ParseError(
-                f"parity violation: [{a},{b}] cannot have a {l}-component", line_no
-            )
 
 
 def emit(algebra: LieSuperalgebra, form: Optional[BilinearForm], name: str, params: Optional[Mapping[str, str]] = None) -> str:

@@ -3,9 +3,17 @@
 Exit codes: 0 all checks pass, 1 at least one check failed or a constructor
 rejected its input, 2 usage or parse errors.  --format json emits the report
 as a machine-readable object; report --all is byte-deterministic on the exact
-backend once --no-timestamp is passed.  The flags --tol, --format and
---no-timestamp can also be set through the environment variables LIEQUAD_TOL,
-LIEQUAD_FORMAT and LIEQUAD_NO_TIMESTAMP.
+backend once --no-timestamp is passed.
+
+The flags --tol, --format and --no-timestamp can also be set through the
+environment variables LIEQUAD_TOL, LIEQUAD_FORMAT and LIEQUAD_NO_TIMESTAMP.
+main reads them on every call, so a change between two calls in one process
+is seen by the second; a flag given on the command line overrides its
+variable, an empty variable counts as unset, and any non-empty
+LIEQUAD_NO_TIMESTAMP suppresses the timestamp.  A LIEQUAD_TOL that is not a
+number or a LIEQUAD_FORMAT other than text or json is a usage error (exit 2).
+The argument parser is built on the first call of main and reused by later
+calls in the same process.
 """
 
 from __future__ import annotations
@@ -51,6 +59,7 @@ from .report import Report
 from .scalars import DEFAULT_TOL
 
 VERSION = "0.1.0"
+FORMATS = ("text", "json")
 
 
 def _read(path: str) -> str:
@@ -65,7 +74,7 @@ def _load(path: str, tol: float) -> AlgebraFile:
 def _require_form(af: AlgebraFile, what: str):
     if af.form is None:
         raise ParseError(f"{what} needs form lines in {af.name}")
-    return QuadraticAlgebra.build(af.algebra, af.form, require=False)
+    return QuadraticAlgebra(af.algebra, af.form)
 
 
 def _emit_report(rep: Report, args, extra=None) -> int:
@@ -441,22 +450,23 @@ def make_parser() -> argparse.ArgumentParser:
         prog="liequad",
         description="Exact verification toolkit for quadratic and odd quadratic Lie superalgebras.",
     )
+    # the defaults of these three stay None: main fills them from the
+    # environment on every call
     ap.add_argument(
         "--tol",
         type=float,
-        default=float(os.environ.get("LIEQUAD_TOL", DEFAULT_TOL)),
-        help="zero tolerance of the complex backend",
+        help="zero tolerance of the complex backend (env LIEQUAD_TOL)",
     )
     ap.add_argument(
         "--format",
-        choices=("text", "json"),
-        default=os.environ.get("LIEQUAD_FORMAT", "text"),
+        choices=FORMATS,
+        help="output format, text by default (env LIEQUAD_FORMAT)",
     )
     ap.add_argument(
         "--no-timestamp",
         action="store_true",
-        default=bool(os.environ.get("LIEQUAD_NO_TIMESTAMP", "")),
-        help="suppress the timestamp header for reproducible output",
+        default=None,
+        help="suppress the timestamp header for reproducible output (env LIEQUAD_NO_TIMESTAMP)",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -520,9 +530,33 @@ def make_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_parser = None
+
+
+def _fill_from_env(ap: argparse.ArgumentParser, args) -> None:
+    """Set --tol, --format and --no-timestamp, where the command line left
+    them unset, from the LIEQUAD_* variables or the built-in defaults."""
+    if args.tol is None:
+        raw = os.environ.get("LIEQUAD_TOL")
+        try:
+            args.tol = float(raw) if raw else DEFAULT_TOL
+        except ValueError:
+            ap.error(f"LIEQUAD_TOL: invalid float value: {raw!r}")
+    if args.format is None:
+        args.format = os.environ.get("LIEQUAD_FORMAT") or "text"
+        if args.format not in FORMATS:
+            choices = ", ".join(map(repr, FORMATS))
+            ap.error(f"LIEQUAD_FORMAT: invalid choice: {args.format!r} (choose from {choices})")
+    if args.no_timestamp is None:
+        args.no_timestamp = bool(os.environ.get("LIEQUAD_NO_TIMESTAMP"))
+
+
 def main(argv=None) -> int:
-    ap = make_parser()
-    args = ap.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = make_parser()
+    args = _parser.parse_args(argv)
+    _fill_from_env(_parser, args)
     try:
         return args.fn(args)
     except ParseError as exc:

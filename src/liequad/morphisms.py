@@ -20,7 +20,6 @@ from .core import (
     SuperSpace,
     center,
     derived_series,
-    derived_subalgebra,
     graded_center_basis,
     is_ideal,
     is_nondegenerate_on,
@@ -277,6 +276,7 @@ def fingerprint(x: Union[LieSuperalgebra, QuadraticAlgebra], with_derivations: b
     z = center(alg)
     ds = derived_series(alg)
     lcs = lower_central_series(alg)
+    derived = ds[1] if len(ds) > 1 else ds[0]  # the series stops at once when [g,g] = g
     if with_derivations:
         der_dim = derivation_space(alg, "all").dim
         skew = derivation_space(alg, "skew", form).dim if form is not None else None
@@ -289,7 +289,7 @@ def fingerprint(x: Union[LieSuperalgebra, QuadraticAlgebra], with_derivations: b
         center_dim=z.dim,
         derived_dims=tuple(s.dim for s in ds),
         lower_central_dims=tuple(s.dim for s in lcs),
-        derived_center_dim=derived_subalgebra(alg).intersect(z).dim,
+        derived_center_dim=derived.intersect(z).dim,
         solvable=ds[-1].dim == 0,
         nilpotent=lcs[-1].dim == 0,
         der_dim=der_dim,

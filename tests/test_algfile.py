@@ -2,7 +2,7 @@ import pytest
 
 from liequad import catalog, data_file
 from liequad.algfile import ParseError, emit, parse, parse_mapfile
-from liequad.core import verify_form, verify_jacobi
+from liequad.core import LieSuperalgebra, verify_form, verify_jacobi
 
 
 def roundtrip(q, name, params=None):
@@ -87,6 +87,18 @@ bracket X F = 1 X
     with pytest.raises(ParseError) as err:
         parse(text)
     assert "parity" in str(err.value)
+
+
+def test_parity_rule_is_the_one_of_build():
+    # a wrong-parity label with coefficient 0 is dropped, as build drops it;
+    # a nonzero one is rejected with the message of build
+    header = "algebra p\ndim_even 2\ndim_odd 1\nbasis X Y F\n"
+    af = parse(header + "bracket X Y = 0 F\n")
+    assert af.algebra == LieSuperalgebra.build(["X", "Y"], ["F"], {("X", "Y"): {"F": 0}})
+    assert af.algebra == LieSuperalgebra.abelian(["X", "Y"], ["F"])
+    with pytest.raises(ParseError) as err:
+        parse(header + "bracket X Y = 1/2 F\n")
+    assert str(err.value) == "parity: [X,Y] has a F-component of the wrong parity"
 
 
 def test_missing_header_rejected():

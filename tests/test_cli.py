@@ -2,12 +2,17 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liequad import data_file
-from liequad.cli import main
+from liequad import cli, data_file
+from liequad.cli import main, make_parser
+
+G4 = str(data_file("g4.alg"))
 
 
 def run(capsys, *argv):
@@ -227,6 +232,105 @@ def test_env_format_override(capsys, monkeypatch):
     json.loads(out)
 
 
+def test_parser_is_built_once(capsys, monkeypatch):
+    # main builds its parser on the first call and reuses it afterwards
+    built = []
+
+    def counted():
+        built.append(1)
+        return make_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "make_parser", counted)
+    for argv in (["catalog", "list"], ["--no-timestamp", "verify", G4], ["decompose", G4]):
+        assert run(capsys, *argv)[0] == 0
+    assert len(built) == 1
+
+
+def test_fresh_process_builds_the_parser_in_main():
+    # importing liequad.cli builds no parser; a fresh interpreter with an
+    # invalid LIEQUAD_TOL exits 2 with an error line and no traceback
+    probe = "import liequad.cli as c; assert c._parser is None"
+    subprocess.run([sys.executable, "-c", probe], check=True)
+    env = dict(os.environ, LIEQUAD_TOL="abc")
+    done = subprocess.run(
+        [sys.executable, "-m", "liequad.cli", "verify", G4], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 2
+    assert "error: LIEQUAD_TOL" in done.stderr and "Traceback" not in done.stderr
+
+
+NEAR = (
+    # a 1e-12 invariance defect: below the default tolerance, above 1e-15
+    "algebra near\nbackend complex\ndim_even 2\ndim_odd 0\nbasis X Y\n"
+    "bracket X Y = 1e-12 Y\nform X X = 1.0\nform Y Y = 1.0\n"
+)
+
+
+def test_env_is_read_on_every_call(tmp_path, capsys, monkeypatch):
+    for var in ("LIEQUAD_TOL", "LIEQUAD_FORMAT", "LIEQUAD_NO_TIMESTAMP"):
+        monkeypatch.delenv(var, raising=False)
+    code, out, _ = run(capsys, "--no-timestamp", "verify", G4)
+    assert code == 0 and out.startswith("PASS")
+    monkeypatch.setenv("LIEQUAD_FORMAT", "json")
+    code, out, _ = run(capsys, "--no-timestamp", "verify", G4)
+    assert code == 0 and "timestamp" not in json.loads(out)
+
+    monkeypatch.delenv("LIEQUAD_FORMAT")
+    assert run(capsys, "verify", G4)[1].startswith("# liequad ")
+    monkeypatch.setenv("LIEQUAD_NO_TIMESTAMP", "0")  # any non-empty value
+    assert run(capsys, "verify", G4)[1].startswith("PASS")
+
+    near = tmp_path / "near.alg"
+    near.write_text(NEAR)
+    assert run(capsys, "verify", str(near))[0] == 0
+    monkeypatch.setenv("LIEQUAD_TOL", "1e-15")
+    assert run(capsys, "verify", str(near))[0] == 1
+
+
+def test_flags_override_env(tmp_path, capsys, monkeypatch):
+    near = tmp_path / "near.alg"
+    near.write_text(NEAR)
+    monkeypatch.setenv("LIEQUAD_TOL", "1e-15")
+    monkeypatch.setenv("LIEQUAD_FORMAT", "json")
+    monkeypatch.setenv("LIEQUAD_NO_TIMESTAMP", "")
+    code, out, _ = run(capsys, "--tol", "1e-9", "--format", "text", "--no-timestamp", "verify", str(near))
+    assert code == 0 and out.startswith("PASS")
+    # a flag also wins over an invalid value of its variable
+    monkeypatch.setenv("LIEQUAD_TOL", "abc")
+    monkeypatch.setenv("LIEQUAD_FORMAT", "xml")
+    assert run(capsys, "--tol", "1e-9", "--format", "json", "verify", G4)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "var, value, message",
+    [
+        ("LIEQUAD_TOL", "abc", "error: LIEQUAD_TOL: invalid float value: 'abc'"),
+        ("LIEQUAD_FORMAT", "xml", "error: LIEQUAD_FORMAT: invalid choice: 'xml' (choose from 'text', 'json')"),
+    ],
+)
+def test_invalid_env_is_a_usage_error(capsys, monkeypatch, var, value, message):
+    monkeypatch.setenv(var, value)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", G4])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_wrong_parity_coefficient(tmp_path, capsys):
+    # one parity rule: a zero coefficient on a wrong-parity label is dropped,
+    # a nonzero one is a parse error
+    f = tmp_path / "par.alg"
+    header = "algebra par\ndim_even 2\ndim_odd 1\nbasis X Y F\n"
+    f.write_text(header + "bracket X Y = 0 F\n")
+    assert run(capsys, "--no-timestamp", "verify", str(f))[0] == 0
+    f.write_text(header + "bracket X Y = 1 F\n")
+    code, out, err = run(capsys, "--no-timestamp", "verify", str(f))
+    assert code == 2 and out == ""
+    assert err == "error: parity: [X,Y] has a F-component of the wrong parity\n"
+
+
 @pytest.mark.slow
 def test_report_all_deterministic(capsys):
     code1, out1, _ = run(capsys, "--format", "json", "--no-timestamp", "report", "--all")
@@ -254,10 +358,7 @@ def test_tol_flag_controls_zero_threshold(tmp_path, capsys):
     # a 1e-12 invariance defect is below the default tolerance but above a
     # strict one
     f = tmp_path / "near.alg"
-    f.write_text(
-        "algebra near\nbackend complex\ndim_even 2\ndim_odd 0\nbasis X Y\n"
-        "bracket X Y = 1e-12 Y\nform X X = 1.0\nform Y Y = 1.0\n"
-    )
+    f.write_text(NEAR)
     code_loose, _, _ = run(capsys, "--no-timestamp", "verify", str(f))
     assert code_loose == 0
     code_strict, out, _ = run(capsys, "--no-timestamp", "--tol", "1e-15", "verify", str(f))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from liequad import catalog
-from liequad.core import StructureError
+from liequad.core import StructureError, center, derived_subalgebra
 from liequad.extensions import Cocycle2, double_extension_1d, t_star_extension
 from liequad.linalg import Matrix, Subspace
 from liequad.morphisms import (
@@ -194,6 +194,14 @@ def test_fingerprint_carries_skew_dim_outside_comparison():
     assert fp.skew_der_dim == 3
     assert fingerprint(q.algebra).skew_der_dim is None
     assert fp == fingerprint(q.algebra)  # comparison field set stays bracket-defined
+
+
+@pytest.mark.parametrize("id", ["g4", "osp12", "g6_2", "go6_7", "gs6_3"])
+def test_fingerprint_derived_center_dim_is_that_of_g_g(id):
+    # osp12 is perfect, so its derived series stops at g itself
+    alg = catalog.build(id).algebra
+    expected = derived_subalgebra(alg).intersect(center(alg)).dim
+    assert fingerprint(alg, with_derivations=False).derived_center_dim == expected
 
 
 def test_gs6_2_same_fingerprint_across_lambda():
