@@ -15,10 +15,11 @@ Algebra files:
 Unspecified brackets and form entries are zero, and only one orientation of
 each unordered pair may appear (the other is forced by graded antisymmetry or
 supersymmetry).  A nonzero coefficient on a label of the wrong parity is
-rejected by LieSuperalgebra.build; a zero one is dropped.  Exact coefficients
-are fractions p/q, optionally with an imaginary part written like 1/2+3/4i;
-the complex backend takes decimal literals.  Parsing round-trips bit-exactly
-on the exact backend.
+rejected by LieSuperalgebra.build; a zero one is dropped.  A ParseError names
+the line of the offending entry, also for the checks of the core builders.
+Exact coefficients are fractions p/q, optionally with an imaginary part
+written like 1/2+3/4i; the complex backend takes decimal literals.  Parsing
+round-trips bit-exactly on the exact backend.
 
 Auxiliary files reuse the same term syntax with the keywords map, psi, theta
 and phi:
@@ -115,6 +116,8 @@ def parse(text: str, tol: float = None) -> AlgebraFile:
             basis = tokens[1:]
             if not basis:
                 raise ParseError("basis line lists no labels", line_no)
+            if len(set(basis)) != len(basis):
+                raise ParseError("basis labels must be distinct", line_no)
         elif key == "param":
             if len(tokens) != 4 or tokens[2] != "=":
                 raise ParseError("param line must read 'param <name> = <value>'", line_no)
@@ -135,8 +138,7 @@ def parse(text: str, tol: float = None) -> AlgebraFile:
                     line_no,
                 )
             seen_pairs[pair] = line_no
-            terms = _tokenize_terms(tokens[4:], line_no, set(basis), "bracket")
-            brackets[(a, b)] = terms
+            brackets[(a, b)] = (line_no, _tokenize_terms(tokens[4:], line_no, set(basis), "bracket"))
         elif key == "form":
             _need_header(basis, dim_even, dim_odd, line_no)
             if len(tokens) != 5 or tokens[3] != "=":
@@ -153,7 +155,7 @@ def parse(text: str, tol: float = None) -> AlgebraFile:
                     line_no,
                 )
             seen_form[pair] = line_no
-            form_entries[(a, b)] = tokens[4]
+            form_entries[(a, b)] = (line_no, tokens[4])
         else:
             raise ParseError(f"unknown directive {key!r}", line_no)
 
@@ -167,34 +169,50 @@ def parse(text: str, tol: float = None) -> AlgebraFile:
             f"basis lists {len(basis)} labels but dim_even + dim_odd = {dim_even + dim_odd}"
         )
     even, odd = basis[:dim_even], basis[dim_even:]
-    try:
-        coerced_brackets = {
-            pair: {l: backend.parse(tok) for l, tok in terms.items()}
-            for pair, terms in brackets.items()
-        }
-        algebra = LieSuperalgebra.build(even, odd, coerced_brackets, backend)
-    except ScalarParseError as exc:
-        raise ParseError(str(exc)) from None
-    except StructureError as exc:
-        raise ParseError(str(exc)) from None
+    algebra = _build_at_lines(
+        lambda table: LieSuperalgebra.build(even, odd, table, backend),
+        brackets,
+        lambda terms: {l: backend.parse(tok) for l, tok in terms.items()},
+    )
     form = None
     if form_entries:
         parity = _form_parity(algebra, form_entries, backend)
-        try:
-            coerced = {pair: backend.parse(tok) for pair, tok in form_entries.items()}
-            form = BilinearForm.build(algebra.space, coerced, parity, backend)
-        except ScalarParseError as exc:
-            raise ParseError(str(exc)) from None
-        except StructureError as exc:
-            raise ParseError(str(exc)) from None
+        form = _build_at_lines(
+            lambda table: BilinearForm.build(algebra.space, table, parity, backend), form_entries, backend.parse
+        )
     return AlgebraFile(name=name, algebra=algebra, form=form, params=params)
+
+
+def _build_at_lines(build, entries, parse_value):
+    """build(table) for entries {key: (line, raw value)}, where table maps each
+    key to parse_value(raw value); a failure is a ParseError at its line.
+
+    Each check of the core builders that parse leaves to them (parity, an even
+    square, the form's block pattern) concerns one entry, so the first entry
+    that build rejects on its own is the one it rejected in the table."""
+    table = {}
+    for key, (line, raw) in entries.items():
+        try:
+            table[key] = parse_value(raw)
+        except ScalarParseError as exc:
+            raise ParseError(str(exc), line) from None
+    try:
+        return build(table)
+    except StructureError as exc:
+        error = str(exc)
+    for key, (line, _) in entries.items():
+        try:
+            build({key: table[key]})
+        except StructureError:
+            raise ParseError(error, line) from None
+    raise ParseError(error)
 
 
 def _form_parity(algebra, entries, backend) -> str:
     """Infer even/odd parity of the form from the block pattern of its entries."""
     sp = algebra.space
     mixed = same = 0
-    for (a, b), tok in entries.items():
+    for (a, b), (_, tok) in entries.items():
         try:
             val = backend.parse(tok)
         except ScalarParseError:

@@ -30,12 +30,10 @@ from .core import (
     BilinearForm,
     LieSuperalgebra,
     QuadraticAlgebra,
-    center,
-    derived_subalgebra,
-    is_nilpotent,
-    is_solvable,
+    _series,
     orthogonal_complement,
 )
+from .morphisms import _central_witness, _series_fingerprint
 from .report import Report
 from .scalars import EXACT
 
@@ -982,15 +980,19 @@ def _param_str(params: Mapping) -> str:
 
 
 def verify_entry(entry: CatalogEntry, params: Mapping, backend=EXACT) -> Report:
-    """Axioms, center/derived duality, expected dimensions and flags for one build."""
+    """Axioms, center/derived duality, expected dimensions and flags for one build.
+
+    Center and both series come from one `_series` pass, which every check
+    below reads."""
     bk = backend
     rep = Report()
     tag = entry.id + _param_str(params)
     q = build(entry.id, backend=bk, **params)
     rep.add(f"{tag}:axioms", "graded Jacobi identity + invariant form axioms", q.verified.ok)
     alg = q.algebra
-    z = center(alg)
-    d = derived_subalgebra(alg)
+    series = _series(alg)
+    z, ds, lcs = series
+    d = ds[1] if len(ds) > 1 else ds[0]  # the series stops at once when [g,g] = g
     odd_note = " (odd-form instance)" if entry.form_parity == "odd" else ""
     rep.add(
         f"{tag}:center-derived-dim",
@@ -1015,12 +1017,11 @@ def verify_entry(entry: CatalogEntry, params: Mapping, backend=EXACT) -> Report:
         d.dim == _expect(entry.derived_dim, bk, params),
         witness=str(d.dim),
     )
-    rep.add(f"{tag}:solvable", "expected solvability", is_solvable(alg) == _expect(entry.solvable, bk, params))
-    rep.add(f"{tag}:nilpotent", "expected nilpotency", is_nilpotent(alg) == _expect(entry.nilpotent, bk, params))
+    solvable, nilpotent = ds[-1].dim == 0, lcs[-1].dim == 0
+    rep.add(f"{tag}:solvable", "expected solvability", solvable == _expect(entry.solvable, bk, params))
+    rep.add(f"{tag}:nilpotent", "expected nilpotency", nilpotent == _expect(entry.nilpotent, bk, params))
     if bk.name == "exact" and params == entry.default_params(bk):
-        from .morphisms import fingerprint
-
-        fp = fingerprint(alg, with_derivations=False)
+        fp = _series_fingerprint(alg, series)
         got = (
             fp.dim,
             fp.dim_even,
@@ -1040,12 +1041,10 @@ def verify_entry(entry: CatalogEntry, params: Mapping, backend=EXACT) -> Report:
         )
     claimed = _expect(entry.indecomposable, bk, params)
     if claimed is True:
-        from .morphisms import decomposability_via_center
-
         rep.add(
             f"{tag}:no-central-witness",
             "claimed-indecomposable entry has no central witness",
-            decomposability_via_center(q) is None,
+            _central_witness(q, z) is None,
         )
     return rep
 

@@ -10,8 +10,9 @@ environment variables LIEQUAD_TOL, LIEQUAD_FORMAT and LIEQUAD_NO_TIMESTAMP.
 main reads them on every call, so a change between two calls in one process
 is seen by the second; a flag given on the command line overrides its
 variable, an empty variable counts as unset, and any non-empty
-LIEQUAD_NO_TIMESTAMP suppresses the timestamp.  A LIEQUAD_TOL that is not a
-number or a LIEQUAD_FORMAT other than text or json is a usage error (exit 2).
+LIEQUAD_NO_TIMESTAMP suppresses the timestamp.  A tolerance, from --tol or
+LIEQUAD_TOL, must be a finite number >= 0; any other value, like a
+LIEQUAD_FORMAT other than text or json, is a usage error (exit 2).
 The argument parser is built on the first call of main and reused by later
 calls in the same process.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -445,6 +447,17 @@ def cmd_report(args) -> int:
     return _emit_report(build_full_report(), args, extra={"scope": "full-verification"})
 
 
+def _tolerance(raw: str) -> float:
+    """A zero tolerance: a finite float >= 0."""
+    try:
+        tol = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {raw!r}") from None
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {raw!r}")
+    return tol
+
+
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="liequad",
@@ -454,8 +467,8 @@ def make_parser() -> argparse.ArgumentParser:
     # environment on every call
     ap.add_argument(
         "--tol",
-        type=float,
-        help="zero tolerance of the complex backend (env LIEQUAD_TOL)",
+        type=_tolerance,
+        help="zero tolerance of the complex backend, finite and >= 0 (env LIEQUAD_TOL)",
     )
     ap.add_argument(
         "--format",
@@ -539,9 +552,9 @@ def _fill_from_env(ap: argparse.ArgumentParser, args) -> None:
     if args.tol is None:
         raw = os.environ.get("LIEQUAD_TOL")
         try:
-            args.tol = float(raw) if raw else DEFAULT_TOL
-        except ValueError:
-            ap.error(f"LIEQUAD_TOL: invalid float value: {raw!r}")
+            args.tol = _tolerance(raw) if raw else DEFAULT_TOL
+        except argparse.ArgumentTypeError as exc:
+            ap.error(f"LIEQUAD_TOL: {exc}")
     if args.format is None:
         args.format = os.environ.get("LIEQUAD_FORMAT") or "text"
         if args.format not in FORMATS:

@@ -388,6 +388,8 @@ def verify_jacobi(alg: LieSuperalgebra) -> Report:
     for i in range(n):
         for j in range(i, n):
             for k in range(j, n):
+                if not (nz[j][k] or nz[k][i] or nz[i][j]):
+                    continue  # every inner bracket vanishes
                 # s1 [e_i,[e_j,e_k]] + s2 [e_j,[e_k,e_i]] + s3 [e_k,[e_i,e_j]] with
                 # s1 = (-1)^{|i||k|} and so on, over the nonzero structure constants only
                 term = {}
@@ -525,11 +527,15 @@ def center(alg: LieSuperalgebra) -> Subspace:
 
 def graded_center_basis(alg: LieSuperalgebra):
     """Center basis split into (even, odd) parts; the center is a graded subspace."""
+    return _graded_parts(alg, center(alg))
+
+
+def _graded_parts(alg: LieSuperalgebra, s: Subspace):
+    """(even, odd) spans of the parity components of the basis of a graded s."""
     bk = alg.backend
-    z = center(alg)
     even, odd = [], []
     ne = alg.space.dim_even
-    for v in z.basis:
+    for v in s.basis:
         ev = tuple(x if i < ne else bk.zero for i, x in enumerate(v))
         od = tuple(x if i >= ne else bk.zero for i, x in enumerate(v))
         if not vec_is_zero(bk, ev):
@@ -564,29 +570,35 @@ def derived_subalgebra(alg: LieSuperalgebra) -> Subspace:
     return subspace_bracket(alg, whole, whole)
 
 
-def derived_series(alg: LieSuperalgebra) -> list:
-    series = [Subspace.full(alg.backend, alg.dim)]
-    while True:
-        nxt = subspace_bracket(alg, series[-1], series[-1])
+def _descend(series: list, step) -> list:
+    """Append step(last) to series until the dimension stops falling or reaches 0."""
+    while series[-1].dim:
+        nxt = step(series[-1])
         if nxt.dim == series[-1].dim:
             break
         series.append(nxt)
-        if nxt.dim == 0:
-            break
     return series
+
+
+def derived_series(alg: LieSuperalgebra) -> list:
+    return _descend([Subspace.full(alg.backend, alg.dim)], lambda s: subspace_bracket(alg, s, s))
 
 
 def lower_central_series(alg: LieSuperalgebra) -> list:
     whole = Subspace.full(alg.backend, alg.dim)
-    series = [whole]
-    while True:
-        nxt = subspace_bracket(alg, whole, series[-1])
-        if nxt.dim == series[-1].dim:
-            break
-        series.append(nxt)
-        if nxt.dim == 0:
-            break
-    return series
+    return _descend([whole], lambda s: subspace_bracket(alg, whole, s))
+
+
+def _series(alg: LieSuperalgebra) -> tuple:
+    """(center, derived series, lower central series) in one pass.
+
+    Both series begin g, [g,g]: the lower central one continues from the [g,g]
+    of the derived one instead of taking it a second time."""
+    ds = derived_series(alg)
+    whole, lcs = ds[0], ds[:2]
+    if len(lcs) > 1:
+        _descend(lcs, lambda s: subspace_bracket(alg, whole, s))
+    return center(alg), ds, lcs
 
 
 def is_solvable(alg: LieSuperalgebra) -> bool:

@@ -9,6 +9,8 @@ derivations are computed; the classification needs no odd ones).
 The rows are assembled as {unknown: coefficient} dicts straight from the
 nonzero structure constants and Gram entries, a handful of terms each, and go
 to the sparse elimination of `linalg` without a dense matrix in between.
+A caller that already has Der(g) gets dim Der_a(g, B) from `_skew_rank`, which
+evaluates the same skew rows on the Der(g) basis instead of solving again.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .core import BilinearForm, LieSuperalgebra, StructureError, _combine
-from .linalg import Matrix, Subspace, _nullspace_rows, matrix_span, solve_linear
+from .linalg import Matrix, Subspace, _nullspace_rows, _rref_sparse, matrix_span, solve_linear
 
 
 @dataclass(frozen=True)
@@ -109,6 +111,30 @@ def _skew_rows(alg: LieSuperalgebra, form: BilinearForm):
                 row[u] = row.get(u, zero) + x
             _add_row(rows, bk, row)
     return rows
+
+
+def _skew_rank(der: DerivationSpace, form: BilinearForm) -> int:
+    """Rank of S(D) = (B(De_i,e_j) + B(e_i,De_j))_{i<=j} on the basis of der.
+
+    S is evaluated through the rows of `_skew_rows`, so der.dim minus this rank
+    is the dimension of the skew derivations in der."""
+    alg = der.algebra
+    bk, n = alg.backend, alg.dim
+    skew = _skew_rows(alg, form)
+    hits = [[] for _ in range(n * n)]  # hits[u] = (r, x) with x the coefficient of D[u] in S(D)_r
+    for r, row in enumerate(skew):
+        for u, x in row.items():
+            hits[u].append((r, x))
+    images = []
+    for d in der.basis:
+        image = {}
+        for k, drow in enumerate(d.entries):
+            for j, y in enumerate(drow):
+                if y:
+                    for r, x in hits[k * n + j]:
+                        image[r] = image[r] + x * y if r in image else x * y
+        _add_row(images, bk, image)
+    return len(_rref_sparse(bk, images, len(skew))[0])
 
 
 def _parity_rows(alg: LieSuperalgebra):

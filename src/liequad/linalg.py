@@ -14,9 +14,10 @@ literal tuple equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
-from .scalars import same_backend
+from .scalars import _real, same_backend
 
 Vector = tuple
 
@@ -179,6 +180,8 @@ def _rref_sparse(backend, rows: list, ncols: int) -> tuple:
         inv = backend.div(one, prow[c])
         for j, v in list(prow.items()):
             v = inv * v
+            if type(v) is Fraction:
+                v = _real(v)  # an integral result is kept as its int
             if v:
                 prow[j] = v
             else:

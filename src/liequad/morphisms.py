@@ -18,15 +18,14 @@ from .core import (
     QuadraticAlgebra,
     StructureError,
     SuperSpace,
+    _graded_parts,
+    _series,
     center,
-    derived_series,
-    graded_center_basis,
     is_ideal,
     is_nondegenerate_on,
-    lower_central_series,
     orthogonal_complement,
 )
-from .derivations import derivation_space
+from .derivations import _skew_rank, derivation_space
 from .linalg import (
     Matrix,
     Subspace,
@@ -148,8 +147,8 @@ class Witness:
     report: Report
 
 
-def _central_core(q: QuadraticAlgebra):
-    """A minimal graded non-degenerate central subspace, or None.
+def _central_core(q: QuadraticAlgebra, z: Subspace):
+    """A minimal graded non-degenerate central subspace, or None; z is the center.
 
     Even form: a single even central vector with B(u,u) != 0 (polarisation finds
     one whenever the even-even center block is nonzero), else a symplectic pair
@@ -157,7 +156,7 @@ def _central_core(q: QuadraticAlgebra):
     """
     alg, form = q.algebra, q.form
     bk = alg.backend
-    zev, zod = graded_center_basis(alg)
+    zev, zod = _graded_parts(alg, z)
 
     def pair_value(u, v):
         return form.value(u, v)
@@ -191,9 +190,14 @@ def decomposability_via_center(q: QuadraticAlgebra) -> Optional[Witness]:
     """Sufficient test: a central subspace on which the form does not vanish
     yields an orthogonal ideal splitting.  Returns a verified witness or None
     (None certifies nothing)."""
+    return _central_witness(q, center(q.algebra))
+
+
+def _central_witness(q: QuadraticAlgebra, z: Subspace) -> Optional[Witness]:
+    """decomposability_via_center for a caller that has the center z at hand."""
     if not q.form.is_nondegenerate():
         raise StructureError("decomposability test needs a non-degenerate form")
-    vectors = _central_core(q)
+    vectors = _central_core(q, z)
     if vectors is None:
         return None
     bk = q.backend
@@ -203,7 +207,7 @@ def decomposability_via_center(q: QuadraticAlgebra) -> Optional[Witness]:
     comp = orthogonal_complement(q, core)
     rep = verify_decomposition(q, core, comp)
     rep.raise_if_failed(StructureError)
-    return Witness(core=core, complement=comp, center=center(q.algebra), report=rep)
+    return Witness(core=core, complement=comp, center=z, report=rep)
 
 
 def verify_decomposition(q: QuadraticAlgebra, s1: Subspace, s2: Subspace) -> Report:
@@ -267,21 +271,30 @@ class Fingerprint:
 
 
 def fingerprint(x: Union[LieSuperalgebra, QuadraticAlgebra], with_derivations: bool = True) -> Fingerprint:
-    """Series-type invariants of x; with_derivations=False skips the two
-    derivation-space solves that only feed the annotation fields."""
+    """Series-type invariants of x, read off one `_series` pass.
+
+    With derivations, Der(g) is solved once.  A skew derivation is a
+    derivation D with S(D) = 0, where S(D) = (B(De_i,e_j) + B(e_i,De_j))_{i<=j},
+    so dim Der_a(g, B) = dim Der(g) - rank(S restricted to Der(g)), the rank
+    taken on the solved basis of Der(g).  with_derivations=False skips the
+    solve, which only feeds the annotation fields."""
     if isinstance(x, QuadraticAlgebra):
         alg, form = x.algebra, x.form
     else:
         alg, form = x, None
-    z = center(alg)
-    ds = derived_series(alg)
-    lcs = lower_central_series(alg)
-    derived = ds[1] if len(ds) > 1 else ds[0]  # the series stops at once when [g,g] = g
     if with_derivations:
-        der_dim = derivation_space(alg, "all").dim
-        skew = derivation_space(alg, "skew", form).dim if form is not None else None
+        der = derivation_space(alg, "all")
+        der_dim = der.dim
+        skew = der_dim - _skew_rank(der, form) if form is not None else None
     else:
         der_dim, skew = 0, None
+    return _series_fingerprint(alg, _series(alg), der_dim, skew)
+
+
+def _series_fingerprint(alg: LieSuperalgebra, series: tuple, der_dim: int = 0, skew: Optional[int] = None) -> Fingerprint:
+    """The Fingerprint of alg from its (center, derived series, lower central series)."""
+    z, ds, lcs = series
+    derived = ds[1] if len(ds) > 1 else ds[0]  # the series stops at once when [g,g] = g
     return Fingerprint(
         dim=alg.dim,
         dim_even=alg.space.dim_even,

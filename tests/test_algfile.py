@@ -91,14 +91,41 @@ bracket X F = 1 X
 
 def test_parity_rule_is_the_one_of_build():
     # a wrong-parity label with coefficient 0 is dropped, as build drops it;
-    # a nonzero one is rejected with the message of build
+    # a nonzero one is rejected with the message of build, at its line
     header = "algebra p\ndim_even 2\ndim_odd 1\nbasis X Y F\n"
     af = parse(header + "bracket X Y = 0 F\n")
     assert af.algebra == LieSuperalgebra.build(["X", "Y"], ["F"], {("X", "Y"): {"F": 0}})
     assert af.algebra == LieSuperalgebra.abelian(["X", "Y"], ["F"])
     with pytest.raises(ParseError) as err:
         parse(header + "bracket X Y = 1/2 F\n")
-    assert str(err.value) == "parity: [X,Y] has a F-component of the wrong parity"
+    assert str(err.value) == "line 5: parity: [X,Y] has a F-component of the wrong parity"
+    assert err.value.line == 5
+
+
+@pytest.mark.parametrize(
+    "body, line, message",
+    [
+        ("bracket X Y = 1 Y\nbracket X X = 1 Y\n", 6, "[X,X] must vanish on an even element"),
+        ("bracket X Y = 1 Y\n\nbracket Y F = 1/0 F\n", 7, "bad exact scalar '1/0': Fraction(1, 0)"),
+        ("form X Y = 1\nform F F = 1\n", 6, "form entry (F,F) must vanish on an odd element"),
+        ("form X Y = 1\nform X X = 1x\n", 6, "bad exact scalar '1x': Invalid literal for Fraction: '1x'"),
+    ],
+    ids=["even-square", "bracket-scalar", "odd-diagonal", "form-scalar"],
+)
+def test_build_errors_carry_their_line(body, line, message):
+    # the checks left to LieSuperalgebra.build and BilinearForm.build, and the
+    # scalars, are reported at the line of the offending entry
+    header = "algebra p\ndim_even 2\ndim_odd 1\nbasis X Y F\n"
+    with pytest.raises(ParseError) as err:
+        parse(header + body)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+def test_repeated_basis_label_rejected_at_its_line():
+    with pytest.raises(ParseError) as err:
+        parse("algebra p\ndim_even 2\ndim_odd 0\nbasis X X\nbracket X X = 0 X\n")
+    assert str(err.value) == "line 4: basis labels must be distinct"
 
 
 def test_missing_header_rejected():

@@ -198,3 +198,23 @@ def test_orthogonal_complement_of_ideal_is_ideal():
         assert is_ideal(q.algebra, d), id
         comp = orthogonal_complement(q, d)
         assert is_ideal(q.algebra, comp), id
+
+
+def test_verify_entry_takes_the_center_once(monkeypatch):
+    # the center feeds the duality, dimension, fingerprint and central-witness
+    # checks, and is computed once per build
+    from liequad import core, morphisms
+
+    calls = []
+    original = core.center
+
+    def counted(alg):
+        calls.append(alg)
+        return original(alg)
+
+    monkeypatch.setattr(core, "center", counted)
+    monkeypatch.setattr(morphisms, "center", counted)
+    for entry in catalog.entries():
+        calls.clear()
+        rep = catalog.verify_entry(entry, entry.default_params(EXACT))
+        assert rep.ok and len(calls) == 1, entry.id

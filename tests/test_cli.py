@@ -318,6 +318,28 @@ def test_invalid_env_is_a_usage_error(capsys, monkeypatch, var, value, message):
     assert captured.out == "" and message in captured.err
 
 
+@pytest.mark.parametrize("value", ["-1", "-1e-12", "nan", "inf", "-inf"])
+def test_tolerance_must_be_finite_and_not_negative(tmp_path, capsys, monkeypatch, value):
+    # a negative or non-finite tolerance makes nothing zero on the complex
+    # backend; from the flag and from the variable it is a usage error
+    near = tmp_path / "near.alg"
+    near.write_text(NEAR)
+    message = f"tolerance must be finite and >= 0, got '{value}'"
+    monkeypatch.delenv("LIEQUAD_TOL", raising=False)
+    for argv, where in (([f"--tol={value}"], "argument --tol"), ([], "LIEQUAD_TOL")):
+        if not argv:
+            monkeypatch.setenv("LIEQUAD_TOL", value)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["verify", str(near)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: {where}: {message}\n" in captured.err
+    # the bounds themselves are valid: 0 keeps only exact zeros
+    assert run(capsys, "--tol=0", "--no-timestamp", "verify", str(near))[0] == 1
+    monkeypatch.setenv("LIEQUAD_TOL", "0")
+    assert run(capsys, "--no-timestamp", "verify", G4)[0] == 0
+
+
 def test_wrong_parity_coefficient(tmp_path, capsys):
     # one parity rule: a zero coefficient on a wrong-parity label is dropped,
     # a nonzero one is a parse error
@@ -328,7 +350,7 @@ def test_wrong_parity_coefficient(tmp_path, capsys):
     f.write_text(header + "bracket X Y = 1 F\n")
     code, out, err = run(capsys, "--no-timestamp", "verify", str(f))
     assert code == 2 and out == ""
-    assert err == "error: parity: [X,Y] has a F-component of the wrong parity\n"
+    assert err == "error: line 5: parity: [X,Y] has a F-component of the wrong parity\n"
 
 
 @pytest.mark.slow

@@ -10,6 +10,7 @@ from liequad.core import (
     QuadraticAlgebra,
     StructureError,
     SuperSpace,
+    _series,
     center,
     derived_series,
     derived_subalgebra,
@@ -241,6 +242,42 @@ def test_subspace_bracket_matches_definition(backend, data):
     assert subspace_bracket(alg, u, v).basis == want.basis
 
 
+def jacobi_failures_from_definition(alg):
+    """Labels of the triples i <= j <= k whose dense graded Jacobi sum is nonzero."""
+    bk, sp, n, c = alg.backend, alg.space, alg.dim, alg.c
+    sign = lambda a, b: -1 if sp.parity(a) and sp.parity(b) else 1  # noqa: E731
+    out = []
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                for l in range(n):
+                    total = bk.zero
+                    for m in range(n):
+                        total = total + sign(i, k) * c[j][k][m] * c[i][m][l]
+                        total = total + sign(j, i) * c[k][i][m] * c[j][m][l]
+                        total = total + sign(k, j) * c[i][j][m] * c[k][m][l]
+                    if not bk.is_zero(total):
+                        out.append(f"jacobi({sp.labels[i]},{sp.labels[j]},{sp.labels[k]})")
+                        break
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(backend=st.sampled_from([EXACT, CB]), data=st.data())
+def test_jacobi_failures_match_definition(backend, data):
+    # random sparse tables on even and odd elements, with integer entries so
+    # that the float sums are exact: the triples skipped because all three
+    # inner brackets vanish are exactly those the definition passes for free
+    entry = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-2, 2)).map(backend.coerce)
+    n, n_odd = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 2))
+    space = SuperSpace.make([f"E{i}" for i in range(n)], [f"F{i}" for i in range(n_odd)])
+    dim = n + n_odd
+    c = tuple(tuple(data.draw(st.tuples(*[entry] * dim)) for _ in range(dim)) for _ in range(dim))
+    alg = LieSuperalgebra(space, backend, sparse(c))
+    got = [ch.name for ch in verify_jacobi(alg).checks if ch.name.startswith("jacobi(")]
+    assert got == jacobi_failures_from_definition(alg)
+
+
 def test_subspace_bracket_keeps_empty_rows():
     # the float elimination breaks pivot ties by row slot: with the empty
     # [X,X] row dropped, the tie in column Y would go to [X,Z], not [X,Y], and
@@ -369,6 +406,30 @@ def test_lower_central_series_heisenberg():
     h3 = LieSuperalgebra.build(["X", "Y", "Z"], brackets={("X", "Y"): {"Z": 1}})
     assert [s.dim for s in lower_central_series(h3)] == [3, 1, 0]
     assert is_nilpotent(h3)
+
+
+def assert_series_pass_matches(alg):
+    z, ds, lcs = _series(alg)
+    assert z.basis == center(alg).basis
+    assert [s.basis for s in ds] == [s.basis for s in derived_series(alg)]
+    assert [s.basis for s in lcs] == [s.basis for s in lower_central_series(alg)]
+
+
+@pytest.mark.parametrize("id", [e.id for e in catalog.entries()])
+def test_series_pass_matches_center_and_series(id):
+    assert_series_pass_matches(catalog.build(id).algebra)
+
+
+@settings(max_examples=120, deadline=None)
+@given(backend=st.sampled_from([EXACT, CB]), data=st.data())
+def test_series_pass_matches_on_random_tables(backend, data):
+    # random tables, entries below the tolerance included: both series of the
+    # one pass are those of the separate functions, [g,g] = g and 0 included
+    entry = ENTRIES[backend.name].map(backend.coerce)
+    n = data.draw(st.integers(1, 5))
+    c = tuple(tuple(data.draw(st.tuples(*[entry] * n)) for _ in range(n)) for _ in range(n))
+    assert_series_pass_matches(LieSuperalgebra(SuperSpace.make([f"E{i}" for i in range(n)]), backend, sparse(c)))
+    assert_series_pass_matches(LieSuperalgebra.abelian([f"E{i}" for i in range(n)], backend=backend))
 
 
 def test_format_vector():

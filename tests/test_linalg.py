@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from liequad.core import BilinearForm, LieSuperalgebra, SuperSpace
 from liequad.derivations import derivation_space
 from liequad.linalg import (
+    _rref_sparse,
     Matrix,
     Subspace,
     eigen_structure,
@@ -346,3 +347,11 @@ def test_exact_results_hold_no_float(rows, data):
     form = BilinearForm(space, EXACT, "even", square)
     for kind in ("all", "skew", "inner"):
         assert_no_float(derivation_space(alg, kind, form).basis)
+
+
+def test_scaled_pivot_row_keeps_integral_values_as_int():
+    # 1/2 X + 3/2 Y scaled by the inverse 2 is X + 3Y, held as ints, while a
+    # non-integral result stays a Fraction
+    pivots, reduced, _ = _rref_sparse(EXACT, [{0: Fraction(1, 2), 1: Fraction(3, 2), 2: Fraction(1, 3)}], 3)
+    assert pivots == (0,) and reduced == [{0: 1, 1: 3, 2: Fraction(2, 3)}]
+    assert [type(x) for x in reduced[0].values()] == [int, int, Fraction]

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liequad import catalog
-from liequad.core import StructureError, center, derived_subalgebra
+from liequad.core import LieSuperalgebra, StructureError, center, derived_subalgebra
+from liequad.derivations import derivation_space
 from liequad.extensions import Cocycle2, double_extension_1d, t_star_extension
 from liequad.linalg import Matrix, Subspace
 from liequad.morphisms import (
@@ -18,7 +20,7 @@ from liequad.morphisms import (
     verify_i_isomorphism,
     verify_isomorphism,
 )
-from liequad.scalars import EXACT
+from liequad.scalars import EXACT, complex_backend
 
 
 def identity_map(q):
@@ -303,3 +305,71 @@ def test_huge_exact_residuals_are_reported():
         "homomorphism(X1,X1)": str(s - s * s),
         "isometry": str(s * s - 1),
     }
+
+
+# -- dim Der_a read off the Der basis ---------------------------------------------------
+
+
+def assert_skew_dim_is_that_of_the_solver(q):
+    fp = fingerprint(q)
+    assert fp.der_dim == derivation_space(q.algebra, "all").dim
+    assert fp.skew_der_dim == derivation_space(q.algebra, "skew", q.form).dim
+
+
+@pytest.mark.parametrize("id", [e.id for e in catalog.entries()])
+def test_fingerprint_skew_dim_matches_the_skew_solve(id):
+    assert_skew_dim_is_that_of_the_solver(catalog.build(id))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_fingerprint_skew_dim_of_the_g2n2_family(n):
+    q = catalog.build("g2n2", n=n)
+    assert_skew_dim_is_that_of_the_solver(q)
+    assert fingerprint(q).skew_der_dim == n * n + 2 * n
+
+
+CB = complex_backend(1e-9)
+COEFF = {
+    "exact": st.one_of(st.just(0), st.integers(-2, 2), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))),
+    "complex": st.one_of(st.just(0j), st.builds(complex, st.integers(-2, 2), st.integers(-1, 1))),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(backend=st.sampled_from([EXACT, CB]), data=st.data())
+def test_fingerprint_skew_dim_on_random_quadratic_algebras(backend, data):
+    # a catalog entry at a sampled parameter, or the T*-extension of a random
+    # two-step nilpotent algebra ([g,g] central, so Jacobi holds)
+    if data.draw(st.booleans()):
+        entry = catalog.get(data.draw(st.sampled_from([e.id for e in catalog.entries()])))
+        q = catalog.build(entry.id, backend=backend, **data.draw(st.sampled_from(entry.sample_grid(backend))))
+    else:
+        xs = [f"X{i}" for i in range(data.draw(st.integers(1, 3)))]
+        zs = [f"Z{i}" for i in range(data.draw(st.integers(0, 2)))]
+        coeff = COEFF[backend.name].map(backend.coerce)
+        brackets = {
+            (a, b): dict(zip(zs, data.draw(st.tuples(*[coeff] * len(zs)))))
+            for i, a in enumerate(xs)
+            for b in xs[i + 1 :]
+        }
+        q = t_star_extension(LieSuperalgebra.build(xs + zs, (), brackets, backend))
+    assert_skew_dim_is_that_of_the_solver(q)
+
+
+def test_fingerprint_solves_leibniz_once(monkeypatch):
+    from liequad import morphisms
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return derivation_space(*args, **kwargs)
+
+    monkeypatch.setattr(morphisms, "derivation_space", counted)
+    for id in ("g4", "gs6_3", "go6_7", "osp12"):
+        calls.clear()
+        fingerprint(catalog.build(id))
+        assert calls == [("all",)], id
+    calls.clear()
+    fingerprint(catalog.build("g4"), with_derivations=False)
+    assert calls == []
