@@ -270,16 +270,36 @@ def emit(algebra: LieSuperalgebra, form: Optional[BilinearForm], name: str, para
 # -- auxiliary map/cocycle/pairing files ---------------------------------------------
 
 
+class Terms(dict):
+    """{label: coefficient token} of one auxiliary-file line, kept as .line."""
+
+    def __init__(self, terms, line: int):
+        super().__init__(terms)
+        self.line = line
+
+    def scalars(self, backend) -> dict:
+        """{label: scalar}; a token the backend cannot parse is a ParseError at the line."""
+        try:
+            return {lab: backend.parse(tok) for lab, tok in self.items()}
+        except ScalarParseError as exc:
+            raise ParseError(str(exc), self.line) from None
+
+
 @dataclass
 class MapFile:
-    images: Dict[str, Dict[str, str]] = field(default_factory=dict)  # map lines
-    psi: Dict[str, Dict[str, Dict[str, str]]] = field(default_factory=dict)
-    theta: Dict[Tuple[str, str], Dict[str, str]] = field(default_factory=dict)
-    phi: Dict[Tuple[str, str], Dict[str, str]] = field(default_factory=dict)
+    images: Dict[str, Terms] = field(default_factory=dict)  # map lines
+    psi: Dict[str, Dict[str, Terms]] = field(default_factory=dict)
+    theta: Dict[Tuple[str, str], Terms] = field(default_factory=dict)
+    phi: Dict[Tuple[str, str], Terms] = field(default_factory=dict)
 
 
 def parse_mapfile(text: str, known_labels) -> MapFile:
-    """Parse map/psi/theta/phi lines; labels are validated against known_labels."""
+    """Parse map/psi/theta/phi lines.
+
+    The labels of the terms, the source of a psi line and both labels of a
+    theta or phi line are checked against known_labels; the source of a map
+    line and the generator of a psi line name basis vectors of another
+    algebra, which the caller checks.  An entry given twice is an error."""
     known = set(known_labels)
     out = MapFile()
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -291,17 +311,27 @@ def parse_mapfile(text: str, known_labels) -> MapFile:
         if key == "map":
             if len(tokens) < 4 or tokens[2] != "=":
                 raise ParseError("map line must read 'map <src> = <terms>'", line_no)
-            out.images[tokens[1]] = _tokenize_terms(tokens[3:], line_no, known, "map")
+            table, name, eq = out.images, tokens[1], 2
         elif key == "psi":
             if len(tokens) < 5 or tokens[3] != "=":
                 raise ParseError("psi line must read 'psi <gen> <src> = <terms>'", line_no)
-            gen, src = tokens[1], tokens[2]
-            out.psi.setdefault(gen, {})[src] = _tokenize_terms(tokens[4:], line_no, known, "psi")
+            _check_known(tokens[2:3], known, line_no)
+            table, name, eq = out.psi.setdefault(tokens[1], {}), tokens[2], 3
         elif key in ("theta", "phi"):
             if len(tokens) < 5 or tokens[3] != "=":
                 raise ParseError(f"{key} line must read '{key} <a> <b> = <terms>'", line_no)
-            target = out.theta if key == "theta" else out.phi
-            target[(tokens[1], tokens[2])] = _tokenize_terms(tokens[4:], line_no, known, key)
+            _check_known(tokens[1:3], known, line_no)
+            table, name, eq = out.theta if key == "theta" else out.phi, (tokens[1], tokens[2]), 3
         else:
             raise ParseError(f"unknown directive {key!r}", line_no)
+        if name in table:
+            entry = " ".join(tokens[:eq])
+            raise ParseError(f"{entry} given twice (first at line {table[name].line})", line_no)
+        table[name] = Terms(_tokenize_terms(tokens[eq + 1 :], line_no, known, key), line_no)
     return out
+
+
+def _check_known(labels, known, line_no) -> None:
+    for label in labels:
+        if label not in known:
+            raise ParseError(f"unknown basis label {label!r}", line_no)

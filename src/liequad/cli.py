@@ -29,8 +29,10 @@ from datetime import datetime, timezone
 from . import catalog
 from .algfile import AlgebraFile, MapFile, ParseError, emit, parse, parse_mapfile
 from .core import (
+    LieSuperalgebra,
     QuadraticAlgebra,
     StructureError,
+    SuperSpace,
     center,
     derived_subalgebra,
     orthogonal_complement,
@@ -154,34 +156,30 @@ def cmd_derivations(args) -> int:
     return 0
 
 
-def _matrix_from_images(af: AlgebraFile, images) -> Matrix:
-    bk = af.algebra.backend
-    sp = af.algebra.space
-    n = sp.dim
-    cols = {}
-    for src, terms in images.items():
-        if src not in sp.labels:
+def _scalars(bk, table) -> dict:
+    """{key: {label: scalar}} of the {key: Terms} entries of an auxiliary file."""
+    return {key: terms.scalars(bk) for key, terms in table.items()}
+
+
+def _linear_map(source: SuperSpace, target: SuperSpace, bk, images) -> GradedLinearMap:
+    """The graded map that sends each source label to its image in images
+    {source label: Terms}; a label without an image goes to 0."""
+    for src in images:
+        if src not in source.labels:
             raise ParseError(f"unknown source label {src!r} in map file")
-        v = [bk.zero] * n
-        for lab, tok in terms.items():
-            v[sp.index(lab)] = bk.parse(tok)
-        cols[sp.index(src)] = v
-    return Matrix(
-        bk,
-        tuple(
-            tuple(cols.get(j, [bk.zero] * n)[i] for j in range(n)) for i in range(n)
-        ),
-    )
+    return GradedLinearMap.from_images(source, target, _scalars(bk, images), bk)
+
+
+def _psi_action(base: LieSuperalgebra, core: SuperSpace, bk, mf: MapFile) -> list:
+    """psi(e) on the core for each generator e of base, from the psi lines."""
+    for gen in mf.psi:
+        if gen not in base.labels:
+            raise ParseError(f"unknown generator label {gen!r} in psi file")
+    return [_linear_map(core, core, bk, mf.psi.get(gen, {})).matrix for gen in base.labels]
 
 
 def _cocycle_from_file(af: AlgebraFile, mf: MapFile) -> Cocycle2:
-    return Cocycle2.build(
-        af.algebra,
-        {
-            pair: {lab: af.algebra.backend.parse(tok) for lab, tok in terms.items()}
-            for pair, terms in mf.theta.items()
-        },
-    )
+    return Cocycle2.build(af.algebra, _scalars(af.algebra.backend, mf.theta))
 
 
 def cmd_extend(args) -> int:
@@ -191,7 +189,7 @@ def cmd_extend(args) -> int:
     if kind == "double1d":
         q = _require_form(af, "double1d")
         mf = parse_mapfile(_read(args.map), af.algebra.labels)
-        d = _matrix_from_images(af, mf.images)
+        d = _linear_map(af.algebra.space, af.algebra.space, bk, mf.images).matrix
         out = double_extension_1d(q, d, tuple(args.labels))
         result, form = out.algebra, out.form
     elif kind == "tstar":
@@ -205,10 +203,7 @@ def cmd_extend(args) -> int:
         phi_entries = {}
         if args.pairing:
             mf = parse_mapfile(_read(args.pairing), af.algebra.labels)
-            phi_entries = {
-                pair: {lab: bk.parse(tok) for lab, tok in terms.items()}
-                for pair, terms in mf.phi.items()
-            }
+            phi_entries = _scalars(bk, mf.phi)
         phi = SymPairing.build(af.algebra, phi_entries)
         out = ts_star_extension(af.algebra, phi)
         result, form = _unpack(out)
@@ -216,7 +211,7 @@ def cmd_extend(args) -> int:
         core_af = _load(args.core, args.tol)
         core = _require_form(core_af, "double")
         mf = parse_mapfile(_read(args.psi), core_af.algebra.labels)
-        psi = _psi_matrices(af, core_af.algebra.labels, core_af.algebra.backend, mf)
+        psi = _psi_action(af.algebra, core_af.algebra.space, core_af.algebra.backend, mf)
         out = double_extension_general(af.algebra, core, psi)
         result, form = out.algebra, out.form
     elif kind == "superdouble":
@@ -225,7 +220,7 @@ def cmd_extend(args) -> int:
             raise ParseError("superdouble needs a purely odd core file with form lines")
         target = SymplecticSpace(odd_af.algebra.labels, odd_af.form.gram)
         mf = parse_mapfile(_read(args.psi), odd_af.algebra.labels)
-        psi = _psi_matrices(af, odd_af.algebra.labels, bk, mf)
+        psi = _psi_action(af.algebra, odd_af.algebra.space, bk, mf)
         rep_obj = Representation.build(af.algebra, target, psi)
         theta = None
         if args.cocycle:
@@ -246,39 +241,11 @@ def _unpack(out):
     return out, None
 
 
-def _psi_matrices(base_af: AlgebraFile, odd_labels, bk, mf: MapFile):
-    m = len(odd_labels)
-    idx = {l: i for i, l in enumerate(odd_labels)}
-    psi = []
-    for gen in base_af.algebra.labels:
-        entries = mf.psi.get(gen, {})
-        cols = {}
-        for src, terms in entries.items():
-            if src not in idx:
-                raise ParseError(f"unknown odd label {src!r} in psi file")
-            v = [bk.zero] * m
-            for lab, tok in terms.items():
-                v[idx[lab]] = bk.parse(tok)
-            cols[idx[src]] = v
-        psi.append(
-            Matrix(
-                bk,
-                tuple(
-                    tuple(cols.get(j, [bk.zero] * m)[i] for j in range(m))
-                    for i in range(m)
-                ),
-            )
-        )
-    return psi
-
-
 def cmd_check_iso(args) -> int:
     src = _load(args.source, args.tol)
     tgt = _load(args.target, args.tol)
     mf = parse_mapfile(_read(args.map), tgt.algebra.labels)
-    a = GradedLinearMap.from_images(
-        src.algebra.space, tgt.algebra.space, mf.images, src.algebra.backend
-    )
+    a = _linear_map(src.algebra.space, tgt.algebra.space, src.algebra.backend, mf.images)
     if src.form is not None and tgt.form is not None:
         rep = verify_i_isomorphism(
             a,

@@ -337,12 +337,11 @@ class QuadraticAlgebra:
     verified: Report = field(default=None, compare=False, repr=False)
 
     @staticmethod
-    def build(algebra: LieSuperalgebra, form: BilinearForm, require: bool = True) -> "QuadraticAlgebra":
+    def build(algebra: LieSuperalgebra, form: BilinearForm) -> "QuadraticAlgebra":
         rep = Report()
         rep.extend(verify_jacobi(algebra))
         rep.extend(verify_form(algebra, form))
-        if require:
-            rep.raise_if_failed(StructureError)
+        rep.raise_if_failed(StructureError)
         return QuadraticAlgebra(algebra, form, rep)
 
     @property
@@ -356,9 +355,6 @@ class QuadraticAlgebra:
     @property
     def dim(self) -> int:
         return self.algebra.dim
-
-    def to_backend(self, backend) -> "QuadraticAlgebra":
-        return QuadraticAlgebra.build(self.algebra.to_backend(backend), self.form.to_backend(backend))
 
 
 # -- axiom verification --------------------------------------------------------

@@ -109,10 +109,6 @@ class Cocycle2:
         c.validate()
         return c
 
-    @staticmethod
-    def zero(base: LieSuperalgebra) -> "Cocycle2":
-        return Cocycle2.build(base, {})
-
     def scaled(self, factor) -> "Cocycle2":
         bk = self.base.backend
         f = bk.coerce(factor)

@@ -379,7 +379,7 @@ def matrix_span(backend, matrices, shape) -> list:
     return out
 
 
-# -- eigen-structure at desk scale (size <= 4) --------------------------------
+# -- eigen-structure at desk scale (size <= 4), read off the minimal polynomial --
 
 @dataclass(frozen=True)
 class EigenStructure:
@@ -388,7 +388,8 @@ class EigenStructure:
 
 
 def minimal_polynomial(a: Matrix) -> list:
-    """Monic minimal polynomial, coefficients low to high (exact backend)."""
+    """Monic minimal polynomial, coefficients low to high: the first power A^k
+    that is a combination of I, A, ..., A^(k-1), on either backend."""
     bk = a.backend
     n = a.rows
     powers = [Matrix.identity(bk, n)]
@@ -434,57 +435,12 @@ def _poly_gcd_degree(backend, a: list, b: list) -> int:
     return len(a) - 1
 
 
-def _char_poly(a: Matrix) -> list:
-    """Characteristic polynomial by the Faddeev-LeVerrier recursion, low to high."""
-    bk = a.backend
-    n = a.rows
-    coeffs = [bk.zero] * (n + 1)
-    coeffs[n] = bk.one
-    m = Matrix.zeros(bk, n, n)
-    c = bk.one
-    for k in range(1, n + 1):
-        m = a * m + Matrix.identity(bk, n).scale(c)
-        am = a * m
-        c = -bk.div(am.trace(), bk.coerce(k))
-        coeffs[n - k] = c
-    return coeffs
-
-
-def _roots_durand_kerner(coeffs: list, iterations: int = 200) -> list:
-    """All complex roots of a monic-normalised polynomial (degree <= 4 use)."""
-    cs = [complex(c) for c in coeffs]
-    lead = cs[-1]
-    cs = [c / lead for c in cs]
-    deg = len(cs) - 1
-    if deg == 0:
-        return []
-    roots = [(0.4 + 0.9j) ** k for k in range(1, deg + 1)]
-    for _ in range(iterations):
-        converged = True
-        new = []
-        for i, r in enumerate(roots):
-            num = sum(c * r ** k for k, c in enumerate(cs))
-            den = 1.0 + 0j
-            for j, s in enumerate(roots):
-                if j != i:
-                    den *= r - s
-            delta = num / den if den != 0 else 0j
-            if abs(delta) > 1e-14:
-                converged = False
-            new.append(r - delta)
-        roots = new
-        if converged:
-            break
-    return roots
-
-
 def eigen_structure(a: Matrix) -> EigenStructure:
     """Nilpotency (A^n = 0) and semisimplicity for square matrices of size <= 4.
 
-    Semisimplicity is decided by squarefreeness of the minimal polynomial on the
-    exact backend; the float backend falls back to the eigenvalue-separation
-    heuristic (all pairwise gaps >= tol), which can misreport repeated-eigenvalue
-    semisimple matrices and is therefore only a heuristic.
+    A is semisimple exactly when its minimal polynomial p is squarefree, that
+    is when gcd(p, p') is a constant.  Both backends take this one path; the
+    complex backend decides each zero test within its tolerance.
     """
     if a.rows != a.cols:
         raise ValueError("eigen_structure needs a square matrix")
@@ -492,14 +448,6 @@ def eigen_structure(a: Matrix) -> EigenStructure:
         raise ValueError("eigen_structure is restricted to size <= 4")
     bk = a.backend
     nilpotent = a.power(a.rows).is_zero()
-    if bk.name == "exact":
-        p = minimal_polynomial(a)
-        semisimple = _poly_gcd_degree(bk, p, _poly_deriv(bk, p)) == 0
-    else:
-        roots = _roots_durand_kerner(_char_poly(a))
-        semisimple = all(
-            abs(roots[i] - roots[j]) >= bk.tol
-            for i in range(len(roots))
-            for j in range(i + 1, len(roots))
-        )
+    p = minimal_polynomial(a)
+    semisimple = _poly_gcd_degree(bk, p, _poly_deriv(bk, p)) == 0
     return EigenStructure(is_nilpotent=nilpotent, is_semisimple=semisimple)

@@ -18,6 +18,7 @@ from .core import (
     QuadraticAlgebra,
     StructureError,
     SuperSpace,
+    _fmt_residual,
     _graded_parts,
     _series,
     center,
@@ -75,10 +76,6 @@ class GradedLinearMap:
         return self.matrix.apply(v)
 
 
-def _fmt(bk, x):
-    return bk.format(x) if bk.name == "exact" else repr(residual_magnitude(bk, x))
-
-
 def verify_homomorphism(a: GradedLinearMap, src: LieSuperalgebra, tgt: LieSuperalgebra) -> Report:
     """A[x,y] = [Ax, Ay] on all basis pairs."""
     rep = Report()
@@ -100,7 +97,7 @@ def verify_homomorphism(a: GradedLinearMap, src: LieSuperalgebra, tgt: LieSupera
                     f"homomorphism({src.labels[i]},{src.labels[j]})",
                     "compatibility A[x,y] = [Ax,Ay]",
                     False,
-                    residual=_fmt(bk, worst),
+                    residual=_fmt_residual(bk, worst),
                 )
     if ok:
         rep.add("homomorphism", "compatibility A[x,y] = [Ax,Ay]", True)
@@ -130,7 +127,7 @@ def verify_i_isomorphism(a: GradedLinearMap, src: QuadraticAlgebra, tgt: Quadrat
         rep.add("isometry", "isometry A^T G' A = G", True)
     else:
         worst = max((x for r in diff.entries for x in r), key=lambda x: residual_magnitude(bk, x))
-        rep.add("isometry", "isometry A^T G' A = G", False, residual=_fmt(bk, worst))
+        rep.add("isometry", "isometry A^T G' A = G", False, residual=_fmt_residual(bk, worst))
     return rep
 
 
@@ -253,21 +250,6 @@ class Fingerprint:
     nilpotent: bool
     der_dim: int = field(default=0, compare=False)
     skew_der_dim: Optional[int] = field(default=None, compare=False)
-
-    def as_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "dim_even": self.dim_even,
-            "dim_odd": self.dim_odd,
-            "center_dim": self.center_dim,
-            "derived_dims": list(self.derived_dims),
-            "lower_central_dims": list(self.lower_central_dims),
-            "derived_center_dim": self.derived_center_dim,
-            "der_dim": self.der_dim,
-            "solvable": self.solvable,
-            "nilpotent": self.nilpotent,
-            "skew_der_dim": self.skew_der_dim,
-        }
 
 
 def fingerprint(x: Union[LieSuperalgebra, QuadraticAlgebra], with_derivations: bool = True) -> Fingerprint:

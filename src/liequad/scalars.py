@@ -10,7 +10,8 @@ hashes and prints like the int.  Since `/` on two ints is a float, exact
 scalars are divided with `backend.div`, never with `/`.  Almost every scalar is
 real; i is needed only by the orthonormal-basis presentation of the
 five-dimensional simple entry.  The complex backend is ordinary `complex` plus a
-zero tolerance and is only used for isometries by irrational cube roots.
+zero tolerance; it serves `.alg` files with decimal coefficients and the
+isometries by irrational cube roots.
 """
 
 from __future__ import annotations

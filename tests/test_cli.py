@@ -476,3 +476,95 @@ def test_mutated_shipped_files_exit_cleanly(fuzz_file, text):
         argv = ["--no-timestamp"] + [str(fuzz_file) if a == "FILE" else a for a in command]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 1, 2)
+
+
+# -- auxiliary map, psi, theta and phi files ---------------------------------------
+
+AUX_BASES = {
+    "h3.alg": "algebra h3\ndim_even 3\ndim_odd 0\nbasis X Y Z\nbracket X Y = 1 Z\n",
+    "ab2.alg": "algebra ab2\ndim_even 2\ndim_odd 0\nbasis X Y\n",
+    "a1.alg": "algebra a1\ndim_even 1\ndim_odd 0\nbasis A\n",
+    "h.alg": "algebra h\ndim_even 0\ndim_odd 2\nbasis F1 F2\nform F1 F2 = 1\n",
+}
+# (command with AUX for the auxiliary file, a valid auxiliary file)
+AUX_CASES = (
+    (("check-iso", G4, G4, "AUX"), "map X = 1 X\nmap P = 1 P\nmap Q = 1 Q\nmap Z = 1 Z\n"),
+    (("extend", "double1d", G4, "--map", "AUX"), "map P = 1 P\nmap Q = -1 Q\n"),
+    (("extend", "tstar", "h3.alg", "--cocycle", "AUX"), "theta X Y = 1 Z\ntheta Y Z = 1 X\ntheta Z X = 1 Y\n"),
+    (("extend", "tsstar", "ab2.alg", "--pairing", "AUX"), "phi X X = 1 X\nphi X Y = 1 Y\nphi Y Y = 1 X\n"),
+    (("extend", "superdouble", "a1.alg", "h.alg", "--psi", "AUX"), "psi A F2 = 1 F1\n"),
+)
+
+
+@pytest.fixture(scope="module")
+def aux_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("aux")
+    for name, text in AUX_BASES.items():
+        (d / name).write_text(text)
+    return d
+
+
+def aux_argv(aux_dir, command, text):
+    """The argv of command on text written as its auxiliary file."""
+    (aux_dir / "aux.map").write_text(text)
+    paths = dict({a: str(aux_dir / a) for a in AUX_BASES}, AUX=str(aux_dir / "aux.map"))
+    return ["--no-timestamp"] + [paths.get(a, a) for a in command]
+
+
+def run_aux(capsys, aux_dir, command, text):
+    return run(capsys, *aux_argv(aux_dir, command, text))
+
+
+@pytest.mark.parametrize("command, text", AUX_CASES, ids=[c[0][1] for c in AUX_CASES])
+def test_valid_auxiliary_files_are_accepted(capsys, aux_dir, command, text):
+    assert run_aux(capsys, aux_dir, command, text)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "case, text, message",
+    [
+        (0, "map X = 1 X\nmap P = 1 P\nmap Q = 1 Q\nmap Z = 1 Z\nmap W = 1 Z\n", "error: unknown source label 'W' in map file"),
+        (1, "map W = 1 P\n", "error: unknown source label 'W' in map file"),
+        (1, "map P = abc P\n", "error: line 1: bad exact scalar 'abc'"),
+        (1, "map P = 1 P\nmap P = 2 P\n", "error: line 2: map P given twice (first at line 1)"),
+        (0, "map X = 1 X\nmap X = 1 X\n", "error: line 2: map X given twice (first at line 1)"),
+        (2, "theta X Y = 1 Z\ntheta Y Z = abc X\n", "error: line 2: bad exact scalar 'abc'"),
+        (2, "theta X W = 1 Z\n", "error: line 1: unknown basis label 'W'"),
+        (3, "phi X X = 1/0 X\n", "error: line 1: bad exact scalar '1/0'"),
+        (4, "psi A F2 = 1 F1\npsi NOPE F1 = 1 F1\n", "error: unknown generator label 'NOPE' in psi file"),
+        (4, "psi A F3 = 1 F1\n", "error: line 1: unknown basis label 'F3'"),
+        (4, "psi A F2 = 1 F1\npsi A F2 = 1 F1\n", "error: line 2: psi A F2 given twice (first at line 1)"),
+    ],
+)
+def test_malformed_auxiliary_file_is_a_usage_error(capsys, aux_dir, case, text, message):
+    code, out, err = run_aux(capsys, aux_dir, AUX_CASES[case][0], text)
+    assert (code, out) == (2, "")
+    assert err.startswith(message)
+
+
+@st.composite
+def mutated_aux_files(draw):
+    """One auxiliary-file case with one token after a line's directive
+    replaced, inserted or deleted."""
+    command, text = draw(st.sampled_from(AUX_CASES))
+    lines = [l.split() for l in text.splitlines()]
+    labels = ["X", "P", "Q", "Z", "Y", "A", "F1", "F2", "NOPE"]
+    token = st.sampled_from(["0", "1/2", "i", "1e400", "1e-12", "nan", "1/0", "="]) | st.sampled_from(labels)
+    line = draw(st.sampled_from(lines))
+    op = draw(st.sampled_from(["replace", "insert", "delete"]))
+    at = draw(st.sampled_from(range(1, len(line) + (op == "insert"))))
+    if op == "delete":
+        del line[at]
+    else:
+        line[at : at + (op == "replace")] = [draw(token)]
+    return command, "\n".join(" ".join(l) for l in lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=mutated_aux_files())
+def test_mutated_auxiliary_files_exit_cleanly(aux_dir, case):
+    # a mutated map, psi, theta or phi file is accepted, fails a check or is
+    # rejected with a message: exit 0, 1 or 2, never an uncaught exception
+    argv = aux_argv(aux_dir, *case)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 1, 2)

@@ -149,6 +149,31 @@ def test_eigen_float_backend():
     assert not e.is_nilpotent and e.is_semisimple
 
 
+@pytest.mark.parametrize(
+    "rows, nilpotent, semisimple",
+    [
+        ([[1, 1], [0, 1]], False, False),  # a Jordan block with a repeated eigenvalue
+        ([[0, 0], [0, 0]], True, True),  # zero is diagonal
+        ([[1, 0], [0, 1]], False, True),  # so is the identity
+    ],
+)
+def test_eigen_float_repeated_eigenvalue(rows, nilpotent, semisimple):
+    e = eigen_structure(Matrix.from_rows(complex_backend(), rows))
+    assert (e.is_nilpotent, e.is_semisimple) == (nilpotent, semisimple)
+
+
+small_square = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.sampled_from([0, 1, -1, 2]), min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_square)
+def test_eigen_float_matches_exact(rows):
+    # on integer matrices the complex backend reaches the exact verdicts
+    assert eigen_structure(Matrix.from_rows(complex_backend(), rows)) == eigen_structure(M(rows))
+
+
 def test_solve_float_backend_within_tol():
     cb = complex_backend(1e-9)
     a = Matrix.from_rows(cb, [[3.0, 1.0], [1.0, 2.0]])

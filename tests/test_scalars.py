@@ -192,7 +192,6 @@ DIVISIONS_ALLOWED = {
     ("scalars.py", "Exact.__rtruediv__"): 2,
     ("scalars.py", "ExactBackend.div"): 1,  # an Exact operand
     ("scalars.py", "ComplexBackend.div"): 1,
-    ("linalg.py", "_roots_durand_kerner"): 2,  # complex floats only
 }
 
 
