@@ -299,7 +299,8 @@ def parse_mapfile(text: str, known_labels) -> MapFile:
     The labels of the terms, the source of a psi line and both labels of a
     theta or phi line are checked against known_labels; the source of a map
     line and the generator of a psi line name basis vectors of another
-    algebra, which the caller checks.  An entry given twice is an error."""
+    algebra, which the caller checks.  An entry given twice is an error, and
+    so is a theta or phi pair given in both orientations."""
     known = set(known_labels)
     out = MapFile()
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -327,6 +328,9 @@ def parse_mapfile(text: str, known_labels) -> MapFile:
         if name in table:
             entry = " ".join(tokens[:eq])
             raise ParseError(f"{entry} given twice (first at line {table[name].line})", line_no)
+        if key in ("theta", "phi") and name[::-1] in table:
+            first = f"(first at line {table[name[::-1]].line})"
+            raise ParseError(f"both orientations of the pair ({name[0]},{name[1]}) given {first}", line_no)
         table[name] = Terms(_tokenize_terms(tokens[eq + 1 :], line_no, known, key), line_no)
     return out
 

@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Exit codes: 0 all checks pass, 1 at least one check failed or a constructor
-rejected its input, 2 usage or parse errors.  --format json emits the report
-as a machine-readable object; report --all is byte-deterministic on the exact
-backend once --no-timestamp is passed.
+rejected its input, 2 usage or parse errors and complex arithmetic that
+overflowed a double (a value of inf or nan decides no check).  --format json
+emits the report as a machine-readable object; report --all is
+byte-deterministic on the exact backend once --no-timestamp is passed.
 
 The flags --tol, --format and --no-timestamp can also be set through the
 environment variables LIEQUAD_TOL, LIEQUAD_FORMAT and LIEQUAD_NO_TIMESTAMP.
@@ -60,7 +61,7 @@ from .morphisms import (
     verify_isomorphism,
 )
 from .report import Report
-from .scalars import DEFAULT_TOL
+from .scalars import DEFAULT_TOL, ScalarOverflow
 
 VERSION = "0.1.0"
 FORMATS = ("text", "json")
@@ -539,10 +540,7 @@ def main(argv=None) -> int:
     _fill_from_env(_parser, args)
     try:
         return args.fn(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ParseError, FileNotFoundError, ScalarOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (StructureError, catalog.InadmissibleParameter, catalog.UnknownEntry) as exc:

@@ -18,6 +18,7 @@ Conventions, fixed project-wide:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence, Tuple
 
 from .linalg import (
@@ -319,8 +320,13 @@ class BilinearForm:
         gv = [self.gram.apply(v) for v in vectors]
         return Matrix(self.backend, tuple(tuple(dot(u, col) for col in gv) for u in vectors))
 
+    @cached_property
+    def _rank(self) -> int:
+        """Rank of the Gram matrix, computed once per form."""
+        return rank(self.gram)
+
     def is_nondegenerate(self) -> bool:
-        return rank(self.gram) == self.space.dim
+        return self._rank == self.space.dim
 
     def to_backend(self, backend) -> "BilinearForm":
         g = Matrix.from_rows(backend, [[backend.coerce(x) for x in row] for row in self.gram.entries])
@@ -473,7 +479,7 @@ def verify_form(alg: LieSuperalgebra, form: BilinearForm) -> Report:
         "non-degeneracy",
         "non-degeneracy of the invariant form",
         nondeg,
-        witness=None if nondeg else f"rank {rank(form.gram)} < dim {n}",
+        witness=None if nondeg else f"rank {form._rank} < dim {n}",
     )
 
     # B([e_i,e_j],e_k) and B(e_i,[e_j,e_k]) are summed over the exactly nonzero

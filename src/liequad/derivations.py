@@ -1,24 +1,29 @@
 """Derivation spaces by exact linear algebra.
 
-A derivation is found by solving one sparse linear system in the n^2 matrix
-entries: the Leibniz rule contributes an equation per basis pair and coordinate,
-the skew condition B(Dx, y) = -B(x, Dy) one per pair, and on super inputs the
-parity-preservation constraints pin the off-blocks to zero (only even
-derivations are computed; the classification needs no odd ones).
+Each linear condition is written once, as sparse rows over the entries of the
+unknown map: a solver takes the kernel of the rows, and a validator evaluates
+the same rows at a given map.  A derivation solves one system in the n^2
+matrix entries: the Leibniz rule contributes a row per basis pair and
+coordinate, the skew condition B(Dx, y) = -B(x, Dy) one per pair, and on
+super inputs the parity-preservation rows pin the off-blocks to zero (only
+even derivations are computed; the classification needs no odd ones).
 
 The rows are assembled as {unknown: coefficient} dicts straight from the
 nonzero structure constants and Gram entries, a handful of terms each, and go
 to the sparse elimination of `linalg` without a dense matrix in between.
-A caller that already has Der(g) gets dim Der_a(g, B) from `_skew_rank`, which
-evaluates the same skew rows on the Der(g) basis instead of solving again.
+`_evaluate` is the one evaluator: `is_derivation` evaluates the Leibniz rows
+at D, and a caller that already has Der(g) gets dim Der_a(g, B) from
+`_skew_rank`, which evaluates the skew rows on the Der(g) basis instead of
+solving again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Tuple
 
-from .core import BilinearForm, LieSuperalgebra, StructureError, _combine
+from .core import BilinearForm, LieSuperalgebra, StructureError
 from .linalg import Matrix, Subspace, _nullspace_rows, _rref_sparse, matrix_span, solve_linear
 
 
@@ -34,14 +39,10 @@ class DerivationSpace:
         return len(self.basis)
 
     def span(self) -> Subspace:
-        n = self.algebra.dim
-        flat = [tuple(m.entries[i][j] for i in range(n) for j in range(n)) for m in self.basis]
-        return Subspace.span(self.algebra.backend, flat, n * n)
+        return Subspace.span(self.algebra.backend, [_flat(m) for m in self.basis], self.algebra.dim**2)
 
     def contains(self, d: Matrix) -> bool:
-        n = self.algebra.dim
-        flat = tuple(d.entries[i][j] for i in range(n) for j in range(n))
-        return self.span().contains(flat)
+        return self.span().contains(_flat(d))
 
 
 def _output_index(alg: LieSuperalgebra):
@@ -92,17 +93,19 @@ def _leibniz_rows(alg: LieSuperalgebra):
     return rows
 
 
-def _skew_rows(alg: LieSuperalgebra, form: BilinearForm):
-    bk, n = alg.backend, alg.dim
+def _skew_rows(bk, gram: Matrix):
+    """Sparse rows of B(D e_i, e_j) + B(e_i, D e_j) = 0, i <= j, for the
+    (anti)symmetric Gram matrix of B, over unknowns x[(k,j)] = D[k][j]."""
+    n = gram.rows
     zero = bk.zero
-    g = form.gram.entries
+    g = gram.entries
     g_rows = [[(k, x) for k, x in enumerate(r) if not bk.is_zero(x)] for r in g]
     g_cols = [[(k, r[j]) for k, r in enumerate(g) if not bk.is_zero(r[j])] for j in range(n)]
     rows = []
     for i in range(n):
         for j in range(i, n):
             row = {}
-            # B(D e_i, e_j) + B(e_i, D e_j) = sum_k D[k][i] g[k][j] + D[k][j] g[i][k]
+            # sum_k D[k][i] g[k][j] + D[k][j] g[i][k]
             for k, x in g_cols[j]:
                 u = k * n + i
                 row[u] = row.get(u, zero) + x
@@ -113,26 +116,46 @@ def _skew_rows(alg: LieSuperalgebra, form: BilinearForm):
     return rows
 
 
+def _evaluate(rows, size: int, points) -> list:
+    """{row index: value} of the rows at each point, one dict per point.
+
+    A point is a flat sequence over the size unknowns.  The rows are indexed by
+    unknown once, and each point walks only its exactly nonzero entries, so a
+    row without one of them is absent from its dict."""
+    hits = [[] for _ in range(size)]  # hits[u] = (r, x) with x the coefficient of u in row r
+    for r, row in enumerate(rows):
+        for u, x in row.items():
+            hits[u].append((r, x))
+    images = []
+    for point in points:
+        image = {}
+        for u, y in enumerate(point):
+            if y:
+                for r, x in hits[u]:
+                    image[r] = image[r] + x * y if r in image else x * y
+        images.append(image)
+    return images
+
+
+def _vanishes(bk, rows, point) -> bool:
+    """Whether every row is zero to bk at the flat point."""
+    return all(bk.is_zero(v) for v in _evaluate(rows, len(point), [point])[0].values())
+
+
+def _flat(m: Matrix) -> list:
+    """The entries of m in row-major order: D[k][j] is unknown k * n + j."""
+    return list(chain.from_iterable(m.entries))
+
+
 def _skew_rank(der: DerivationSpace, form: BilinearForm) -> int:
     """Rank of S(D) = (B(De_i,e_j) + B(e_i,De_j))_{i<=j} on the basis of der.
 
     S is evaluated through the rows of `_skew_rows`, so der.dim minus this rank
     is the dimension of the skew derivations in der."""
-    alg = der.algebra
-    bk, n = alg.backend, alg.dim
-    skew = _skew_rows(alg, form)
-    hits = [[] for _ in range(n * n)]  # hits[u] = (r, x) with x the coefficient of D[u] in S(D)_r
-    for r, row in enumerate(skew):
-        for u, x in row.items():
-            hits[u].append((r, x))
+    bk, n = der.algebra.backend, der.algebra.dim
+    skew = _skew_rows(bk, form.gram)
     images = []
-    for d in der.basis:
-        image = {}
-        for k, drow in enumerate(d.entries):
-            for j, y in enumerate(drow):
-                if y:
-                    for r, x in hits[k * n + j]:
-                        image[r] = image[r] + x * y if r in image else x * y
+    for image in _evaluate(skew, n * n, [_flat(d) for d in der.basis]):
         _add_row(images, bk, image)
     return len(_rref_sparse(bk, images, len(skew))[0])
 
@@ -164,43 +187,21 @@ def derivation_space(alg: LieSuperalgebra, kind: str = "all", form: Optional[Bil
     if kind == "skew":
         if form is None:
             raise ValueError("skew derivations need a bilinear form")
-        rows += _skew_rows(alg, form)
-    if not rows:
-        # no constraints at all: every matrix is a derivation
-        return DerivationSpace(alg, kind, tuple(_full_matrix_space(bk, n)), form)
+        rows += _skew_rows(bk, form.gram)
+    # without rows the kernel is the standard basis: every matrix is a derivation
     sols = _nullspace_rows(bk, rows, n * n)
-    basis = [
-        Matrix(bk, tuple(tuple(s[k * n + j] for j in range(n)) for k in range(n)))
-        for s in sols
-    ]
-    return DerivationSpace(alg, kind, tuple(basis), form)
-
-
-def _full_matrix_space(bk, n):
-    out = []
-    for k in range(n):
-        for j in range(n):
-            m = [[bk.zero] * n for _ in range(n)]
-            m[k][j] = bk.one
-            out.append(Matrix(bk, tuple(tuple(r) for r in m)))
-    return out
+    basis = tuple(Matrix(bk, tuple(s[k * n : k * n + n] for k in range(n))) for s in sols)
+    return DerivationSpace(alg, kind, basis, form)
 
 
 def is_derivation(alg: LieSuperalgebra, d: Matrix) -> bool:
+    """D[e_i,e_j] = [D e_i, e_j] + [e_i, D e_j]: the Leibniz rows vanish at the
+    entries of D that are nonzero to the backend."""
     bk, n = alg.backend, alg.dim
     if d.rows != n or d.cols != n:
         return False
-    zero, nz = bk.zero, alg._nz
-    cols = [[(l, x) for l, x in enumerate(d.col(i)) if not bk.is_zero(x)] for i in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            # D[e_i,e_j] = [D e_i, e_j] + [e_i, D e_j], over the nonzero entries
-            lhs = _combine(nz[i][j], cols)
-            r1 = _combine(cols[i], [block[j] for block in nz])
-            r2 = _combine(cols[j], nz[i])
-            if any(not bk.is_zero(lhs.get(k, zero) - (r1.get(k, zero) + r2.get(k, zero))) for k in range(n)):
-                return False
-    return True
+    point = [bk.zero if bk.is_zero(y) else y for y in _flat(d)]
+    return _vanishes(bk, _leibniz_rows(alg), point)
 
 
 def is_inner(alg: LieSuperalgebra, d: Matrix) -> Optional[tuple]:
@@ -212,17 +213,8 @@ def is_inner(alg: LieSuperalgebra, d: Matrix) -> Optional[tuple]:
         raise StructureError("is_inner expects a derivation")
     bk, n = alg.backend, alg.dim
     even_idx = [i for i in range(n) if alg.parity(i) == 0]
-    cols = [alg.ad(i) for i in even_idx]
-    m = Matrix(
-        bk,
-        tuple(
-            tuple(col.entries[r][c] for col in cols)
-            for r in range(n)
-            for c in range(n)
-        ),
-    )
-    target = tuple(d.entries[r][c] for r in range(n) for c in range(n))
-    sol = solve_linear(m, target)
+    cols = [_flat(alg.ad(i)) for i in even_idx]
+    sol = solve_linear(Matrix(bk, tuple(tuple(col[u] for col in cols) for u in range(n * n))), _flat(d))
     if sol is None:
         return None
     full = [bk.zero] * n

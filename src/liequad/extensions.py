@@ -23,15 +23,21 @@ Cocycles theta, pairings phi and representations psi are accepted only as
 explicit tensors/matrices and are validated eagerly: a constructor never
 returns something that fails its own axioms.  The only soft spot is the cyclic
 condition, whose failure downgrades the output to a bare Lie superalgebra with
-a warning instead of a quadratic one.  The validators sum over the structure
-constants of the base that are nonzero to its backend: `_nz`, the tolerance
-view of the stored sparse table `nz`.
+a warning instead of a quadratic one.
+
+Each linear condition on an input is written once, as sparse rows over its
+entries (see `derivations`): `sym_pairing_space` takes the kernel of the
+pairing and cyclic rows, and the validators evaluate the same rows, and the
+skew and Leibniz rows of `derivations`, at the given tensor or matrix.  The
+rows sum over the structure constants of the base that are nonzero to its
+backend: `_nz`, the tolerance view of the stored sparse table `nz`.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain, product
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from .core import (
@@ -40,9 +46,8 @@ from .core import (
     QuadraticAlgebra,
     StructureError,
     _coerce_bracket_value,
-    _combine,
 )
-from .derivations import _add_row, _output_index, is_derivation
+from .derivations import _add_row, _evaluate, _flat, _output_index, _skew_rows, _vanishes, is_derivation
 from .linalg import Matrix, _nullspace_rows, dot, vec_is_zero, zero_vec
 
 
@@ -84,12 +89,21 @@ def _named(bk, labels, v) -> dict:
     return {l: x for l, x in zip(labels, v) if not bk.is_zero(x)}
 
 
-def _is_cyclic(bk, t) -> bool:
-    """t(x,y)z = t(y,z)x on all basis triples."""
-    n = len(t)
-    return all(
-        bk.is_zero(t[i][j][k] - t[j][k][i]) for i in range(n) for j in range(n) for k in range(n)
-    )
+def _unfolded(n: int):
+    """unknown(i, j, k) = t[i][j][k] of a full n x n x n tensor: its index in
+    the row-major flattening `_flat3(t)`."""
+    return lambda i, j, k: (i * n + j) * n + k
+
+
+def _flat3(t) -> list:
+    return list(chain.from_iterable(chain.from_iterable(t)))
+
+
+def _cyclic_rows(bk, n: int, unknown) -> list:
+    """Rows of the cyclic identity t(x,y)z = t(y,z)x on all basis triples, over
+    the unknowns unknown(i, j, k) = t[i][j][k]."""
+    pairs = ((unknown(i, j, k), unknown(j, k, i)) for i, j, k in product(range(n), repeat=3))
+    return [{u1: bk.one, u2: -bk.one} for u1, u2 in pairs if u1 != u2]
 
 
 # -- cocycles -------------------------------------------------------------------
@@ -142,7 +156,8 @@ class Cocycle2:
 
     def is_cyclic(self) -> bool:
         """theta(x,y)z = theta(y,z)x on all basis triples."""
-        return _is_cyclic(self.base.backend, self.theta)
+        bk, n = self.base.backend, self.base.dim
+        return _vanishes(bk, _cyclic_rows(bk, n, _unfolded(n)), _flat3(self.theta))
 
 
 # -- symmetric pairings for the odd extension ------------------------------------
@@ -176,67 +191,67 @@ class SymPairing:
             raise ExtensionError(rep[0])
 
     def is_cyclic(self) -> bool:
-        return _is_cyclic(self.base.backend, self.phi)
+        """phi(f,g)h = phi(g,h)f on all basis triples."""
+        bk, n = self.base.backend, self.base.dim
+        return _vanishes(bk, _cyclic_rows(bk, n, _unfolded(n)), _flat3(self.phi))
+
+
+def _pairing_rows(base: LieSuperalgebra, unknown):
+    """(key, row) pairs of the two compatibility conditions of the odd
+    construction over the unknowns unknown(i, j, k) = phi[i][j][k]; the key is
+    (1, x, i, j) or (2, i, j, k), the (x, f, g) or (f, g, h) that a failure names."""
+    bk, n = base.backend, base.dim
+    zero = bk.zero
+    # left[x][k] lists the (m, c[x][m][k]), right[m][f] the (l, c[l][m][f])
+    left, right = _output_index(base)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    # condition (1): ad(x)(phi(f,g)) + phi(f, g o ad(x)) + phi(g, f o ad(x)) = 0
+    for x, (i, j), k in product(range(n), pairs, range(n)):
+        row = {}
+        for u, y in chain(
+            ((unknown(i, j, l), y) for l, y in left[x][k]),
+            ((unknown(i, m, k), y) for m, y in left[x][j]),
+            ((unknown(j, m, k), y) for m, y in left[x][i]),
+        ):
+            row[u] = row.get(u, zero) + y
+        if row:
+            yield (1, x, i, j), row
+    # condition (2): f o ad(phi(g,h)) + cycle = 0
+    for i, j in pairs:
+        for k, m in product(range(j, n), range(n)):
+            row = {}
+            for a, b, f in ((j, k, i), (k, i, j), (i, j, k)):
+                for l, y in right[m][f]:
+                    u = unknown(a, b, l)
+                    row[u] = row.get(u, zero) + y
+            if row:
+                yield (2, i, j, k), row
 
 
 def _pairing_condition_failures(base: LieSuperalgebra, phi) -> list:
-    """Symmetry plus the two compatibility conditions of the odd construction."""
-    bk, n, nz = base.backend, base.dim, base._nz
-    zero, labels = bk.zero, base.labels
-    # left[x][k] lists the (m, c[x][m][k]), right[m][f] the (l, c[l][m][f])
-    left, right = _output_index(base)
+    """Symmetry plus the two compatibility conditions of the odd construction,
+    one message per failing pair or key of `_pairing_rows`."""
+    bk, n, labels = base.backend, base.dim, base.labels
     out = []
     for i in range(n):
         for j in range(i, n):
             if any(not bk.is_zero(a - b) for a, b in zip(phi[i][j], phi[j][i])):
                 out.append(f"phi is not symmetric on ({labels[i]},{labels[j]})")
-    # condition (1): ad(x)(phi(f,g)) + phi(f, g o ad(x)) + phi(g, f o ad(x)) = 0
-    for x in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                term = _combine([(l, y) for l, y in enumerate(phi[i][j]) if y], nz[x])
-                for p, q in ((i, j), (j, i)):
-                    for m, y in left[x][q]:
-                        for k, z in enumerate(phi[p][m]):
-                            if z:
-                                term[k] = term.get(k, zero) + y * z
-                if not all(bk.is_zero(v) for v in term.values()):
-                    out.append(
-                        f"pairing condition (1) fails at (x,f,g) = ({labels[x]},{labels[i]}*,{labels[j]}*)"
-                    )
-    # condition (2): f o ad(phi(g,h)) + cycle = 0
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                for m in range(n):
-                    acc = zero
-                    for a, b, f in ((j, k, i), (k, i, j), (i, j, k)):
-                        for l, y in right[m][f]:
-                            acc = acc + phi[a][b][l] * y
-                    if not bk.is_zero(acc):
-                        out.append(
-                            f"pairing condition (2) fails at ({labels[i]}*,{labels[j]}*,{labels[k]}*)"
-                        )
-                        break
+    keyed = list(_pairing_rows(base, _unfolded(n)))
+    image = _evaluate([row for _, row in keyed], n**3, [_flat3(phi)])[0]
+    failing = dict.fromkeys(keyed[r][0] for r in sorted(image) if not bk.is_zero(image[r]))
+    for cond, a, b, c in failing:
+        at = f"(x,f,g) = ({labels[a]}," if cond == 1 else f"({labels[a]}*,"
+        out.append(f"pairing condition ({cond}) fails at {at}{labels[b]}*,{labels[c]}*)")
     return out
-
-
-def _sum_terms(zero, terms) -> dict:
-    """{unknown: summed coefficient} of (unknown, coefficient) terms."""
-    row = {}
-    for u, y in terms:
-        row[u] = row.get(u, zero) + y
-    return row
 
 
 def sym_pairing_space(base: LieSuperalgebra, cyclic: bool = True) -> list:
     """Basis of all pairings satisfying the two conditions (and optionally the
-    cyclic identity), as SymPairing objects; a finite linear solve over the
-    unknowns phi[i][j][k], i <= j, in sparse {unknown: coefficient} rows."""
+    cyclic identity), as SymPairing objects: the kernel of the rows of
+    `_pairing_rows` and `_cyclic_rows` over the unknowns phi[i][j][k], i <= j."""
     _require_even(base, "the pairing solver")
     bk, n = base.backend, base.dim
-    zero = bk.zero
-    left, right = _output_index(base)
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     pidx = {p: a for a, p in enumerate(pairs)}
 
@@ -244,33 +259,10 @@ def sym_pairing_space(base: LieSuperalgebra, cyclic: bool = True) -> list:
         return pidx[(min(i, j), max(i, j))] * n + k
 
     rows = []
-    # condition (1)
-    for x in range(n):
-        for i, j in pairs:
-            for k in range(n):
-                terms = [(unknown(i, j, l), y) for l, y in left[x][k]]
-                terms += [(unknown(i, m, k), y) for m, y in left[x][j]]
-                terms += [(unknown(j, m, k), y) for m, y in left[x][i]]
-                if terms:
-                    _add_row(rows, bk, _sum_terms(zero, terms))
-    # condition (2)
-    for i, j in pairs:
-        for k in range(j, n):
-            for m in range(n):
-                terms = [
-                    (unknown(a, b, l), y)
-                    for a, b, f in ((j, k, i), (k, i, j), (i, j, k))
-                    for l, y in right[m][f]
-                ]
-                if terms:
-                    _add_row(rows, bk, _sum_terms(zero, terms))
+    for _, row in _pairing_rows(base, unknown):
+        _add_row(rows, bk, row)
     if cyclic:
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    u1, u2 = unknown(i, j, k), unknown(j, k, i)
-                    if u1 != u2:
-                        rows.append({u1: bk.one, u2: -bk.one})
+        rows += _cyclic_rows(bk, n, unknown)
     out = []
     for s in _nullspace_rows(bk, rows, len(pairs) * n):
         phi = [[None] * n for _ in range(n)]
@@ -303,11 +295,15 @@ class SymplecticSpace:
         n = len(labels)
         idx = {l: i for i, l in enumerate(labels)}
         g = [[backend.zero] * n for _ in range(n)]
+        seen = set()
         for (la, lb), coeff in dict(entries).items():
             i, j = idx[la], idx[lb]
             x = backend.coerce(coeff)
             if i == j and not backend.is_zero(x):
                 raise ExtensionError("a symplectic form vanishes on the diagonal")
+            if (j, i) in seen:
+                raise ExtensionError(f"symplectic pair ({la},{lb}) specified twice")
+            seen.add((i, j))
             g[i][j] = x
             g[j][i] = -x
         return SymplecticSpace(tuple(labels), Matrix(backend, tuple(tuple(r) for r in g)))
@@ -355,23 +351,19 @@ class Representation:
         _check_action(self.base, self.psi, self.target.gram)
 
 
-def _is_skew(m: Matrix, gram: Matrix) -> bool:
-    """m^T G + G m = 0: B(m x, y) = -B(x, m y)."""
-    return (m.transpose() * gram + gram * m).is_zero()
-
-
 def _check_action(g: LieSuperalgebra, psi, gram: Matrix, core: Optional[LieSuperalgebra] = None) -> None:
     """Raise unless each psi(e_i) is a derivation of the core that is skew for
     gram and psi is a homomorphism of g.  Without a core, psi acts on a
     symplectic space, where every matrix of the right shape is a derivation."""
     bk, nh = g.backend, gram.rows
+    skew = _skew_rows(bk, gram)
     for label, m in zip(g.labels, psi):
         if core is None:
             if m.rows != nh or m.cols != nh:
                 raise ExtensionError("psi matrix has the wrong shape")
         elif not is_derivation(core, m):
             raise ExtensionError(f"psi({label}) is not a derivation of the core")
-        if not _is_skew(m, gram):
+        if not _vanishes(bk, skew, _flat(m)):
             form = "symplectic form" if core is None else "core form"
             raise ExtensionError(f"psi({label}) is not skew for the {form}")
     for i in range(g.dim):
@@ -448,7 +440,7 @@ def double_extension_1d(q: QuadraticAlgebra, d: Matrix, ext_labels: Tuple[str, s
     _require_even(alg, "the one-dimensional double extension")
     if not is_derivation(alg, d):
         raise ExtensionError("the extension map is not a derivation")
-    if not _is_skew(d, form.gram):
+    if not _vanishes(alg.backend, _skew_rows(alg.backend, form.gram), _flat(d)):
         raise ExtensionError("the extension map is not skew for the form")
     le, lf = ext_labels
     if le in alg.labels or lf in alg.labels or le == lf:

@@ -11,11 +11,13 @@ scalars are divided with `backend.div`, never with `/`.  Almost every scalar is
 real; i is needed only by the orthonormal-basis presentation of the
 five-dimensional simple entry.  The complex backend is ordinary `complex` plus a
 zero tolerance; it serves `.alg` files with decimal coefficients and the
-isometries by irrational cube roots.
+isometries by irrational cube roots.  A complex value that overflows to inf or
+nan raises `ScalarOverflow` when it is tested, instead of deciding a check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +30,10 @@ class BackendMismatch(TypeError):
 
 class ScalarParseError(ValueError):
     """Raised when a scalar token cannot be parsed."""
+
+
+class ScalarOverflow(ArithmeticError):
+    """Raised when a complex value leaves the range of a double: inf or nan is no verdict."""
 
 
 def _real(q):
@@ -243,11 +249,13 @@ class ComplexBackend:
         raise BackendMismatch(f"cannot coerce {type(v).__name__} to a complex scalar")
 
     def is_zero(self, x) -> bool:
-        return abs(x) <= self.tol
+        return not self.pivot_weight(x)
 
     def pivot_weight(self, x):
-        a = abs(x)
-        return 0.0 if a <= self.tol else a
+        a = math.hypot(x.real, x.imag)
+        if a < math.inf:
+            return 0.0 if a <= self.tol else a
+        raise ScalarOverflow(f"complex arithmetic overflowed to {format_complex(x)}: coefficients too large for a double")
 
     def format(self, x) -> str:
         return format_complex(x)

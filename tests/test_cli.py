@@ -417,6 +417,21 @@ def test_complex_overflow_is_a_parse_error(tmp_path, capsys):
     assert "bad complex scalar '1e400'" in err
 
 
+def test_complex_overflow_in_a_check_is_a_usage_error(tmp_path, capsys):
+    # every coefficient of the diamond at 1e200: B([x,y],z) overflows to inf and
+    # inf - inf to nan, which decides no check (exit 2, not 9 failed checks)
+    f = tmp_path / "g4big.alg"
+    f.write_text(
+        "algebra g4big\nbackend complex\ndim_even 4\ndim_odd 0\nbasis X P Q Z\n"
+        "bracket X P = 1e200 P\nbracket X Q = -1e200 Q\nbracket P Q = 1e200 Z\n"
+        "form X Z = 1e200\nform P Q = 1e200\n"
+    )
+    for command in ("verify", "extend tstar"):
+        code, out, err = run(capsys, "--no-timestamp", *command.split(), str(f))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: complex arithmetic overflowed to nan")
+
+
 def test_huge_exact_coefficient_is_a_failed_check(tmp_path, capsys):
     # 1e400 does not fit a double: the worst residual is picked exactly, so the
     # failed Jacobi check is reported (exit 1), not a traceback
@@ -531,6 +546,8 @@ def test_valid_auxiliary_files_are_accepted(capsys, aux_dir, command, text):
         (2, "theta X Y = 1 Z\ntheta Y Z = abc X\n", "error: line 2: bad exact scalar 'abc'"),
         (2, "theta X W = 1 Z\n", "error: line 1: unknown basis label 'W'"),
         (3, "phi X X = 1/0 X\n", "error: line 1: bad exact scalar '1/0'"),
+        (2, "theta X Y = 1 Z\ntheta Y X = 1 Z\n", "error: line 2: both orientations of the pair (Y,X) given (first at line 1)"),
+        (3, "phi X Y = 1 Y\nphi Y X = 1 Y\n", "error: line 2: both orientations of the pair (Y,X) given (first at line 1)"),
         (4, "psi A F2 = 1 F1\npsi NOPE F1 = 1 F1\n", "error: unknown generator label 'NOPE' in psi file"),
         (4, "psi A F3 = 1 F1\n", "error: line 1: unknown basis label 'F3'"),
         (4, "psi A F2 = 1 F1\npsi A F2 = 1 F1\n", "error: line 2: psi A F2 given twice (first at line 1)"),

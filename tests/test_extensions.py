@@ -235,6 +235,14 @@ def sde_nilpotent():
     return super_double_extension(g1, Representation.build(g1, h, [psi]))
 
 
+def test_symplectic_space_rejects_both_orientations():
+    # the mirror of (F,G) is fixed by antisymmetry; giving it too used to keep
+    # the last value silently
+    with pytest.raises(ExtensionError, match=r"symplectic pair \(G,F\) specified twice"):
+        SymplecticSpace.build(EXACT, ["F", "G"], {("F", "G"): 1, ("G", "F"): 2})
+    assert SymplecticSpace.build(EXACT, ["F", "G"], {("G", "F"): 2}).gram.entries == ((0, -2), (2, 0))
+
+
 def test_sde_nilpotent_matches_gs4_1():
     q = sde_nilpotent()
     tgt = catalog.build("gs4_1")

@@ -107,6 +107,23 @@ def test_tstar_heisenberg_witness_value():
     assert q.form.value(wv, wv) == EXACT.coerce(-2)
 
 
+def test_gram_rank_is_computed_once_per_form(monkeypatch):
+    # verify_form, orthogonal_complement and the central-witness test each ask
+    # whether the form is non-degenerate; its Gram matrix is ranked only once
+    import liequad.core as core
+
+    ranked = []
+    rank = core.rank
+    monkeypatch.setattr(core, "rank", lambda m: ranked.append(m) or rank(m))
+    h3 = catalog.base("g3_1")
+    th = Cocycle2.build(h3, {("X", "Y"): {"Z": 1}, ("Y", "Z"): {"X": 1}, ("Z", "X"): {"Y": 1}})
+    q = t_star_extension(h3, th)
+    assert core.verify_form(q.algebra, q.form).ok
+    core.orthogonal_complement(q, center(q.algebra))
+    assert decomposability_via_center(q) is not None
+    assert sum(m is q.form.gram for m in ranked) == 1
+
+
 def test_verify_decomposition_trivial_split():
     g4 = catalog.build("g4")
     whole = Subspace.full(EXACT, 4)

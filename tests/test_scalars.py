@@ -11,6 +11,7 @@ import liequad
 from liequad.scalars import (
     EXACT,
     Exact,
+    ScalarOverflow,
     ScalarParseError,
     complex_backend,
     parse_complex,
@@ -218,3 +219,15 @@ def test_every_division_is_on_the_allowlist():
     for path in sorted(pathlib.Path(liequad.__file__).parent.glob("*.py")):
         found += divisions(path)
     assert {site: n for site, n in found.items() if n > DIVISIONS_ALLOWED.get(site, 0)} == {}
+
+
+@pytest.mark.parametrize("x", [complex("inf"), complex("nan"), complex(1e200) * 1e200 - complex(1e200) * 1e200, complex(1.5e308, 1.5e308)])
+def test_complex_non_finite_value_is_an_overflow_not_a_verdict(x):
+    # inf, nan and a modulus beyond the double range are neither zero nor a
+    # nonzero residual: the zero test and the pivot weight raise
+    bk = complex_backend()
+    with pytest.raises(ScalarOverflow):
+        bk.is_zero(x)
+    with pytest.raises(ScalarOverflow):
+        bk.pivot_weight(x)
+    assert bk.is_zero(complex(1e-10)) and not bk.is_zero(complex(1e300))
