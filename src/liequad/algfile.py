@@ -12,8 +12,8 @@ Algebra files:
     bracket <a> <b> = <coeff> <label> [+ <coeff> <label> ...]
     form <a> <b> = <coeff>
 
-Unspecified brackets and form entries are zero, and only one orientation of
-each unordered pair may appear (the other is forced by graded antisymmetry or
+Unspecified brackets and form entries are zero, and each unordered pair may
+appear once, in one orientation (the other is forced by graded antisymmetry or
 supersymmetry).  A nonzero coefficient on a label of the wrong parity is
 rejected by LieSuperalgebra.build; a zero one is dropped.  A ParseError names
 the line of the offending entry, also for the checks of the core builders.
@@ -82,6 +82,18 @@ def _tokenize_terms(tokens, line_no, known, what):
     return terms
 
 
+def _reject_repeat(table, key, a, b, line_no, what, fixer) -> None:
+    """Reject (a, b) if table, keyed (a, b) -> (line, value), holds it in either orientation."""
+    if (a, b) in table:
+        raise ParseError(f"{key} {a} {b} given twice (first at line {table[a, b][0]})", line_no)
+    if (b, a) in table:
+        raise ParseError(
+            f"both orientations of the {what} ({a},{b}) given "
+            f"(first at line {table[b, a][0]}); {fixer} fixes the reverse",
+            line_no,
+        )
+
+
 def parse(text: str, tol: float = None) -> AlgebraFile:
     name = None
     backend = None
@@ -90,8 +102,6 @@ def parse(text: str, tol: float = None) -> AlgebraFile:
     params: Dict[str, str] = {}
     brackets = {}
     form_entries = {}
-    seen_pairs = {}
-    seen_form = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -130,14 +140,7 @@ def parse(text: str, tol: float = None) -> AlgebraFile:
             for l in (a, b):
                 if l not in basis:
                     raise ParseError(f"unknown basis label {l!r}", line_no)
-            pair = frozenset((a, b)) if a != b else frozenset((a,))
-            if pair in seen_pairs:
-                raise ParseError(
-                    f"both orientations of the pair ({a},{b}) given "
-                    f"(first at line {seen_pairs[pair]}); graded antisymmetry fixes the reverse",
-                    line_no,
-                )
-            seen_pairs[pair] = line_no
+            _reject_repeat(brackets, key, a, b, line_no, "pair", "graded antisymmetry")
             brackets[(a, b)] = (line_no, _tokenize_terms(tokens[4:], line_no, set(basis), "bracket"))
         elif key == "form":
             _need_header(basis, dim_even, dim_odd, line_no)
@@ -147,14 +150,7 @@ def parse(text: str, tol: float = None) -> AlgebraFile:
             for l in (a, b):
                 if l not in basis:
                     raise ParseError(f"unknown basis label {l!r}", line_no)
-            pair = frozenset((a, b)) if a != b else frozenset((a,))
-            if pair in seen_form:
-                raise ParseError(
-                    f"both orientations of the form pair ({a},{b}) given "
-                    f"(first at line {seen_form[pair]}); supersymmetry fixes the reverse",
-                    line_no,
-                )
-            seen_form[pair] = line_no
+            _reject_repeat(form_entries, key, a, b, line_no, "form pair", "supersymmetry")
             form_entries[(a, b)] = (line_no, tokens[4])
         else:
             raise ParseError(f"unknown directive {key!r}", line_no)

@@ -28,6 +28,7 @@ from .linalg import (
     _dense_row,
     _nullspace_rows,
     _span_rows,
+    _sparse_row,
     dot,
     nullspace,
     rank,
@@ -143,9 +144,7 @@ class LieSuperalgebra:
             wrong = _parity_violations(space, backend, i, j, pairs)
             if wrong:
                 raise StructureError(wrong[0])
-            if table[i][j] is not None:
-                raise StructureError(f"bracket [{la},{lb}] given twice")
-            if table[j][i] is not None and i != j:
+            if table[i][j] is not None:  # set as the counterpart of (lb, la)
                 raise StructureError(
                     f"both orientations of the pair ({la},{lb}) specified; "
                     "graded antisymmetry fixes the second one"
@@ -299,10 +298,8 @@ class BilinearForm:
                 raise StructureError(
                     f"form entry ({la},{lb}) violates the {parity} parity pattern"
                 )
-            if (j, i) in seen and (i, j) not in seen:
+            if (j, i) in seen:
                 raise StructureError(f"both orientations of form pair ({la},{lb}) specified")
-            if (i, j) in seen:
-                raise StructureError(f"form entry ({la},{lb}) given twice")
             seen.add((i, j))
             sign = _graded_sign(space, i, j)
             g[i][j] = x
@@ -624,15 +621,15 @@ def orthogonal_complement(q: QuadraticAlgebra, s: Subspace) -> Subspace:
 
 
 def is_ideal(alg: LieSuperalgebra, s: Subspace) -> bool:
-    """[e_i, b] lies in s for every basis vector e_i and every b in the basis of s."""
+    """[e_i, b] lies in s for every basis vector e_i and every b in the basis of
+    s: one elimination finds that the brackets add nothing to the span of s."""
     bk, n = alg.backend, alg.dim
+    rows = [_sparse_row(b) for b in s.basis]
     for b in s.basis:
         coeffs = [(j, x) for j, x in enumerate(b) if not bk.is_zero(x)]
         for i in range(n):
-            v = _combine(coeffs, alg._nz[i])
-            if not s.contains(tuple(v.get(k, bk.zero) for k in range(n))):
-                return False
-    return True
+            rows.append({k: x for k, x in _combine(coeffs, alg._nz[i]).items() if x})
+    return _span_rows(bk, rows, n).dim == s.dim
 
 
 def is_nondegenerate_on(form: BilinearForm, s: Subspace) -> bool:

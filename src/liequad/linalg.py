@@ -7,8 +7,8 @@ nonzeros per row.  The exact backend pivots on the candidate row with the
 fewest nonzeros (Markowitz's rule) to limit fill-in; the reduced form is
 unique, so results do not depend on the choice.  The float backend keeps
 largest-magnitude pivoting for stability, with the row order of dense
-elimination.  Subspaces are kept as reduced-row-echelon bases so equality is
-literal tuple equality.
+elimination.  Subspaces are kept as reduced-row-echelon bases; `contains` is
+the span-dimension test, and `intersect` is Zassenhaus's algorithm.
 """
 
 from __future__ import annotations
@@ -219,19 +219,10 @@ def _dense_row(backend, row: dict, ncols: int) -> Vector:
     return tuple(out)
 
 
-def _rref_rows(backend, rows: list) -> tuple:
-    """Dense reduced row echelon form, in place; returns the pivot column tuple."""
-    ncols = len(rows[0]) if rows else 0
-    pivots, reduced, rest = _rref_sparse(backend, [_sparse_row(r) for r in rows], ncols)
-    rows[:] = [_dense_row(backend, r, ncols) for r in reduced + rest]
-    return pivots
-
-
 def rref(m: Matrix):
     """Reduced row echelon form; returns (Matrix, pivot column indices)."""
-    rows = list(m.entries)
-    pivots = _rref_rows(m.backend, rows)
-    return Matrix(m.backend, tuple(rows)), pivots
+    pivots, reduced, rest = _rref_sparse(m.backend, [_sparse_row(r) for r in m.entries], m.cols)
+    return Matrix(m.backend, tuple(_dense_row(m.backend, r, m.cols) for r in reduced + rest)), pivots
 
 
 def rank(m: Matrix) -> int:
@@ -330,42 +321,25 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, v: Sequence) -> bool:
+        """True when adding v leaves the dimension of the span unchanged."""
         v = vec(self.backend, v)
-        r = self.reduce(v)
-        return vec_is_zero(self.backend, r)
-
-    def reduce(self, v: Vector) -> Vector:
-        """Remainder of v after elimination against the echelon basis."""
-        bk = self.backend
-        v = list(v)
-        for row in self.basis:
-            lead = next(i for i, x in enumerate(row) if not bk.is_zero(x))
-            if not bk.is_zero(v[lead]):
-                f = bk.div(v[lead], row[lead])
-                v = [a - f * b for a, b in zip(v, row)]
-        return tuple(v)
+        if len(v) != self.ambient_dim:
+            raise ValueError("vector length does not match ambient dimension")
+        rows = [_sparse_row(r) for r in self.basis + (v,)]
+        return _span_rows(self.backend, rows, self.ambient_dim).dim == self.dim
 
     def sum_with(self, other: "Subspace") -> "Subspace":
         return Subspace.span(self.backend, list(self.basis) + list(other.basis), self.ambient_dim)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus-style intersection via the kernel of [U^T | -V^T]."""
-        bk = self.backend
-        if not self.basis or not other.basis:
-            return Subspace.zero(bk, self.ambient_dim)
-        cols = list(self.basis) + [vec_scale(-(bk.one), r) for r in other.basis]
-        m = Matrix(bk, tuple(tuple(c[i] for c in cols) for i in range(self.ambient_dim)))
-        vecs = []
-        for k in nullspace(m):
-            coeffs = k[: self.dim]
-            w = zero_vec(bk, self.ambient_dim)
-            for c, row in zip(coeffs, self.basis):
-                w = vec_add(w, vec_scale(c, row))
-            vecs.append(w)
-        return Subspace.span(bk, vecs, self.ambient_dim)
-
-    def __le__(self, other: "Subspace") -> bool:
-        return all(other.contains(v) for v in self.basis)
+        """Zassenhaus: the reduced rows of (u | u), u in self, and (w | 0), w in
+        other, whose pivot lies in the second half span the intersection there."""
+        n = self.ambient_dim
+        rows = [{**r, **{n + j: x for j, x in r.items()}} for r in map(_sparse_row, self.basis)]
+        rows += [_sparse_row(w) for w in other.basis]
+        pivots, reduced, _ = _rref_sparse(self.backend, rows, 2 * n)
+        meet = [{j - n: x for j, x in r.items() if j >= n} for c, r in zip(pivots, reduced) if c >= n]
+        return _span_rows(self.backend, meet, n)
 
 
 def matrix_span(backend, matrices, shape) -> list:

@@ -63,6 +63,24 @@ bracket X P = 1 P
     assert err.value.line == 7
 
 
+@pytest.mark.parametrize(
+    "first, again, message",
+    [
+        ("bracket F F = 1 X", "bracket F F = 1 X", "bracket F F given twice (first at line 5)"),
+        ("form X X = 1", "form X X = 1", "form X X given twice (first at line 5)"),
+        ("bracket X Y = 1 Y", "bracket X Y = 1 Y", "bracket X Y given twice (first at line 5)"),
+        ("form X Y = 1", "form Y X = 1", "both orientations of the form pair (Y,X) given (first at line 5); supersymmetry fixes the reverse"),
+    ],
+)
+def test_a_pair_is_given_once(first, again, message):
+    # a line repeated as written is a repeat, not the reverse orientation
+    text = f"algebra bad\ndim_even 2\ndim_odd 1\nbasis X Y F\n{first}\n{again}\n"
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == f"line 6: {message}"
+    assert err.value.line == 6
+
+
 def test_unknown_label_rejected():
     text = """
 algebra bad

@@ -18,6 +18,13 @@ def test_catalog_has_at_least_25_entries():
     assert len(catalog.entries()) >= 25
 
 
+@pytest.mark.parametrize("entry", [e for e in catalog.entries() if e.id != "g2n2"], ids=lambda e: e.id)
+def test_listed_dims_are_those_of_the_default_build(entry):
+    # `catalog list` prints the hand-written dims; g2n2's (-1, 0) stands for n
+    space = catalog.build(entry.id).algebra.space
+    assert entry.dims == (space.dim_even, space.dim_odd)
+
+
 def test_unknown_entry():
     with pytest.raises(UnknownEntry):
         catalog.build("nope")

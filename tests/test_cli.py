@@ -213,6 +213,84 @@ def test_extend_tsstar(tmp_path, capsys):
     assert "bracket Y Y* = 1 X*" in out
 
 
+H3 = "algebra h3\ndim_even 3\ndim_odd 0\nbasis X Y Z\nbracket X Y = 1 Z\n"
+
+
+def test_extend_double_matches_double1d(tmp_path, capsys):
+    # a1 acting on g4 by ad X is the one-dimensional double extension by ad X
+    base = tmp_path / "a1.alg"
+    base.write_text("algebra a1\ndim_even 1\ndim_odd 0\nbasis A\n")
+    psi = tmp_path / "psi.map"
+    psi.write_text("psi A P = 1 P\npsi A Q = -1 Q\n")
+    code, out, _ = run(capsys, "extend", "double", str(base), G4, "--psi", str(psi))
+    assert code == 0
+    assert out.startswith("algebra a1_double\n")
+    assert "basis A X P Q Z A*\n" in out and "bracket P Q = 1 Z + 1 A*\n" in out
+    mapfile = tmp_path / "adx.map"
+    mapfile.write_text("map P = 1 P\nmap Q = -1 Q\n")
+    code, ref, _ = run(capsys, "extend", "double1d", G4, "--map", str(mapfile), "--labels", "A", "A*")
+    assert code == 0
+    assert out.split("\n", 1)[1] == ref.split("\n", 1)[1]
+
+
+def test_extend_superdouble_with_cocycle(tmp_path, capsys):
+    for name, text in {
+        "h3.alg": H3,
+        "h.alg": "algebra h\ndim_even 0\ndim_odd 2\nbasis F1 F2\nform F1 F2 = 1\n",
+        "psi.map": "psi X F2 = 1 F1\n",
+        "theta.map": "theta X Y = 1 Z\ntheta Y Z = 1 X\ntheta Z X = 1 Y\n",
+    }.items():
+        (tmp_path / name).write_text(text)
+    p = {name: str(tmp_path / name) for name in ("h3.alg", "h.alg", "psi.map", "theta.map")}
+    argv = ["extend", "superdouble", p["h3.alg"], p["h.alg"], "--psi", p["psi.map"]]
+    code, out, _ = run(capsys, *argv, "--cocycle", p["theta.map"])
+    assert code == 0
+    # theta twists the even-even bracket; the odd part and the form are kept
+    assert "bracket X Y = 1 Z + 1 Z*\n" in out and "bracket Y Z = 1 X*\n" in out
+    assert "bracket F2 F2 = 1 X*\n" in out and "form F1 F2 = 1\n" in out
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0 and "bracket X Y = 1 Z\n" in plain
+    (tmp_path / "out.alg").write_text(out)
+    assert run(capsys, "--no-timestamp", "verify", str(tmp_path / "out.alg"))[0] == 0
+
+
+def test_decompose_json_witness(capsys):
+    code, out, _ = run(capsys, "--no-timestamp", "--format", "json", "decompose", str(data_file("tstar_h3.alg")))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["witness"] == {"core": ["Z - Z*"], "complement_dim": 5, "center": ["Z - Z*", "X*", "Y*"]}
+    assert payload["ok"] is True
+    assert [c["check"] for c in payload["checks"]] == [
+        "ideal(s1)", "ideal(s2)", "orthogonality", "non-degeneracy(s1)", "non-degeneracy(s2)", "spanning",
+    ]
+
+
+def test_check_iso_without_forms_checks_the_algebras(tmp_path, capsys):
+    h3 = tmp_path / "h3.alg"
+    h3.write_text(H3)
+    ident, swap = tmp_path / "ident.map", tmp_path / "swap.map"
+    ident.write_text("map X = 1 X\nmap Y = 1 Y\nmap Z = 1 Z\n")
+    swap.write_text("map X = 1 Y\nmap Y = 1 X\nmap Z = 1 Z\n")  # [X,Y] = Z goes to -Z
+    code, out, _ = run(capsys, "--no-timestamp", "check-iso", str(h3), str(h3), str(ident))
+    assert (code, out) == (0, "PASS  homomorphism  [compatibility A[x,y] = [Ax,Ay]]\n"
+                               "PASS  invertibility  [bijectivity of the map]\n# all checks passed\n")
+    code, out, _ = run(capsys, "--no-timestamp", "--format", "json", "check-iso", str(h3), str(h3), str(swap))
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert [(c["check"], c["status"], c["residual"]) for c in checks] == [
+        ("homomorphism(X,Y)", "fail", "2"),
+        ("invertibility", "pass", None),
+    ]
+
+
+def test_repeated_bracket_line_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.alg"
+    bad.write_text("algebra bad\ndim_even 1\ndim_odd 1\nbasis X F\nbracket F F = 1 X\nbracket F F = 1 X\n")
+    code, out, err = run(capsys, "verify", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 6: bracket F F given twice (first at line 5)")
+
+
 def test_verify_json_payload(capsys):
     code, out, _ = run(
         capsys, "--format", "json", "--no-timestamp", "verify", str(data_file("g5.alg"))
@@ -364,6 +442,7 @@ def test_report_all_deterministic(capsys):
 
 
 REPORT_SHA256 = "f96918a7de8214eb30824a45f20faca1261ecc48675b3a6cb6c3e13e7ae1b352"
+REPORT_TEXT_SHA256 = "3d3d4ca08a30c5eb5a0d6011f083217fb2a57325daa56bf2012f3bb3ea4ca804"
 
 
 def test_report_all_output_is_pinned(capsys):
@@ -374,6 +453,12 @@ def test_report_all_output_is_pinned(capsys):
     checks = json.loads(out)["checks"]
     assert len(checks) == 608 and all(c["status"] == "pass" for c in checks)
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256
+
+
+def test_report_all_text_output_is_pinned(capsys):
+    code, out, _ = run(capsys, "--no-timestamp", "report", "--all")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_TEXT_SHA256
 
 
 def test_tol_flag_controls_zero_threshold(tmp_path, capsys):

@@ -25,7 +25,7 @@ from liequad.core import (
     verify_form,
     verify_jacobi,
 )
-from liequad.linalg import Subspace
+from liequad.linalg import Matrix, Subspace
 from liequad.scalars import EXACT, BackendMismatch, Exact, complex_backend
 
 
@@ -112,6 +112,30 @@ def test_scaled_form_fails_invariance():
     bad = [c for c in rep.failures if c.name.startswith("invariance")]
     assert bad and any(c.name == "invariance(X,P,Q)" for c in bad)
     assert any(c.residual == "1" for c in bad if c.name == "invariance(X,P,Q)")
+
+
+def form_failures(gram):
+    """(name, residual) of the failing supersymmetry and parity-pattern checks
+    of an even form with the given Gram matrix on span{X, Y | F}."""
+    alg = LieSuperalgebra.abelian(["X", "Y"], ["F"])
+    form = BilinearForm(alg.space, EXACT, "even", Matrix.from_rows(EXACT, gram))
+    return [(c.name, c.residual) for c in verify_form(alg, form).failures if c.name != "non-degeneracy"]
+
+
+def test_asymmetric_gram_fails_supersymmetry():
+    # B(Y,X) - B(X,Y) = 3 - 1, and B(F,F) must be antisymmetric on the odd part
+    assert form_failures([[1, 1, 0], [3, 1, 0], [0, 0, 5]]) == [
+        ("supersymmetry(X,Y)", "2"),
+        ("supersymmetry(F,F)", "10"),
+    ]
+
+
+def test_mixed_entry_of_an_even_form_fails_the_parity_pattern():
+    # supersymmetric, but B(X,F) = B(F,X) = 1/2 lies in the odd block
+    assert form_failures([[1, 0, Fraction(1, 2)], [0, 1, 0], [Fraction(1, 2), 0, 0]]) == [
+        ("parity-pattern(X,F)", "1/2"),
+        ("parity-pattern(F,X)", "1/2"),
+    ]
 
 
 def axiom_failures_from_definitions(alg, form):
@@ -337,6 +361,17 @@ def test_double_orientation_rejected():
             ["X", "P", "Z"],
             brackets={("X", "P"): {"P": 1}, ("P", "X"): {"P": 1}},
         )
+
+
+def test_reversed_bracket_pair_names_both_orientations():
+    with pytest.raises(StructureError, match=r"both orientations of the pair \(Y,X\) specified"):
+        LieSuperalgebra.build(["X", "Y"], [], {("X", "Y"): {"Y": 1}, ("Y", "X"): {"Y": -1}})
+
+
+def test_reversed_form_pair_names_both_orientations():
+    space = SuperSpace.make(["X", "Y"])
+    with pytest.raises(StructureError, match=r"both orientations of form pair \(Y,X\) specified"):
+        BilinearForm.build(space, {("X", "Y"): 1, ("Y", "X"): 1})
 
 
 def test_odd_square_bracket_allowed():

@@ -328,6 +328,52 @@ def test_complex_span_drops_pivot_row_below_tolerance():
     assert got.basis == want
 
 
+def in_span(basis, v):
+    """Whether v is a combination of the basis rows: A x = v is consistent for
+    the matrix A whose columns are the rows."""
+    if not basis:
+        return vec_is_zero(EXACT, vec(EXACT, v))
+    return solve_linear(Matrix(EXACT, tuple(zip(*basis))), v) is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=sparse_matrices(exact_entry), data=st.data())
+def test_contains_and_intersect_match_definitions(rows, data):
+    n = len(rows[0])
+    u = Subspace.span(EXACT, rows, n)
+    more = [[data.draw(exact_entry) for _ in range(n)] for _ in range(data.draw(st.integers(0, 4)))]
+    w = Subspace.span(EXACT, more + rows[: data.draw(st.integers(0, len(rows)))], n)
+    for v in more + [[data.draw(exact_entry) for _ in range(n)]]:
+        assert u.contains(v) == in_span(u.basis, vec(EXACT, v))
+    meet = u.intersect(w)
+    assert meet.dim == u.dim + w.dim - u.sum_with(w).dim
+    assert all(in_span(u.basis, b) and in_span(w.basis, b) for b in meet.basis)
+    assert meet == w.intersect(u)
+
+
+def test_contains_rejects_a_vector_of_the_wrong_length():
+    with pytest.raises(ValueError, match="ambient dimension"):
+        Subspace.span(EXACT, [[1, 0, 0]], 3).contains([1, 0])
+
+
+def test_complex_subspace_equality_is_mutual_containment():
+    # the echelon bases differ in an entry below the tolerance
+    a, b = Subspace.span(CB, [(1, 1e-12)], 2), Subspace.span(CB, [(1, 0)], 2)
+    assert a.basis != b.basis
+    assert a == b
+    assert a != Subspace.span(CB, [(1, 1e-6)], 2)
+
+
+def test_complex_contains_agrees_with_span():
+    # v differs from 100 (1, 1) by 2e-8, above the tolerance in absolute terms
+    # but 2e-10 relative to v; span pivots on v and leaves a remainder below
+    # the tolerance, so v adds no dimension and contains says so
+    u, v = Subspace.span(CB, [(1, 1)], 2), (100, 100 + 2e-8)
+    assert Subspace.span(CB, [*u.basis, v], 2).dim == 1
+    assert u.contains(v)
+    assert not u.contains((100, 100 + 2e-6))
+
+
 # -- no float leaks out of exact linear algebra ------------------------------------
 
 
@@ -360,7 +406,7 @@ def test_exact_results_hold_no_float(rows, data):
     s = Subspace.span(EXACT, a.entries, a.cols)
     v = vec(EXACT, [data.draw(exact_entry) for _ in range(a.cols)])
     s.contains(v)
-    assert_no_float(red, nullspace(a), x or (), s, s.reduce(v))
+    assert_no_float(red, nullspace(a), x or (), s, s.intersect(Subspace.span(EXACT, [v, *red.entries], a.cols)))
     n = data.draw(st.integers(1, 4))
     square = M([[data.draw(exact_entry) for _ in range(n)] for _ in range(n)])
     assert_no_float(minimal_polynomial(square))

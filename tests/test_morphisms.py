@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liequad import catalog
-from liequad.core import LieSuperalgebra, StructureError, center, derived_subalgebra
+from liequad.core import BilinearForm, LieSuperalgebra, QuadraticAlgebra, StructureError, center, derived_subalgebra
 from liequad.derivations import derivation_space
-from liequad.extensions import Cocycle2, double_extension_1d, t_star_extension
+from liequad.extensions import Cocycle2, direct_sum, double_extension_1d, t_star_extension
 from liequad.linalg import Matrix, Subspace
 from liequad.morphisms import (
     GradedLinearMap,
@@ -94,6 +94,17 @@ def test_inner_extension_witness():
     u = [EXACT.coerce(v) for v in (-1, 1, -2, -1, 0, 0)]
     assert w.center.contains(u)
     assert w.center.contains(ext.algebra.space.basis_vector(EXACT, "f"))
+
+
+def test_odd_symplectic_pair_is_a_central_witness():
+    # the even center span{Z} of g4 + an abelian odd plane is isotropic, so
+    # the witness is the odd pair F, G with B(F,G) = 1
+    plane = LieSuperalgebra.abelian([], ["F", "G"])
+    q = direct_sum(catalog.build("g4"), QuadraticAlgebra.build(plane, BilinearForm.build(plane.space, {("F", "G"): 1})))
+    w = decomposability_via_center(q)
+    assert w is not None and w.report.ok
+    assert [q.algebra.format_vector(v) for v in w.core.basis] == ["F", "G"]
+    assert [q.algebra.format_vector(v) for v in w.complement.basis] == ["X", "P", "Q", "Z"]
 
 
 def test_tstar_heisenberg_witness_value():
