@@ -25,9 +25,7 @@ from .derivations import DerivationSpace, derivation_space, is_inner, skew_deriv
 from .extensions import (
     Cocycle2,
     ExtensionError,
-    Representation,
     SymPairing,
-    SymplecticSpace,
     direct_sum,
     double_extension_1d,
     double_extension_general,

@@ -35,11 +35,13 @@ from .core import (
 )
 from .morphisms import _central_witness, _series_fingerprint
 from .report import Report
-from .scalars import EXACT
+from .scalars import EXACT, ScalarParseError
 
 
 class UnknownEntry(KeyError):
-    pass
+    def __str__(self) -> str:
+        # KeyError would quote the message
+        return self.args[0]
 
 
 class InadmissibleParameter(ValueError):
@@ -141,7 +143,7 @@ def base(id: str, backend=EXACT, **params) -> LieSuperalgebra:
             brackets={("X", "Y"): {"Y": 1}, ("X", "Z"): {"Z": mu}},
             backend=bk,
         )
-    raise UnknownEntry(id)
+    raise UnknownEntry(f"unknown base algebra {id!r}")
 
 
 # -- builders ------------------------------------------------------------------------
@@ -954,7 +956,7 @@ def get(id: str) -> CatalogEntry:
     try:
         return _BY_ID[id]
     except KeyError:
-        raise UnknownEntry(id) from None
+        raise UnknownEntry(f"unknown catalog entry {id!r}") from None
 
 
 def build(id: str, backend=EXACT, **params) -> QuadraticAlgebra:
@@ -965,7 +967,10 @@ def build(id: str, backend=EXACT, **params) -> QuadraticAlgebra:
         spec = next((s for s in entry.params if s.name == name), None)
         if spec is None:
             raise InadmissibleParameter(f"{id} takes no parameter {name!r}")
-        coerced[name] = int(value) if spec.kind == "int" else bk.coerce(value)
+        try:
+            coerced[name] = int(value) if spec.kind == "int" else bk.coerce(value)
+        except ValueError:
+            raise ScalarParseError(f"{id}: bad value {value!r} for parameter {name}") from None
     for spec in entry.params:
         if spec.admissible is not None and not spec.admissible(bk, coerced[spec.name]):
             raise InadmissibleParameter(f"{id}: parameter {spec.name}={coerced[spec.name]} not admissible")
@@ -1050,6 +1055,8 @@ def verify_entry(entry: CatalogEntry, params: Mapping, backend=EXACT) -> Report:
 
 
 def verify_all(backend=EXACT, only: Optional[str] = None) -> Report:
+    if only is not None:
+        get(only)
     rep = Report()
     for entry in _ENTRIES:
         if only is not None and entry.id != only:

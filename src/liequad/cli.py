@@ -43,9 +43,7 @@ from .core import (
 from .derivations import derivation_space, skew_derivation_family_g2n2
 from .extensions import (
     Cocycle2,
-    Representation,
     SymPairing,
-    SymplecticSpace,
     direct_sum,
     double_extension_1d,
     double_extension_general,
@@ -61,15 +59,18 @@ from .morphisms import (
     verify_isomorphism,
 )
 from .report import Report
-from .scalars import DEFAULT_TOL, ScalarOverflow
+from .scalars import DEFAULT_TOL, ScalarOverflow, ScalarParseError
 
 VERSION = "0.1.0"
 FORMATS = ("text", "json")
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 def _load(path: str, tol: float) -> AlgebraFile:
@@ -216,18 +217,14 @@ def cmd_extend(args) -> int:
         out = double_extension_general(af.algebra, core, psi)
         result, form = out.algebra, out.form
     elif kind == "superdouble":
-        odd_af = _load(args.odd, args.tol)
-        if odd_af.algebra.space.dim_even != 0 or odd_af.form is None:
-            raise ParseError("superdouble needs a purely odd core file with form lines")
-        target = SymplecticSpace(odd_af.algebra.labels, odd_af.form.gram)
-        mf = parse_mapfile(_read(args.psi), odd_af.algebra.labels)
-        psi = _psi_action(af.algebra, odd_af.algebra.space, bk, mf)
-        rep_obj = Representation.build(af.algebra, target, psi)
+        core = _require_form(_load(args.odd, args.tol), "superdouble")
+        mf = parse_mapfile(_read(args.psi), core.algebra.labels)
+        psi = _psi_action(af.algebra, core.space, bk, mf)
         theta = None
         if args.cocycle:
             tmf = parse_mapfile(_read(args.cocycle), af.algebra.labels)
             theta = _cocycle_from_file(af, tmf)
-        out = super_double_extension(af.algebra, rep_obj, theta)
+        out = super_double_extension(af.algebra, core, psi, theta)
         result, form = _unpack(out)
     else:  # pragma: no cover - argparse restricts choices
         raise ParseError(f"unknown constructor {kind}")
@@ -297,6 +294,9 @@ def cmd_catalog(args) -> int:
             print(f"{e.id:<8} dim {dims:<5} {e.form_parity:<5}{params:<12} {e.description}")
         return 0
     if args.catalog_cmd == "emit":
+        bad = [kv for kv in args.param if "=" not in kv]
+        if bad:
+            raise ParseError(f"--param {bad[0]!r} is not of the form K=V")
         params = dict(kv.split("=", 1) for kv in args.param)
         q = catalog.build(args.id, **params)
         name = args.id + ("" if not params else "_" + "_".join(f"{k}{v}" for k, v in sorted(params.items())))
@@ -540,7 +540,7 @@ def main(argv=None) -> int:
     _fill_from_env(_parser, args)
     try:
         return args.fn(args)
-    except (ParseError, FileNotFoundError, ScalarOverflow) as exc:
+    except (ParseError, ScalarParseError, ScalarOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (StructureError, catalog.InadmissibleParameter, catalog.UnknownEntry) as exc:

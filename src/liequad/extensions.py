@@ -15,12 +15,14 @@ Every constructor except the direct sum builds g + h + g* through one routine,
 
 The T*-extension is this double extension with h = 0, the one-dimensional
 double extension has g = span{e} with dual label f, and the super double
-extension is the double extension by an odd symplectic space h (an abelian
-odd core).  The odd T*-extension makes g* odd, so g* leads the odd block, and
-brackets g* x g* into g by a symmetric pairing phi.
+extension is the double extension by a purely odd quadratic core h: an
+ordinary `QuadraticAlgebra` whose basis is all odd, so that h is abelian and
+B_h is a symplectic form.  Both check their action psi in one place,
+`_check_action`.  The odd T*-extension makes g* odd, so g* leads the odd
+block, and brackets g* x g* into g by a symmetric pairing phi.
 
-Cocycles theta, pairings phi and representations psi are accepted only as
-explicit tensors/matrices and are validated eagerly: a constructor never
+Cocycles theta, pairings phi and actions psi are accepted only as explicit
+tensors/matrices and are validated eagerly: a constructor never
 returns something that fails its own axioms.  The only soft spot is the cyclic
 condition, whose failure downgrades the output to a bare Lie superalgebra with
 a warning instead of a quadratic one.
@@ -272,100 +274,29 @@ def sym_pairing_space(base: LieSuperalgebra, cyclic: bool = True) -> list:
     return out
 
 
-# -- symplectic representations ---------------------------------------------------
+# -- the action on the core -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymplecticSpace:
-    labels: Tuple[str, ...]
-    gram: Matrix  # antisymmetric, non-degenerate
-
-    @staticmethod
-    def canonical(backend, m: int, prefix: Tuple[str, str] = ("F", "G")) -> "SymplecticSpace":
-        """Canonical pairing B(F_i, G_i) = 1 on 2m basis vectors."""
-        labels = [f"{prefix[0]}{i}" for i in range(1, m + 1)] + [f"{prefix[1]}{i}" for i in range(1, m + 1)]
-        g = [[backend.zero] * (2 * m) for _ in range(2 * m)]
-        for i in range(m):
-            g[i][m + i] = backend.one
-            g[m + i][i] = -backend.one
-        return SymplecticSpace(tuple(labels), Matrix(backend, tuple(tuple(r) for r in g)))
-
-    @staticmethod
-    def build(backend, labels: Sequence[str], entries: Mapping[Tuple[str, str], object]) -> "SymplecticSpace":
-        n = len(labels)
-        idx = {l: i for i, l in enumerate(labels)}
-        g = [[backend.zero] * n for _ in range(n)]
-        seen = set()
-        for (la, lb), coeff in dict(entries).items():
-            i, j = idx[la], idx[lb]
-            x = backend.coerce(coeff)
-            if i == j and not backend.is_zero(x):
-                raise ExtensionError("a symplectic form vanishes on the diagonal")
-            if (j, i) in seen:
-                raise ExtensionError(f"symplectic pair ({la},{lb}) specified twice")
-            seen.add((i, j))
-            g[i][j] = x
-            g[j][i] = -x
-        return SymplecticSpace(tuple(labels), Matrix(backend, tuple(tuple(r) for r in g)))
-
-    @property
-    def dim(self) -> int:
-        return len(self.labels)
-
-    @property
-    def backend(self):
-        return self.gram.backend
-
-    def validate(self) -> None:
-        bk, n = self.backend, self.dim
-        g = self.gram.entries
-        for i in range(n):
-            for j in range(n):
-                if not bk.is_zero(g[i][j] + g[j][i]):
-                    raise ExtensionError("symplectic gram matrix must be antisymmetric")
-        from .linalg import rank
-
-        if rank(self.gram) != n:
-            raise ExtensionError("symplectic form must be non-degenerate")
+def _zero_core(bk) -> QuadraticAlgebra:
+    """The zero-dimensional quadratic algebra, the core of an extension without one."""
+    alg = LieSuperalgebra.abelian((), backend=bk)
+    return QuadraticAlgebra(alg, BilinearForm.build(alg.space, {}, "even", bk))
 
 
-@dataclass(frozen=True)
-class Representation:
-    """A homomorphism of an even Lie algebra into sp of a symplectic space."""
-
-    base: LieSuperalgebra
-    target: SymplecticSpace
-    psi: Tuple[Matrix, ...]  # one matrix per basis element of base
-
-    @staticmethod
-    def build(base: LieSuperalgebra, target: SymplecticSpace, psi: Sequence[Matrix]) -> "Representation":
-        _require_even(base, "a symplectic representation")
-        target.validate()
-        rep = Representation(base, target, tuple(psi))
-        rep.validate()
-        return rep
-
-    def validate(self) -> None:
-        if len(self.psi) != self.base.dim:
-            raise ExtensionError("psi needs one matrix per basis element")
-        _check_action(self.base, self.psi, self.target.gram)
-
-
-def _check_action(g: LieSuperalgebra, psi, gram: Matrix, core: Optional[LieSuperalgebra] = None) -> None:
-    """Raise unless each psi(e_i) is a derivation of the core that is skew for
-    gram and psi is a homomorphism of g.  Without a core, psi acts on a
-    symplectic space, where every matrix of the right shape is a derivation."""
-    bk, nh = g.backend, gram.rows
-    skew = _skew_rows(bk, gram)
+def _check_action(g: LieSuperalgebra, psi, core: QuadraticAlgebra) -> None:
+    """Raise unless psi has one matrix per generator of g, each psi(e_i) is a
+    derivation of the core that is skew for its form, and psi is a
+    homomorphism of g.  On an abelian core the Leibniz rows are empty, so
+    every matrix of the right shape is a derivation."""
+    bk, nh = g.backend, core.dim
+    if len(psi) != g.dim:
+        raise ExtensionError("psi needs one matrix per base generator")
+    skew = _skew_rows(bk, core.form.gram)
     for label, m in zip(g.labels, psi):
-        if core is None:
-            if m.rows != nh or m.cols != nh:
-                raise ExtensionError("psi matrix has the wrong shape")
-        elif not is_derivation(core, m):
+        if not is_derivation(core.algebra, m):
             raise ExtensionError(f"psi({label}) is not a derivation of the core")
         if not _vanishes(bk, skew, _flat(m)):
-            form = "symplectic form" if core is None else "core form"
-            raise ExtensionError(f"psi({label}) is not skew for the {form}")
+            raise ExtensionError(f"psi({label}) is not skew for the core form")
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
             want = Matrix.zeros(bk, nh, nh)
@@ -380,8 +311,7 @@ def _check_action(g: LieSuperalgebra, psi, gram: Matrix, core: Optional[LieSuper
 
 def _extend(
     g: LieSuperalgebra,
-    h: Optional[LieSuperalgebra] = None,
-    hgram: Optional[Matrix] = None,
+    core: Optional[QuadraticAlgebra] = None,
     psi: Sequence[Matrix] = (),
     theta: Optional[Cocycle2] = None,
     phi: Optional[SymPairing] = None,
@@ -393,7 +323,8 @@ def _extend(
     g* is odd exactly when the pairing phi is given.  If theta or phi is not
     cyclic, the bare algebra is returned with the warning."""
     bk, n = g.backend, g.dim
-    h = h if h is not None else LieSuperalgebra.abelian((), backend=bk)
+    core = core if core is not None else _zero_core(bk)
+    h, hgram = core.algebra, core.form.gram
     gl, hl = g.labels, h.labels
     dl = duals or tuple(star(l) for l in gl)
     br = {}  # one orientation per pair: {label: coefficient}, nonzero terms only
@@ -445,7 +376,7 @@ def double_extension_1d(q: QuadraticAlgebra, d: Matrix, ext_labels: Tuple[str, s
     le, lf = ext_labels
     if le in alg.labels or lf in alg.labels or le == lf:
         raise ExtensionError("extension labels collide with the base labels")
-    return _extend(LieSuperalgebra.abelian([le], backend=alg.backend), alg, form.gram, [d], duals=(lf,))
+    return _extend(LieSuperalgebra.abelian([le], backend=alg.backend), q, [d], duals=(lf,))
 
 
 def double_extension_general(galg: LieSuperalgebra, h: Optional[QuadraticAlgebra], psi: Sequence[Matrix]) -> QuadraticAlgebra:
@@ -453,16 +384,11 @@ def double_extension_general(galg: LieSuperalgebra, h: Optional[QuadraticAlgebra
     through skew derivations; h may be None for the plain coadjoint semidirect
     product on g + g*."""
     _require_even(galg, "the double extension")
-    if h is None:
-        core, gram = LieSuperalgebra.abelian((), backend=galg.backend), Matrix.zeros(galg.backend, 0, 0)
-    else:
-        _require_even(h.algebra, "the double extension core")
-        core, gram = h.algebra, h.form.gram
+    core = h if h is not None else _zero_core(galg.backend)
+    _require_even(core.algebra, "the double extension core")
     psi = tuple(psi)
-    if len(psi) != galg.dim:
-        raise ExtensionError("psi needs one matrix per base generator")
-    _check_action(galg, psi, gram, core)
-    return _extend(galg, core, gram, psi)
+    _check_action(galg, psi, core)
+    return _extend(galg, core, psi)
 
 
 def t_star_extension(galg: LieSuperalgebra, theta: Optional[Cocycle2] = None) -> Union[QuadraticAlgebra, LieSuperalgebra]:
@@ -478,26 +404,25 @@ def t_star_extension(galg: LieSuperalgebra, theta: Optional[Cocycle2] = None) ->
 
 def super_double_extension(
     galg: LieSuperalgebra,
-    rep: Representation,
+    h: QuadraticAlgebra,
+    psi: Sequence[Matrix],
     theta: Optional[Cocycle2] = None,
 ) -> Union[QuadraticAlgebra, LieSuperalgebra]:
-    """Quadratic superalgebra with even part g + g* and odd part the symplectic
-    space of the representation; the odd-odd bracket is the pairing
-    phi(F,G) = sum_k B_h(psi(e_k)F, G) e_k*, which is symmetric whenever psi is
-    skew.  An optional cyclic cocycle twists the even-even bracket."""
+    """Double extension of g by a purely odd quadratic core h: the even part is
+    g + g*, the odd part is h, and the odd-odd bracket is the pairing
+    phi(F,G) = sum_k B_h(psi(e_k)F, G) e_k*, which is symmetric whenever psi
+    is skew.  An optional cyclic cocycle twists the even-even bracket."""
     _require_even(galg, "the super double extension")
-    if rep.base != galg:
-        raise ExtensionError("the representation acts for a different base algebra")
+    if h.space.dim_even != 0:
+        raise ExtensionError("the super double extension needs a purely odd core")
     if theta is not None and theta.base != galg:
         raise ExtensionError("theta is a cocycle of a different algebra")
-    hsp = rep.target
-    if set(hsp.labels) & set(galg.labels + tuple(star(l) for l in galg.labels)):
-        raise ExtensionError("odd labels collide with the even labels")
+    psi = tuple(psi)
+    _check_action(galg, psi, h)
     return _extend(
         galg,
-        LieSuperalgebra.abelian((), hsp.labels, galg.backend),
-        hsp.gram,
-        rep.psi,
+        h,
+        psi,
         theta,
         warning="theta is not cyclic: the super double extension is returned without a form",
     )

@@ -23,6 +23,8 @@ from fractions import Fraction
 from liequad import catalog, data_file
 from liequad.algfile import parse
 from liequad.core import (
+    BilinearForm,
+    LieSuperalgebra,
     QuadraticAlgebra,
     center,
     derived_series,
@@ -34,9 +36,7 @@ from liequad.core import (
 from liequad.derivations import derivation_space, skew_derivation_family_g2n2
 from liequad.extensions import (
     Cocycle2,
-    Representation,
     SymPairing,
-    SymplecticSpace,
     direct_sum,
     double_extension_1d,
     sym_pairing_space,
@@ -319,25 +319,31 @@ def _random_sp_matrix(bk, rng, m, denom=2):
     return -(jm * sm)
 
 
+def _odd_core(bk, fs, gs):
+    """The purely odd quadratic core on fs + gs with B(fs[i], gs[i]) = 1."""
+    alg = LieSuperalgebra.abelian((), fs + gs, bk)
+    return QuadraticAlgebra.build(alg, BilinearForm.build(alg.space, dict.fromkeys(zip(fs, gs), 1), "even", bk))
+
+
 def _random_sde_input(rng):
     bk = EXACT
     kind = rng.choice(("abelian1-h2", "abelian1-h4", "abelian2-h2", "g2-h2"))
     if kind == "abelian1-h2":
         g = catalog.base("abelian", n=1)
-        h = SymplecticSpace.canonical(bk, 1)
+        h = _odd_core(bk, ["F1"], ["G1"])
         psi = [_random_sp_matrix(bk, rng, 2)]
     elif kind == "abelian1-h4":
         g = catalog.base("abelian", n=1)
-        h = SymplecticSpace.canonical(bk, 2)
+        h = _odd_core(bk, ["F1", "F2"], ["G1", "G2"])
         psi = [_random_sp_matrix(bk, rng, 4)]
     elif kind == "abelian2-h2":
         g = catalog.base("abelian", n=2)
-        h = SymplecticSpace.canonical(bk, 1)
+        h = _odd_core(bk, ["F1"], ["G1"])
         m = _random_sp_matrix(bk, rng, 2)
         psi = [m, m.scale(Fraction(rng.randint(-3, 3), 2))]
     else:
         g = catalog.base("g2")
-        h = SymplecticSpace.canonical(bk, 1)
+        h = _odd_core(bk, ["F1"], ["G1"])
         s = Fraction(rng.randint(-3, 3), 2)
         t = Fraction(rng.randint(-3, 3), 2)
         psi_x = Matrix.from_rows(bk, [[Fraction(1, 2), s], [0, Fraction(-1, 2)]])
@@ -351,8 +357,7 @@ def test_c08_super_double_extensions():
         rng = random.Random(80)
         for _ in range(50):
             g, h, psi = _random_sde_input(rng)
-            rep = Representation.build(g, h, psi)
-            q = super_double_extension(g, rep)
+            q = super_double_extension(g, h, psi)
             assert isinstance(q, QuadraticAlgebra)
             assert q.verified.ok
             alg = q.algebra
@@ -361,10 +366,8 @@ def test_c08_super_double_extensions():
                 for b in range(ne, alg.dim):
                     assert alg.bracket_basis(a, b) == alg.bracket_basis(b, a)
         g1 = catalog.base("abelian", n=1)
-        h2 = SymplecticSpace.build(EXACT, ["F1", "F2"], {("F1", "F2"): 1})
-        nilp = super_double_extension(
-            g1, Representation.build(g1, h2, [Matrix.from_rows(EXACT, [[0, 1], [0, 0]])])
-        )
+        h2 = _odd_core(EXACT, ["F1"], ["F2"])
+        nilp = super_double_extension(g1, h2, [Matrix.from_rows(EXACT, [[0, 1], [0, 0]])])
         a1 = GradedLinearMap.from_images(
             nilp.algebra.space,
             catalog.build("gs4_1").algebra.space,
@@ -372,9 +375,7 @@ def test_c08_super_double_extensions():
             EXACT,
         )
         assert verify_i_isomorphism(a1, nilp, catalog.build("gs4_1")).ok
-        semi = super_double_extension(
-            g1, Representation.build(g1, h2, [Matrix.from_rows(EXACT, [[1, 0], [0, -1]])])
-        )
+        semi = super_double_extension(g1, h2, [Matrix.from_rows(EXACT, [[1, 0], [0, -1]])])
         a2 = GradedLinearMap.from_images(
             semi.algebra.space,
             catalog.build("gs4_2").algebra.space,

@@ -100,6 +100,43 @@ def test_catalog_verify_single(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "param, message",
+    [
+        ("x", "error: --param 'x' is not of the form K=V"),
+        ("n=1/2", "error: g2n2: bad value '1/2' for parameter n"),
+        ("mu=abc", "error: g6_3: bad value 'abc' for parameter mu"),
+        ("lambda=1/0", "error: go2: bad value '1/0' for parameter lambda"),
+    ],
+)
+def test_catalog_emit_malformed_param_is_a_usage_error(capsys, param, message):
+    entry = {"x": "g4", "n": "g2n2", "mu": "g6_3", "lambda": "go2"}[param.split("=")[0]]
+    code, out, err = run(capsys, "catalog", "emit", entry, "--param", param)
+    assert (code, out) == (2, "")
+    assert err == message + "\n"
+
+
+@pytest.mark.parametrize("argv", [("verify", "--id", "nope"), ("emit", "nope"), ("emit", "g3_3")])
+def test_catalog_unknown_id_fails(capsys, argv):
+    # g3_3 is a base algebra of the catalog, not an entry
+    code, out, err = run(capsys, "--no-timestamp", "catalog", *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: unknown catalog entry {argv[-1]!r}\n"
+
+
+def test_unreadable_input_file_is_a_usage_error(tmp_path, capsys):
+    binary = tmp_path / "binary.alg"
+    binary.write_bytes(b"algebra x\n\xff\xfe\x00\x81 dim_even 1\n")
+    for path, reason in (
+        (tmp_path, "Is a directory"),
+        (binary, "'utf-8' codec can't decode byte 0xff in position 10"),
+        (tmp_path / "missing.alg", "No such file or directory"),
+    ):
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {path}: {reason}")
+
+
 def test_decompose_witness(capsys):
     code, out, _ = run(capsys, "decompose", str(data_file("tstar_h3.alg")))
     assert code == 0
@@ -202,6 +239,38 @@ def test_extend_superdouble(tmp_path, capsys):
     assert "dim_odd 2" in out
     assert "bracket A F2 = 1 F1" in out
     assert "bracket F2 F2 = 1 A*" in out
+
+
+@pytest.mark.parametrize(
+    "core, code, message",
+    [
+        # a degenerate core form fails the output's non-degeneracy check
+        ("dim_odd 3\nbasis F1 F2 F3\nform F1 F2 = 1\n", 1, "FAIL  non-degeneracy"),
+        ("dim_odd 2\nbasis F1 F2\nform F1 F2 = 1\n", 0, ""),
+        ("dim_odd 2\nbasis F1 F2\nform F1 F1 = 1\n", 2, "must vanish on an odd element"),
+    ],
+)
+def test_extend_superdouble_core_form(tmp_path, capsys, core, code, message):
+    (tmp_path / "a1.alg").write_text("algebra a1\ndim_even 1\ndim_odd 0\nbasis A\n")
+    (tmp_path / "h.alg").write_text("algebra h\ndim_even 0\n" + core)
+    (tmp_path / "psi.map").write_text("psi A F2 = 1 F1\n")
+    p = {name: str(tmp_path / name) for name in ("a1.alg", "h.alg", "psi.map")}
+    got, out, err = run(capsys, "extend", "superdouble", p["a1.alg"], p["h.alg"], "--psi", p["psi.map"])
+    assert got == code and message in err
+
+
+def test_extend_superdouble_needs_an_odd_core_with_a_form(tmp_path, capsys):
+    (tmp_path / "a1.alg").write_text("algebra a1\ndim_even 1\ndim_odd 0\nbasis A\n")
+    (tmp_path / "psi.map").write_text("")
+    for core, expected in (
+        ("dim_even 0\ndim_odd 2\nbasis F1 F2\n", (2, "error: superdouble needs form lines in h\n")),
+        # the constructor rejects an even core, as `extend double` rejects an odd one
+        ("dim_even 2\ndim_odd 0\nbasis U V\nform U V = 1\n", (1, "error: the super double extension needs a purely odd core\n")),
+    ):
+        (tmp_path / "h.alg").write_text("algebra h\n" + core)
+        argv = [str(tmp_path / f) for f in ("a1.alg", "h.alg")] + ["--psi", str(tmp_path / "psi.map")]
+        code, out, err = run(capsys, "extend", "superdouble", *argv)
+        assert (code, out, err) == (expected[0], "", expected[1])
 
 
 def test_extend_tsstar(tmp_path, capsys):

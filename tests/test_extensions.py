@@ -17,9 +17,8 @@ from liequad.extensions import (
     Cocycle2,
     _pairing_condition_failures,
     ExtensionError,
-    Representation,
     SymPairing,
-    SymplecticSpace,
+    _check_action,
     direct_sum,
     double_extension_1d,
     double_extension_general,
@@ -228,19 +227,25 @@ def test_cocycle_validation_rejects_non_cocycle():
 # -- super double extension --------------------------------------------------------
 
 
+def odd_core(labels=("F1", "F2"), backend=EXACT):
+    """The purely odd quadratic core span{F, G} with B(F, G) = 1."""
+    alg = LieSuperalgebra.abelian((), labels, backend)
+    return QuadraticAlgebra.build(alg, BilinearForm.build(alg.space, {tuple(labels): 1}, "even", backend))
+
+
 def sde_nilpotent():
     g1 = catalog.base("abelian", n=1)
-    h = SymplecticSpace.build(EXACT, ["F1", "F2"], {("F1", "F2"): 1})
     psi = Matrix.from_rows(EXACT, [[0, 1], [0, 0]])
-    return super_double_extension(g1, Representation.build(g1, h, [psi]))
+    return super_double_extension(g1, odd_core(), [psi])
 
 
 def test_symplectic_space_rejects_both_orientations():
-    # the mirror of (F,G) is fixed by antisymmetry; giving it too used to keep
-    # the last value silently
-    with pytest.raises(ExtensionError, match=r"symplectic pair \(G,F\) specified twice"):
-        SymplecticSpace.build(EXACT, ["F", "G"], {("F", "G"): 1, ("G", "F"): 2})
-    assert SymplecticSpace.build(EXACT, ["F", "G"], {("G", "F"): 2}).gram.entries == ((0, -2), (2, 0))
+    # the mirror of (F,G) on a purely odd space is fixed by antisymmetry;
+    # giving it too is an error
+    space = LieSuperalgebra.abelian((), ["F", "G"]).space
+    with pytest.raises(StructureError, match=r"both orientations of form pair \(G,F\)"):
+        BilinearForm.build(space, {("F", "G"): 1, ("G", "F"): 2})
+    assert BilinearForm.build(space, {("G", "F"): 2}).gram.entries == ((0, -2), (2, 0))
 
 
 def test_sde_nilpotent_matches_gs4_1():
@@ -257,9 +262,8 @@ def test_sde_nilpotent_matches_gs4_1():
 
 def test_sde_semisimple_matches_gs4_2():
     g1 = catalog.base("abelian", n=1)
-    h = SymplecticSpace.build(EXACT, ["F1", "F2"], {("F1", "F2"): 1})
     psi = Matrix.from_rows(EXACT, [[1, 0], [0, -1]])
-    q = super_double_extension(g1, Representation.build(g1, h, [psi]))
+    q = super_double_extension(g1, odd_core(), [psi])
     tgt = catalog.build("gs4_2")
     a = GradedLinearMap.from_images(
         q.algebra.space,
@@ -272,8 +276,7 @@ def test_sde_semisimple_matches_gs4_2():
 
 def test_sde_trivial_action_is_abelian_with_hyperbolic_form():
     g1 = catalog.base("abelian", n=1)
-    h = SymplecticSpace.build(EXACT, ["F1", "F2"], {("F1", "F2"): 1})
-    q = super_double_extension(g1, Representation.build(g1, h, [Matrix.zeros(EXACT, 2, 2)]))
+    q = super_double_extension(g1, odd_core(), [Matrix.zeros(EXACT, 2, 2)])
     assert all(
         all(EXACT.is_zero(x) for x in row) for block in q.algebra.c for row in block
     )
@@ -294,9 +297,24 @@ def test_sde_internal_pairing_symmetric():
 
 def test_sde_rejects_non_skew_action():
     g1 = catalog.base("abelian", n=1)
-    h = SymplecticSpace.build(EXACT, ["F1", "F2"], {("F1", "F2"): 1})
     with pytest.raises(ExtensionError):
-        Representation.build(g1, h, [Matrix.identity(EXACT, 2)])
+        super_double_extension(g1, odd_core(), [Matrix.identity(EXACT, 2)])
+
+
+def test_sde_input_errors():
+    g1 = catalog.base("abelian", n=1)
+    zero = Matrix.zeros(EXACT, 2, 2)
+    plane = LieSuperalgebra.abelian(["U", "V"])
+    even_core = QuadraticAlgebra.build(plane, BilinearForm.build(plane.space, {("U", "V"): 1}))
+    with pytest.raises(ExtensionError, match="needs a purely odd core"):
+        super_double_extension(g1, even_core, [zero])
+    with pytest.raises(ExtensionError, match="psi needs one matrix per base generator"):
+        super_double_extension(g1, odd_core(), [zero, zero])
+    with pytest.raises(ExtensionError, match=r"psi\(A1\) is not a derivation of the core"):
+        super_double_extension(g1, odd_core(), [Matrix.zeros(EXACT, 3, 3)])
+    # an odd label equal to a dual label is the distinct-label rule of the output
+    with pytest.raises(StructureError, match="basis labels must be distinct"):
+        super_double_extension(g1, odd_core(("A1*", "G")), [zero])
 
 
 # -- odd T*-extension ---------------------------------------------------------------
@@ -432,11 +450,9 @@ def test_sde_with_cocycle_twist():
     th = Cocycle2.build(
         h3, {("X", "Y"): {"Z": 1}, ("Y", "Z"): {"X": 1}, ("Z", "X"): {"Y": 1}}
     )
-    hsp = SymplecticSpace.build(EXACT, ["F1", "F2"], {("F1", "F2"): 1})
     e_mat = Matrix.from_rows(EXACT, [[0, 1], [0, 0]])
     zero = Matrix.zeros(EXACT, 2, 2)
-    rep = Representation.build(h3, hsp, [e_mat, zero, zero])
-    q = super_double_extension(h3, rep, th)
+    q = super_double_extension(h3, odd_core(), [e_mat, zero, zero], th)
     assert isinstance(q, QuadraticAlgebra) and q.verified.ok
     alg = q.algebra
     ix = alg.space.index
@@ -448,17 +464,12 @@ def test_sde_with_cocycle_twist():
 def test_sde_non_cyclic_cocycle_downgrades():
     g2 = catalog.base("g2")
     th = Cocycle2.build(g2, {("X", "Y"): {"X": 1}})
-    hsp = SymplecticSpace.build(EXACT, ["F1", "F2"], {("F1", "F2"): 1})
-    rep = Representation.build(
-        g2,
-        hsp,
-        [
-            Matrix.from_rows(EXACT, [["1/2", 0], [0, "-1/2"]]),
-            Matrix.from_rows(EXACT, [[0, 1], [0, 0]]),
-        ],
-    )
+    psi = [
+        Matrix.from_rows(EXACT, [["1/2", 0], [0, "-1/2"]]),
+        Matrix.from_rows(EXACT, [[0, 1], [0, 0]]),
+    ]
     with pytest.warns(UserWarning):
-        out = super_double_extension(g2, rep, th)
+        out = super_double_extension(g2, odd_core(), psi, th)
     assert isinstance(out, LieSuperalgebra)
     assert verify_jacobi(out).ok
 
@@ -575,26 +586,24 @@ def is_cyclic_from_definition(bk, t):
     return all(bk.is_zero(t[i][j][k] - t[j][k][i]) for i in range(n) for j in range(n) for k in range(n))
 
 
-def psi_failure_from_definition(g, psi, gram, core=None):
-    """First failing psi condition of a symplectic representation (core None)
-    or of a general double extension, or None."""
+def psi_failure_from_definition(g, psi, gram, core):
+    """First failing psi condition of a double extension by the core, or None."""
     bk, nh, labels = g.backend, gram.rows, g.labels
     zero = Matrix.zeros(bk, nh, nh)
     for label, m in zip(labels, psi):
         if (m.rows, m.cols) != (nh, nh):
-            return "psi matrix has the wrong shape" if core is None else f"psi({label}) is not a derivation of the core"
-        if core is not None:
-            # D[a,b] = [Da,b] + [a,Db] on all basis pairs
-            h, d = structure_constants(core), m.entries
-            for a in range(nh):
-                for b in range(a, nh):
-                    for k in range(nh):
-                        lhs = sum((d[k][r] * core.c[a][b][r] for r in range(nh)), bk.zero)
-                        rhs = sum((d[r][a] * h[r][b][k] + d[r][b] * h[a][r][k] for r in range(nh)), bk.zero)
-                        if not bk.is_zero(lhs - rhs):
-                            return f"psi({label}) is not a derivation of the core"
+            return f"psi({label}) is not a derivation of the core"
+        # D[a,b] = [Da,b] + [a,Db] on all basis pairs
+        h, d = structure_constants(core), m.entries
+        for a in range(nh):
+            for b in range(a, nh):
+                for k in range(nh):
+                    lhs = sum((d[k][r] * core.c[a][b][r] for r in range(nh)), bk.zero)
+                    rhs = sum((d[r][a] * h[r][b][k] + d[r][b] * h[a][r][k] for r in range(nh)), bk.zero)
+                    if not bk.is_zero(lhs - rhs):
+                        return f"psi({label}) is not a derivation of the core"
         if not (m.transpose() * gram + gram * m).is_zero():
-            return f"psi({label}) is not skew for the {'symplectic form' if core is None else 'core form'}"
+            return f"psi({label}) is not skew for the core form"
     c = structure_constants(g)
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
@@ -724,11 +733,11 @@ def test_psi_checks_match_definition(backend, data):
     g = random_algebra(data, backend, max_dim=3)
     pool = psi_pool(backend)
     psi = data.draw(st.lists(st.sampled_from(pool), min_size=g.dim, max_size=g.dim + (g.dim < 3)))
-    # a representation on the symplectic plane F1, G1 with B(F1, G1) = 1
-    target = SymplecticSpace.canonical(backend, 1)
-    want = "psi needs one matrix per basis element" if len(psi) != g.dim else None
-    want = want or psi_failure_from_definition(g, psi, target.gram)
-    assert error_of(lambda: Representation(g, target, tuple(psi)).validate()) == want
+    # an action on the purely odd core F1, G1 with B(F1, G1) = 1
+    target = odd_core(("F1", "G1"), backend)
+    want = "psi needs one matrix per base generator" if len(psi) != g.dim else None
+    want = want or psi_failure_from_definition(g, psi, target.form.gram, target.algebra)
+    assert error_of(lambda: _check_action(g, tuple(psi), target)) == want
     # a double extension of the hyperbolic plane U, V, or of the diamond with a
     # random inner derivation in the pool
     core = data.draw(st.sampled_from(["plane", "g4"]))
