@@ -1,10 +1,11 @@
 """Command-line surface.
 
 Exit codes: 0 all checks pass, 1 at least one check failed or a constructor
-rejected its input, 2 usage or parse errors and complex arithmetic that
-overflowed a double (a value of inf or nan decides no check).  --format json
-emits the report as a machine-readable object; report --all is
-byte-deterministic on the exact backend once --no-timestamp is passed.
+rejected its input, or stdout was closed early (`liequad ... | head`), 2 usage
+or parse errors and complex arithmetic that overflowed a double (a value of
+inf or nan decides no check).  --format json emits the report as a
+machine-readable object; report --all is byte-deterministic on the exact
+backend once --no-timestamp is passed.
 
 The flags --tol, --format and --no-timestamp can also be set through the
 environment variables LIEQUAD_TOL, LIEQUAD_FORMAT and LIEQUAD_NO_TIMESTAMP.
@@ -539,7 +540,14 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     _fill_from_env(_parser, args)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader left (`liequad ... | head`): as the Python docs advise,
+        # point stdout at devnull so the exit flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ParseError, ScalarParseError, ScalarOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,10 +5,13 @@ through `_rref_sparse`, Gauss-Jordan on rows held as {column: value} dicts of
 the exactly nonzero entries: derivation and cocycle systems have a handful of
 nonzeros per row.  The exact backend pivots on the candidate row with the
 fewest nonzeros (Markowitz's rule) to limit fill-in; the reduced form is
-unique, so results do not depend on the choice.  The float backend keeps
-largest-magnitude pivoting for stability, with the row order of dense
-elimination.  Subspaces are kept as reduced-row-echelon bases; `contains` is
-the span-dimension test, and `intersect` is Zassenhaus's algorithm.
+unique, so results do not depend on the choice.  The first consequence of
+that rule is a presolve: a row with one entry is the sparsest candidate in its
+column, so singleton rows pivot before the column loop, and a unit pivot skips
+the division.  The float backend keeps largest-magnitude pivoting for
+stability, with the row order of dense elimination.  Subspaces are kept as
+reduced-row-echelon bases; `contains` is the span-dimension test, and
+`intersect` is Zassenhaus's algorithm.
 """
 
 from __future__ import annotations
@@ -147,10 +150,13 @@ def _rref_sparse(backend, rows: list, ncols: int) -> tuple:
     Columns are taken in order, as in dense elimination.  A row is eliminated
     where its entry is nonzero to the backend, and an entry is dropped only when
     it is exactly zero.  The exact backend pivots on the candidate with the
-    fewest nonzeros.  The float backend takes the largest pivot weight, the
-    first in row order on a tie, and moves the first pending row into the
-    pivot's slot like a dense row swap, so its pivots and values are those of
-    dense elimination.
+    fewest nonzeros.  A row with one entry is such a candidate, so the exact
+    backend first presolves singleton rows: each becomes {c: 1}, column c is
+    deleted from every other row, and a row left with one entry follows in
+    turn.  A pivot equal to int 1 is not divided by.  The float backend takes
+    the largest pivot weight, the first in row order on a tie, and moves the
+    first pending row into the pivot's slot like a dense row swap, so its
+    pivots and values are those of dense elimination.
     """
     exact = backend.name == "exact"
     is_zero, weight, one, zero = backend.is_zero, backend.pivot_weight, backend.one, backend.zero
@@ -159,6 +165,21 @@ def _rref_sparse(backend, rows: list, ncols: int) -> tuple:
     for i, row in enumerate(rows):
         for c in row:
             where[c].add(i)
+    presolved = {}  # column -> its singleton pivot row, already {column: 1}
+    stack = [i for i, row in enumerate(rows) if len(row) == 1] if exact else []
+    while stack:
+        i = stack.pop()
+        row = rows[i]
+        if len(row) != 1:
+            continue  # emptied by an earlier singleton in its column
+        (c,) = row
+        row[c], presolved[c] = 1, i
+        for k in where[c]:
+            if k != i:
+                del rows[k][c]
+                if len(rows[k]) == 1:
+                    stack.append(k)
+        where[c] = {i}
     order = list(range(nrows))  # order[s] = row in slot s; slots below r hold pivots
     slot = list(range(nrows))
     pivots = []
@@ -166,27 +187,33 @@ def _rref_sparse(backend, rows: list, ncols: int) -> tuple:
     for c in range(ncols):
         if r >= nrows:
             break
-        cands = [i for i in where[c] if slot[i] >= r and (exact or weight(rows[i][c]))]
-        if not cands:
-            continue
-        if exact:  # the sparsest candidate limits fill-in
-            best = min(cands, key=lambda i: (len(rows[i]), slot[i]))
-        else:  # the largest weight, the first in row order on a tie
-            best = min(cands, key=lambda i: (-weight(rows[i][c]), slot[i]))
+        best = presolved.get(c)
+        if best is None:
+            cands = [i for i in where[c] if slot[i] >= r and (exact or weight(rows[i][c]))]
+            if not cands:
+                continue
+            if len(cands) == 1:
+                best = cands[0]
+            elif exact:  # the sparsest candidate limits fill-in
+                best = min(cands, key=lambda i: (len(rows[i]), slot[i]))
+            else:  # the largest weight, the first in row order on a tie
+                best = min(cands, key=lambda i: (-weight(rows[i][c]), slot[i]))
         s, moved = slot[best], order[r]  # swap the rows in slots r and s
         order[r], order[s] = best, moved
         slot[best], slot[moved] = r, s
         prow = rows[best]
-        inv = backend.div(one, prow[c])
-        for j, v in list(prow.items()):
-            v = inv * v
-            if type(v) is Fraction:
-                v = _real(v)  # an integral result is kept as its int
-            if v:
-                prow[j] = v
-            else:
-                del prow[j]
-                where[j].discard(best)
+        p = prow[c]
+        if type(p) is not int or p != 1:  # a unit pivot needs no scaling
+            inv = backend.div(one, p)
+            for j, v in list(prow.items()):
+                v = inv * v
+                if type(v) is Fraction:
+                    v = _real(v)  # an integral result is kept as its int
+                if v:
+                    prow[j] = v
+                else:
+                    del prow[j]
+                    where[j].discard(best)
         for i in list(where[c]):
             if i == best:
                 continue

@@ -530,6 +530,43 @@ def test_report_all_text_output_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_TEXT_SHA256
 
 
+DERIVATIONS_SHA256 = "27f6dc17b69bd57e9cab659eb03ab9b9d83cdbacd994bfe0af2b853f34da8528"
+
+
+def test_every_shipped_derivation_basis_is_pinned(capsys):
+    # each basis, not just its dimension, stays byte-identical across changes
+    # to the elimination
+    out = []
+    for path in sorted(data_file("g4.alg").parent.glob("*.alg")):
+        for kind in ("all", "skew", "inner"):
+            argv = ("--no-timestamp", "--format", "json", "derivations", str(path), "--kind", kind)
+            code, text, _ = run(capsys, *argv)
+            assert code == 0
+            out.append(text)
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == DERIVATIONS_SHA256
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # the reader leaves after one line, as `| head -n 1` does; the JSON report
+    # (114 kB) outgrows a pipe buffer, so the rest goes into a closed pipe
+    cmd = [sys.executable, "-m", "liequad.cli", "--no-timestamp", "--format", "json"]
+    proc = subprocess.Popen(cmd + ["report", "--all"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
+    # a short output meets the closed pipe only when it is flushed at the end
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        done = subprocess.run(cmd + ["verify", G4], stdout=w, stderr=subprocess.PIPE)
+    finally:
+        os.close(w)
+    assert (done.returncode, done.stderr) == (1, b"")
+
+
 def test_tol_flag_controls_zero_threshold(tmp_path, capsys):
     # a 1e-12 invariance defect is below the default tolerance but above a
     # strict one

@@ -7,6 +7,7 @@ from liequad.core import BilinearForm, LieSuperalgebra, SuperSpace
 from liequad.derivations import derivation_space
 from liequad.linalg import (
     _rref_sparse,
+    _sparse_row,
     Matrix,
     Subspace,
     eigen_structure,
@@ -18,7 +19,7 @@ from liequad.linalg import (
     vec,
     vec_is_zero,
 )
-from liequad.scalars import EXACT, BackendMismatch, Exact, complex_backend
+from liequad.scalars import EXACT, BackendMismatch, Exact, ExactBackend, complex_backend
 
 
 def sparse(c):
@@ -282,8 +283,33 @@ def sparse_matrices(draw, entry):
     return rows
 
 
-@settings(max_examples=150, deadline=None)
-@given(rows=sparse_matrices(exact_entry), data=st.data())
+@st.composite
+def singleton_matrices(draw, entry):
+    """Rows with at most three nonzeros: singletons, several of them in one
+    column, zero rows, and a chain x_a, (x_a, x_b), (x_b, x_c), ... whose rows
+    turn into singletons one after another as their columns are cleared."""
+    ncols = draw(st.integers(1, 9))
+    nonzero = entry.map(lambda x: x or 1)  # 1 often: the unit pivot
+    chain = draw(st.permutations(range(ncols)))[: draw(st.integers(1, ncols))]
+    rows = []
+    for k, c in enumerate(chain):
+        row = [0] * ncols
+        row[c] = draw(nonzero)
+        if k:
+            row[chain[k - 1]] = draw(nonzero)
+        rows.append(row)
+    for _ in range(draw(st.integers(0, 2))):  # more singletons in the chain's first column
+        rows.append([draw(nonzero) if x else 0 for x in rows[0]])
+    for _ in range(draw(st.integers(0, 6))):
+        row = [0] * ncols
+        for c in draw(st.lists(st.integers(0, ncols - 1), max_size=3)):
+            row[c] = draw(nonzero)
+        rows.append(row)
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.one_of(sparse_matrices(exact_entry), singleton_matrices(exact_entry)), data=st.data())
 def test_sparse_elimination_matches_dense_exact(rows, data):
     a = M(rows)
     red, pivots = rref(a)
@@ -292,6 +318,37 @@ def test_sparse_elimination_matches_dense_exact(rows, data):
     b = vec(EXACT, [data.draw(exact_entry) for _ in range(a.rows)])
     assert solve_linear(a, b) == dense_solve(EXACT, a.entries, b)
     assert Subspace.span(EXACT, a.entries, a.cols).basis == dense_span(EXACT, a.entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=singleton_matrices(exact_entry))
+def test_presolved_pivots_are_unit_rows_in_column_order(rows):
+    sparse_rows = [_sparse_row(r) for r in M(rows).entries]
+    singles = {c for r in sparse_rows if len(r) == 1 for c in r}
+    pivots, reduced, rest = _rref_sparse(EXACT, sparse_rows, len(rows[0]))
+    assert all(a < b for a, b in zip(pivots, pivots[1:]))
+    assert len(reduced) == len(pivots) and not any(rest)
+    assert singles <= set(pivots)
+    for c, row in zip(pivots, reduced):
+        if c in singles:
+            assert row == {c: 1} and type(row[c]) is int
+
+
+def test_a_singleton_cascade_needs_no_division():
+    # {2: 3} clears column 2, which leaves {0: 5}, which leaves {3: 7}, which
+    # leaves {1: -2}; a second singleton in column 2 and a zero row are left over
+    divisions = []
+
+    class Counting(ExactBackend):
+        def div(self, a, b):
+            divisions.append((a, b))
+            return super().div(a, b)
+
+    rows = [{0: -4, 3: 7}, {2: -9}, {2: 2, 0: 5}, {}, {3: 6, 1: -2}, {2: 3}]
+    pivots, reduced, rest = _rref_sparse(Counting(), rows, 4)
+    assert pivots == (0, 1, 2, 3)
+    assert reduced == [{0: 1}, {1: 1}, {2: 1}, {3: 1}] and rest == [{}, {}]
+    assert divisions == []
 
 
 @settings(max_examples=150, deadline=None)
