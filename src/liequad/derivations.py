@@ -10,7 +10,13 @@ even derivations are computed; the classification needs no odd ones).
 
 The rows are assembled as {unknown: coefficient} dicts straight from the
 nonzero structure constants and Gram entries, a handful of terms each, and go
-to the sparse elimination of `linalg` without a dense matrix in between.
+to the sparse elimination of `linalg` without a dense matrix in between.  A
+Leibniz row is built only for a coordinate that some term reaches, and
+`_add_row` is the one zero filter of every row system, the pairing rows of
+`extensions` included: it drops the exact zeros of a row, then the row if
+nothing is left or every entry is zero to the backend.  The inner span is
+reduced from one row per even e_i, ad(e_i) flattened and read from `nz` as
+`ad` reads it.
 `_evaluate` is the one evaluator: `is_derivation` evaluates the Leibniz rows
 at D, and a caller that already has Der(g) gets dim Der_a(g, B) from
 `_skew_rank`, which evaluates the skew rows on the Der(g) basis instead of
@@ -24,7 +30,8 @@ from itertools import chain
 from typing import Optional, Tuple
 
 from .core import BilinearForm, LieSuperalgebra, StructureError
-from .linalg import Matrix, Subspace, _nullspace_rows, _rref_sparse, matrix_span, solve_linear
+from .linalg import Matrix, Subspace, _nullspace_rows, _rref_sparse, _span_rows, solve_linear
+from .scalars import same_backend
 
 
 @dataclass(frozen=True)
@@ -60,36 +67,36 @@ def _output_index(alg: LieSuperalgebra):
 
 
 def _add_row(rows: list, bk, row: dict) -> None:
-    """Append the exactly nonzero entries of row, unless every entry is zero to bk."""
+    """Append the exactly nonzero entries of row, unless none is left or every
+    one is zero to bk: the one zero filter of every row system, on both backends."""
     row = {u: x for u, x in row.items() if x}
-    if not all(bk.is_zero(x) for x in row.values()):
+    if row and not all(map(bk.is_zero, row.values())):
         rows.append(row)
 
 
 def _leibniz_rows(alg: LieSuperalgebra):
     """Sparse rows of the Leibniz system over unknowns x[(k,j)] = D[k][j]."""
     bk, n = alg.backend, alg.dim
-    zero = bk.zero
     left, right = _output_index(alg)
+    left_ks = [{k for k, pairs in enumerate(ks) if pairs} for ks in left]
+    right_ks = [{k for k, pairs in enumerate(ks) if pairs} for ks in right]
     rows = []
     for i in range(n):
         for j in range(i, n):
-            for k in range(n):
-                row = {}
+            cij = alg._nz[i][j]
+            # the k whose row has a term: all of them when [e_i,e_j] != 0
+            for k in range(n) if cij else sorted(left_ks[i] | right_ks[j]):
                 # D([e_i,e_j])_k = sum_m c[i][j][m] D[k][m]
-                for m, x in alg._nz[i][j]:
-                    u = k * n + m
-                    row[u] = row.get(u, zero) + x
+                row = {k * n + m: x for m, x in cij}
                 # -[D e_i, e_j]_k = -sum_l D[l][i] c[l][j][k]
                 for l, x in right[j][k]:
                     u = l * n + i
-                    row[u] = row.get(u, zero) - x
+                    row[u] = row[u] - x if u in row else -x
                 # -[e_i, D e_j]_k = -sum_l D[l][j] c[i][l][k]
                 for l, x in left[i][k]:
                     u = l * n + j
-                    row[u] = row.get(u, zero) - x
-                if row:
-                    _add_row(rows, bk, row)
+                    row[u] = row[u] - x if u in row else -x
+                _add_row(rows, bk, row)
     return rows
 
 
@@ -97,21 +104,19 @@ def _skew_rows(bk, gram: Matrix):
     """Sparse rows of B(D e_i, e_j) + B(e_i, D e_j) = 0, i <= j, for the
     (anti)symmetric Gram matrix of B, over unknowns x[(k,j)] = D[k][j]."""
     n = gram.rows
-    zero = bk.zero
-    g = gram.entries
-    g_rows = [[(k, x) for k, x in enumerate(r) if not bk.is_zero(x)] for r in g]
-    g_cols = [[(k, r[j]) for k, r in enumerate(g) if not bk.is_zero(r[j])] for j in range(n)]
+    g_rows = [[(k, x) for k, x in enumerate(r) if not bk.is_zero(x)] for r in gram.entries]
+    g_cols = [[] for _ in range(n)]  # g_cols[j] = the (k, g[k][j]) of g_rows, in increasing k
+    for k, r in enumerate(g_rows):
+        for j, x in r:
+            g_cols[j].append((k, x))
     rows = []
     for i in range(n):
         for j in range(i, n):
-            row = {}
             # sum_k D[k][i] g[k][j] + D[k][j] g[i][k]
-            for k, x in g_cols[j]:
-                u = k * n + i
-                row[u] = row.get(u, zero) + x
+            row = {k * n + i: x for k, x in g_cols[j]}
             for k, x in g_rows[i]:
                 u = k * n + j
-                row[u] = row.get(u, zero) + x
+                row[u] = row[u] + x if u in row else x
             _add_row(rows, bk, row)
     return rows
 
@@ -161,13 +166,8 @@ def _skew_rank(der: DerivationSpace, form: BilinearForm) -> int:
 
 
 def _parity_rows(alg: LieSuperalgebra):
-    n = alg.dim
-    return [
-        {k * n + j: alg.backend.one}
-        for k in range(n)
-        for j in range(n)
-        if alg.parity(k) != alg.parity(j)
-    ]
+    n, ne, one = alg.dim, alg.space.dim_even, alg.backend.one
+    return [{k * n + j: one} for k in range(n) for j in range(n) if (k < ne) != (j < ne)]
 
 
 def derivation_space(alg: LieSuperalgebra, kind: str = "all", form: Optional[BilinearForm] = None) -> DerivationSpace:
@@ -175,21 +175,29 @@ def derivation_space(alg: LieSuperalgebra, kind: str = "all", form: Optional[Bil
 
     Only even (parity-preserving) derivations are in scope, so on super inputs
     the inner span ranges over the even basis elements: bracketing with an odd
-    element reverses parity and obeys the signed Leibniz rule instead."""
+    element reverses parity and obeys the signed Leibniz rule instead.  A form
+    must share the algebra's backend (else `BackendMismatch`) and dimension
+    (else `StructureError`)."""
     bk, n = alg.backend, alg.dim
+    if form is not None:
+        same_backend(alg, form)
+        if form.space.dim != n:
+            raise StructureError("form dimension does not match the algebra")
+    elif kind == "skew":
+        raise ValueError("skew derivations need a bilinear form")
     if kind == "inner":
-        gens = [alg.ad(i) for i in range(n) if alg.parity(i) == 0]
-        basis = matrix_span(bk, gens, (n, n))
-        return DerivationSpace(alg, "inner", tuple(basis))
-    if kind not in ("all", "skew"):
+        # ad(e_i) flattened: entry k * n + j is the e_k-coordinate of [e_i, e_j]
+        even = alg.nz[: alg.space.dim_even]
+        rows = [{k * n + j: x for j, pairs in enumerate(block) for k, x in pairs} for block in even]
+        sols = _span_rows(bk, rows, n * n).basis
+    elif kind in ("all", "skew"):
+        rows = _leibniz_rows(alg) + _parity_rows(alg)
+        if kind == "skew":
+            rows += _skew_rows(bk, form.gram)
+        # without rows the kernel is the standard basis: every matrix is a derivation
+        sols = _nullspace_rows(bk, rows, n * n)
+    else:
         raise ValueError(f"unknown derivation kind {kind!r}")
-    rows = _leibniz_rows(alg) + _parity_rows(alg)
-    if kind == "skew":
-        if form is None:
-            raise ValueError("skew derivations need a bilinear form")
-        rows += _skew_rows(bk, form.gram)
-    # without rows the kernel is the standard basis: every matrix is a derivation
-    sols = _nullspace_rows(bk, rows, n * n)
     basis = tuple(Matrix(bk, tuple(s[k * n : k * n + n] for k in range(n))) for s in sols)
     return DerivationSpace(alg, kind, basis, form)
 

@@ -369,17 +369,6 @@ class Subspace:
         return _span_rows(self.backend, meet, n)
 
 
-def matrix_span(backend, matrices, shape) -> list:
-    """Reduce a list of matrices to an independent subset (by vectorisation)."""
-    rows, cols = shape
-    flat = [tuple(m.entries[i][j] for i in range(rows) for j in range(cols)) for m in matrices]
-    sub = Subspace.span(backend, flat, rows * cols)
-    out = []
-    for r in sub.basis:
-        out.append(Matrix(backend, tuple(tuple(r[i * cols + j] for j in range(cols)) for i in range(rows))))
-    return out
-
-
 # -- eigen-structure at desk scale (size <= 4), read off the minimal polynomial --
 
 @dataclass(frozen=True)

@@ -1,18 +1,22 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liequad import catalog
-from liequad.core import LieSuperalgebra, StructureError
+from liequad import catalog, extensions
+from liequad.core import BilinearForm, LieSuperalgebra, StructureError
 from liequad.derivations import (
+    _add_row,
+    _leibniz_rows,
+    _skew_rows,
     derivation_space,
     is_derivation,
     is_inner,
     skew_derivation_family_g2n2,
 )
-from liequad.linalg import Matrix, Subspace
-from liequad.scalars import EXACT, complex_backend
+from liequad.linalg import Matrix, Subspace, _nullspace_rows, nullspace
+from liequad.scalars import EXACT, BackendMismatch, complex_backend
 
 
 def d_g4(x, y, z):
@@ -216,3 +220,121 @@ def test_is_derivation_matches_definition(backend, data):
     rows = data.draw(st.tuples(*[st.tuples(*[entry] * n)] * n))
     for d in (Matrix(backend, rows), alg.ad(data.draw(st.integers(0, n - 1))), Matrix.zeros(backend, n + 1, n + 1)):
         assert is_derivation(alg, d) == is_derivation_from_definition(alg, d)
+
+
+def test_skew_rejects_a_form_of_another_dimension(g4, g5):
+    with pytest.raises(StructureError, match="form dimension does not match the algebra"):
+        derivation_space(g5.algebra, "skew", g4.form)
+
+
+def test_skew_rejects_a_form_of_a_larger_dimension(g4, g5):
+    with pytest.raises(StructureError, match="form dimension does not match the algebra"):
+        derivation_space(g4.algebra, "skew", g5.form)
+
+
+def test_skew_rejects_a_complex_form_on_an_exact_algebra(g4):
+    with pytest.raises(BackendMismatch):
+        derivation_space(g4.algebra, "skew", g4.form.to_backend(CB))
+
+
+def test_skew_rejects_an_exact_form_on_a_complex_algebra(g4):
+    with pytest.raises(BackendMismatch):
+        derivation_space(g4.algebra.to_backend(CB), "skew", g4.form)
+
+
+def random_super_table(backend, data):
+    """A graded-antisymmetric table and a supersymmetric form on even and odd
+    labels, of the right parity pattern; Jacobi need not hold."""
+    entry = ENTRY[backend.name].map(backend.coerce)
+    ne = data.draw(st.integers(0, 3))
+    no = data.draw(st.integers(0 if ne else 1, 4 - ne))
+    even, odd = [f"E{i}" for i in range(ne)], [f"O{i}" for i in range(no)]
+    labels, par = even + odd, [0] * ne + [1] * no
+    n = ne + no
+    brackets = {}
+    for a in range(n):
+        for b in range(a, n):
+            if (a != b or par[a]) and data.draw(st.booleans()):
+                out = [k for k in range(n) if par[k] == par[a] ^ par[b]]
+                brackets[(labels[a], labels[b])] = {labels[k]: data.draw(entry) for k in out}
+    alg = LieSuperalgebra.build(even, odd, brackets, backend)
+    fpar = data.draw(st.sampled_from([0, 1]))
+    pairs = [(a, b) for a in range(n) for b in range(a, n) if par[a] ^ par[b] == fpar and not (a == b and par[a])]
+    entries = {(labels[a], labels[b]): data.draw(entry) for a, b in pairs}
+    return alg, BilinearForm.build(alg.space, entries, ("even", "odd")[fpar], backend)
+
+
+def derivations_from_definition(alg, form=None):
+    """The even maps D with D[e_i,e_j] = [D e_i, e_j] + [e_i, D e_j] on all pairs,
+    and B(D e_i, e_j) + B(e_i, D e_j) = 0 when a form is given: the kernel of a
+    dense system over the entries D[k][j] (unknown k * n + j) of alg.c."""
+    bk, n = alg.backend, alg.dim
+    z = lambda x: bk.zero if bk.is_zero(x) else x  # noqa: E731
+    c = [[[z(x) for x in row] for row in block] for block in alg.c]
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                r = [bk.zero] * (n * n)
+                for m in range(n):
+                    r[k * n + m] += c[i][j][m]
+                    r[m * n + i] -= c[m][j][k]
+                    r[m * n + j] -= c[i][m][k]
+                rows.append(r)
+    for k in range(n):
+        for j in range(n):
+            if alg.parity(k) != alg.parity(j):
+                rows.append([bk.one if u == k * n + j else bk.zero for u in range(n * n)])
+    if form is not None:
+        g = [[z(x) for x in r] for r in form.gram.entries]
+        for i in range(n):
+            for j in range(n):
+                r = [bk.zero] * (n * n)
+                for k in range(n):
+                    r[k * n + i] += g[k][j]
+                    r[k * n + j] += g[i][k]
+                rows.append(r)
+    return Subspace.span(bk, nullspace(Matrix(bk, tuple(map(tuple, rows)))), n * n)
+
+
+@settings(max_examples=120, deadline=None)
+@given(backend=st.sampled_from([EXACT, CB]), data=st.data())
+def test_derivation_spaces_match_definition(backend, data):
+    alg, form = random_super_table(backend, data)
+    n = alg.dim
+    assert derivation_space(alg, "all").span() == derivations_from_definition(alg)
+    assert derivation_space(alg, "skew", form).span() == derivations_from_definition(alg, form)
+    # the inner span: the reduced basis of the flattened ad(e_i) over even i, entry for entry
+    ads = [tuple(x for r in alg.ad(i).entries for x in r) for i in range(n) if alg.parity(i) == 0]
+    inner = derivation_space(alg, "inner").basis
+    assert tuple(tuple(x for r in m.entries for x in r) for m in inner) == Subspace.span(backend, ads, n * n).basis
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_exact_rows_hold_no_zero(data):
+    alg, form = random_super_table(EXACT, data)
+    rows = _leibniz_rows(alg) + _skew_rows(EXACT, form.gram)
+    if alg.space.dim_odd == 0:  # the pairing solver takes even algebras only
+        captured = []
+
+        def capture(bk, rows, ncols):
+            captured.extend(dict(r) for r in rows)
+            return _nullspace_rows(bk, rows, ncols)
+
+        with mock.patch.object(extensions, "_nullspace_rows", capture):
+            extensions.sym_pairing_space(alg, cyclic=False)
+        rows += captured
+    assert all(row and all(x for x in row.values()) for row in rows)
+
+
+def test_add_row_is_the_zero_filter():
+    rows = []
+    _add_row(rows, EXACT, {})
+    _add_row(rows, EXACT, {3: 0})
+    _add_row(rows, EXACT, {1: 0, 2: Fraction(1, 2)})
+    assert rows == [{2: Fraction(1, 2)}]
+    rows = []
+    _add_row(rows, CB, {0: 1e-12, 5: -3e-11j, 7: 0j})  # every entry below the tolerance
+    _add_row(rows, CB, {0: 1e-12, 5: 0.5 + 0j, 7: 0j})  # one entry above it
+    assert rows == [{0: 1e-12, 5: 0.5 + 0j}]
