@@ -32,8 +32,7 @@ and phi:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
 from .core import BilinearForm, LieSuperalgebra, StructureError
 from .scalars import EXACT, ScalarParseError, backend_by_name
@@ -48,12 +47,14 @@ class ParseError(ValueError):
         super().__init__(f"{where}: {msg}" if where else msg)
 
 
-@dataclass
 class AlgebraFile:
-    name: str
-    algebra: LieSuperalgebra
-    form: Optional[BilinearForm]
-    params: Dict[str, str] = field(default_factory=dict)
+    __slots__ = ("name", "algebra", "form", "params")
+
+    def __init__(self, name: str, algebra: LieSuperalgebra, form: Optional[BilinearForm], params: Optional[dict] = None):
+        self.name = name
+        self.algebra = algebra
+        self.form = form
+        self.params = {} if params is None else params
 
 
 def _tokenize_terms(tokens, line_no, known, what):
@@ -281,12 +282,14 @@ class Terms(dict):
             raise ParseError(str(exc), self.line) from None
 
 
-@dataclass
 class MapFile:
-    images: Dict[str, Terms] = field(default_factory=dict)  # map lines
-    psi: Dict[str, Dict[str, Terms]] = field(default_factory=dict)
-    theta: Dict[Tuple[str, str], Terms] = field(default_factory=dict)
-    phi: Dict[Tuple[str, str], Terms] = field(default_factory=dict)
+    __slots__ = ("images", "psi", "theta", "phi")
+
+    def __init__(self):
+        self.images = {}  # {source label: Terms}, from the map lines
+        self.psi = {}  # {generator: {source label: Terms}}
+        self.theta = {}  # {(a, b): Terms}
+        self.phi = {}  # {(a, b): Terms}
 
 
 def parse_mapfile(text: str, known_labels) -> MapFile:

@@ -22,7 +22,6 @@ Notes on entries whose constants were derived here rather than copied:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Tuple, Union
 
@@ -35,7 +34,7 @@ from .core import (
 )
 from .morphisms import _central_witness, _series_fingerprint
 from .report import Report
-from .scalars import EXACT, ScalarParseError
+from .scalars import EXACT, Frozen, ScalarParseError, _set
 
 
 class UnknownEntry(KeyError):
@@ -61,13 +60,22 @@ def _nonzero(bk, x) -> bool:
 GRID = ("-2", "-1", "-1/2", "0", "1/2", "1", "2")
 
 
-@dataclass(frozen=True)
-class ParamSpec:
-    name: str
-    default: object
-    kind: str = "scalar"  # "scalar" | "int"
-    admissible: Optional[Callable] = None  # (backend, value) -> bool
-    samples: Tuple = GRID
+class ParamSpec(Frozen):
+    __slots__ = ("name", "default", "kind", "admissible", "samples")
+
+    def __init__(
+        self,
+        name: str,
+        default: object,
+        kind: str = "scalar",  # "scalar" | "int"
+        admissible: Optional[Callable] = None,  # (backend, value) -> bool
+        samples: Tuple = GRID,
+    ):
+        _set(self, "name", name)
+        _set(self, "default", default)
+        _set(self, "kind", kind)
+        _set(self, "admissible", admissible)
+        _set(self, "samples", samples)
 
     def sample_values(self, backend):
         if self.kind == "int":
@@ -79,20 +87,49 @@ class ParamSpec:
         return [v for v in vals if self.admissible(backend, v)]
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    id: str
-    description: str
-    dims: Tuple[int, int]  # (even, odd); (-1, 0) for the n-parameterised family
-    builder: Callable  # (backend, params) -> (LieSuperalgebra, BilinearForm)
-    params: Tuple[ParamSpec, ...] = ()
-    form_parity: str = "even"
-    center_dim: Union[int, Callable] = 0
-    derived_dim: Union[int, Callable] = 0
-    solvable: Union[bool, Callable] = True
-    nilpotent: Union[bool, Callable] = False
-    indecomposable: Union[bool, None, Callable] = None  # None = not claimed
-    notes: str = ""
+class CatalogEntry(Frozen):
+    __slots__ = (
+        "id",
+        "description",
+        "dims",
+        "builder",
+        "params",
+        "form_parity",
+        "center_dim",
+        "derived_dim",
+        "solvable",
+        "nilpotent",
+        "indecomposable",
+        "notes",
+    )
+
+    def __init__(
+        self,
+        id: str,
+        description: str,
+        dims: Tuple[int, int],  # (even, odd); (-1, 0) for the n-parameterised family
+        builder: Callable,  # (backend, params) -> (LieSuperalgebra, BilinearForm)
+        params: Tuple[ParamSpec, ...] = (),
+        form_parity: str = "even",
+        center_dim: Union[int, Callable] = 0,
+        derived_dim: Union[int, Callable] = 0,
+        solvable: Union[bool, Callable] = True,
+        nilpotent: Union[bool, Callable] = False,
+        indecomposable: Union[bool, None, Callable] = None,  # None = not claimed
+        notes: str = "",
+    ):
+        _set(self, "id", id)
+        _set(self, "description", description)
+        _set(self, "dims", dims)
+        _set(self, "builder", builder)
+        _set(self, "params", params)
+        _set(self, "form_parity", form_parity)
+        _set(self, "center_dim", center_dim)
+        _set(self, "derived_dim", derived_dim)
+        _set(self, "solvable", solvable)
+        _set(self, "nilpotent", nilpotent)
+        _set(self, "indecomposable", indecomposable)
+        _set(self, "notes", notes)
 
     def default_params(self, backend) -> dict:
         out = {}
@@ -1026,18 +1063,7 @@ def verify_entry(entry: CatalogEntry, params: Mapping, backend=EXACT) -> Report:
     rep.add(f"{tag}:solvable", "expected solvability", solvable == _expect(entry.solvable, bk, params))
     rep.add(f"{tag}:nilpotent", "expected nilpotency", nilpotent == _expect(entry.nilpotent, bk, params))
     if bk.name == "exact" and params == entry.default_params(bk):
-        fp = _series_fingerprint(alg, series)
-        got = (
-            fp.dim,
-            fp.dim_even,
-            fp.dim_odd,
-            fp.center_dim,
-            fp.derived_dims,
-            fp.lower_central_dims,
-            fp.derived_center_dim,
-            fp.solvable,
-            fp.nilpotent,
-        )
+        got = _series_fingerprint(alg, series).series()
         rep.add(
             f"{tag}:fingerprint",
             "frozen series fingerprint at default parameters",

@@ -26,7 +26,6 @@ import json
 import math
 import os
 import sys
-from datetime import datetime, timezone
 
 from . import catalog
 from .algfile import AlgebraFile, MapFile, ParseError, emit, parse, parse_mapfile
@@ -78,6 +77,13 @@ def _load(path: str, tol: float) -> AlgebraFile:
     return parse(_read(path), tol=tol)
 
 
+def _timestamp() -> str:
+    """The current UTC time in ISO format; datetime is imported only when a stamp is printed."""
+    from datetime import datetime, timezone
+
+    return datetime.now(timezone.utc).isoformat()
+
+
 def _require_form(af: AlgebraFile, what: str):
     if af.form is None:
         raise ParseError(f"{what} needs form lines in {af.name}")
@@ -88,14 +94,14 @@ def _emit_report(rep: Report, args, extra=None) -> int:
     if args.format == "json":
         payload = {"tool": "liequad", "version": VERSION}
         if not args.no_timestamp:
-            payload["timestamp"] = datetime.now(timezone.utc).isoformat()
+            payload["timestamp"] = _timestamp()
         if extra:
             payload.update(extra)
         payload.update(rep.as_dict())
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         if not args.no_timestamp:
-            print(f"# liequad {VERSION} at {datetime.now(timezone.utc).isoformat()}")
+            print(f"# liequad {VERSION} at {_timestamp()}")
         if extra:
             for k, v in extra.items():
                 print(f"# {k}: {v}")
@@ -263,7 +269,7 @@ def cmd_decompose(args) -> int:
     if args.format == "json":
         payload = {"tool": "liequad", "version": VERSION, "algebra": af.name}
         if not args.no_timestamp:
-            payload["timestamp"] = datetime.now(timezone.utc).isoformat()
+            payload["timestamp"] = _timestamp()
         if w is None:
             payload["witness"] = None
         else:

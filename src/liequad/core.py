@@ -17,7 +17,6 @@ Conventions, fixed project-wide:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence, Tuple
 
@@ -37,24 +36,35 @@ from .linalg import (
     zero_vec,
 )
 from .report import Report
-from .scalars import EXACT, residual_magnitude
+from .scalars import EXACT, Frozen, _set, residual_magnitude
 
 
 class StructureError(ValueError):
     """Structure constants or form entries violate a structural invariant."""
 
 
-@dataclass(frozen=True)
-class SuperSpace:
-    dim_even: int
-    dim_odd: int
-    labels: Tuple[str, ...]
+class SuperSpace(Frozen):
+    __slots__ = ("dim_even", "dim_odd", "labels")
 
-    def __post_init__(self):
-        if len(self.labels) != self.dim_even + self.dim_odd:
+    def __init__(self, dim_even: int, dim_odd: int, labels: Tuple[str, ...]):
+        if len(labels) != dim_even + dim_odd:
             raise StructureError("label count does not match dim_even + dim_odd")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise StructureError("basis labels must be distinct")
+        _set(self, "dim_even", dim_even)
+        _set(self, "dim_odd", dim_odd)
+        _set(self, "labels", labels)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dim_even, self.dim_odd, self.labels) == (other.dim_even, other.dim_odd, other.labels)
+
+    def __hash__(self):
+        return hash((self.dim_even, self.dim_odd, self.labels))
+
+    def __repr__(self):
+        return f"SuperSpace(dim_even={self.dim_even}, dim_odd={self.dim_odd}, labels={self.labels!r})"
 
     @staticmethod
     def make(even: Sequence[str], odd: Sequence[str] = ()) -> "SuperSpace":
@@ -111,17 +121,25 @@ def format_vector(backend, space: SuperSpace, v: Vector) -> str:
 BracketTable = Mapping[Tuple[str, str], Mapping[str, object]]
 
 
-@dataclass(frozen=True)
-class LieSuperalgebra:
-    space: SuperSpace
-    backend: object
-    nz: tuple = field(repr=False)  # nz[i][j] = nonzero (k, x) pairs of [e_i, e_j]
-    _nz: tuple = field(init=False, repr=False, compare=False)
+class LieSuperalgebra(Frozen):
+    # nz[i][j] = nonzero (k, x) pairs of [e_i, e_j]; _nz, the view without the
+    # entries zero to the backend, is derived and left out of == and hash
+    __slots__ = ("space", "backend", "nz", "_nz")
 
-    def __post_init__(self):
-        is_zero = self.backend.is_zero
-        view = tuple(tuple(tuple(p for p in row if not is_zero(p[1])) for row in block) for block in self.nz)
-        object.__setattr__(self, "_nz", view)
+    def __init__(self, space: SuperSpace, backend, nz: tuple):
+        _set(self, "space", space)
+        _set(self, "backend", backend)
+        _set(self, "nz", nz)
+        is_zero = backend.is_zero
+        _set(self, "_nz", tuple(tuple(tuple(p for p in row if not is_zero(p[1])) for row in block) for block in nz))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.space, self.backend, self.nz) == (other.space, other.backend, other.nz)
+
+    def __hash__(self):
+        return hash((self.space, self.backend, self.nz))
 
     # -- construction ---------------------------------------------------------
 
@@ -275,12 +293,14 @@ def _parity_violations(space: SuperSpace, backend, i: int, j: int, pairs) -> lis
     ]
 
 
-@dataclass(frozen=True)
-class BilinearForm:
-    space: SuperSpace
-    backend: object
-    parity: str  # "even" | "odd"
-    gram: Matrix
+class BilinearForm(Frozen):
+    # no __slots__: the cached _rank lives in the instance __dict__
+
+    def __init__(self, space: SuperSpace, backend, parity: str, gram: Matrix):
+        _set(self, "space", space)
+        _set(self, "backend", backend)
+        _set(self, "parity", parity)  # "even" | "odd"
+        _set(self, "gram", gram)
 
     @staticmethod
     def build(space: SuperSpace, entries: Mapping[Tuple[str, str], object], parity: str = "even", backend=EXACT) -> "BilinearForm":
@@ -333,11 +353,13 @@ class BilinearForm:
         return BilinearForm(space, self.backend, self.parity, self.gram)
 
 
-@dataclass(frozen=True)
-class QuadraticAlgebra:
-    algebra: LieSuperalgebra
-    form: BilinearForm
-    verified: Report = field(default=None, compare=False, repr=False)
+class QuadraticAlgebra(Frozen):
+    __slots__ = ("algebra", "form", "verified")
+
+    def __init__(self, algebra: LieSuperalgebra, form: BilinearForm, verified: Report = None):
+        _set(self, "algebra", algebra)
+        _set(self, "form", form)
+        _set(self, "verified", verified)
 
     @staticmethod
     def build(algebra: LieSuperalgebra, form: BilinearForm) -> "QuadraticAlgebra":

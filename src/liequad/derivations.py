@@ -25,21 +25,24 @@ solving again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Optional, Tuple
 
 from .core import BilinearForm, LieSuperalgebra, StructureError
 from .linalg import Matrix, Subspace, _nullspace_rows, _rref_sparse, _span_rows, solve_linear
-from .scalars import same_backend
+from .scalars import Frozen, _set, same_backend
 
 
-@dataclass(frozen=True)
-class DerivationSpace:
-    algebra: LieSuperalgebra
-    kind: str  # "all" | "skew" | "inner"
-    basis: Tuple[Matrix, ...]
-    form: Optional[BilinearForm] = None
+class DerivationSpace(Frozen):
+    __slots__ = ("algebra", "kind", "basis", "form")
+
+    def __init__(
+        self, algebra: LieSuperalgebra, kind: str, basis: Tuple[Matrix, ...], form: Optional[BilinearForm] = None
+    ):
+        _set(self, "algebra", algebra)
+        _set(self, "kind", kind)  # "all" | "skew" | "inner"
+        _set(self, "basis", basis)
+        _set(self, "form", form)
 
     @property
     def dim(self) -> int:
@@ -68,8 +71,10 @@ def _output_index(alg: LieSuperalgebra):
 
 def _add_row(rows: list, bk, row: dict) -> None:
     """Append the exactly nonzero entries of row, unless none is left or every
-    one is zero to bk: the one zero filter of every row system, on both backends."""
-    row = {u: x for u, x in row.items() if x}
+    one is zero to bk: the one zero filter of every row system, on both backends.
+    The row is copied only when it holds an exact zero; otherwise it is kept as given."""
+    if not all(row.values()):
+        row = {u: x for u, x in row.items() if x}
     if row and not all(map(bk.is_zero, row.values())):
         rows.append(row)
 

@@ -38,7 +38,6 @@ backend: `_nz`, the tolerance view of the stored sparse table `nz`.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from itertools import chain, product
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
@@ -51,6 +50,7 @@ from .core import (
 )
 from .derivations import _add_row, _evaluate, _flat, _output_index, _skew_rows, _vanishes, is_derivation
 from .linalg import Matrix, _nullspace_rows, dot, vec_is_zero, zero_vec
+from .scalars import Frozen, _set
 
 
 class ExtensionError(StructureError):
@@ -111,12 +111,14 @@ def _cyclic_rows(bk, n: int, unknown) -> list:
 # -- cocycles -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cocycle2:
+class Cocycle2(Frozen):
     """Skew 2-cocycle theta: g x g -> g*, stored as theta[i][j] = dual coordinates."""
 
-    base: LieSuperalgebra
-    theta: tuple = field(repr=False)
+    __slots__ = ("base", "theta")
+
+    def __init__(self, base: LieSuperalgebra, theta: tuple):
+        _set(self, "base", base)
+        _set(self, "theta", theta)
 
     @staticmethod
     def build(base: LieSuperalgebra, entries: Mapping[Tuple[str, str], Mapping[str, object]]) -> "Cocycle2":
@@ -165,12 +167,14 @@ class Cocycle2:
 # -- symmetric pairings for the odd extension ------------------------------------
 
 
-@dataclass(frozen=True)
-class SymPairing:
+class SymPairing(Frozen):
     """Symmetric phi: g* x g* -> g, stored as phi[i][j] = coordinates in g."""
 
-    base: LieSuperalgebra
-    phi: tuple = field(repr=False)
+    __slots__ = ("base", "phi")
+
+    def __init__(self, base: LieSuperalgebra, phi: tuple):
+        _set(self, "base", base)
+        _set(self, "phi", phi)
 
     @staticmethod
     def build(base: LieSuperalgebra, entries: Mapping[Tuple[str, str], Mapping[str, object]]) -> "SymPairing":

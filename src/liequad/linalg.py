@@ -16,11 +16,10 @@ reduced-row-echelon bases; `contains` is the span-dimension test, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .scalars import _real, same_backend
+from .scalars import Frozen, _real, _set, same_backend
 
 Vector = tuple
 
@@ -50,10 +49,20 @@ def dot(u: Vector, v: Vector):
     return acc
 
 
-@dataclass(frozen=True)
-class Matrix:
-    backend: object
-    entries: tuple  # tuple of row tuples
+class Matrix(Frozen):
+    __slots__ = ("backend", "entries")  # entries: tuple of row tuples
+
+    def __init__(self, backend, entries: tuple):
+        _set(self, "backend", backend)
+        _set(self, "entries", entries)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.backend, self.entries) == (other.backend, other.entries)
+
+    def __hash__(self):
+        return hash((self.backend, self.entries))
 
     @staticmethod
     def from_rows(backend, rows) -> "Matrix":
@@ -302,17 +311,22 @@ def _span_rows(backend, rows: list, ambient_dim: int) -> "Subspace":
     return Subspace(backend, ambient_dim, tuple(_dense_row(backend, r, ambient_dim) for r in basis))
 
 
-@dataclass(frozen=True, eq=False)
-class Subspace:
+class Subspace(Frozen):
     """Row span held in reduced row echelon form.
 
     On the exact backend the echelon form is canonical, so equality is literal
     tuple equality; on the float backend equality falls back to mutual
     containment within the backend tolerance."""
 
-    backend: object
-    ambient_dim: int
-    basis: tuple  # RREF rows, no zero rows
+    __slots__ = ("backend", "ambient_dim", "basis")  # basis: RREF rows, no zero rows
+
+    def __init__(self, backend, ambient_dim: int, basis: tuple):
+        _set(self, "backend", backend)
+        _set(self, "ambient_dim", ambient_dim)
+        _set(self, "basis", basis)
+
+    def __repr__(self):
+        return f"Subspace(backend={self.backend!r}, ambient_dim={self.ambient_dim}, basis={self.basis!r})"
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -371,10 +385,23 @@ class Subspace:
 
 # -- eigen-structure at desk scale (size <= 4), read off the minimal polynomial --
 
-@dataclass(frozen=True)
-class EigenStructure:
-    is_nilpotent: bool
-    is_semisimple: bool
+class EigenStructure(Frozen):
+    __slots__ = ("is_nilpotent", "is_semisimple")
+
+    def __init__(self, is_nilpotent: bool, is_semisimple: bool):
+        _set(self, "is_nilpotent", is_nilpotent)
+        _set(self, "is_semisimple", is_semisimple)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.is_nilpotent, self.is_semisimple) == (other.is_nilpotent, other.is_semisimple)
+
+    def __hash__(self):
+        return hash((self.is_nilpotent, self.is_semisimple))
+
+    def __repr__(self):
+        return f"EigenStructure(is_nilpotent={self.is_nilpotent}, is_semisimple={self.is_semisimple})"
 
 
 def minimal_polynomial(a: Matrix) -> list:

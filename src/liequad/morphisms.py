@@ -10,7 +10,6 @@ indecomposability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
 from .core import (
@@ -36,16 +35,18 @@ from .linalg import (
     vec_is_zero,
 )
 from .report import Report
-from .scalars import residual_magnitude
+from .scalars import Frozen, _set, residual_magnitude
 
 
-@dataclass(frozen=True)
-class GradedLinearMap:
+class GradedLinearMap(Frozen):
     """Parity-preserving linear map given by its matrix in the chosen bases."""
 
-    source: SuperSpace
-    target: SuperSpace
-    matrix: Matrix
+    __slots__ = ("source", "target", "matrix")
+
+    def __init__(self, source: SuperSpace, target: SuperSpace, matrix: Matrix):
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "matrix", matrix)
 
     @staticmethod
     def build(source: SuperSpace, target: SuperSpace, matrix: Matrix) -> "GradedLinearMap":
@@ -134,14 +135,16 @@ def verify_i_isomorphism(a: GradedLinearMap, src: QuadraticAlgebra, tgt: Quadrat
 # -- decomposability --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Frozen):
     """A non-degenerate central ideal with its orthogonal complement."""
 
-    core: Subspace
-    complement: Subspace
-    center: Subspace
-    report: Report
+    __slots__ = ("core", "complement", "center", "report")
+
+    def __init__(self, core: Subspace, complement: Subspace, center: Subspace, report: Report):
+        _set(self, "core", core)
+        _set(self, "complement", complement)
+        _set(self, "center", center)
+        _set(self, "report", report)
 
 
 def _central_core(q: QuadraticAlgebra, z: Subspace):
@@ -226,8 +229,7 @@ def verify_decomposition(q: QuadraticAlgebra, s1: Subspace, s2: Subspace) -> Rep
 # -- fingerprints ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(Frozen):
     """Series-type invariants of the bracket, plus two annotation fields.
 
     The compared fields are exactly the dimension data of center, derived and
@@ -239,17 +241,70 @@ class Fingerprint:
     the catalog freezes.
     """
 
-    dim: int
-    dim_even: int
-    dim_odd: int
-    center_dim: int
-    derived_dims: Tuple[int, ...]
-    lower_central_dims: Tuple[int, ...]
-    derived_center_dim: int
-    solvable: bool
-    nilpotent: bool
-    der_dim: int = field(default=0, compare=False)
-    skew_der_dim: Optional[int] = field(default=None, compare=False)
+    __slots__ = (
+        "dim",
+        "dim_even",
+        "dim_odd",
+        "center_dim",
+        "derived_dims",
+        "lower_central_dims",
+        "derived_center_dim",
+        "solvable",
+        "nilpotent",
+        "der_dim",
+        "skew_der_dim",
+    )
+
+    def __init__(
+        self,
+        dim: int,
+        dim_even: int,
+        dim_odd: int,
+        center_dim: int,
+        derived_dims: Tuple[int, ...],
+        lower_central_dims: Tuple[int, ...],
+        derived_center_dim: int,
+        solvable: bool,
+        nilpotent: bool,
+        der_dim: int = 0,
+        skew_der_dim: Optional[int] = None,
+    ):
+        _set(self, "dim", dim)
+        _set(self, "dim_even", dim_even)
+        _set(self, "dim_odd", dim_odd)
+        _set(self, "center_dim", center_dim)
+        _set(self, "derived_dims", derived_dims)
+        _set(self, "lower_central_dims", lower_central_dims)
+        _set(self, "derived_center_dim", derived_center_dim)
+        _set(self, "solvable", solvable)
+        _set(self, "nilpotent", nilpotent)
+        _set(self, "der_dim", der_dim)
+        _set(self, "skew_der_dim", skew_der_dim)
+
+    def series(self) -> tuple:
+        """The compared fields, in order: everything but der_dim and skew_der_dim."""
+        return (
+            self.dim,
+            self.dim_even,
+            self.dim_odd,
+            self.center_dim,
+            self.derived_dims,
+            self.lower_central_dims,
+            self.derived_center_dim,
+            self.solvable,
+            self.nilpotent,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.series() == other.series()
+
+    def __hash__(self):
+        return hash(self.series())
+
+    def __repr__(self):
+        return f"Fingerprint(series={self.series()!r}, der_dim={self.der_dim}, skew_der_dim={self.skew_der_dim})"
 
 
 def fingerprint(x: Union[LieSuperalgebra, QuadraticAlgebra], with_derivations: bool = True) -> Fingerprint:

@@ -7,17 +7,20 @@ string, and an optional witness (the failing triple, the central vector, ...).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
+from .scalars import Frozen, _set
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    law: str
-    ok: bool
-    residual: Optional[str] = None
-    witness: Optional[str] = None
+
+class Check(Frozen):
+    __slots__ = ("name", "law", "ok", "residual", "witness")
+
+    def __init__(self, name: str, law: str, ok: bool, residual: Optional[str] = None, witness: Optional[str] = None):
+        _set(self, "name", name)
+        _set(self, "law", law)
+        _set(self, "ok", ok)
+        _set(self, "residual", residual)
+        _set(self, "witness", witness)
 
     def as_dict(self) -> dict:
         return {
@@ -38,9 +41,11 @@ class Check:
         return "  ".join(parts)
 
 
-@dataclass
 class Report:
-    checks: list = field(default_factory=list)
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: Optional[list] = None):
+        self.checks = [] if checks is None else checks
 
     @property
     def ok(self) -> bool:

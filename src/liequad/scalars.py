@@ -18,7 +18,6 @@ nan raises `ScalarOverflow` when it is tested, instead of deciding a check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 DEFAULT_TOL = 1e-9
@@ -36,12 +35,36 @@ class ScalarOverflow(ArithmeticError):
     """Raised when a complex value leaves the range of a double: inf or nan is no verdict."""
 
 
+_set = object.__setattr__  # sets a field of a `Frozen` value, in its __init__ only
+
+
+class Frozen:
+    """Base of the immutable value types: each sets its fields once, in its
+    own __init__ through `_set`; assigning or deleting a field later raises
+    AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __setstate__(self, state):
+        # copy and pickle restore the fields of a new value here; state is the
+        # __dict__ or a (__dict__ or None, slot values) pair
+        for fields in state if isinstance(state, tuple) else (state,):
+            for name, value in (fields or {}).items():
+                _set(self, name, value)
+
+
 def _real(q):
     """The canonical form of an exact real: the int when q is integral."""
     return q.numerator if q.denominator == 1 else q
 
 
-class Exact:
+class Exact(Frozen):
     """Gaussian rational a + b*i with b != 0 and exact Fraction components.
 
     `Exact(a, 0)` and every operation with a real result return the real value
@@ -55,11 +78,11 @@ class Exact:
         return object.__new__(cls)
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "real", re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "imag", im if type(im) is Fraction else Fraction(im))
+        _set(self, "real", re if type(re) is Fraction else Fraction(re))
+        _set(self, "imag", im if type(im) is Fraction else Fraction(im))
 
-    def __setattr__(self, name, value):  # immutable
-        raise AttributeError("Exact scalars are immutable")
+    def __getnewargs__(self):  # copy and pickle: __new__ without arguments would return 0
+        return (self.real, self.imag)
 
     def __add__(self, other):
         a, b = _parts(other)
@@ -185,18 +208,31 @@ def parse_complex(token: str) -> complex:
     return complex(re, im)
 
 
-@dataclass(frozen=True)
-class ExactBackend:
+class ExactBackend(Frozen):
     """Exact Gaussian-rational arithmetic: an integral real is a bare int, any
     other real a bare Fraction, and only values with a nonzero imaginary part
     are `Exact`.  Divide with `div`, which returns the canonical form; `/` on
     two ints would give a float.  Elimination pivots on the candidate row with
     the fewest nonzeros, and the reduced form it reaches is canonical."""
 
-    name: str = "exact"
+    __slots__ = ("name",)
 
     zero = 0
     one = 1
+
+    def __init__(self, name: str = "exact"):
+        _set(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self):
+        return hash((self.name,))
+
+    def __repr__(self):
+        return f"ExactBackend(name={self.name!r})"
 
     def coerce(self, v) -> int | Fraction | Exact:
         if isinstance(v, (int, Fraction)):
@@ -229,12 +265,25 @@ class ExactBackend:
         return x.abs2() if type(x) is Exact else x * x
 
 
-@dataclass(frozen=True)
-class ComplexBackend:
+class ComplexBackend(Frozen):
     """Double-precision complex arithmetic with a zero tolerance."""
 
-    tol: float = DEFAULT_TOL
-    name: str = "complex"
+    __slots__ = ("tol", "name")
+
+    def __init__(self, tol: float = DEFAULT_TOL, name: str = "complex"):
+        _set(self, "tol", tol)
+        _set(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.tol, self.name) == (other.tol, other.name)
+
+    def __hash__(self):
+        return hash((self.tol, self.name))
+
+    def __repr__(self):
+        return f"ComplexBackend(tol={self.tol!r}, name={self.name!r})"
 
     zero = 0j
     one = 1 + 0j

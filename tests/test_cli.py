@@ -407,6 +407,29 @@ def test_fresh_process_builds_the_parser_in_main():
     assert "error: LIEQUAD_TOL" in done.stderr and "Traceback" not in done.stderr
 
 
+def test_cold_start_imports_neither_dataclasses_nor_datetime():
+    # measured against the modules loaded before the import, so a module that
+    # site preloads does not count; a --no-timestamp run stamps nothing and so
+    # never needs datetime either
+    probe = (
+        "import sys; before = set(sys.modules); import liequad.cli as c; "
+        "new = lambda: sorted({'dataclasses', 'datetime'} & (set(sys.modules) - before)); "
+        "print(new()); c.main(['--no-timestamp', 'verify', sys.argv[1]]); print(new())"
+    )
+    done = subprocess.run([sys.executable, "-c", probe, G4], check=True, capture_output=True, text=True)
+    lines = done.stdout.splitlines()
+    assert lines[0] == "[]" and lines[-1] == "[]"
+
+
+def test_timestamp_is_utc_iso_format(capsys):
+    from datetime import datetime, timedelta
+
+    stamp = datetime.fromisoformat(cli._timestamp())
+    assert stamp.utcoffset() == timedelta(0)
+    code, out, _ = run(capsys, "--format", "json", "verify", G4)
+    assert datetime.fromisoformat(json.loads(out)["timestamp"]).utcoffset() == timedelta(0)
+
+
 NEAR = (
     # a 1e-12 invariance defect: below the default tolerance, above 1e-15
     "algebra near\nbackend complex\ndim_even 2\ndim_odd 0\nbasis X Y\n"

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -25,8 +27,9 @@ from liequad.core import (
     verify_form,
     verify_jacobi,
 )
-from liequad.linalg import Matrix, Subspace
-from liequad.scalars import EXACT, BackendMismatch, Exact, complex_backend
+from liequad.linalg import EigenStructure, Matrix, Subspace
+from liequad.morphisms import Fingerprint
+from liequad.scalars import EXACT, BackendMismatch, Exact, ExactBackend, complex_backend
 
 
 def sparse(c):
@@ -526,3 +529,77 @@ def test_is_ideal_matches_definition(backend, data):
     vectors = data.draw(st.lists(st.tuples(*[entry.map(backend.coerce)] * n), max_size=n))
     s = Subspace.span(backend, vectors, n)
     assert is_ideal(alg, s) == is_ideal_from_definition(alg, s)
+
+
+def _fingerprint(der_dim=5, skew_der_dim=3, center_dim=1):
+    return Fingerprint(4, 4, 0, center_dim, (4, 1, 0), (4, 1, 0), 1, True, True, der_dim, skew_der_dim)
+
+
+def _eigen(nilpotent=True):
+    return EigenStructure(nilpotent, False)
+
+
+def _h3(z=1):
+    return LieSuperalgebra.build(["X", "Y", "Z"], brackets={("X", "Y"): {"Z": z}})
+
+
+# (name, make, make_other): make() builds a fresh value each call, make_other()
+# one that differs from it in a single compared field
+VALUE_TYPES = [
+    ("SuperSpace", lambda: SuperSpace.make(["X", "Y"], ["F"]), lambda: SuperSpace.make(["X", "Y"], ["G"])),
+    ("Matrix", lambda: Matrix.from_rows(EXACT, [[1, "1/2"], [0, 3]]), lambda: Matrix.from_rows(EXACT, [[1, "1/2"], [0, 2]])),
+    ("LieSuperalgebra", _h3, lambda: _h3(2)),
+    ("ExactBackend", ExactBackend, lambda: ExactBackend("other")),
+    ("ComplexBackend", lambda: complex_backend(1e-9), lambda: complex_backend(1e-12)),
+    ("EigenStructure", _eigen, lambda: _eigen(False)),
+    ("Fingerprint", _fingerprint, lambda: _fingerprint(center_dim=2)),
+    ("Exact", lambda: Exact(1, 1), lambda: Exact(1, 2)),
+]
+
+
+@pytest.mark.parametrize("name, make, make_other", VALUE_TYPES, ids=[v[0] for v in VALUE_TYPES])
+def test_value_types_compare_and_hash_by_fields(name, make, make_other):
+    a, b, c = make(), make(), make_other()
+    assert type(a).__name__ == name and a is not b
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a != c and not a == c
+    assert a != (a,) and len({a, b, c}) == 2
+    # copy and pickle rebuild a value past the immutability guard
+    assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
+
+
+def test_fingerprint_equality_ignores_the_derivation_dimensions():
+    a, b = _fingerprint(der_dim=5, skew_der_dim=3), _fingerprint(der_dim=9, skew_der_dim=None)
+    assert a == b and hash(a) == hash(b)
+    assert (b.der_dim, b.skew_der_dim) == (9, None)
+
+
+def _form():
+    return diamond()[1]
+
+
+# id: (make, a field); _nz and the Gram matrix feed cached data, so must not change
+IMMUTABLE = {
+    "SuperSpace": (lambda: SuperSpace.make(["X"]), "labels"),
+    "Matrix": (lambda: Matrix.identity(EXACT, 2), "entries"),
+    "LieSuperalgebra": (_h3, "nz"),
+    "LieSuperalgebra-view": (_h3, "_nz"),
+    "ExactBackend": (ExactBackend, "name"),
+    "ComplexBackend": (complex_backend, "tol"),
+    "EigenStructure": (_eigen, "is_nilpotent"),
+    "Fingerprint": (_fingerprint, "der_dim"),
+    "BilinearForm": (_form, "gram"),
+    "Subspace": (lambda: Subspace.zero(EXACT, 2), "basis"),
+    "Exact": (lambda: Exact(1, 1), "imag"),
+}
+
+
+@pytest.mark.parametrize("make, field", IMMUTABLE.values(), ids=IMMUTABLE.keys())
+def test_values_are_immutable(make, field):
+    value = make()
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert getattr(value, field) is before

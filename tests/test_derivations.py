@@ -338,3 +338,6 @@ def test_add_row_is_the_zero_filter():
     _add_row(rows, CB, {0: 1e-12, 5: -3e-11j, 7: 0j})  # every entry below the tolerance
     _add_row(rows, CB, {0: 1e-12, 5: 0.5 + 0j, 7: 0j})  # one entry above it
     assert rows == [{0: 1e-12, 5: 0.5 + 0j}]
+    row = {0: 1, 4: Fraction(-2, 3)}  # no exact zero: kept as given, not copied
+    _add_row(rows, EXACT, row)
+    assert rows[-1] is row
