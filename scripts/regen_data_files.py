@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Regenerate the shipped .alg files from the catalog builders.
+"""Regenerate the shipped .alg files from the catalog entries.
 
-Run from the repository root; the files land in src/liequad/data/ and a test
-asserts they stay in sync with the builders.
+Each file is `catalog.build` of one entry, emitted as `.alg` text (plus the
+T*-extension tstar_h3).  Run from the repository root; the files land in
+src/liequad/data/ and a test asserts they stay in sync with the catalog.
 """
 
 import pathlib

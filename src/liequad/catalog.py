@@ -1,12 +1,21 @@
 """Named algebras and parameterised families, as machine-checkable tables.
 
-Every entry records its structure constants verbatim, the admissible parameter
-region, and independently hand-derived structural facts (center and derived
-dimensions, solvability, nilpotency, and whether the family is claimed
-indecomposable).  verify_all() rebuilds each entry over a default parameter
-grid and machine-checks all of it: the axioms, the duality between center and
-derived subalgebra, the expected dimensions, and absence of central witnesses
-for the indecomposable entries.
+Each entry is one CatalogEntry record and the only place its algebra is
+written: the even and odd basis labels, the structure constants (one
+orientation per pair), the invariant form and its parity, the admissible
+parameter region, independently hand-derived structural facts (center and
+derived dimensions, solvability, nilpotency, and whether the family is claimed
+indecomposable) and the series fingerprint frozen at the default parameters.
+
+Each of the four tables (even labels, odd labels, brackets, form) and of the
+five facts is either a value or a `(backend, params) -> value` callable, read
+through `_expect`.  `entry.builder(backend, params)` returns
+the pair (LieSuperalgebra, BilinearForm) at coerced, admissible parameters
+without checking any axiom; `build` adds the parameter checks and the eager
+axiom check.  verify_all() rebuilds each entry over a default parameter grid
+and machine-checks all of it: the axioms, the duality between center and
+derived subalgebra, the expected dimensions, the frozen fingerprint, and
+absence of central witnesses for the indecomposable entries.
 
 Notes on entries whose constants were derived here rather than copied:
 
@@ -22,7 +31,6 @@ Notes on entries whose constants were derived here rather than copied:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Mapping, Optional, Tuple, Union
 
 from .core import (
@@ -31,6 +39,8 @@ from .core import (
     QuadraticAlgebra,
     _series,
     orthogonal_complement,
+    verify_form,
+    verify_jacobi,
 )
 from .morphisms import _central_witness, _series_fingerprint
 from .report import Report
@@ -89,47 +99,53 @@ class ParamSpec(Frozen):
 
 class CatalogEntry(Frozen):
     __slots__ = (
-        "id",
-        "description",
-        "dims",
-        "builder",
-        "params",
-        "form_parity",
-        "center_dim",
-        "derived_dim",
-        "solvable",
-        "nilpotent",
-        "indecomposable",
-        "notes",
+        "id", "description", "even", "odd", "brackets", "form", "form_parity", "params",
+        "center_dim", "derived_dim", "solvable", "nilpotent", "indecomposable", "fingerprint",
     )
 
     def __init__(
         self,
         id: str,
         description: str,
-        dims: Tuple[int, int],  # (even, odd); (-1, 0) for the n-parameterised family
-        builder: Callable,  # (backend, params) -> (LieSuperalgebra, BilinearForm)
-        params: Tuple[ParamSpec, ...] = (),
+        *,
+        even: Union[Tuple[str, ...], Callable],
+        odd: Union[Tuple[str, ...], Callable] = (),
+        brackets: Union[Mapping, Callable],  # one orientation per pair
+        form: Union[Mapping, Callable],
         form_parity: str = "even",
+        params: Tuple[ParamSpec, ...] = (),
         center_dim: Union[int, Callable] = 0,
         derived_dim: Union[int, Callable] = 0,
         solvable: Union[bool, Callable] = True,
         nilpotent: Union[bool, Callable] = False,
         indecomposable: Union[bool, None, Callable] = None,  # None = not claimed
-        notes: str = "",
+        # (dim, dim_even, dim_odd, center, derived series, lower central
+        #  series, dim derived-cap-center, solvable, nilpotent) at the defaults
+        fingerprint: tuple,
     ):
         _set(self, "id", id)
         _set(self, "description", description)
-        _set(self, "dims", dims)
-        _set(self, "builder", builder)
-        _set(self, "params", params)
+        _set(self, "even", even)
+        _set(self, "odd", odd)
+        _set(self, "brackets", brackets)
+        _set(self, "form", form)
         _set(self, "form_parity", form_parity)
+        _set(self, "params", params)
         _set(self, "center_dim", center_dim)
         _set(self, "derived_dim", derived_dim)
         _set(self, "solvable", solvable)
         _set(self, "nilpotent", nilpotent)
         _set(self, "indecomposable", indecomposable)
-        _set(self, "notes", notes)
+        _set(self, "fingerprint", fingerprint)
+
+    def builder(self, backend, params) -> Tuple[LieSuperalgebra, BilinearForm]:
+        """The algebra and its form at coerced, admissible `params`, with no
+        axiom check (`build` adds the parameter and axiom checks)."""
+        bk = backend
+        even, odd = _expect(self.even, bk, params), _expect(self.odd, bk, params)
+        alg = LieSuperalgebra.build(even, odd, _expect(self.brackets, bk, params), bk)
+        form = BilinearForm.build(alg.space, _expect(self.form, bk, params), self.form_parity, bk)
+        return alg, form
 
     def default_params(self, backend) -> dict:
         out = {}
@@ -183,425 +199,32 @@ def base(id: str, backend=EXACT, **params) -> LieSuperalgebra:
     raise UnknownEntry(f"unknown base algebra {id!r}")
 
 
-# -- builders ------------------------------------------------------------------------
+# -- shared tables -------------------------------------------------------------------
 
 
-def _quad(bk, even, odd, brackets, form_entries, parity="even"):
-    alg = LieSuperalgebra.build(even, odd, brackets, bk)
-    form = BilinearForm.build(alg.space, form_entries, parity, bk)
-    return alg, form
-
-
-def _b_g4(bk, p):
-    return _quad(
-        bk,
-        ["X", "P", "Q", "Z"],
-        [],
-        {("X", "P"): {"P": 1}, ("X", "Q"): {"Q": -1}, ("P", "Q"): {"Z": 1}},
-        {("X", "Z"): 1, ("P", "Q"): 1},
-    )
-
-
-def _b_g5(bk, p):
-    return _quad(
-        bk,
-        ["X1", "X2", "T", "Z1", "Z2"],
-        [],
-        {("X1", "X2"): {"T": 1}, ("X1", "T"): {"Z2": -1}, ("X2", "T"): {"Z1": 1}},
-        {("X1", "Z1"): 1, ("X2", "Z2"): 1, ("T", "T"): 1},
-    )
-
-
-def _b_g2n2(bk, p):
-    n = p["n"]
-    even = [f"X{i}" for i in range(n + 1)] + [f"Y{i}" for i in range(n + 1)]
+def _g2n2_brackets(bk, p):
     brackets = {}
-    for i in range(1, n + 1):
+    for i in range(1, p["n"] + 1):
         brackets[("Y0", f"X{i}")] = {f"X{i}": 1}
         brackets[("Y0", f"Y{i}")] = {f"Y{i}": -1}
         brackets[(f"X{i}", f"Y{i}")] = {"X0": 1}
-    form = {(f"X{i}", f"Y{i}"): 1 for i in range(n + 1)}
-    return _quad(bk, even, [], brackets, form)
+    return brackets
 
 
-def _tstar_form(labels):
-    return {(l, l + "*"): 1 for l in labels}
-
-
-def _b_g6_1(bk, p):
-    return _quad(
-        bk,
-        ["X", "Y", "Z", "X*", "Y*", "Z*"],
-        [],
-        {("X", "Y"): {"Z": 1}, ("X", "Z*"): {"Y*": -1}, ("Y", "Z*"): {"X*": 1}},
-        _tstar_form(["X", "Y", "Z"]),
-    )
-
-
-def _b_g6_2(bk, p):
-    return _quad(
-        bk,
-        ["X", "Y", "Z", "X*", "Y*", "Z*"],
-        [],
-        {
-            ("X", "Y"): {"Y": 1},
-            ("X", "Z"): {"Y": 1, "Z": 1},
-            ("X", "Y*"): {"Y*": -1, "Z*": -1},
-            ("X", "Z*"): {"Z*": -1},
-            ("Y", "Y*"): {"X*": 1},
-            ("Z", "Y*"): {"X*": 1},
-            ("Z", "Z*"): {"X*": 1},
-        },
-        _tstar_form(["X", "Y", "Z"]),
-    )
-
-
-def _b_g6_3(bk, p):
-    mu = p["mu"]
-    return _quad(
-        bk,
-        ["X", "Y", "Z", "X*", "Y*", "Z*"],
-        [],
-        {
-            ("X", "Y"): {"Y": 1},
-            ("X", "Z"): {"Z": mu},
-            ("X", "Y*"): {"Y*": -1},
-            ("X", "Z*"): {"Z*": -mu},
-            ("Y", "Y*"): {"X*": 1},
-            ("Z", "Z*"): {"X*": mu},
-        },
-        _tstar_form(["X", "Y", "Z"]),
-    )
-
-
-def _b_gs4_1(bk, p):
-    return _quad(
-        bk,
-        ["X0", "Y0"],
-        ["X1", "Y1"],
-        {("Y1", "Y1"): {"X0": -2}, ("Y0", "Y1"): {"X1": -2}},
-        {("X0", "Y0"): 1, ("X1", "Y1"): 1},
-    )
-
-
-def _b_gs4_2(bk, p):
-    return _quad(
-        bk,
-        ["X0", "Y0"],
-        ["X1", "Y1"],
-        {("X1", "Y1"): {"X0": 1}, ("Y0", "X1"): {"X1": 1}, ("Y0", "Y1"): {"Y1": -1}},
-        {("X0", "Y0"): 1, ("X1", "Y1"): 1},
-    )
-
-
-def _b_osp12(bk, p):
-    # even part: the orthonormal-basis rotation algebra; the odd action and the
-    # odd-odd pairing were solved once from skewness + invariance and frozen.
-    h = Fraction(1, 2)
-    return _quad(
-        bk,
-        ["X1", "X2", "X3"],
-        ["F1", "F2"],
-        {
-            ("X1", "X2"): {"X3": 1},
-            ("X2", "X3"): {"X1": 1},
-            ("X3", "X1"): {"X2": 1},
-            ("X1", "F1"): {"F2": "-1/2"},
-            ("X1", "F2"): {"F1": "1/2"},
-            ("X2", "F1"): {"F2": "1/2i"},
-            ("X2", "F2"): {"F1": "1/2i"},
-            ("X3", "F1"): {"F1": "1/2i"},
-            ("X3", "F2"): {"F2": "-1/2i"},
-            ("F1", "F1"): {"X1": "1/2", "X2": "-1/2i"},
-            ("F1", "F2"): {"X3": "1/2i"},
-            ("F2", "F2"): {"X1": "1/2", "X2": "1/2i"},
-        },
-        {("X1", "X1"): 1, ("X2", "X2"): 1, ("X3", "X3"): 1, ("F1", "F2"): 1},
-    )
-
-
+_TSTAR_EVEN = ("X", "Y", "Z", "X*", "Y*", "Z*")
+_TSTAR_FORM = {(l, l + "*"): 1 for l in ("X", "Y", "Z")}
+_G4_EVEN = ("X", "P", "Q", "Z")
 _G4_BRACKETS = {("X", "P"): {"P": 1}, ("X", "Q"): {"Q": -1}, ("P", "Q"): {"Z": 1}}
 _G4_FORM = {("X", "Z"): 1, ("P", "Q"): 1}
-
-
-def _b_gs6_1(bk, p):
-    br = dict(_G4_BRACKETS)
-    br.update({("X", "Y1"): {"X1": 1}, ("Y1", "Y1"): {"Z": 1}})
-    return _quad(bk, ["X", "P", "Q", "Z"], ["X1", "Y1"], br, {**_G4_FORM, ("X1", "Y1"): 1})
-
-
-def _b_gs6_2(bk, p):
-    lam = p["lambda"]
-    br = dict(_G4_BRACKETS)
-    br.update(
-        {
-            ("X", "X1"): {"X1": lam},
-            ("X", "Y1"): {"Y1": -lam},
-            ("X1", "Y1"): {"Z": lam},
-        }
-    )
-    return _quad(bk, ["X", "P", "Q", "Z"], ["X1", "Y1"], br, {**_G4_FORM, ("X1", "Y1"): 1})
-
-
-def _b_gs6_3(bk, p):
-    # generator data: the actions of X and P on the odd part plus two products;
-    # [X1,X1] = 0 and the Q,Z actions complete uniquely by invariance.
-    br = dict(_G4_BRACKETS)
-    br.update(
-        {
-            ("X", "X1"): {"X1": "1/2"},
-            ("X", "Y1"): {"Y1": "-1/2"},
-            ("P", "Y1"): {"X1": 1},
-            ("X1", "Y1"): {"Z": "1/2"},
-            ("Y1", "Y1"): {"Q": 1},
-        }
-    )
-    return _quad(bk, ["X", "P", "Q", "Z"], ["X1", "Y1"], br, {**_G4_FORM, ("X1", "Y1"): 1})
-
-
+_GS6_FORM = {**_G4_FORM, ("X1", "Y1"): 1}
 _SP4_FORM = {("X0", "Y0"): 1, ("X1", "Y1"): 1, ("X2", "Y2"): 1}
-
-
-def _b_gs6_4(bk, p):
-    return _quad(
-        bk,
-        ["X0", "Y0"],
-        ["X1", "X2", "Y1", "Y2"],
-        {("Y0", "X2"): {"X1": 1}, ("Y0", "Y1"): {"Y2": -1}, ("X2", "Y1"): {"X0": 1}},
-        _SP4_FORM,
-    )
-
-
-def _b_gs6_5(bk, p):
-    return _quad(
-        bk,
-        ["X0", "Y0"],
-        ["X1", "X2", "Y1", "Y2"],
-        {
-            ("Y0", "X2"): {"X2": 1},
-            ("Y0", "Y1"): {"X1": 1},
-            ("Y0", "Y2"): {"Y2": -1},
-            ("Y1", "Y1"): {"X0": 1},
-            ("X2", "Y2"): {"X0": 1},
-        },
-        _SP4_FORM,
-    )
-
-
-def _b_gs6_6(bk, p):
-    lam = p["lambda"]
-    return _quad(
-        bk,
-        ["X0", "Y0"],
-        ["X1", "X2", "Y1", "Y2"],
-        {
-            ("Y0", "X1"): {"X1": 1},
-            ("Y0", "X2"): {"X2": lam},
-            ("Y0", "Y1"): {"Y1": -1},
-            ("Y0", "Y2"): {"Y2": -lam},
-            ("X1", "Y1"): {"X0": 1},
-            ("X2", "Y2"): {"X0": lam},
-        },
-        _SP4_FORM,
-    )
-
-
-def _b_gs6_7(bk, p):
-    return _quad(
-        bk,
-        ["X0", "Y0"],
-        ["X1", "X2", "Y1", "Y2"],
-        {
-            ("Y0", "X1"): {"X1": 1},
-            ("Y0", "X2"): {"X1": 1, "X2": 1},
-            ("Y0", "Y1"): {"Y1": -1, "Y2": -1},
-            ("Y0", "Y2"): {"Y2": -1},
-            ("X1", "Y1"): {"X0": 1},
-            ("X2", "Y1"): {"X0": 1},
-            ("X2", "Y2"): {"X0": 1},
-        },
-        _SP4_FORM,
-    )
-
-
-def _b_go2(bk, p):
-    lam = p["lambda"]
-    return _quad(
-        bk,
-        ["X0"],
-        ["X1"],
-        {("X1", "X1"): {"X0": lam}},
-        {("X0", "X1"): 1},
-        parity="odd",
-    )
-
-
 _GO4_FORM = {("X0", "X1"): 1, ("Y0", "Y1"): 1}
-
-
-def _b_go4_1(bk, p):
-    return _quad(
-        bk,
-        ["X0", "Y0"],
-        ["X1", "Y1"],
-        {("X1", "X1"): {"Y0": 1}, ("X1", "Y1"): {"X0": 1}},
-        _GO4_FORM,
-        parity="odd",
-    )
-
-
-def _b_go4_2(bk, p):
-    return _quad(
-        bk,
-        ["X0", "Y0"],
-        ["X1", "Y1"],
-        {("X1", "X1"): {"Y0": 1}, ("X1", "Y1"): {"X0": 1, "Y0": 1}, ("Y1", "Y1"): {"X0": 1}},
-        _GO4_FORM,
-        parity="odd",
-    )
-
-
-def _b_go4_3(bk, p):
-    return _quad(
-        bk,
-        ["X0", "Y0"],
-        ["X1", "Y1"],
-        {("X0", "Y0"): {"Y0": 1}, ("X0", "Y1"): {"Y1": -1}, ("Y0", "Y1"): {"X1": 1}},
-        _GO4_FORM,
-        parity="odd",
-    )
-
-
 _GO6_FORM = {("X0", "X1"): 1, ("Y0", "Y1"): 1, ("Z0", "Z1"): 1}
-_GO6_EVEN = ["X0", "Y0", "Z0"]
-_GO6_ODD = ["X1", "Y1", "Z1"]
-
-
-def _b_go6_0(bk, p):
-    return _quad(bk, _GO6_EVEN, _GO6_ODD, {}, _GO6_FORM, parity="odd")
-
-
-def _b_go6_1(bk, p):
-    # the even part stays abelian; a cyclic symmetric pairing on the odd side
-    # produces the whole family, of which this is the diagonal slice
-    a, b, c = p["a"], p["b"], p["c"]
-    br = {}
-    if _nonzero(bk, a):
-        br[("X1", "X1")] = {"X0": a}
-    if _nonzero(bk, b):
-        br[("Y1", "Y1")] = {"Y0": b}
-    if _nonzero(bk, c):
-        br[("Z1", "Z1")] = {"Z0": c}
-    return _quad(bk, _GO6_EVEN, _GO6_ODD, br, _GO6_FORM, parity="odd")
-
-
-def _b_go6_2(bk, p):
-    return _quad(
-        bk,
-        _GO6_EVEN,
-        _GO6_ODD,
-        {
-            ("X0", "Y0"): {"Z0": 1},
-            ("Y0", "Z1"): {"X1": 1},
-            ("X0", "Z1"): {"Y1": -1},
-        },
-        _GO6_FORM,
-        parity="odd",
-    )
-
-
-def _b_go6_3(bk, p):
-    lam = p["lambda"]
-    return _quad(
-        bk,
-        _GO6_EVEN,
-        _GO6_ODD,
-        {
-            ("X0", "Y0"): {"Z0": 1},
-            ("Y0", "Z1"): {"X1": 1},
-            ("X0", "Z1"): {"Y1": -1},
-            ("Z1", "Z1"): {"Z0": lam},
-        },
-        _GO6_FORM,
-        parity="odd",
-    )
-
-
-def _b_go6_4(bk, p):
-    return _quad(
-        bk,
-        _GO6_EVEN,
-        _GO6_ODD,
-        {
-            ("X0", "Y0"): {"Y0": 1},
-            ("X0", "Z0"): {"Y0": 1, "Z0": 1},
-            ("X0", "Y1"): {"Y1": -1, "Z1": -1},
-            ("Y0", "Y1"): {"X1": 1},
-            ("Z0", "Y1"): {"X1": 1},
-            ("X0", "Z1"): {"Z1": -1},
-            ("Z0", "Z1"): {"X1": 1},
-        },
-        _GO6_FORM,
-        parity="odd",
-    )
-
-
-def _b_go6_5(bk, p):
-    gamma = p["gamma"]
-    br = {
-        ("X0", "Y0"): {"Y0": 1},
-        ("X0", "Y1"): {"Y1": -1},
-        ("Y0", "Y1"): {"X1": 1},
-    }
-    if _nonzero(bk, gamma):
-        br[("Z1", "Z1")] = {"Z0": gamma}
-    return _quad(bk, _GO6_EVEN, _GO6_ODD, br, _GO6_FORM, parity="odd")
-
-
-def _b_go6_6(bk, p):
-    mu = p["mu"]
-    return _quad(
-        bk,
-        _GO6_EVEN,
-        _GO6_ODD,
-        {
-            ("X0", "Y0"): {"Y0": 1},
-            ("X0", "Z0"): {"Z0": mu},
-            ("X0", "Y1"): {"Y1": -1},
-            ("Y0", "Y1"): {"X1": 1},
-            ("X0", "Z1"): {"Z1": -mu},
-            ("Z0", "Z1"): {"X1": mu},
-        },
-        _GO6_FORM,
-        parity="odd",
-    )
-
-
-def _b_go6_7(bk, p):
-    return _quad(
-        bk,
-        _GO6_EVEN,
-        _GO6_ODD,
-        {
-            ("X0", "Y0"): {"Y0": 1},
-            ("X0", "Z0"): {"Z0": "-1/2"},
-            ("X0", "Y1"): {"Y1": -1},
-            ("Y0", "Y1"): {"X1": 1},
-            ("X0", "Z1"): {"Z1": "1/2"},
-            ("Z0", "Z1"): {"X1": "-1/2"},
-            ("Z1", "Z1"): {"Y0": 1},
-            ("Z1", "Y1"): {"Z0": 1},
-        },
-        _GO6_FORM,
-        parity="odd",
-    )
+_GO6_EVEN = ("X0", "Y0", "Z0")
+_GO6_ODD = ("X1", "Y1", "Z1")
 
 
 # -- admissibility helpers -----------------------------------------------------------
-
-
-def _adm_nonzero(bk, v):
-    return _nonzero(bk, v)
 
 
 def _adm_g6_3(bk, v):
@@ -622,358 +245,502 @@ _ENTRIES = (
     CatalogEntry(
         id="g4",
         description="diamond algebra: hyperbolic 4-dim solvable quadratic algebra",
-        dims=(4, 0),
-        builder=_b_g4,
+        even=_G4_EVEN,
+        brackets=_G4_BRACKETS,
+        form=_G4_FORM,
         center_dim=1,
         derived_dim=3,
         nilpotent=False,
         indecomposable=True,
+        fingerprint=(4, 4, 0, 1, (4, 3, 1, 0), (4, 3), 1, True, False),
     ),
     CatalogEntry(
         id="g5",
         description="nilpotent 5-dim quadratic algebra (1-step double extension)",
-        dims=(5, 0),
-        builder=_b_g5,
+        even=("X1", "X2", "T", "Z1", "Z2"),
+        brackets={("X1", "X2"): {"T": 1}, ("X1", "T"): {"Z2": -1}, ("X2", "T"): {"Z1": 1}},
+        form={("X1", "Z1"): 1, ("X2", "Z2"): 1, ("T", "T"): 1},
         center_dim=2,
         derived_dim=3,
         nilpotent=True,
         indecomposable=True,
+        fingerprint=(5, 5, 0, 2, (5, 3, 0), (5, 3, 2, 0), 2, True, True),
     ),
     CatalogEntry(
         id="g2n2",
         description="1-step family of dimension 2n+2 generalising the diamond",
-        dims=(-1, 0),
-        builder=_b_g2n2,
+        even=lambda bk, p: [f"X{i}" for i in range(p["n"] + 1)] + [f"Y{i}" for i in range(p["n"] + 1)],
+        brackets=_g2n2_brackets,
+        form=lambda bk, p: {(f"X{i}", f"Y{i}"): 1 for i in range(p["n"] + 1)},
         params=(ParamSpec("n", 2, kind="int", admissible=_adm_pos_int, samples=(1, 2, 3)),),
         center_dim=1,
         derived_dim=lambda bk, p: 2 * p["n"] + 1,
         nilpotent=False,
         indecomposable=lambda bk, p: True if p["n"] == 1 else None,
+        fingerprint=(6, 6, 0, 1, (6, 5, 1, 0), (6, 5), 1, True, False),
     ),
     CatalogEntry(
         id="g6_1",
         description="T*-extension of the Heisenberg algebra with zero cocycle",
-        dims=(6, 0),
-        builder=_b_g6_1,
+        even=_TSTAR_EVEN,
+        brackets={("X", "Y"): {"Z": 1}, ("X", "Z*"): {"Y*": -1}, ("Y", "Z*"): {"X*": 1}},
+        form=_TSTAR_FORM,
         center_dim=3,
         derived_dim=3,
         nilpotent=True,
         indecomposable=True,
+        fingerprint=(6, 6, 0, 3, (6, 3, 0), (6, 3, 0), 3, True, True),
     ),
     CatalogEntry(
         id="g6_2",
         description="T*-extension of the 3-dim solvable algebra with nilpotent twist",
-        dims=(6, 0),
-        builder=_b_g6_2,
+        even=_TSTAR_EVEN,
+        brackets={
+            ("X", "Y"): {"Y": 1},
+            ("X", "Z"): {"Y": 1, "Z": 1},
+            ("X", "Y*"): {"Y*": -1, "Z*": -1},
+            ("X", "Z*"): {"Z*": -1},
+            ("Y", "Y*"): {"X*": 1},
+            ("Z", "Y*"): {"X*": 1},
+            ("Z", "Z*"): {"X*": 1},
+        },
+        form=_TSTAR_FORM,
         center_dim=1,
         derived_dim=5,
         nilpotent=False,
         indecomposable=True,
+        fingerprint=(6, 6, 0, 1, (6, 5, 1, 0), (6, 5), 1, True, False),
     ),
     CatalogEntry(
         id="g6_3",
         description="T*-extension family over the diagonalisable 3-dim solvable algebra",
-        dims=(6, 0),
-        builder=_b_g6_3,
+        even=_TSTAR_EVEN,
+        brackets=lambda bk, p: {
+            ("X", "Y"): {"Y": 1},
+            ("X", "Z"): {"Z": p["mu"]},
+            ("X", "Y*"): {"Y*": -1},
+            ("X", "Z*"): {"Z*": -p["mu"]},
+            ("Y", "Y*"): {"X*": 1},
+            ("Z", "Z*"): {"X*": p["mu"]},
+        },
+        form=_TSTAR_FORM,
         params=(ParamSpec("mu", "1/2", admissible=_adm_g6_3),),
         center_dim=lambda bk, p: 1 if _nonzero(bk, p["mu"]) else 3,
         derived_dim=lambda bk, p: 5 if _nonzero(bk, p["mu"]) else 3,
         nilpotent=False,
         # mu = 0 splits off the hyperbolic plane (Z, Z*): only claim mu != 0
         indecomposable=lambda bk, p: True if _nonzero(bk, p["mu"]) else False,
+        fingerprint=(6, 6, 0, 1, (6, 5, 1, 0), (6, 5), 1, True, False),
     ),
     CatalogEntry(
         id="gs4_1",
         description="4-dim quadratic superalgebra from a nilpotent rank-one action",
-        dims=(2, 2),
-        builder=_b_gs4_1,
+        even=("X0", "Y0"),
+        odd=("X1", "Y1"),
+        brackets={("Y1", "Y1"): {"X0": -2}, ("Y0", "Y1"): {"X1": -2}},
+        form={("X0", "Y0"): 1, ("X1", "Y1"): 1},
         center_dim=2,
         derived_dim=2,
         nilpotent=True,
         indecomposable=True,
+        fingerprint=(4, 2, 2, 2, (4, 2, 0), (4, 2, 0), 2, True, True),
     ),
     CatalogEntry(
         id="gs4_2",
         description="4-dim quadratic superalgebra from a semisimple rank-one action",
-        dims=(2, 2),
-        builder=_b_gs4_2,
+        even=("X0", "Y0"),
+        odd=("X1", "Y1"),
+        brackets={("X1", "Y1"): {"X0": 1}, ("Y0", "X1"): {"X1": 1}, ("Y0", "Y1"): {"Y1": -1}},
+        form={("X0", "Y0"): 1, ("X1", "Y1"): 1},
         center_dim=1,
         derived_dim=3,
         nilpotent=False,
         indecomposable=True,
+        fingerprint=(4, 2, 2, 1, (4, 3, 1, 0), (4, 3), 1, True, False),
     ),
     CatalogEntry(
         id="osp12",
         description="simple 5-dim quadratic superalgebra, orthonormal even basis",
-        dims=(3, 2),
-        builder=_b_osp12,
+        even=("X1", "X2", "X3"),
+        odd=("F1", "F2"),
+        # even part: the orthonormal-basis rotation algebra; the odd action and
+        # the odd-odd pairing were solved once from skewness + invariance and frozen.
+        brackets={
+            ("X1", "X2"): {"X3": 1},
+            ("X2", "X3"): {"X1": 1},
+            ("X3", "X1"): {"X2": 1},
+            ("X1", "F1"): {"F2": "-1/2"},
+            ("X1", "F2"): {"F1": "1/2"},
+            ("X2", "F1"): {"F2": "1/2i"},
+            ("X2", "F2"): {"F1": "1/2i"},
+            ("X3", "F1"): {"F1": "1/2i"},
+            ("X3", "F2"): {"F2": "-1/2i"},
+            ("F1", "F1"): {"X1": "1/2", "X2": "-1/2i"},
+            ("F1", "F2"): {"X3": "1/2i"},
+            ("F2", "F2"): {"X1": "1/2", "X2": "1/2i"},
+        },
+        form={("X1", "X1"): 1, ("X2", "X2"): 1, ("X3", "X3"): 1, ("F1", "F2"): 1},
         center_dim=0,
         derived_dim=5,
         solvable=False,
         nilpotent=False,
         indecomposable=True,
+        fingerprint=(5, 3, 2, 0, (5,), (5,), 0, False, False),
     ),
     CatalogEntry(
         id="gs6_1",
         description="6-dim super extension of the diamond, nilpotent odd action",
-        dims=(4, 2),
-        builder=_b_gs6_1,
+        even=_G4_EVEN,
+        odd=("X1", "Y1"),
+        brackets={**_G4_BRACKETS, ("X", "Y1"): {"X1": 1}, ("Y1", "Y1"): {"Z": 1}},
+        form=_GS6_FORM,
         center_dim=2,
         derived_dim=4,
         nilpotent=False,
         indecomposable=True,
+        fingerprint=(6, 4, 2, 2, (6, 4, 1, 0), (6, 4, 3), 2, True, False),
     ),
     CatalogEntry(
         id="gs6_2",
         description="6-dim super extension of the diamond, semisimple odd action",
-        dims=(4, 2),
-        builder=_b_gs6_2,
-        params=(ParamSpec("lambda", 1, admissible=_adm_nonzero),),
+        even=_G4_EVEN,
+        odd=("X1", "Y1"),
+        brackets=lambda bk, p: {
+            **_G4_BRACKETS,
+            ("X", "X1"): {"X1": p["lambda"]},
+            ("X", "Y1"): {"Y1": -p["lambda"]},
+            ("X1", "Y1"): {"Z": p["lambda"]},
+        },
+        form=_GS6_FORM,
+        params=(ParamSpec("lambda", 1, admissible=_nonzero),),
         center_dim=1,
         derived_dim=5,
         nilpotent=False,
         indecomposable=True,
-        notes=(
-            "members with different parameters share every series invariant; "
-            "isometric isomorphy holds exactly for equal parameters "
-            "(positive direction: the identity map; separation needs more than "
-            "fingerprints)"
-        ),
+        # members with different parameters share every series invariant;
+        # isometric isomorphy holds exactly for equal parameters (positive
+        # direction: the identity map; separation needs more than fingerprints)
+        fingerprint=(6, 4, 2, 1, (6, 5, 1, 0), (6, 5), 1, True, False),
     ),
     CatalogEntry(
         id="gs6_3",
         description="6-dim super extension of the diamond, two-dim odd action span",
-        dims=(4, 2),
-        builder=_b_gs6_3,
+        even=_G4_EVEN,
+        odd=("X1", "Y1"),
+        # generator data: the actions of X and P on the odd part plus two products;
+        # [X1,X1] = 0 and the Q,Z actions complete uniquely by invariance.
+        brackets={
+            **_G4_BRACKETS,
+            ("X", "X1"): {"X1": "1/2"},
+            ("X", "Y1"): {"Y1": "-1/2"},
+            ("P", "Y1"): {"X1": 1},
+            ("X1", "Y1"): {"Z": "1/2"},
+            ("Y1", "Y1"): {"Q": 1},
+        },
+        form=_GS6_FORM,
         center_dim=1,
         derived_dim=5,
         nilpotent=False,
         indecomposable=True,
+        fingerprint=(6, 4, 2, 1, (6, 5, 3, 0), (6, 5), 1, True, False),
     ),
     CatalogEntry(
         id="gs6_4",
         description="6-dim superalgebra, nilpotent symplectic rank-4 action [2,2]",
-        dims=(2, 4),
-        builder=_b_gs6_4,
+        even=("X0", "Y0"),
+        odd=("X1", "X2", "Y1", "Y2"),
+        brackets={("Y0", "X2"): {"X1": 1}, ("Y0", "Y1"): {"Y2": -1}, ("X2", "Y1"): {"X0": 1}},
+        form=_SP4_FORM,
         center_dim=3,
         derived_dim=3,
         nilpotent=True,
         indecomposable=True,
+        fingerprint=(6, 2, 4, 3, (6, 3, 0), (6, 3, 0), 3, True, True),
     ),
     CatalogEntry(
         id="gs6_5",
         description="6-dim superalgebra, mixed nilpotent/semisimple rank-4 action",
-        dims=(2, 4),
-        builder=_b_gs6_5,
+        even=("X0", "Y0"),
+        odd=("X1", "X2", "Y1", "Y2"),
+        brackets={
+            ("Y0", "X2"): {"X2": 1},
+            ("Y0", "Y1"): {"X1": 1},
+            ("Y0", "Y2"): {"Y2": -1},
+            ("Y1", "Y1"): {"X0": 1},
+            ("X2", "Y2"): {"X0": 1},
+        },
+        form=_SP4_FORM,
         center_dim=2,
         derived_dim=4,
         nilpotent=False,
         indecomposable=True,
+        fingerprint=(6, 2, 4, 2, (6, 4, 1, 0), (6, 4, 3), 2, True, False),
     ),
     CatalogEntry(
         id="gs6_6",
         description="6-dim superalgebra family, diagonal rank-4 action",
-        dims=(2, 4),
-        builder=_b_gs6_6,
-        params=(ParamSpec("lambda", 1, admissible=_adm_nonzero),),
+        even=("X0", "Y0"),
+        odd=("X1", "X2", "Y1", "Y2"),
+        brackets=lambda bk, p: {
+            ("Y0", "X1"): {"X1": 1},
+            ("Y0", "X2"): {"X2": p["lambda"]},
+            ("Y0", "Y1"): {"Y1": -1},
+            ("Y0", "Y2"): {"Y2": -p["lambda"]},
+            ("X1", "Y1"): {"X0": 1},
+            ("X2", "Y2"): {"X0": p["lambda"]},
+        },
+        form=_SP4_FORM,
+        params=(ParamSpec("lambda", 1, admissible=_nonzero),),
         center_dim=1,
         derived_dim=5,
         nilpotent=False,
         indecomposable=True,
-        notes=(
-            "parameters lam1, lam2 are expected isometric exactly when "
-            "lam1 = +/-lam2 or lam2 = +/-1/lam1; witnessing maps must be "
-            "supplied to check-iso, none are constructed here"
-        ),
+        # parameters lam1, lam2 are expected isometric exactly when lam1 = +/-lam2
+        # or lam2 = +/-1/lam1; witnessing maps must be supplied to check-iso,
+        # none are constructed here
+        fingerprint=(6, 2, 4, 1, (6, 5, 1, 0), (6, 5), 1, True, False),
     ),
     CatalogEntry(
         id="gs6_7",
         description="6-dim superalgebra, Jordan-block rank-4 action",
-        dims=(2, 4),
-        builder=_b_gs6_7,
+        even=("X0", "Y0"),
+        odd=("X1", "X2", "Y1", "Y2"),
+        brackets={
+            ("Y0", "X1"): {"X1": 1},
+            ("Y0", "X2"): {"X1": 1, "X2": 1},
+            ("Y0", "Y1"): {"Y1": -1, "Y2": -1},
+            ("Y0", "Y2"): {"Y2": -1},
+            ("X1", "Y1"): {"X0": 1},
+            ("X2", "Y1"): {"X0": 1},
+            ("X2", "Y2"): {"X0": 1},
+        },
+        form=_SP4_FORM,
         center_dim=1,
         derived_dim=5,
         nilpotent=False,
         indecomposable=True,
+        fingerprint=(6, 2, 4, 1, (6, 5, 1, 0), (6, 5), 1, True, False),
     ),
     CatalogEntry(
         id="go2",
         description="2-dim odd-quadratic family [X1,X1] = lambda X0",
-        dims=(1, 1),
-        builder=_b_go2,
-        params=(ParamSpec("lambda", 1),),
+        even=("X0",),
+        odd=("X1",),
+        brackets=lambda bk, p: {("X1", "X1"): {"X0": p["lambda"]}},
+        form={("X0", "X1"): 1},
         form_parity="odd",
+        params=(ParamSpec("lambda", 1),),
         center_dim=lambda bk, p: 1 if _nonzero(bk, p["lambda"]) else 2,
         derived_dim=lambda bk, p: 1 if _nonzero(bk, p["lambda"]) else 0,
         nilpotent=True,
         indecomposable=lambda bk, p: True if _nonzero(bk, p["lambda"]) else None,
+        fingerprint=(2, 1, 1, 1, (2, 1, 0), (2, 1, 0), 1, True, True),
     ),
     CatalogEntry(
         id="go4_1",
         description="4-dim odd-quadratic superalgebra, abelian even part, type 1",
-        dims=(2, 2),
-        builder=_b_go4_1,
+        even=("X0", "Y0"),
+        odd=("X1", "Y1"),
+        brackets={("X1", "X1"): {"Y0": 1}, ("X1", "Y1"): {"X0": 1}},
+        form=_GO4_FORM,
         form_parity="odd",
         center_dim=2,
         derived_dim=2,
         nilpotent=True,
         indecomposable=True,
+        fingerprint=(4, 2, 2, 2, (4, 2, 0), (4, 2, 0), 2, True, True),
     ),
     CatalogEntry(
         id="go4_2",
         description="4-dim odd-quadratic superalgebra, abelian even part, type 2",
-        dims=(2, 2),
-        builder=_b_go4_2,
+        even=("X0", "Y0"),
+        odd=("X1", "Y1"),
+        brackets={("X1", "X1"): {"Y0": 1}, ("X1", "Y1"): {"X0": 1, "Y0": 1}, ("Y1", "Y1"): {"X0": 1}},
+        form=_GO4_FORM,
         form_parity="odd",
         center_dim=2,
         derived_dim=2,
         nilpotent=True,
         indecomposable=True,
+        fingerprint=(4, 2, 2, 2, (4, 2, 0), (4, 2, 0), 2, True, True),
     ),
     CatalogEntry(
         id="go4_3",
         description="odd-quadratic presentation of the diamond algebra",
-        dims=(2, 2),
-        builder=_b_go4_3,
+        even=("X0", "Y0"),
+        odd=("X1", "Y1"),
+        brackets={("X0", "Y0"): {"Y0": 1}, ("X0", "Y1"): {"Y1": -1}, ("Y0", "Y1"): {"X1": 1}},
+        form=_GO4_FORM,
         form_parity="odd",
         center_dim=1,
         derived_dim=3,
         nilpotent=False,
         indecomposable=True,
+        fingerprint=(4, 2, 2, 1, (4, 3, 1, 0), (4, 3), 1, True, False),
     ),
     CatalogEntry(
         id="go6_0",
         description="abelian 6-dim odd-quadratic superalgebra",
-        dims=(3, 3),
-        builder=_b_go6_0,
+        even=_GO6_EVEN,
+        odd=_GO6_ODD,
+        brackets={},
+        form=_GO6_FORM,
         form_parity="odd",
         center_dim=6,
         derived_dim=0,
         nilpotent=True,
         indecomposable=False,
+        fingerprint=(6, 3, 3, 6, (6, 0), (6, 0), 0, True, True),
     ),
     CatalogEntry(
         id="go6_1",
         description="abelian even part with odd-odd products; diagonal slice of the odd T*-family",
-        dims=(3, 3),
-        builder=_b_go6_1,
+        even=_GO6_EVEN,
+        odd=_GO6_ODD,
+        # the even part stays abelian; a cyclic symmetric pairing on the odd side
+        # produces the whole family, of which this is the diagonal slice
+        brackets=lambda bk, p: {
+            ("X1", "X1"): {"X0": p["a"]},
+            ("Y1", "Y1"): {"Y0": p["b"]},
+            ("Z1", "Z1"): {"Z0": p["c"]},
+        },
+        form=_GO6_FORM,
+        form_parity="odd",
         params=(
             ParamSpec("a", 1, samples=("0", "1")),
             ParamSpec("b", 1, samples=("0", "1")),
             ParamSpec("c", 1, samples=("0", "-2", "1")),
         ),
-        form_parity="odd",
         center_dim=lambda bk, p: 6 - sum(1 for v in p.values() if _nonzero(bk, v)),
         derived_dim=lambda bk, p: sum(1 for v in p.values() if _nonzero(bk, v)),
         nilpotent=True,
         indecomposable=None,
+        fingerprint=(6, 3, 3, 3, (6, 3, 0), (6, 3, 0), 3, True, True),
     ),
     CatalogEntry(
         id="go6_2",
         description="odd-quadratic relabelling of the zero-cocycle Heisenberg T*-extension",
-        dims=(3, 3),
-        builder=_b_go6_2,
+        even=_GO6_EVEN,
+        odd=_GO6_ODD,
+        brackets={("X0", "Y0"): {"Z0": 1}, ("Y0", "Z1"): {"X1": 1}, ("X0", "Z1"): {"Y1": -1}},
+        form=_GO6_FORM,
         form_parity="odd",
         center_dim=3,
         derived_dim=3,
         nilpotent=True,
         indecomposable=True,
+        fingerprint=(6, 3, 3, 3, (6, 3, 0), (6, 3, 0), 3, True, True),
     ),
     CatalogEntry(
         id="go6_3",
         description="Heisenberg even part with odd square [Z1,Z1] = lambda Z0",
-        dims=(3, 3),
-        builder=_b_go6_3,
-        params=(ParamSpec("lambda", 1, admissible=_adm_nonzero),),
+        even=_GO6_EVEN,
+        odd=_GO6_ODD,
+        brackets=lambda bk, p: {
+            ("X0", "Y0"): {"Z0": 1},
+            ("Y0", "Z1"): {"X1": 1},
+            ("X0", "Z1"): {"Y1": -1},
+            ("Z1", "Z1"): {"Z0": p["lambda"]},
+        },
+        form=_GO6_FORM,
         form_parity="odd",
+        params=(ParamSpec("lambda", 1, admissible=_nonzero),),
         center_dim=3,
         derived_dim=3,
         nilpotent=True,
         indecomposable=True,
+        fingerprint=(6, 3, 3, 3, (6, 3, 0), (6, 3, 0), 3, True, True),
     ),
     CatalogEntry(
         id="go6_4",
         description="odd-quadratic superalgebra over the non-diagonalisable 3-dim solvable",
-        dims=(3, 3),
-        builder=_b_go6_4,
+        even=_GO6_EVEN,
+        odd=_GO6_ODD,
+        brackets={
+            ("X0", "Y0"): {"Y0": 1},
+            ("X0", "Z0"): {"Y0": 1, "Z0": 1},
+            ("X0", "Y1"): {"Y1": -1, "Z1": -1},
+            ("Y0", "Y1"): {"X1": 1},
+            ("Z0", "Y1"): {"X1": 1},
+            ("X0", "Z1"): {"Z1": -1},
+            ("Z0", "Z1"): {"X1": 1},
+        },
+        form=_GO6_FORM,
         form_parity="odd",
         center_dim=1,
         derived_dim=5,
         nilpotent=False,
         indecomposable=True,
+        fingerprint=(6, 3, 3, 1, (6, 5, 1, 0), (6, 5), 1, True, False),
     ),
     CatalogEntry(
         id="go6_5",
         description="orthogonal sum of the odd diamond and the 2-dim odd family",
-        dims=(3, 3),
-        builder=_b_go6_5,
-        params=(ParamSpec("gamma", 1),),
+        even=_GO6_EVEN,
+        odd=_GO6_ODD,
+        brackets=lambda bk, p: {
+            ("X0", "Y0"): {"Y0": 1},
+            ("X0", "Y1"): {"Y1": -1},
+            ("Y0", "Y1"): {"X1": 1},
+            ("Z1", "Z1"): {"Z0": p["gamma"]},
+        },
+        form=_GO6_FORM,
         form_parity="odd",
+        params=(ParamSpec("gamma", 1),),
         center_dim=lambda bk, p: 2 if _nonzero(bk, p["gamma"]) else 3,
         derived_dim=lambda bk, p: 4 if _nonzero(bk, p["gamma"]) else 3,
         nilpotent=False,
         indecomposable=False,
+        fingerprint=(6, 3, 3, 2, (6, 4, 1, 0), (6, 4, 3), 2, True, False),
     ),
     CatalogEntry(
         id="go6_6",
         description="odd-quadratic family over the diagonalisable 3-dim solvable",
-        dims=(3, 3),
-        builder=_b_go6_6,
-        params=(ParamSpec("mu", "1/2", admissible=_adm_go6_6),),
+        even=_GO6_EVEN,
+        odd=_GO6_ODD,
+        brackets=lambda bk, p: {
+            ("X0", "Y0"): {"Y0": 1},
+            ("X0", "Z0"): {"Z0": p["mu"]},
+            ("X0", "Y1"): {"Y1": -1},
+            ("Y0", "Y1"): {"X1": 1},
+            ("X0", "Z1"): {"Z1": -p["mu"]},
+            ("Z0", "Z1"): {"X1": p["mu"]},
+        },
+        form=_GO6_FORM,
         form_parity="odd",
+        params=(ParamSpec("mu", "1/2", admissible=_adm_go6_6),),
         center_dim=1,
         derived_dim=5,
         nilpotent=False,
         indecomposable=True,
+        fingerprint=(6, 3, 3, 1, (6, 5, 1, 0), (6, 5), 1, True, False),
     ),
     CatalogEntry(
         id="go6_7",
         description="odd-quadratic superalgebra with odd square landing in the even radical",
-        dims=(3, 3),
-        builder=_b_go6_7,
+        even=_GO6_EVEN,
+        odd=_GO6_ODD,
+        brackets={
+            ("X0", "Y0"): {"Y0": 1},
+            ("X0", "Z0"): {"Z0": "-1/2"},
+            ("X0", "Y1"): {"Y1": -1},
+            ("Y0", "Y1"): {"X1": 1},
+            ("X0", "Z1"): {"Z1": "1/2"},
+            ("Z0", "Z1"): {"X1": "-1/2"},
+            ("Z1", "Z1"): {"Y0": 1},
+            ("Z1", "Y1"): {"Z0": 1},
+        },
+        form=_GO6_FORM,
         form_parity="odd",
         center_dim=1,
         derived_dim=5,
         nilpotent=False,
         indecomposable=True,
+        fingerprint=(6, 3, 3, 1, (6, 5, 3, 0), (6, 5), 1, True, False),
     ),
 )
 
 _BY_ID = {e.id: e for e in _ENTRIES}
-
-# frozen series fingerprints at default parameters:
-# (dim, dim_even, dim_odd, center, derived series, lower central series,
-#  dim derived-cap-center, solvable, nilpotent)
-DEFAULT_FINGERPRINTS = {
-    "g4": (4, 4, 0, 1, (4, 3, 1, 0), (4, 3), 1, True, False),
-    "g5": (5, 5, 0, 2, (5, 3, 0), (5, 3, 2, 0), 2, True, True),
-    "g2n2": (6, 6, 0, 1, (6, 5, 1, 0), (6, 5), 1, True, False),
-    "g6_1": (6, 6, 0, 3, (6, 3, 0), (6, 3, 0), 3, True, True),
-    "g6_2": (6, 6, 0, 1, (6, 5, 1, 0), (6, 5), 1, True, False),
-    "g6_3": (6, 6, 0, 1, (6, 5, 1, 0), (6, 5), 1, True, False),
-    "gs4_1": (4, 2, 2, 2, (4, 2, 0), (4, 2, 0), 2, True, True),
-    "gs4_2": (4, 2, 2, 1, (4, 3, 1, 0), (4, 3), 1, True, False),
-    "osp12": (5, 3, 2, 0, (5,), (5,), 0, False, False),
-    "gs6_1": (6, 4, 2, 2, (6, 4, 1, 0), (6, 4, 3), 2, True, False),
-    "gs6_2": (6, 4, 2, 1, (6, 5, 1, 0), (6, 5), 1, True, False),
-    "gs6_3": (6, 4, 2, 1, (6, 5, 3, 0), (6, 5), 1, True, False),
-    "gs6_4": (6, 2, 4, 3, (6, 3, 0), (6, 3, 0), 3, True, True),
-    "gs6_5": (6, 2, 4, 2, (6, 4, 1, 0), (6, 4, 3), 2, True, False),
-    "gs6_6": (6, 2, 4, 1, (6, 5, 1, 0), (6, 5), 1, True, False),
-    "gs6_7": (6, 2, 4, 1, (6, 5, 1, 0), (6, 5), 1, True, False),
-    "go2": (2, 1, 1, 1, (2, 1, 0), (2, 1, 0), 1, True, True),
-    "go4_1": (4, 2, 2, 2, (4, 2, 0), (4, 2, 0), 2, True, True),
-    "go4_2": (4, 2, 2, 2, (4, 2, 0), (4, 2, 0), 2, True, True),
-    "go4_3": (4, 2, 2, 1, (4, 3, 1, 0), (4, 3), 1, True, False),
-    "go6_0": (6, 3, 3, 6, (6, 0), (6, 0), 0, True, True),
-    "go6_1": (6, 3, 3, 3, (6, 3, 0), (6, 3, 0), 3, True, True),
-    "go6_2": (6, 3, 3, 3, (6, 3, 0), (6, 3, 0), 3, True, True),
-    "go6_3": (6, 3, 3, 3, (6, 3, 0), (6, 3, 0), 3, True, True),
-    "go6_4": (6, 3, 3, 1, (6, 5, 1, 0), (6, 5), 1, True, False),
-    "go6_5": (6, 3, 3, 2, (6, 4, 1, 0), (6, 4, 3), 2, True, False),
-    "go6_6": (6, 3, 3, 1, (6, 5, 1, 0), (6, 5), 1, True, False),
-    "go6_7": (6, 3, 3, 1, (6, 5, 3, 0), (6, 5), 1, True, False),
-}
 
 # symplectic rank-4 representative matrices (action of the even generator on the
 # odd part, images in columns) for the four dim-(2,4) entries
@@ -1024,14 +791,20 @@ def _param_str(params: Mapping) -> str:
 def verify_entry(entry: CatalogEntry, params: Mapping, backend=EXACT) -> Report:
     """Axioms, center/derived duality, expected dimensions and flags for one build.
 
+    `params` are coerced and admissible, as `sample_grid` gives them.  A build
+    that fails its axioms reports that one failing check and nothing more.
     Center and both series come from one `_series` pass, which every check
     below reads."""
     bk = backend
     rep = Report()
     tag = entry.id + _param_str(params)
-    q = build(entry.id, backend=bk, **params)
-    rep.add(f"{tag}:axioms", "graded Jacobi identity + invariant form axioms", q.verified.ok)
-    alg = q.algebra
+    alg, form = entry.builder(bk, params)
+    axioms = verify_jacobi(alg).extend(verify_form(alg, form))
+    failed = ", ".join(c.name for c in axioms.failures[:3]) or None
+    rep.add(f"{tag}:axioms", "graded Jacobi identity + invariant form axioms", axioms.ok, witness=failed)
+    if not axioms.ok:
+        return rep
+    q = QuadraticAlgebra(alg, form, axioms)
     series = _series(alg)
     z, ds, lcs = series
     d = ds[1] if len(ds) > 1 else ds[0]  # the series stops at once when [g,g] = g
@@ -1067,7 +840,7 @@ def verify_entry(entry: CatalogEntry, params: Mapping, backend=EXACT) -> Report:
         rep.add(
             f"{tag}:fingerprint",
             "frozen series fingerprint at default parameters",
-            got == DEFAULT_FINGERPRINTS[entry.id],
+            got == entry.fingerprint,
             witness=str(got),
         )
     claimed = _expect(entry.indecomposable, bk, params)

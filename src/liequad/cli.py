@@ -297,7 +297,7 @@ def cmd_catalog(args) -> int:
         for e in catalog.entries():
             params = ", ".join(p.name for p in e.params)
             params = f" ({params})" if params else ""
-            dims = "2n+2" if e.dims[0] < 0 else f"{e.dims[0]}|{e.dims[1]}"
+            dims = "2n+2" if callable(e.even) else f"{len(e.even)}|{len(e.odd)}"
             print(f"{e.id:<8} dim {dims:<5} {e.form_parity:<5}{params:<12} {e.description}")
         return 0
     if args.catalog_cmd == "emit":

@@ -383,7 +383,7 @@ class Subspace(Frozen):
         return _span_rows(self.backend, meet, n)
 
 
-# -- eigen-structure at desk scale (size <= 4), read off the minimal polynomial --
+# -- eigen-structure of a square matrix, read off its minimal polynomial ---------
 
 class EigenStructure(Frozen):
     __slots__ = ("is_nilpotent", "is_semisimple")
@@ -453,7 +453,7 @@ def _poly_gcd_degree(backend, a: list, b: list) -> int:
 
 
 def eigen_structure(a: Matrix) -> EigenStructure:
-    """Nilpotency (A^n = 0) and semisimplicity for square matrices of size <= 4.
+    """Nilpotency (A^n = 0) and semisimplicity of a square matrix of any size.
 
     A is semisimple exactly when its minimal polynomial p is squarefree, that
     is when gcd(p, p') is a constant.  Both backends take this one path; the
@@ -461,8 +461,6 @@ def eigen_structure(a: Matrix) -> EigenStructure:
     """
     if a.rows != a.cols:
         raise ValueError("eigen_structure needs a square matrix")
-    if a.rows > 4:
-        raise ValueError("eigen_structure is restricted to size <= 4")
     bk = a.backend
     nilpotent = a.power(a.rows).is_zero()
     p = minimal_polynomial(a)

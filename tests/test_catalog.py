@@ -1,8 +1,14 @@
+import hashlib
+import io
+from contextlib import redirect_stdout
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from liequad import catalog
-from liequad.catalog import InadmissibleParameter, UnknownEntry
+from liequad.algfile import emit
+from liequad.catalog import CatalogEntry, InadmissibleParameter, UnknownEntry
+from liequad.cli import main
 from liequad.core import center, derived_subalgebra, verify_form, verify_jacobi
 from liequad.linalg import Subspace
 from liequad.morphisms import (
@@ -18,11 +24,61 @@ def test_catalog_has_at_least_25_entries():
     assert len(catalog.entries()) >= 25
 
 
+@pytest.fixture(scope="module")
+def listed_dims():
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["catalog", "list"]) == 0
+    return {line.split()[0]: line.split()[2] for line in out.getvalue().splitlines()}
+
+
 @pytest.mark.parametrize("entry", [e for e in catalog.entries() if e.id != "g2n2"], ids=lambda e: e.id)
-def test_listed_dims_are_those_of_the_default_build(entry):
-    # `catalog list` prints the hand-written dims; g2n2's (-1, 0) stands for n
+def test_listed_dims_are_those_of_the_default_build(entry, listed_dims):
+    # `catalog list` derives E|O from the entry's labels
     space = catalog.build(entry.id).algebra.space
-    assert entry.dims == (space.dim_even, space.dim_odd)
+    assert listed_dims[entry.id] == f"{space.dim_even}|{space.dim_odd}"
+
+
+def test_listed_dims_of_g2n2_name_the_family(listed_dims):
+    # g2n2's labels are a callable of n
+    assert listed_dims["g2n2"] == "2n+2"
+
+
+@pytest.mark.parametrize(
+    "backend, digest",
+    [
+        (EXACT, "c6ea6b4a829dcfc055f2d95da31eff14360dcd202e180d2d423b6130a49d0df5"),
+        (complex_backend(), "29048110e6026209aa7313dbc67e124f2eb98cb078d6c9d73fad956f8a005f85"),
+    ],
+    ids=["exact", "complex"],
+)
+def test_catalog_tables_are_pinned(backend, digest):
+    # every entry's labels, brackets and form at every sample point, as `.alg` text
+    h = hashlib.sha256()
+    points = 0
+    for e in catalog.entries():
+        for p in e.sample_grid(backend):
+            alg, form = e.builder(backend, p)
+            h.update(emit(alg, form, e.id + catalog._param_str(p)).encode())
+            points += 1
+    assert points == 74
+    assert h.hexdigest() == digest
+
+
+def test_verify_entry_reports_failing_axioms():
+    # g4 with [X,Q] = +Q breaks Jacobi on (X,P,Q): one failing check, no exception
+    g4 = catalog.get("g4")
+    broken = CatalogEntry(
+        "broken",
+        "g4 with [X,Q] = +Q",
+        even=g4.even,
+        brackets={("X", "P"): {"P": 1}, ("X", "Q"): {"Q": 1}, ("P", "Q"): {"Z": 1}},
+        form=g4.form,
+        fingerprint=g4.fingerprint,
+    )
+    rep = catalog.verify_entry(broken, {})
+    assert [(c.name, c.ok) for c in rep.checks] == [("broken:axioms", False)]
+    assert "jacobi(X,P,Q)" in rep.checks[0].witness
 
 
 def test_unknown_entry():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liequad import catalog
 from liequad.core import BilinearForm, LieSuperalgebra, SuperSpace
 from liequad.derivations import derivation_space
 from liequad.linalg import (
@@ -135,9 +136,16 @@ def test_eigen_unipotent():
     assert not e.is_nilpotent and not e.is_semisimple
 
 
-def test_eigen_rejects_large():
-    with pytest.raises(ValueError):
-        eigen_structure(Matrix.identity(EXACT, 5))
+@pytest.mark.parametrize(
+    "id, params, semisimple",
+    [("g6_3", {"mu": "1/2"}, True), ("go6_6", {"mu": "1/2"}, True), ("g6_2", {}, False), ("go6_4", {}, False)],
+)
+def test_eigen_six_by_six(id, params, semisimple):
+    # no size cap: ad of the first even generator of a 6-dim catalog entry
+    ad = catalog.build(id, **params).algebra.ad(0)
+    assert ad.rows == 6
+    e = eigen_structure(ad)
+    assert not e.is_nilpotent and e.is_semisimple == semisimple
 
 
 def test_eigen_float_backend():
