@@ -3,7 +3,8 @@
 
 Each file is `catalog.build` of one entry, emitted as `.alg` text (plus the
 T*-extension tstar_h3).  Run from the repository root; the files land in
-src/liequad/data/ and a test asserts they stay in sync with the catalog.
+src/liequad/data/.  tests/test_algfile.py asserts that the shipped files are
+exactly those of `texts()`, byte for byte.
 """
 
 import pathlib
@@ -40,15 +41,19 @@ def tstar_h3_text() -> str:
     return emit(q.algebra, q.form, "tstar_h3", params={"lambda": "1"})
 
 
-def main() -> int:
-    DATA.mkdir(parents=True, exist_ok=True)
+def texts():
+    """(file name, .alg text) of every shipped file, in the order written."""
     for fname, cat_id, params in SHIPPED:
         q = catalog.build(cat_id, **params)
-        text = emit(q.algebra, q.form, fname, params=params)
-        (DATA / f"{fname}.alg").write_text(text, encoding="utf-8")
-        print(f"wrote {fname}.alg")
-    (DATA / "tstar_h3.alg").write_text(tstar_h3_text(), encoding="utf-8")
-    print("wrote tstar_h3.alg")
+        yield f"{fname}.alg", emit(q.algebra, q.form, fname, params=params)
+    yield "tstar_h3.alg", tstar_h3_text()
+
+
+def main() -> int:
+    DATA.mkdir(parents=True, exist_ok=True)
+    for name, text in texts():
+        (DATA / name).write_text(text, encoding="utf-8")
+        print(f"wrote {name}")
     return 0
 
 

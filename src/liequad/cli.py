@@ -5,7 +5,9 @@ rejected its input, or stdout was closed early (`liequad ... | head`), 2 usage
 or parse errors and complex arithmetic that overflowed a double (a value of
 inf or nan decides no check).  --format json emits the report as a
 machine-readable object; report --all is byte-deterministic on the exact
-backend once --no-timestamp is passed.
+backend once --no-timestamp is passed.  A warning raised by a command, such
+as the one for a cocycle that is not cyclic, is printed to stderr as one line
+`warning: <message>`; it changes neither stdout nor the exit code.
 
 The flags --tol, --format and --no-timestamp can also be set through the
 environment variables LIEQUAD_TOL, LIEQUAD_FORMAT and LIEQUAD_NO_TIMESTAMP.
@@ -26,6 +28,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 from . import catalog
 from .algfile import AlgebraFile, MapFile, ParseError, emit, parse, parse_mapfile
@@ -546,7 +549,11 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     _fill_from_env(_parser, args)
     try:
-        code = args.fn(args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = args.fn(args)
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except BrokenPipeError:

@@ -33,17 +33,16 @@ from .linalg import (
     rank,
     vec,
     vec_is_zero,
-    zero_vec,
 )
 from .report import Report
-from .scalars import EXACT, Frozen, _set, residual_magnitude
+from .scalars import EXACT, Frozen, Value, _set, residual_magnitude
 
 
 class StructureError(ValueError):
     """Structure constants or form entries violate a structural invariant."""
 
 
-class SuperSpace(Frozen):
+class SuperSpace(Value):
     __slots__ = ("dim_even", "dim_odd", "labels")
 
     def __init__(self, dim_even: int, dim_odd: int, labels: Tuple[str, ...]):
@@ -54,17 +53,6 @@ class SuperSpace(Frozen):
         _set(self, "dim_even", dim_even)
         _set(self, "dim_odd", dim_odd)
         _set(self, "labels", labels)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.dim_even, self.dim_odd, self.labels) == (other.dim_even, other.dim_odd, other.labels)
-
-    def __hash__(self):
-        return hash((self.dim_even, self.dim_odd, self.labels))
-
-    def __repr__(self):
-        return f"SuperSpace(dim_even={self.dim_even}, dim_odd={self.dim_odd}, labels={self.labels!r})"
 
     @staticmethod
     def make(even: Sequence[str], odd: Sequence[str] = ()) -> "SuperSpace":
@@ -121,10 +109,11 @@ def format_vector(backend, space: SuperSpace, v: Vector) -> str:
 BracketTable = Mapping[Tuple[str, str], Mapping[str, object]]
 
 
-class LieSuperalgebra(Frozen):
+class LieSuperalgebra(Value):
     # nz[i][j] = nonzero (k, x) pairs of [e_i, e_j]; _nz, the view without the
     # entries zero to the backend, is derived and left out of == and hash
     __slots__ = ("space", "backend", "nz", "_nz")
+    _compared = ("space", "backend", "nz")
 
     def __init__(self, space: SuperSpace, backend, nz: tuple):
         _set(self, "space", space)
@@ -132,14 +121,6 @@ class LieSuperalgebra(Frozen):
         _set(self, "nz", nz)
         is_zero = backend.is_zero
         _set(self, "_nz", tuple(tuple(tuple(p for p in row if not is_zero(p[1])) for row in block) for block in nz))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.space, self.backend, self.nz) == (other.space, other.backend, other.nz)
-
-    def __hash__(self):
-        return hash((self.space, self.backend, self.nz))
 
     # -- construction ---------------------------------------------------------
 
@@ -205,37 +186,18 @@ class LieSuperalgebra(Frozen):
 
     def bracket(self, u: Vector, v: Vector) -> Vector:
         bk = self.backend
-        u, v = vec(bk, u), vec(bk, v)
-        out = [bk.zero] * self.dim
-        for i, a in enumerate(u):
-            if bk.is_zero(a):
-                continue
-            for j, b in enumerate(v):
-                if bk.is_zero(b):
-                    continue
-                ab = a * b
-                for k, x in self._nz[i][j]:
-                    out[k] = out[k] + ab * x
-        return tuple(out)
+        return _dense_row(bk, _bracket(self._nz, _pairs(bk, vec(bk, u)), _pairs(bk, vec(bk, v))), self.dim)
 
     def ad(self, i: int) -> Matrix:
         """Matrix of [e_i, -], images in columns."""
         return Matrix(self.backend, tuple(zip(*(self.bracket_basis(i, j) for j in range(self.dim)))))
 
     def ad_vector(self, v: Vector) -> Matrix:
-        n = self.dim
-        bk = self.backend
-        v = vec(bk, v)
-        cols = [zero_vec(bk, n)] * n
-        for j in range(n):
-            col = [bk.zero] * n
-            for i, a in enumerate(v):
-                if bk.is_zero(a):
-                    continue
-                for k, x in self._nz[i][j]:
-                    col[k] = col[k] + a * x
-            cols[j] = tuple(col)
-        return Matrix(bk, tuple(tuple(cols[j][k] for j in range(n)) for k in range(n)))
+        """Matrix of [v, -], images in columns."""
+        bk, n = self.backend, self.dim
+        x = _pairs(bk, vec(bk, v))
+        cols = (_dense_row(bk, _bracket(self._nz, x, ((j, bk.one),)), n) for j in range(n))
+        return Matrix(bk, tuple(zip(*cols)))
 
     def structure_violations(self) -> list:
         """Parity-consistency and graded-antisymmetry violations, as messages.
@@ -436,6 +398,26 @@ def verify_jacobi(alg: LieSuperalgebra) -> Report:
     return rep
 
 
+def _pairs(backend, v: Vector) -> list:
+    """(index, value) pairs of the coordinates of v that are nonzero to the backend."""
+    return [(i, a) for i, a in enumerate(v) if not backend.is_zero(a)]
+
+
+def _bracket(nz, x, y) -> dict:
+    """[x, y] = sum of a * b * c_ij over the (i, a) pairs of x and the (j, b)
+    pairs of y, as {k: value}: each k adds up its products (a * b) * c in the
+    order of i, then j.  nz is a sparse structure-constant table."""
+    out = {}
+    for i, a in x:
+        row = nz[i]
+        for j, b in y:
+            ab = a * b
+            for k, c in row[j]:
+                p = ab * c
+                out[k] = out[k] + p if k in out else p
+    return out
+
+
 def _nonzeros(row: Vector) -> tuple:
     """(index, value) pairs of the entries that are exactly nonzero."""
     return tuple((m, x) for m, x in enumerate(row) if x)
@@ -572,17 +554,8 @@ def subspace_bracket(alg: LieSuperalgebra, u: Subspace, v: Subspace) -> Subspace
     """Span of [a, b] over the basis pairs, summed over the nonzero structure
     constants in the order of `bracket`, one row per pair."""
     bk, nz = alg.backend, alg._nz
-    us, vs = ([[(i, a) for i, a in enumerate(x) if not bk.is_zero(a)] for x in s.basis] for s in (u, v))
-    rows = []
-    for x in us:
-        for y in vs:
-            out = {}
-            for i, a in x:
-                for j, b in y:
-                    ab = a * b
-                    for k, c in nz[i][j]:
-                        out[k] = out[k] + ab * c if k in out else ab * c
-            rows.append({k: w for k, w in out.items() if w})
+    us, vs = ([_pairs(bk, x) for x in s.basis] for s in (u, v))
+    rows = [{k: w for k, w in _bracket(nz, x, y).items() if w} for x in us for y in vs]
     return _span_rows(bk, rows, alg.dim)
 
 
@@ -648,7 +621,7 @@ def is_ideal(alg: LieSuperalgebra, s: Subspace) -> bool:
     bk, n = alg.backend, alg.dim
     rows = [_sparse_row(b) for b in s.basis]
     for b in s.basis:
-        coeffs = [(j, x) for j, x in enumerate(b) if not bk.is_zero(x)]
+        coeffs = _pairs(bk, b)
         for i in range(n):
             rows.append({k: x for k, x in _combine(coeffs, alg._nz[i]).items() if x})
     return _span_rows(bk, rows, n).dim == s.dim

@@ -17,7 +17,8 @@ The T*-extension is this double extension with h = 0, the one-dimensional
 double extension has g = span{e} with dual label f, and the super double
 extension is the double extension by a purely odd quadratic core h: an
 ordinary `QuadraticAlgebra` whose basis is all odd, so that h is abelian and
-B_h is a symplectic form.  Both check their action psi in one place,
+B_h is a symplectic form.  `_extend` checks the action psi of every
+construction with a core, the three double extensions, in one place:
 `_check_action`.  The odd T*-extension makes g* odd, so g* leads the odd
 block, and brackets g* x g* into g by a symmetric pairing phi.
 
@@ -324,10 +325,14 @@ def _extend(
 ) -> Union[QuadraticAlgebra, LieSuperalgebra]:
     """g + h + g* with the brackets and form of the module docstring.
 
-    g* is odd exactly when the pairing phi is given.  If theta or phi is not
-    cyclic, the bare algebra is returned with the warning."""
+    g* is odd exactly when the pairing phi is given.  A given core is checked
+    with its action psi by `_check_action`.  If theta or phi is not cyclic,
+    the bare algebra is returned with the warning."""
     bk, n = g.backend, g.dim
-    core = core if core is not None else _zero_core(bk)
+    if core is None:
+        core = _zero_core(bk)
+    else:
+        _check_action(g, psi, core)
     h, hgram = core.algebra, core.form.gram
     gl, hl = g.labels, h.labels
     dl = duals or tuple(star(l) for l in gl)
@@ -371,12 +376,8 @@ def double_extension_1d(q: QuadraticAlgebra, d: Matrix, ext_labels: Tuple[str, s
     """One-dimensional double extension of an even quadratic algebra by a skew
     derivation: new brackets [e,x] = Dx and [x,y] = [x,y] + B(Dx,y) f, with f
     central and the form extended hyperbolically by B(e,f) = 1."""
-    alg, form = q.algebra, q.form
+    alg = q.algebra
     _require_even(alg, "the one-dimensional double extension")
-    if not is_derivation(alg, d):
-        raise ExtensionError("the extension map is not a derivation")
-    if not _vanishes(alg.backend, _skew_rows(alg.backend, form.gram), _flat(d)):
-        raise ExtensionError("the extension map is not skew for the form")
     le, lf = ext_labels
     if le in alg.labels or lf in alg.labels or le == lf:
         raise ExtensionError("extension labels collide with the base labels")
@@ -390,9 +391,7 @@ def double_extension_general(galg: LieSuperalgebra, h: Optional[QuadraticAlgebra
     _require_even(galg, "the double extension")
     core = h if h is not None else _zero_core(galg.backend)
     _require_even(core.algebra, "the double extension core")
-    psi = tuple(psi)
-    _check_action(galg, psi, core)
-    return _extend(galg, core, psi)
+    return _extend(galg, core, tuple(psi))
 
 
 def t_star_extension(galg: LieSuperalgebra, theta: Optional[Cocycle2] = None) -> Union[QuadraticAlgebra, LieSuperalgebra]:
@@ -421,12 +420,10 @@ def super_double_extension(
         raise ExtensionError("the super double extension needs a purely odd core")
     if theta is not None and theta.base != galg:
         raise ExtensionError("theta is a cocycle of a different algebra")
-    psi = tuple(psi)
-    _check_action(galg, psi, h)
     return _extend(
         galg,
         h,
-        psi,
+        tuple(psi),
         theta,
         warning="theta is not cyclic: the super double extension is returned without a form",
     )

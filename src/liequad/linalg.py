@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .scalars import Frozen, _real, _set, same_backend
+from .scalars import Value, _real, _set, same_backend
 
 Vector = tuple
 
@@ -49,20 +49,12 @@ def dot(u: Vector, v: Vector):
     return acc
 
 
-class Matrix(Frozen):
+class Matrix(Value):
     __slots__ = ("backend", "entries")  # entries: tuple of row tuples
 
     def __init__(self, backend, entries: tuple):
         _set(self, "backend", backend)
         _set(self, "entries", entries)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.backend, self.entries) == (other.backend, other.entries)
-
-    def __hash__(self):
-        return hash((self.backend, self.entries))
 
     @staticmethod
     def from_rows(backend, rows) -> "Matrix":
@@ -311,7 +303,7 @@ def _span_rows(backend, rows: list, ambient_dim: int) -> "Subspace":
     return Subspace(backend, ambient_dim, tuple(_dense_row(backend, r, ambient_dim) for r in basis))
 
 
-class Subspace(Frozen):
+class Subspace(Value):
     """Row span held in reduced row echelon form.
 
     On the exact backend the echelon form is canonical, so equality is literal
@@ -324,9 +316,6 @@ class Subspace(Frozen):
         _set(self, "backend", backend)
         _set(self, "ambient_dim", ambient_dim)
         _set(self, "basis", basis)
-
-    def __repr__(self):
-        return f"Subspace(backend={self.backend!r}, ambient_dim={self.ambient_dim}, basis={self.basis!r})"
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -385,23 +374,12 @@ class Subspace(Frozen):
 
 # -- eigen-structure of a square matrix, read off its minimal polynomial ---------
 
-class EigenStructure(Frozen):
+class EigenStructure(Value):
     __slots__ = ("is_nilpotent", "is_semisimple")
 
     def __init__(self, is_nilpotent: bool, is_semisimple: bool):
         _set(self, "is_nilpotent", is_nilpotent)
         _set(self, "is_semisimple", is_semisimple)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.is_nilpotent, self.is_semisimple) == (other.is_nilpotent, other.is_semisimple)
-
-    def __hash__(self):
-        return hash((self.is_nilpotent, self.is_semisimple))
-
-    def __repr__(self):
-        return f"EigenStructure(is_nilpotent={self.is_nilpotent}, is_semisimple={self.is_semisimple})"
 
 
 def minimal_polynomial(a: Matrix) -> list:

@@ -35,7 +35,7 @@ from .linalg import (
     vec_is_zero,
 )
 from .report import Report
-from .scalars import Frozen, _set, residual_magnitude
+from .scalars import Frozen, Value, _set, residual_magnitude
 
 
 class GradedLinearMap(Frozen):
@@ -229,7 +229,7 @@ def verify_decomposition(q: QuadraticAlgebra, s1: Subspace, s2: Subspace) -> Rep
 # -- fingerprints ------------------------------------------------------------------
 
 
-class Fingerprint(Frozen):
+class Fingerprint(Value):
     """Series-type invariants of the bracket, plus two annotation fields.
 
     The compared fields are exactly the dimension data of center, derived and
@@ -241,7 +241,7 @@ class Fingerprint(Frozen):
     the catalog freezes.
     """
 
-    __slots__ = (
+    _compared = (
         "dim",
         "dim_even",
         "dim_odd",
@@ -251,9 +251,8 @@ class Fingerprint(Frozen):
         "derived_center_dim",
         "solvable",
         "nilpotent",
-        "der_dim",
-        "skew_der_dim",
     )
+    __slots__ = _compared + ("der_dim", "skew_der_dim")
 
     def __init__(
         self,
@@ -283,28 +282,7 @@ class Fingerprint(Frozen):
 
     def series(self) -> tuple:
         """The compared fields, in order: everything but der_dim and skew_der_dim."""
-        return (
-            self.dim,
-            self.dim_even,
-            self.dim_odd,
-            self.center_dim,
-            self.derived_dims,
-            self.lower_central_dims,
-            self.derived_center_dim,
-            self.solvable,
-            self.nilpotent,
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.series() == other.series()
-
-    def __hash__(self):
-        return hash(self.series())
-
-    def __repr__(self):
-        return f"Fingerprint(series={self.series()!r}, der_dim={self.der_dim}, skew_der_dim={self.skew_der_dim})"
+        return tuple(getattr(self, name) for name in self._compared)
 
 
 def fingerprint(x: Union[LieSuperalgebra, QuadraticAlgebra], with_derivations: bool = True) -> Fingerprint:

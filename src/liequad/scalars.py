@@ -59,6 +59,31 @@ class Frozen:
                 _set(self, name, value)
 
 
+class Value(Frozen):
+    """A `Frozen` value compared, hashed and printed by its fields: the names
+    in the class's `_compared`, or all of its __slots__ when that is empty.
+    Values of different classes are never equal."""
+
+    __slots__ = ()
+    _compared = ()
+
+    def _fields(self) -> tuple:
+        """The (name, value) pairs of the compared fields."""
+        return tuple((name, getattr(self, name)) for name in self._compared or self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._fields())
+        return f"{type(self).__name__}({fields})"
+
+
 def _real(q):
     """The canonical form of an exact real: the int when q is integral."""
     return q.numerator if q.denominator == 1 else q
@@ -208,7 +233,7 @@ def parse_complex(token: str) -> complex:
     return complex(re, im)
 
 
-class ExactBackend(Frozen):
+class ExactBackend(Value):
     """Exact Gaussian-rational arithmetic: an integral real is a bare int, any
     other real a bare Fraction, and only values with a nonzero imaginary part
     are `Exact`.  Divide with `div`, which returns the canonical form; `/` on
@@ -222,17 +247,6 @@ class ExactBackend(Frozen):
 
     def __init__(self, name: str = "exact"):
         _set(self, "name", name)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.name == other.name
-
-    def __hash__(self):
-        return hash((self.name,))
-
-    def __repr__(self):
-        return f"ExactBackend(name={self.name!r})"
 
     def coerce(self, v) -> int | Fraction | Exact:
         if isinstance(v, (int, Fraction)):
@@ -265,7 +279,7 @@ class ExactBackend(Frozen):
         return x.abs2() if type(x) is Exact else x * x
 
 
-class ComplexBackend(Frozen):
+class ComplexBackend(Value):
     """Double-precision complex arithmetic with a zero tolerance."""
 
     __slots__ = ("tol", "name")
@@ -273,17 +287,6 @@ class ComplexBackend(Frozen):
     def __init__(self, tol: float = DEFAULT_TOL, name: str = "complex"):
         _set(self, "tol", tol)
         _set(self, "name", name)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.tol, self.name) == (other.tol, other.name)
-
-    def __hash__(self):
-        return hash((self.tol, self.name))
-
-    def __repr__(self):
-        return f"ComplexBackend(tol={self.tol!r}, name={self.name!r})"
 
     zero = 0j
     one = 1 + 0j

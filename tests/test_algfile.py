@@ -1,3 +1,6 @@
+import importlib.util
+import pathlib
+
 import pytest
 
 from liequad import catalog, data_file
@@ -46,6 +49,17 @@ def test_shipped_files_match_catalog():
         q = catalog.build(cat_id, **params)
         assert af.algebra.c == q.algebra.c
         assert af.form.gram == q.form.gram
+
+
+def test_shipped_files_are_those_of_the_regen_script():
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "regen_data_files.py"
+    spec = importlib.util.spec_from_file_location("regen_data_files", path)
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+    texts = dict(regen.texts())
+    assert sorted(texts) == sorted(p.name for p in data_file("").glob("*.alg"))
+    for name, text in texts.items():
+        assert data_file(name).read_bytes() == text.encode("utf-8"), name
 
 
 def test_both_orientations_rejected():

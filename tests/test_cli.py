@@ -203,6 +203,19 @@ def test_extend_tstar_with_cocycle(tmp_path, capsys):
     assert "bracket X Y = 1 Z + 1 Z*" in out
 
 
+def test_extend_prints_a_warning_line(tmp_path, capsys):
+    # theta(X, P) = P is a cocycle of g4 that is not cyclic: the bare algebra
+    # is emitted, and the warning is one stderr line on every call
+    coc = tmp_path / "theta.map"
+    coc.write_text("theta X P = 1 P\n")
+    for _ in range(2):
+        code, out, err = run(capsys, "extend", "tstar", G4, "--cocycle", str(coc))
+        assert code == 0
+        assert out.startswith("algebra g4_tstar\n")
+        assert "bracket X P = 1 P + 1 P*" in out and "form" not in out
+        assert err == "warning: theta is not cyclic: the T*-extension is returned as a plain Lie algebra\n"
+
+
 def test_extend_double1d(tmp_path, capsys):
     mapfile = tmp_path / "adx.map"
     mapfile.write_text("map P = 1 P\nmap Q = -1 Q\n")

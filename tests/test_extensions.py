@@ -99,6 +99,19 @@ def test_double_1d_rejects_non_skew():
         double_extension_1d(q, not_skew)
 
 
+def test_double_1d_names_the_failing_action_check():
+    # the one-dimensional extension checks psi(e) = d like every other action
+    q = catalog.build("g4")  # basis X P Q Z, [X,P] = P, [X,Q] = -Q, [P,Q] = Z
+    only_p = Matrix.from_rows(EXACT, [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    with pytest.raises(ExtensionError, match=r"^psi\(e\) is not a derivation of the core$"):
+        double_extension_1d(q, only_p)
+    scale_p_z = Matrix.from_rows(EXACT, [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]])
+    with pytest.raises(ExtensionError, match=r"^psi\(e\) is not skew for the core form$"):
+        double_extension_1d(q, scale_p_z)
+    with pytest.raises(ExtensionError, match=r"^psi\(X1\) is not skew for the core form$"):
+        double_extension_1d(q, scale_p_z, ext_labels=("X1", "Z1"))
+
+
 def test_double_1d_rejects_super_input():
     q = catalog.build("gs4_1")
     with pytest.raises(ExtensionError):
