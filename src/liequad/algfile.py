@@ -95,6 +95,14 @@ def _reject_repeat(table, key, a, b, line_no, what, fixer) -> None:
         )
 
 
+def _directives(text: str):
+    """(line number, tokens) of each line that holds more than a comment."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield line_no, tokens
+
+
 def parse(text: str, tol: float = None) -> AlgebraFile:
     name = None
     backend = None
@@ -104,11 +112,7 @@ def parse(text: str, tol: float = None) -> AlgebraFile:
     brackets = {}
     form_entries = {}
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for line_no, tokens in _directives(text):
         key = tokens[0]
         if key == "algebra":
             if len(tokens) != 2:
@@ -248,19 +252,10 @@ def emit(algebra: LieSuperalgebra, form: Optional[BilinearForm], name: str, para
     ]
     for k in sorted(params or {}):
         out.append(f"param {k} = {params[k]}")
-    n = sp.dim
-    for i in range(n):
-        jstart = i + 1 if sp.parity(i) == 0 else i
-        for j in range(jstart, n):
-            terms = [f"{bk.format(x)} {sp.labels[k]}" for k, x in algebra._nz[i][j]]
-            if terms:
-                out.append(f"bracket {sp.labels[i]} {sp.labels[j]} = " + " + ".join(terms))
+    for (a, b), value in algebra.table().items():
+        out.append(f"bracket {a} {b} = " + " + ".join(f"{bk.format(x)} {label}" for label, x in value.items()))
     if form is not None:
-        g = form.gram.entries
-        for i in range(n):
-            for j in range(i, n):
-                if not bk.is_zero(g[i][j]):
-                    out.append(f"form {sp.labels[i]} {sp.labels[j]} = {bk.format(g[i][j])}")
+        out += (f"form {a} {b} = {bk.format(x)}" for (a, b), x in form.table().items())
     return "\n".join(out) + "\n"
 
 
@@ -302,11 +297,7 @@ def parse_mapfile(text: str, known_labels) -> MapFile:
     so is a theta or phi pair given in both orientations."""
     known = set(known_labels)
     out = MapFile()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for line_no, tokens in _directives(text):
         key = tokens[0]
         if key == "map":
             if len(tokens) < 4 or tokens[2] != "=":

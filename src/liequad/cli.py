@@ -2,12 +2,13 @@
 
 Exit codes: 0 all checks pass, 1 at least one check failed or a constructor
 rejected its input, or stdout was closed early (`liequad ... | head`), 2 usage
-or parse errors and complex arithmetic that overflowed a double (a value of
-inf or nan decides no check).  --format json emits the report as a
-machine-readable object; report --all is byte-deterministic on the exact
-backend once --no-timestamp is passed.  A warning raised by a command, such
-as the one for a cocycle that is not cyclic, is printed to stderr as one line
-`warning: <message>`; it changes neither stdout nor the exit code.
+or parse errors, input files on different backends and complex arithmetic
+that overflowed a double (a value of inf or nan decides no check).  --format
+json emits the report as a machine-readable object; report --all is
+byte-deterministic on the exact backend once --no-timestamp is passed.  A
+warning raised by a command, such as the one for a cocycle that is not
+cyclic, is printed to stderr as one line `warning: <message>`; it changes
+neither stdout nor the exit code.
 
 The flags --tol, --format and --no-timestamp can also be set through the
 environment variables LIEQUAD_TOL, LIEQUAD_FORMAT and LIEQUAD_NO_TIMESTAMP.
@@ -62,7 +63,7 @@ from .morphisms import (
     verify_isomorphism,
 )
 from .report import Report
-from .scalars import DEFAULT_TOL, ScalarOverflow, ScalarParseError
+from .scalars import DEFAULT_TOL, BackendMismatch, ScalarOverflow, ScalarParseError
 
 VERSION = "0.1.0"
 FORMATS = ("text", "json")
@@ -203,14 +204,12 @@ def cmd_extend(args) -> int:
         mf = parse_mapfile(_read(args.map), af.algebra.labels)
         d = _linear_map(af.algebra.space, af.algebra.space, bk, mf.images).matrix
         out = double_extension_1d(q, d, tuple(args.labels))
-        result, form = out.algebra, out.form
     elif kind == "tstar":
         theta = None
         if args.cocycle:
             mf = parse_mapfile(_read(args.cocycle), af.algebra.labels)
             theta = _cocycle_from_file(af, mf)
         out = t_star_extension(af.algebra, theta)
-        result, form = _unpack(out)
     elif kind == "tsstar":
         phi_entries = {}
         if args.pairing:
@@ -218,14 +217,12 @@ def cmd_extend(args) -> int:
             phi_entries = _scalars(bk, mf.phi)
         phi = SymPairing.build(af.algebra, phi_entries)
         out = ts_star_extension(af.algebra, phi)
-        result, form = _unpack(out)
     elif kind == "double":
         core_af = _load(args.core, args.tol)
         core = _require_form(core_af, "double")
         mf = parse_mapfile(_read(args.psi), core_af.algebra.labels)
         psi = _psi_action(af.algebra, core_af.algebra.space, core_af.algebra.backend, mf)
         out = double_extension_general(af.algebra, core, psi)
-        result, form = out.algebra, out.form
     elif kind == "superdouble":
         core = _require_form(_load(args.odd, args.tol), "superdouble")
         mf = parse_mapfile(_read(args.psi), core.algebra.labels)
@@ -235,18 +232,12 @@ def cmd_extend(args) -> int:
             tmf = parse_mapfile(_read(args.cocycle), af.algebra.labels)
             theta = _cocycle_from_file(af, tmf)
         out = super_double_extension(af.algebra, core, psi, theta)
-        result, form = _unpack(out)
     else:  # pragma: no cover - argparse restricts choices
         raise ParseError(f"unknown constructor {kind}")
-    name = f"{af.name}_{kind}"
-    sys.stdout.write(emit(result, form, name))
+    # a constructor whose cocycle or pairing is not cyclic returns a bare algebra
+    result, form = (out.algebra, out.form) if isinstance(out, QuadraticAlgebra) else (out, None)
+    sys.stdout.write(emit(result, form, f"{af.name}_{kind}"))
     return 0
-
-
-def _unpack(out):
-    if isinstance(out, QuadraticAlgebra):
-        return out.algebra, out.form
-    return out, None
 
 
 def cmd_check_iso(args) -> int:
@@ -561,7 +552,7 @@ def main(argv=None) -> int:
         # point stdout at devnull so the exit flush does not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ParseError, ScalarParseError, ScalarOverflow) as exc:
+    except (ParseError, ScalarParseError, ScalarOverflow, BackendMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (StructureError, catalog.InadmissibleParameter, catalog.UnknownEntry) as exc:

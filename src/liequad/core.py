@@ -65,6 +65,12 @@ class SuperSpace(Value):
     def parity(self, i: int) -> int:
         return 0 if i < self.dim_even else 1
 
+    def pairs(self) -> list:
+        """(i, j) of one orientation per unordered pair, as the bracket and form
+        tables hold them: i < j, and i == j on an odd i."""
+        n = self.dim
+        return [(i, j) for i in range(n) for j in range(i + 1 - self.parity(i), n)]
+
     def index(self, label: str) -> int:
         try:
             return self.labels.index(label)
@@ -158,6 +164,15 @@ class LieSuperalgebra(Value):
                 table[j][i] = tuple((k, sign * x) for k, x in pairs)
         nz = tuple(tuple(row if row is not None else () for row in block) for block in table)
         return LieSuperalgebra(space, backend, nz)
+
+    def table(self) -> dict:
+        """The inverse of `build`: {(a, b): {label: coefficient}} over
+        `space.pairs()`, the terms nonzero to the backend only; a pair whose
+        bracket vanishes is left out."""
+        labels, nz = self.labels, self._nz
+        return {
+            (labels[i], labels[j]): {labels[k]: x for k, x in nz[i][j]} for i, j in self.space.pairs() if nz[i][j]
+        }
 
     @staticmethod
     def abelian(even: Sequence[str], odd: Sequence[str] = (), backend=EXACT) -> "LieSuperalgebra":
@@ -290,6 +305,13 @@ class BilinearForm(Frozen):
             elif pi == 1 and not backend.is_zero(x):
                 raise StructureError(f"form entry ({la},{la}) must vanish on an odd element")
         return BilinearForm(space, backend, parity, Matrix(backend, tuple(tuple(r) for r in g)))
+
+    def table(self) -> dict:
+        """The inverse of `build`: {(a, b): value} for a at or before b in the
+        basis, the entries nonzero to the backend only."""
+        g, labels, is_zero = self.gram.entries, self.space.labels, self.backend.is_zero
+        n = len(labels)
+        return {(labels[i], labels[j]): g[i][j] for i in range(n) for j in range(i, n) if not is_zero(g[i][j])}
 
     def value(self, u: Vector, v: Vector):
         return dot(vec(self.backend, u), self.gram.apply(vec(self.backend, v)))

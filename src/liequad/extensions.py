@@ -51,7 +51,7 @@ from .core import (
 )
 from .derivations import _add_row, _evaluate, _flat, _output_index, _skew_rows, _vanishes, is_derivation
 from .linalg import Matrix, _nullspace_rows, dot, vec_is_zero, zero_vec
-from .scalars import Frozen, _set
+from .scalars import Frozen, _set, same_backend
 
 
 class ExtensionError(StructureError):
@@ -302,13 +302,12 @@ def _check_action(g: LieSuperalgebra, psi, core: QuadraticAlgebra) -> None:
             raise ExtensionError(f"psi({label}) is not a derivation of the core")
         if not _vanishes(bk, skew, _flat(m)):
             raise ExtensionError(f"psi({label}) is not skew for the core form")
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            want = Matrix.zeros(bk, nh, nh)
-            for k, x in g._nz[i][j]:
-                want = want + psi[k].scale(x)
-            if not (want - (psi[i] * psi[j] - psi[j] * psi[i])).is_zero():
-                raise ExtensionError(f"psi is not a homomorphism on ({g.labels[i]},{g.labels[j]})")
+    for i, j in g.space.pairs():
+        want = Matrix.zeros(bk, nh, nh)
+        for k, x in g._nz[i][j]:
+            want = want + psi[k].scale(x)
+        if not (want - (psi[i] * psi[j] - psi[j] * psi[i])).is_zero():
+            raise ExtensionError(f"psi is not a homomorphism on ({g.labels[i]},{g.labels[j]})")
 
 
 # -- the constructors -------------------------------------------------------------
@@ -325,33 +324,30 @@ def _extend(
 ) -> Union[QuadraticAlgebra, LieSuperalgebra]:
     """g + h + g* with the brackets and form of the module docstring.
 
-    g* is odd exactly when the pairing phi is given.  A given core is checked
-    with its action psi by `_check_action`.  If theta or phi is not cyclic,
+    g* is odd exactly when the pairing phi is given.  A given core must share
+    the backend of g and is checked with its action psi by `_check_action`.  If theta or phi is not cyclic,
     the bare algebra is returned with the warning."""
     bk, n = g.backend, g.dim
     if core is None:
         core = _zero_core(bk)
     else:
+        same_backend(g, core.algebra)
         _check_action(g, psi, core)
     h, hgram = core.algebra, core.form.gram
     gl, hl = g.labels, h.labels
     dl = duals or tuple(star(l) for l in gl)
-    br = {}  # one orientation per pair: {label: coefficient}, nonzero terms only
+    br = {**g.table(), **h.table()}  # one orientation per pair: {label: coefficient}
+    if theta is not None:
+        for i, j in g.space.pairs():
+            br.setdefault((gl[i], gl[j]), {}).update(_named(bk, dl, theta.theta[i][j]))
     for i in range(n):
-        for j in range(i + 1, n):
-            br[gl[i], gl[j]] = {gl[k]: x for k, x in g._nz[i][j]}
-            if theta is not None:
-                br[gl[i], gl[j]].update(_named(bk, dl, theta.theta[i][j]))
         for k, row in enumerate(g._nz[i]):
             for j, x in row:
                 br.setdefault((gl[i], dl[j]), {})[dl[k]] = -x
         for a in range(h.dim):
             br[gl[i], hl[a]] = _named(bk, hl, psi[i].col(a))
-    for a in range(h.dim):
-        # [a, a] can be nonzero only on an odd a
-        for b in range(a if h.parity(a) else a + 1, h.dim):
-            br[hl[a], hl[b]] = {hl[k]: x for k, x in h._nz[a][b]}
-            br[hl[a], hl[b]].update(_named(bk, dl, [dot(m.col(a), hgram.col(b)) for m in psi]))
+    for a, b in h.space.pairs():
+        br.setdefault((hl[a], hl[b]), {}).update(_named(bk, dl, [dot(m.col(a), hgram.col(b)) for m in psi]))
     if phi is not None:
         for i in range(n):
             for j in range(i, n):
@@ -364,10 +360,7 @@ def _extend(
         warnings.warn(warning, UserWarning, stacklevel=3)
         return out
     entries = {(gl[i], dl[i]): bk.one for i in range(n)}
-    for a in range(h.dim):
-        for b in range(a, h.dim):
-            if not bk.is_zero(hgram.entries[a][b]):
-                entries[hl[a], hl[b]] = hgram.entries[a][b]
+    entries.update(core.form.table())
     form = BilinearForm.build(out.space, entries, "odd" if phi is not None else "even", bk)
     return QuadraticAlgebra.build(out, form)
 
@@ -463,23 +456,7 @@ def direct_sum(
         raise ExtensionError("label collision between summands; pass rename2")
     even = list(a1.labels[: a1.space.dim_even]) + list(a2.labels[: a2.space.dim_even])
     odd = list(a1.labels[a1.space.dim_even :]) + list(a2.labels[a2.space.dim_even :])
-    brackets = {}
-    for alg in (a1, a2):
-        n = alg.dim
-        for i in range(n):
-            jstart = i + 1 if alg.parity(i) == 0 else i
-            for j in range(jstart, n):
-                value = {alg.labels[k]: x for k, x in alg._nz[i][j]}
-                if value:
-                    brackets[(alg.labels[i], alg.labels[j])] = value
-    out = LieSuperalgebra.build(even, odd, brackets, bk)
-    entries = {}
-    for alg, form in ((a1, f1), (a2, f2)):
-        n = alg.dim
-        for i in range(n):
-            for j in range(i, n):
-                x = form.gram.entries[i][j]
-                if not bk.is_zero(x):
-                    entries[(alg.labels[i], alg.labels[j])] = x
+    out = LieSuperalgebra.build(even, odd, {**a1.table(), **a2.table()}, bk)
+    entries = {**f1.table(), **f2.table()}
     new_form = BilinearForm.build(out.space, entries, q1.form.parity, bk)
     return QuadraticAlgebra.build(out, new_form)

@@ -82,9 +82,6 @@ class Matrix(Value):
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
     def col(self, j: int) -> Vector:
         return tuple(r[j] for r in self.entries)
 

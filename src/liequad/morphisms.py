@@ -35,7 +35,7 @@ from .linalg import (
     vec_is_zero,
 )
 from .report import Report
-from .scalars import Frozen, Value, _set, residual_magnitude
+from .scalars import Frozen, Value, _set, residual_magnitude, same_backend
 
 
 class GradedLinearMap(Frozen):
@@ -80,26 +80,23 @@ class GradedLinearMap(Frozen):
 def verify_homomorphism(a: GradedLinearMap, src: LieSuperalgebra, tgt: LieSuperalgebra) -> Report:
     """A[x,y] = [Ax, Ay] on all basis pairs."""
     rep = Report()
-    bk = src.backend
+    bk = same_backend(a.matrix, src, tgt)
     if a.source != src.space or a.target != tgt.space:
         raise StructureError("map spaces do not match the algebras")
-    n = src.dim
     ok = True
-    for i in range(n):
-        jstart = i + 1 if src.parity(i) == 0 else i
-        for j in range(jstart, n):
-            lhs = a.apply(src.bracket_basis(i, j))
-            rhs = tgt.bracket(a.matrix.col(i), a.matrix.col(j))
-            diff = tuple(x - y for x, y in zip(lhs, rhs))
-            if not vec_is_zero(bk, diff):
-                ok = False
-                worst = max(diff, key=lambda x: residual_magnitude(bk, x))
-                rep.add(
-                    f"homomorphism({src.labels[i]},{src.labels[j]})",
-                    "compatibility A[x,y] = [Ax,Ay]",
-                    False,
-                    residual=_fmt_residual(bk, worst),
-                )
+    for i, j in src.space.pairs():
+        lhs = a.apply(src.bracket_basis(i, j))
+        rhs = tgt.bracket(a.matrix.col(i), a.matrix.col(j))
+        diff = tuple(x - y for x, y in zip(lhs, rhs))
+        if not vec_is_zero(bk, diff):
+            ok = False
+            worst = max(diff, key=lambda x: residual_magnitude(bk, x))
+            rep.add(
+                f"homomorphism({src.labels[i]},{src.labels[j]})",
+                "compatibility A[x,y] = [Ax,Ay]",
+                False,
+                residual=_fmt_residual(bk, worst),
+            )
     if ok:
         rep.add("homomorphism", "compatibility A[x,y] = [Ax,Ay]", True)
     return rep
@@ -158,11 +155,8 @@ def _central_core(q: QuadraticAlgebra, z: Subspace):
     bk = alg.backend
     zev, zod = _graded_parts(alg, z)
 
-    def pair_value(u, v):
-        return form.value(u, v)
-
     if form.parity == "even":
-        ge = [[pair_value(u, v) for v in zev.basis] for u in zev.basis]
+        ge = [[form.value(u, v) for v in zev.basis] for u in zev.basis]
         # look for B(u,u) != 0 among even central vectors
         for i in range(len(zev.basis)):
             if not bk.is_zero(ge[i][i]):
@@ -172,7 +166,7 @@ def _central_core(q: QuadraticAlgebra, z: Subspace):
                 if not bk.is_zero(ge[i][j]):
                     # B(zi+zj, zi+zj) = 2 B(zi,zj)
                     return [vec_add(zev.basis[i], zev.basis[j])]
-        go = [[pair_value(u, v) for v in zod.basis] for u in zod.basis]
+        go = [[form.value(u, v) for v in zod.basis] for u in zod.basis]
         for i in range(len(zod.basis)):
             for j in range(i + 1, len(zod.basis)):
                 if not bk.is_zero(go[i][j]):
@@ -181,7 +175,7 @@ def _central_core(q: QuadraticAlgebra, z: Subspace):
     # odd form: need an even/odd central pair in duality
     for u in zev.basis:
         for v in zod.basis:
-            if not bk.is_zero(pair_value(u, v)):
+            if not bk.is_zero(form.value(u, v)):
                 return [u, v]
     return None
 

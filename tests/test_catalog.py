@@ -9,7 +9,7 @@ from liequad import catalog
 from liequad.algfile import emit
 from liequad.catalog import CatalogEntry, InadmissibleParameter, UnknownEntry
 from liequad.cli import main
-from liequad.core import center, derived_subalgebra, verify_form, verify_jacobi
+from liequad.core import BilinearForm, LieSuperalgebra, center, derived_subalgebra, verify_form, verify_jacobi
 from liequad.linalg import Subspace
 from liequad.morphisms import (
     GradedLinearMap,
@@ -63,6 +63,20 @@ def test_catalog_tables_are_pinned(backend, digest):
             points += 1
     assert points == 74
     assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("backend", [EXACT, complex_backend()], ids=["exact", "complex"])
+def test_tables_are_what_build_reads(backend):
+    # LieSuperalgebra.table and BilinearForm.table invert build at every sample point
+    points = 0
+    for e in catalog.entries():
+        for p in e.sample_grid(backend):
+            alg, form = e.builder(backend, p)
+            ne = alg.space.dim_even
+            assert LieSuperalgebra.build(alg.labels[:ne], alg.labels[ne:], alg.table(), backend) == alg
+            assert BilinearForm.build(alg.space, form.table(), form.parity, backend).gram == form.gram
+            points += 1
+    assert points == 74
 
 
 def test_verify_entry_reports_failing_axioms():

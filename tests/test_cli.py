@@ -336,6 +336,32 @@ def test_extend_superdouble_with_cocycle(tmp_path, capsys):
     assert run(capsys, "--no-timestamp", "verify", str(tmp_path / "out.alg"))[0] == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-iso", G4, "g4c.alg", "id.map"),
+        ("check-iso", "g4c.alg", G4, "id.map"),
+        ("extend", "double", "a1.alg", "g4c.alg", "--psi", "adx.map"),
+        ("extend", "superdouble", "a1.alg", "hc.alg", "--psi", "psi.map"),
+    ],
+    ids=["check-iso", "check-iso-reversed", "double", "superdouble"],
+)
+def test_mixed_backends_are_a_usage_error(tmp_path, capsys, argv):
+    # an exact file read with a complex one: one error line, no traceback
+    files = {
+        "g4c.alg": data_file("g4.alg").read_text().replace("backend exact", "backend complex"),
+        "hc.alg": "algebra h\nbackend complex\ndim_even 0\ndim_odd 2\nbasis F1 F2\nform F1 F2 = 1\n",
+        "a1.alg": "algebra a1\ndim_even 1\ndim_odd 0\nbasis A\n",
+        "id.map": "map X = 1 X\nmap P = 1 P\nmap Q = 1 Q\nmap Z = 1 Z\n",
+        "adx.map": "psi A P = 1 P\npsi A Q = -1 Q\n",
+        "psi.map": "psi A F2 = 1 F1\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    got = run(capsys, *(str(tmp_path / a) if a in files else a for a in argv))
+    assert got == (2, "", "error: mixed backends: ['complex', 'exact']\n")
+
+
 def test_decompose_json_witness(capsys):
     code, out, _ = run(capsys, "--no-timestamp", "--format", "json", "decompose", str(data_file("tstar_h3.alg")))
     assert code == 0

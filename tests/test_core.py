@@ -383,6 +383,23 @@ def test_odd_square_bracket_allowed():
     assert alg.bracket_basis(1, 1) == (EXACT.one, EXACT.zero)
 
 
+def test_pairs_are_one_orientation_per_pair_and_the_odd_squares():
+    space = SuperSpace.make(["X", "Y"], ["F", "G"])
+    assert space.pairs() == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
+
+
+def test_tables_drop_what_is_zero_to_the_backend():
+    # nz and the Gram matrix keep a coefficient below the tolerance; the tables
+    # read back only what build would have to be given
+    bk = complex_backend(1e-9)
+    alg = LieSuperalgebra.build(["X", "Y", "Z"], [], {("X", "Y"): {"Y": 1, "Z": 1e-12}, ("X", "Z"): {"Z": 1e-12}}, bk)
+    assert alg.nz[0][1] == ((1, 1), (2, 1e-12)) and alg.nz[0][2] == ((2, 1e-12),)
+    assert alg.table() == {("X", "Y"): {"Y": 1}}
+    form = BilinearForm.build(alg.space, {("X", "Z"): 1, ("Y", "Y"): 1, ("X", "Y"): 1e-12}, "even", bk)
+    assert form.gram.entries[0][1] == 1e-12
+    assert form.table() == {("X", "Z"): 1, ("Y", "Y"): 1}
+
+
 def test_center_abelian():
     alg = LieSuperalgebra.abelian(["a", "b", "c"])
     assert center(alg).dim == 3
