@@ -29,7 +29,6 @@ from .linalg import (
     _span_rows,
     _sparse_row,
     dot,
-    nullspace,
     rank,
     vec,
     vec_is_zero,
@@ -547,7 +546,7 @@ def center(alg: LieSuperalgebra) -> Subspace:
         for j, pairs in enumerate(block):
             for k, x in pairs:
                 rows[j * n + k][i] = x
-    return Subspace.span(bk, _nullspace_rows(bk, rows, n), n)
+    return _span_rows(bk, _nullspace_rows(bk, rows, n), n)
 
 
 def graded_center_basis(alg: LieSuperalgebra):
@@ -582,8 +581,17 @@ def subspace_bracket(alg: LieSuperalgebra, u: Subspace, v: Subspace) -> Subspace
 
 
 def derived_subalgebra(alg: LieSuperalgebra) -> Subspace:
-    whole = Subspace.full(alg.backend, alg.dim)
-    return subspace_bracket(alg, whole, whole)
+    """[g,g], read from the table: the span of the rows nz[i][j] over all n^2
+    ordered pairs, both orientations, in the order of `subspace_bracket`."""
+    return _span_rows(alg.backend, [dict(pairs) for block in alg._nz for pairs in block], alg.dim)
+
+
+def _bracket_with_g(alg: LieSuperalgebra, s: Subspace) -> Subspace:
+    """[g, s]: the span of [e_i, b] over i and the basis b of s, read from the rows nz[i]."""
+    bk, nz = alg.backend, alg._nz
+    bs = [_pairs(bk, b) for b in s.basis]
+    rows = [{k: w for k, w in _combine(b, nz[i]).items() if w} for i in range(alg.dim) for b in bs]
+    return _span_rows(bk, rows, alg.dim)
 
 
 def _descend(series: list, step) -> list:
@@ -596,24 +604,29 @@ def _descend(series: list, step) -> list:
     return series
 
 
+def _derived_start(alg: LieSuperalgebra) -> list:
+    """g, then [g,g] when it is smaller: the start both series share."""
+    whole, gg = Subspace.full(alg.backend, alg.dim), derived_subalgebra(alg)
+    return [whole, gg] if gg.dim < whole.dim else [whole]
+
+
 def derived_series(alg: LieSuperalgebra) -> list:
-    return _descend([Subspace.full(alg.backend, alg.dim)], lambda s: subspace_bracket(alg, s, s))
+    return _descend(_derived_start(alg), lambda s: subspace_bracket(alg, s, s))
 
 
 def lower_central_series(alg: LieSuperalgebra) -> list:
-    whole = Subspace.full(alg.backend, alg.dim)
-    return _descend([whole], lambda s: subspace_bracket(alg, whole, s))
+    return _descend(_derived_start(alg), lambda s: _bracket_with_g(alg, s))
 
 
 def _series(alg: LieSuperalgebra) -> tuple:
     """(center, derived series, lower central series) in one pass.
 
-    Both series begin g, [g,g]: the lower central one continues from the [g,g]
-    of the derived one instead of taking it a second time."""
+    Both series begin g, [g,g], [g,g] read from the table: the lower central
+    one continues from the [g,g] of the derived one instead of taking it again."""
     ds = derived_series(alg)
-    whole, lcs = ds[0], ds[:2]
+    lcs = ds[:2]
     if len(lcs) > 1:
-        _descend(lcs, lambda s: subspace_bracket(alg, whole, s))
+        _descend(lcs, lambda s: _bracket_with_g(alg, s))
     return center(alg), ds, lcs
 
 
@@ -633,8 +646,8 @@ def orthogonal_complement(q: QuadraticAlgebra, s: Subspace) -> Subspace:
     bk, n = q.backend, q.dim
     if s.dim == 0:
         return Subspace.full(bk, n)
-    rows = tuple(form.gram.apply(b) for b in s.basis)
-    return Subspace.span(bk, nullspace(Matrix(bk, rows)), n)
+    rows = [_sparse_row(form.gram.apply(b)) for b in s.basis]
+    return _span_rows(bk, _nullspace_rows(bk, rows, n), n)
 
 
 def is_ideal(alg: LieSuperalgebra, s: Subspace) -> bool:

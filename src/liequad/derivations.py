@@ -11,45 +11,58 @@ even derivations are computed; the classification needs no odd ones).
 The rows are assembled as {unknown: coefficient} dicts straight from the
 nonzero structure constants and Gram entries, a handful of terms each, and go
 to the sparse elimination of `linalg` without a dense matrix in between.  A
-Leibniz row is built only for a coordinate that some term reaches, and
-`_add_row` is the one zero filter of every row system, the pairing rows of
-`extensions` included: it drops the exact zeros of a row, then the row if
-nothing is left or every entry is zero to the backend.  The inner span is
-reduced from one row per even e_i, ad(e_i) flattened and read from `nz` as
-`ad` reads it.
-`_evaluate` is the one evaluator: `is_derivation` evaluates the Leibniz rows
-at D, and a caller that already has Der(g) gets dim Der_a(g, B) from
-`_skew_rank`, which evaluates the skew rows on the Der(g) basis instead of
-solving again.
+Leibniz row is built only for a coordinate that some term reaches.  One zero
+rule holds for every row system: a row holds no exact zero, and it is dropped
+when nothing is left or every entry is zero to the backend.  It is applied in
+two places: `_add_row` filters the skew rows, the images of `_skew_rank` and
+the pairing rows of `extensions`, and `_leibniz_rows` deletes an entry where a
+term cancels it and keeps the row by the same test, without a second scan.
+The inner span is reduced from one row per even e_i, ad(e_i) flattened and
+read from `nz` as `ad` reads it.
+
+A `DerivationSpace` keeps the sparse kernel rows; its matrices are built only
+when `basis` is read.  `_evaluate` is the one evaluator, over sparse points:
+`is_derivation` evaluates the Leibniz rows at D, and a caller that already has
+Der(g) gets dim Der_a(g, B) from `_skew_rank`, which evaluates the skew rows at
+the kernel rows of Der(g) instead of solving again; `fingerprint` does so.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import chain
 from typing import Optional, Tuple
 
 from .core import BilinearForm, LieSuperalgebra, StructureError
-from .linalg import Matrix, Subspace, _nullspace_rows, _rref_sparse, _span_rows, solve_linear
+from .linalg import Matrix, Subspace, _dense_row, _nullspace_rows, _rref_sparse, _span_basis, _span_rows, solve_linear
 from .scalars import Frozen, _set, same_backend
 
 
 class DerivationSpace(Frozen):
-    __slots__ = ("algebra", "kind", "basis", "form")
+    """Derivations held as sparse rows over the n^2 matrix entries, D[k][j]
+    being entry k * n + j: the kernel rows of the solve, or the reduced rows of
+    the inner span.  `basis`, the matrices, is built from the rows when read."""
 
-    def __init__(
-        self, algebra: LieSuperalgebra, kind: str, basis: Tuple[Matrix, ...], form: Optional[BilinearForm] = None
-    ):
+    # no __slots__: the cached basis lives in the instance __dict__
+
+    def __init__(self, algebra: LieSuperalgebra, kind: str, rows: tuple, form: Optional[BilinearForm] = None):
         _set(self, "algebra", algebra)
         _set(self, "kind", kind)  # "all" | "skew" | "inner"
-        _set(self, "basis", basis)
+        _set(self, "rows", rows)
         _set(self, "form", form)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    @cached_property
+    def basis(self) -> Tuple[Matrix, ...]:
+        bk, n = self.algebra.backend, self.algebra.dim
+        flat = (_dense_row(bk, r, n * n) for r in self.rows)
+        return tuple(Matrix(bk, tuple(s[k * n : k * n + n] for k in range(n))) for s in flat)
 
     def span(self) -> Subspace:
-        return Subspace.span(self.algebra.backend, [_flat(m) for m in self.basis], self.algebra.dim**2)
+        return _span_rows(self.algebra.backend, [dict(r) for r in self.rows], self.algebra.dim**2)
 
     def contains(self, d: Matrix) -> bool:
         return self.span().contains(_flat(d))
@@ -71,7 +84,7 @@ def _output_index(alg: LieSuperalgebra):
 
 def _add_row(rows: list, bk, row: dict) -> None:
     """Append the exactly nonzero entries of row, unless none is left or every
-    one is zero to bk: the one zero filter of every row system, on both backends.
+    one is zero to bk: the zero rule of the module docstring, on both backends.
     The row is copied only when it holds an exact zero; otherwise it is kept as given."""
     if not all(row.values()):
         row = {u: x for u, x in row.items() if x}
@@ -80,8 +93,12 @@ def _add_row(rows: list, bk, row: dict) -> None:
 
 
 def _leibniz_rows(alg: LieSuperalgebra):
-    """Sparse rows of the Leibniz system over unknowns x[(k,j)] = D[k][j]."""
+    """Sparse rows of the Leibniz system over unknowns x[(k,j)] = D[k][j].
+
+    The zero rule of `_add_row`, applied in place: an entry that a term cancels
+    to an exact zero is deleted there, so the keep test needs no rescan."""
     bk, n = alg.backend, alg.dim
+    exact = bk.name == "exact"
     left, right = _output_index(alg)
     left_ks = [{k for k, pairs in enumerate(ks) if pairs} for ks in left]
     right_ks = [{k for k, pairs in enumerate(ks) if pairs} for ks in right]
@@ -93,15 +110,18 @@ def _leibniz_rows(alg: LieSuperalgebra):
             for k in range(n) if cij else sorted(left_ks[i] | right_ks[j]):
                 # D([e_i,e_j])_k = sum_m c[i][j][m] D[k][m]
                 row = {k * n + m: x for m, x in cij}
-                # -[D e_i, e_j]_k = -sum_l D[l][i] c[l][j][k]
-                for l, x in right[j][k]:
-                    u = l * n + i
-                    row[u] = row[u] - x if u in row else -x
-                # -[e_i, D e_j]_k = -sum_l D[l][j] c[i][l][k]
-                for l, x in left[i][k]:
-                    u = l * n + j
-                    row[u] = row[u] - x if u in row else -x
-                _add_row(rows, bk, row)
+                # -[D e_i, e_j]_k - [e_i, D e_j]_k = -sum_l D[l][i] c[l][j][k] - sum_l D[l][j] c[i][l][k]
+                for terms, col in ((right[j][k], i), (left[i][k], j)):
+                    for l, x in terms:
+                        u = l * n + col
+                        if u not in row:
+                            row[u] = -x
+                        elif row[u] == x:
+                            del row[u]
+                        else:
+                            row[u] -= x
+                if row and (exact or not all(map(bk.is_zero, row.values()))):
+                    rows.append(row)
     return rows
 
 
@@ -129,9 +149,9 @@ def _skew_rows(bk, gram: Matrix):
 def _evaluate(rows, size: int, points) -> list:
     """{row index: value} of the rows at each point, one dict per point.
 
-    A point is a flat sequence over the size unknowns.  The rows are indexed by
-    unknown once, and each point walks only its exactly nonzero entries, so a
-    row without one of them is absent from its dict."""
+    A point is a sparse {unknown: value} row over the size unknowns.  The rows
+    are indexed by unknown once, and each point walks only its entries, so a
+    row that meets none of them is absent from its dict."""
     hits = [[] for _ in range(size)]  # hits[u] = (r, x) with x the coefficient of u in row r
     for r, row in enumerate(rows):
         for u, x in row.items():
@@ -139,17 +159,17 @@ def _evaluate(rows, size: int, points) -> list:
     images = []
     for point in points:
         image = {}
-        for u, y in enumerate(point):
-            if y:
-                for r, x in hits[u]:
-                    image[r] = image[r] + x * y if r in image else x * y
+        for u, y in point.items():
+            for r, x in hits[u]:
+                image[r] = image[r] + x * y if r in image else x * y
         images.append(image)
     return images
 
 
 def _vanishes(bk, rows, point) -> bool:
-    """Whether every row is zero to bk at the flat point."""
-    return all(bk.is_zero(v) for v in _evaluate(rows, len(point), [point])[0].values())
+    """Whether every row is zero to bk at the flat point, read at its exactly nonzero entries."""
+    image = _evaluate(rows, len(point), [{u: y for u, y in enumerate(point) if y}])[0]
+    return all(bk.is_zero(v) for v in image.values())
 
 
 def _flat(m: Matrix) -> list:
@@ -158,14 +178,14 @@ def _flat(m: Matrix) -> list:
 
 
 def _skew_rank(der: DerivationSpace, form: BilinearForm) -> int:
-    """Rank of S(D) = (B(De_i,e_j) + B(e_i,De_j))_{i<=j} on the basis of der.
+    """Rank of S(D) = (B(De_i,e_j) + B(e_i,De_j))_{i<=j} on the rows of der.
 
-    S is evaluated through the rows of `_skew_rows`, so der.dim minus this rank
-    is the dimension of the skew derivations in der."""
+    S is evaluated through the rows of `_skew_rows` at the sparse rows of der,
+    so der.dim minus this rank is the dimension of the skew derivations in der."""
     bk, n = der.algebra.backend, der.algebra.dim
     skew = _skew_rows(bk, form.gram)
     images = []
-    for image in _evaluate(skew, n * n, [_flat(d) for d in der.basis]):
+    for image in _evaluate(skew, n * n, der.rows):
         _add_row(images, bk, image)
     return len(_rref_sparse(bk, images, len(skew))[0])
 
@@ -194,7 +214,7 @@ def derivation_space(alg: LieSuperalgebra, kind: str = "all", form: Optional[Bil
         # ad(e_i) flattened: entry k * n + j is the e_k-coordinate of [e_i, e_j]
         even = alg.nz[: alg.space.dim_even]
         rows = [{k * n + j: x for j, pairs in enumerate(block) for k, x in pairs} for block in even]
-        sols = _span_rows(bk, rows, n * n).basis
+        sols = _span_basis(bk, rows, n * n)
     elif kind in ("all", "skew"):
         rows = _leibniz_rows(alg) + _parity_rows(alg)
         if kind == "skew":
@@ -203,8 +223,7 @@ def derivation_space(alg: LieSuperalgebra, kind: str = "all", form: Optional[Bil
         sols = _nullspace_rows(bk, rows, n * n)
     else:
         raise ValueError(f"unknown derivation kind {kind!r}")
-    basis = tuple(Matrix(bk, tuple(s[k * n : k * n + n] for k in range(n))) for s in sols)
-    return DerivationSpace(alg, kind, basis, form)
+    return DerivationSpace(alg, kind, tuple(sols), form)
 
 
 def is_derivation(alg: LieSuperalgebra, d: Matrix) -> bool:
@@ -248,33 +267,15 @@ def skew_derivation_family_g2n2(n: int) -> DerivationSpace:
     from .catalog import build  # local import: catalog depends on this module
 
     q = build("g2n2", n=n)
-    alg = q.algebra
-    bk = alg.backend
-    dim = alg.dim
-    ix = alg.space.index
-    x0, y0 = ix("X0"), ix("Y0")
-    xs = [ix(f"X{i}") for i in range(1, n + 1)]
-    ys = [ix(f"Y{i}") for i in range(1, n + 1)]
+    alg, one, idx = q.algebra, q.backend.one, range(1, n + 1)
 
-    def blank():
-        return [[bk.zero] * dim for _ in range(dim)]
+    def entry(a: str, b: str) -> int:  # D[a][b], the a-coordinate of D(b)
+        return alg.space.index(a) * alg.dim + alg.space.index(b)
 
-    basis = []
-    one = bk.one
-    for i in range(n):  # a_ij generators: D(X_i)=X_j, D(Y_j)=-Y_i
-        for j in range(n):
-            m = blank()
-            m[xs[j]][xs[i]] = one
-            m[ys[i]][ys[j]] = -one
-            basis.append(Matrix(bk, tuple(tuple(r) for r in m)))
-    for i in range(n):  # alpha_i: D(Y_0)=X_i, D(Y_i)=-X_0
-        m = blank()
-        m[xs[i]][y0] = one
-        m[x0][ys[i]] = -one
-        basis.append(Matrix(bk, tuple(tuple(r) for r in m)))
-    for i in range(n):  # beta_i: D(Y_0)=Y_i, D(X_i)=-X_0
-        m = blank()
-        m[ys[i]][y0] = one
-        m[x0][xs[i]] = -one
-        basis.append(Matrix(bk, tuple(tuple(r) for r in m)))
-    return DerivationSpace(alg, "skew", tuple(basis), q.form)
+    # a_ij generators: D(X_i)=X_j, D(Y_j)=-Y_i
+    rows = [{entry(f"X{j}", f"X{i}"): one, entry(f"Y{i}", f"Y{j}"): -one} for i in idx for j in idx]
+    # alpha_i: D(Y_0)=X_i, D(Y_i)=-X_0
+    rows += [{entry(f"X{i}", "Y0"): one, entry("X0", f"Y{i}"): -one} for i in idx]
+    # beta_i: D(Y_0)=Y_i, D(X_i)=-X_0
+    rows += [{entry(f"Y{i}", "Y0"): one, entry("X0", f"X{i}"): -one} for i in idx]
+    return DerivationSpace(alg, "skew", tuple(rows), q.form)

@@ -50,7 +50,7 @@ from .core import (
     _coerce_bracket_value,
 )
 from .derivations import _add_row, _evaluate, _flat, _output_index, _skew_rows, _vanishes, is_derivation
-from .linalg import Matrix, _nullspace_rows, dot, vec_is_zero, zero_vec
+from .linalg import Matrix, _nullspace_rows, _sparse_row, dot, vec_is_zero, zero_vec
 from .scalars import Frozen, _set, same_backend
 
 
@@ -245,7 +245,7 @@ def _pairing_condition_failures(base: LieSuperalgebra, phi) -> list:
             if any(not bk.is_zero(a - b) for a, b in zip(phi[i][j], phi[j][i])):
                 out.append(f"phi is not symmetric on ({labels[i]},{labels[j]})")
     keyed = list(_pairing_rows(base, _unfolded(n)))
-    image = _evaluate([row for _, row in keyed], n**3, [_flat3(phi)])[0]
+    image = _evaluate([row for _, row in keyed], n**3, [_sparse_row(_flat3(phi))])[0]
     failing = dict.fromkeys(keyed[r][0] for r in sorted(image) if not bk.is_zero(image[r]))
     for cond, a, b, c in failing:
         at = f"(x,f,g) = ({labels[a]}," if cond == 1 else f"({labels[a]}*,"
@@ -274,7 +274,7 @@ def sym_pairing_space(base: LieSuperalgebra, cyclic: bool = True) -> list:
     for s in _nullspace_rows(bk, rows, len(pairs) * n):
         phi = [[None] * n for _ in range(n)]
         for (i, j), a in pidx.items():
-            phi[i][j] = phi[j][i] = s[a * n : a * n + n]
+            phi[i][j] = phi[j][i] = tuple(s.get(a * n + k, bk.zero) for k in range(n))
         out.append(SymPairing.from_tensor(base, tuple(tuple(r) for r in phi)))
     return out
 

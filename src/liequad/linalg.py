@@ -9,9 +9,11 @@ unique, so results do not depend on the choice.  The first consequence of
 that rule is a presolve: a row with one entry is the sparsest candidate in its
 column, so singleton rows pivot before the column loop, and a unit pivot skips
 the division.  The float backend keeps largest-magnitude pivoting for
-stability, with the row order of dense elimination.  Subspaces are kept as
-reduced-row-echelon bases; `contains` is the span-dimension test, and
-`intersect` is Zassenhaus's algorithm.
+stability, with the row order of dense elimination.  A kernel is a list of
+sparse rows, `_nullspace_rows`; the library reads these rows, and dense
+vectors are built from them only by `nullspace` and `DerivationSpace.basis`.
+Subspaces are kept as reduced-row-echelon bases; `contains` is the
+span-dimension test, and `intersect` is Zassenhaus's algorithm.
 """
 
 from __future__ import annotations
@@ -270,33 +272,35 @@ def solve_linear(a: Matrix, b: Sequence) -> Optional[Vector]:
 
 
 def _nullspace_rows(backend, rows: list, ncols: int) -> list:
-    """Kernel basis of the sparse rows, one vector per free column."""
+    """Kernel basis of the sparse rows, one {column: value} row per free column
+    fc: -x at each pivot column whose reduced row holds x at fc, then fc: 1."""
     pivots, reduced, _ = _rref_sparse(backend, rows, ncols)
     pivset = set(pivots)
-    zero = backend.zero
-    basis = {}
-    for fc in range(ncols):
-        if fc not in pivset:
-            v = basis[fc] = [zero] * ncols
-            v[fc] = backend.one
+    kernel = {fc: {} for fc in range(ncols) if fc not in pivset}
     for pc, row in zip(pivots, reduced):
         for j, x in row.items():
-            if j in basis:
-                basis[j][pc] = -x
-    return [tuple(v) for v in basis.values()]
+            if j in kernel:
+                kernel[j][pc] = -x
+    return [{**v, fc: backend.one} for fc, v in kernel.items()]
 
 
 def nullspace(a: Matrix) -> list:
     """Basis of the kernel of A, one vector per free column."""
-    return _nullspace_rows(a.backend, [_sparse_row(r) for r in a.entries], a.cols)
+    kernel = _nullspace_rows(a.backend, [_sparse_row(r) for r in a.entries], a.cols)
+    return [_dense_row(a.backend, r, a.cols) for r in kernel]
+
+
+def _span_basis(backend, rows: list, ambient_dim: int) -> list:
+    """The reduced rows spanning the sparse rows, which it reduces in place."""
+    _, reduced, rest = _rref_sparse(backend, rows, ambient_dim)
+    # on the float backend a reduced row can end up below the tolerance, and a
+    # left-over row can keep entries above it
+    return [r for r in reduced + rest if r and not all(map(backend.is_zero, r.values()))]
 
 
 def _span_rows(backend, rows: list, ambient_dim: int) -> "Subspace":
     """Span of the sparse rows, which it reduces in place."""
-    _, reduced, rest = _rref_sparse(backend, rows, ambient_dim)
-    # on the float backend a reduced row can end up below the tolerance, and a
-    # left-over row can keep entries above it
-    basis = [r for r in reduced + rest if not all(backend.is_zero(x) for x in r.values())]
+    basis = _span_basis(backend, rows, ambient_dim)
     return Subspace(backend, ambient_dim, tuple(_dense_row(backend, r, ambient_dim) for r in basis))
 
 

@@ -285,8 +285,8 @@ def fingerprint(x: Union[LieSuperalgebra, QuadraticAlgebra], with_derivations: b
     With derivations, Der(g) is solved once.  A skew derivation is a
     derivation D with S(D) = 0, where S(D) = (B(De_i,e_j) + B(e_i,De_j))_{i<=j},
     so dim Der_a(g, B) = dim Der(g) - rank(S restricted to Der(g)), the rank
-    taken on the solved basis of Der(g).  with_derivations=False skips the
-    solve, which only feeds the annotation fields."""
+    taken on the kernel rows of Der(g): no matrix is built.  Without
+    derivations the solve, which only feeds the annotation fields, is skipped."""
     if isinstance(x, QuadraticAlgebra):
         alg, form = x.algebra, x.form
     else:

@@ -27,7 +27,7 @@ from liequad.core import (
     verify_form,
     verify_jacobi,
 )
-from liequad.linalg import EigenStructure, Matrix, Subspace
+from liequad.linalg import EigenStructure, Matrix, Subspace, nullspace
 from liequad.morphisms import Fingerprint
 from liequad.scalars import EXACT, BackendMismatch, Exact, ExactBackend, complex_backend
 
@@ -485,6 +485,62 @@ def test_series_pass_matches_on_random_tables(backend, data):
     c = tuple(tuple(data.draw(st.tuples(*[entry] * n)) for _ in range(n)) for _ in range(n))
     assert_series_pass_matches(LieSuperalgebra(SuperSpace.make([f"E{i}" for i in range(n)]), backend, sparse(c)))
     assert_series_pass_matches(LieSuperalgebra.abelian([f"E{i}" for i in range(n)], backend=backend))
+
+
+RAW_ENTRIES = {
+    "exact": ENTRIES["exact"],
+    # Gaussian integers and entries far below the tolerance: the center reads
+    # the stored table and alg.bracket its tolerance view, and these entries
+    # cannot tip a pivot between the two
+    "complex": st.one_of(
+        st.just(0j),
+        st.just(0j),
+        st.builds(complex, st.integers(-3, 3), st.integers(-2, 2)),
+        st.builds(complex, st.floats(-1e-13, 1e-13), st.floats(-1e-13, 1e-13)),
+    ),
+}
+
+
+def descend_from_definition(backend, n, step):
+    """g, step(g), ... while the dimension falls and is not 0."""
+    series = [Subspace.full(backend, n)]
+    while series[-1].dim:
+        nxt = step(series[-1])
+        if nxt.dim == series[-1].dim:
+            break
+        series.append(nxt)
+    return series
+
+
+@settings(max_examples=120, deadline=None)
+@given(backend=st.sampled_from([EXACT, CB]), data=st.data())
+def test_series_match_definition_on_random_tables(backend, data):
+    # raw tables on even and odd labels, graded antisymmetry and parity not
+    # imposed: each subspace is the span its definition builds from
+    # alg.bracket on basis vectors, reduced in the same row order
+    entry = RAW_ENTRIES[backend.name].map(backend.coerce)
+    ne = data.draw(st.integers(0, 3))
+    no = data.draw(st.integers(0 if ne else 1, 2))
+    n = ne + no
+    space = SuperSpace.make([f"E{i}" for i in range(ne)], [f"O{i}" for i in range(no)])
+    c = tuple(tuple(data.draw(st.tuples(*[entry] * n)) for _ in range(n)) for _ in range(n))
+    alg = LieSuperalgebra(space, backend, sparse(c))
+    basis = Subspace.full(backend, n).basis
+
+    def span(vectors):
+        return Subspace.span(backend, list(vectors), n)
+
+    # the center: v with [v, e_j] = 0 for every j, one equation per (j, k)
+    rows = tuple(tuple(alg.bracket(e, f)[k] for e in basis) for f in basis for k in range(n))
+    assert center(alg) == span(nullspace(Matrix(backend, rows)))
+    assert derived_subalgebra(alg).basis == span(alg.bracket(e, f) for e in basis for f in basis).basis
+    derived = descend_from_definition(backend, n, lambda s: span(alg.bracket(a, b) for a in s.basis for b in s.basis))
+    lower = descend_from_definition(backend, n, lambda s: span(alg.bracket(e, b) for e in basis for b in s.basis))
+    assert [s.basis for s in derived_series(alg)] == [s.basis for s in derived]
+    assert [s.basis for s in lower_central_series(alg)] == [s.basis for s in lower]
+    z, ds, lcs = _series(alg)
+    assert [s.basis for s in ds] == [s.basis for s in derived]
+    assert [s.basis for s in lcs] == [s.basis for s in lower]
 
 
 def test_format_vector():

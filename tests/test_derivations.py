@@ -1,11 +1,14 @@
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from liequad import catalog, extensions
-from liequad.core import BilinearForm, LieSuperalgebra, StructureError
+from liequad.core import BilinearForm, LieSuperalgebra, QuadraticAlgebra, StructureError
 from liequad.derivations import (
     _add_row,
     _leibniz_rows,
@@ -16,6 +19,7 @@ from liequad.derivations import (
     skew_derivation_family_g2n2,
 )
 from liequad.linalg import Matrix, Subspace, _nullspace_rows, nullspace
+from liequad.morphisms import fingerprint
 from liequad.scalars import EXACT, BackendMismatch, complex_backend
 
 
@@ -341,3 +345,61 @@ def test_add_row_is_the_zero_filter():
     row = {0: 1, 4: Fraction(-2, 3)}  # no exact zero: kept as given, not copied
     _add_row(rows, EXACT, row)
     assert rows[-1] is row
+
+
+# -- the derive benchmark's inputs against the sympy answers -----------------------
+
+ANSWERS = json.loads((Path(__file__).parents[1] / "perfbench" / "answers.json").read_text(encoding="utf-8"))["derive"]
+# g2n2 at n = 1..6 and every other catalog entry at its defaults, as the derive
+# workload builds them: with `entry.builder`, without the axiom check
+DERIVE_INPUTS = {f"g2n2[n={n}]": ("g2n2", {"n": n}) for n in range(1, 7)}
+DERIVE_INPUTS.update({e.id: (e.id, None) for e in catalog.entries() if e.id != "g2n2"})
+
+
+def derive_input(name):
+    id, params = DERIVE_INPUTS[name]
+    entry = catalog.get(id)
+    return entry.builder(EXACT, entry.default_params(EXACT) if params is None else params)
+
+
+def test_derive_inputs_are_those_of_the_answers():
+    assert sorted(DERIVE_INPUTS) == sorted(ANSWERS)
+
+
+@pytest.mark.parametrize("name", list(DERIVE_INPUTS))
+def test_derive_inputs_match_the_sympy_answers(name):
+    # answers.json was computed offline with sympy from the same tables
+    alg, form = derive_input(name)
+    want = ANSWERS[name]
+    dims = {kind: derivation_space(alg, kind, form if kind == "skew" else None).dim for kind in ("all", "skew", "inner")}
+    assert dims == {"all": want["der_all"], "skew": want["der_skew"], "inner": want["der_inner"]}
+    fp = fingerprint(QuadraticAlgebra(alg, form))
+    got = {
+        "dim": fp.dim,
+        "center": fp.center_dim,
+        "derived_dims": list(fp.derived_dims),
+        "lower_central_dims": list(fp.lower_central_dims),
+        "derived_center": fp.derived_center_dim,
+        "solvable": fp.solvable,
+        "nilpotent": fp.nilpotent,
+        "der_all": fp.der_dim,
+        "der_skew": fp.skew_der_dim,
+    }
+    assert got == {k: want[k] for k in got}
+
+
+DERIVE_BASES_SHA256 = "1150bfb1fc37d9d7daa2c4cfa3e61ef39d468c5ef6331632770ef2c4e5e93ad7"
+
+
+def test_derive_input_bases_are_pinned():
+    # every basis of the three kinds, not just its dimension, formatted as the
+    # JSON of `liequad derivations` formats it
+    out = []
+    for name in DERIVE_INPUTS:
+        alg, form = derive_input(name)
+        for kind in ("all", "skew", "inner"):
+            ds = derivation_space(alg, kind, form if kind == "skew" else None)
+            basis = [[[EXACT.format(x) for x in row] for row in m.entries] for m in ds.basis]
+            payload = {"algebra": name, "kind": kind, "dimension": ds.dim, "basis": basis}
+            out.append(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == DERIVE_BASES_SHA256

@@ -7,6 +7,8 @@ from liequad import catalog
 from liequad.core import BilinearForm, LieSuperalgebra, SuperSpace
 from liequad.derivations import derivation_space
 from liequad.linalg import (
+    _dense_row,
+    _nullspace_rows,
     _rref_sparse,
     _sparse_row,
     Matrix,
@@ -244,6 +246,16 @@ def dense_nullspace(backend, rows, ncols):
     return basis
 
 
+def assert_kernel_rows_match_dense(backend, rows, ncols):
+    """The kernel rows of `_nullspace_rows` hold no exact zero and densify to
+    the dense kernel; so do they with no rows (the standard basis) and with
+    two more columns that no row touches."""
+    for entries, width in ((rows, ncols), ((), ncols), ([r + (backend.zero,) * 2 for r in rows], ncols + 2)):
+        kernel = _nullspace_rows(backend, [_sparse_row(r) for r in entries], width)
+        assert all(all(x for x in r.values()) for r in kernel)
+        assert [_dense_row(backend, r, width) for r in kernel] == dense_nullspace(backend, entries, width)
+
+
 def dense_solve(backend, rows, b):
     ncols = len(rows[0])
     red, pivots = dense_rref(backend, [row + (bv,) for row, bv in zip(rows, b)])
@@ -323,6 +335,7 @@ def test_sparse_elimination_matches_dense_exact(rows, data):
     red, pivots = rref(a)
     assert (list(red.entries), pivots) == dense_rref(EXACT, a.entries)
     assert nullspace(a) == dense_nullspace(EXACT, a.entries, a.cols)
+    assert_kernel_rows_match_dense(EXACT, a.entries, a.cols)
     b = vec(EXACT, [data.draw(exact_entry) for _ in range(a.rows)])
     assert solve_linear(a, b) == dense_solve(EXACT, a.entries, b)
     assert Subspace.span(EXACT, a.entries, a.cols).basis == dense_span(EXACT, a.entries)
@@ -368,6 +381,7 @@ def test_sparse_elimination_matches_dense_complex(rows, data):
     assert pivots == want_pivots
     assert list(red.entries) == want
     assert nullspace(a) == dense_nullspace(CB, a.entries, a.cols)
+    assert_kernel_rows_match_dense(CB, a.entries, a.cols)
     b = vec(CB, [data.draw(complex_entry) for _ in range(a.rows)])
     assert solve_linear(a, b) == dense_solve(CB, a.entries, b)
     assert Subspace.span(CB, a.entries, a.cols).basis == dense_span(CB, a.entries)
