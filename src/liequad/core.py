@@ -20,6 +20,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Mapping, Sequence, Tuple
 
+from .conditions import _flat, _invariance_rows, _parity_rows, _transpose_rows, failures
 from .linalg import (
     Matrix,
     Subspace,
@@ -464,85 +465,41 @@ def verify_form(alg: LieSuperalgebra, form: BilinearForm) -> Report:
     rep = Report()
     if form.space.dim != sp.dim:
         raise StructureError("form dimension does not match the algebra")
-    n = sp.dim
-    g = form.gram.entries
-    ok = True
-    for i in range(n):
-        for j in range(i, n):
-            sign = _graded_sign(sp, i, j)
-            if not bk.is_zero(g[j][i] - sign * g[i][j]):
-                ok = False
-                rep.add(
-                    f"supersymmetry({sp.labels[i]},{sp.labels[j]})",
-                    "supersymmetry B(y,x) = (-1)^{|x||y|} B(x,y)",
-                    False,
-                    residual=_fmt_residual(bk, g[j][i] - sign * g[i][j]),
-                )
-    if ok:
-        rep.add("supersymmetry", "supersymmetry B(y,x) = (-1)^{|x||y|} B(x,y)", True)
-
-    ok = True
-    mixed = form.parity == "odd"
-    for i in range(n):
-        for j in range(n):
-            if ((sp.parity(i) != sp.parity(j)) != mixed) and not bk.is_zero(g[i][j]):
-                ok = False
-                rep.add(
-                    f"parity-pattern({sp.labels[i]},{sp.labels[j]})",
-                    f"{form.parity} form parity block pattern",
-                    False,
-                    residual=_fmt_residual(bk, g[i][j]),
-                )
-    if ok:
-        rep.add("parity-pattern", f"{form.parity} form parity block pattern", True)
-
+    n, ne, labels = sp.dim, sp.dim_even, sp.labels
+    point = _flat(form.gram)
+    law = "supersymmetry B(y,x) = (-1)^{|x||y|} B(x,y)"
+    _add_checks(rep, bk, labels, "supersymmetry", law, failures(bk, _transpose_rows(bk, n, 1, ne), point))
+    law = f"{form.parity} form parity block pattern"
+    _add_checks(rep, bk, labels, "parity-pattern", law, failures(bk, _parity_rows(bk, n, ne, form.parity == "odd"), point))
     nondeg = form.is_nondegenerate()
-    rep.add(
-        "non-degeneracy",
-        "non-degeneracy of the invariant form",
-        nondeg,
-        witness=None if nondeg else f"rank {form._rank} < dim {n}",
-    )
+    witness = None if nondeg else f"rank {form._rank} < dim {n}"
+    rep.add("non-degeneracy", "non-degeneracy of the invariant form", nondeg, witness=witness)
 
-    # B([e_i,e_j],e_k) and B(e_i,[e_j,e_k]) are summed over the exactly nonzero
-    # structure constants and Gram entries: entries below the tolerance still
-    # count, since a large Gram entry can scale them above it
-    zero, c = bk.zero, alg.nz
-    g_rows = [_nonzeros(row) for row in g]
-    g_cols = [_nonzeros(form.gram.col(m)) for m in range(n)]
-    rhs = [[{} for _ in range(n)] for _ in range(n)]  # rhs[i][j][k] = B(e_i,[e_j,e_k])
-    for j in range(n):
-        for k in range(n):
-            for i, v in _combine(c[j][k], g_cols).items():
-                rhs[i][j][k] = v
-    ok = True
-    for i in range(n):
-        for j in range(n):
-            lhs = _combine(c[i][j], g_rows)  # lhs[k] = B([e_i,e_j],e_k)
-            r = rhs[i][j]
-            for k in sorted(lhs.keys() | r.keys()):
-                diff = lhs.get(k, zero) - r.get(k, zero)
-                if not bk.is_zero(diff):
-                    ok = False
-                    rep.add(
-                        f"invariance({sp.labels[i]},{sp.labels[j]},{sp.labels[k]})",
-                        "invariance B([x,y],z) = B(x,[y,z])",
-                        False,
-                        residual=_fmt_residual(bk, diff),
-                    )
-    if ok:
-        rep.add("invariance", "invariance B([x,y],z) = B(x,[y,z])", True)
+    # the rows read the stored table nz: a structure constant below the
+    # tolerance still counts, since a large Gram entry can scale it above it
+    law = "invariance B([x,y],z) = B(x,[y,z])"
+    _add_checks(rep, bk, labels, "invariance", law, failures(bk, _invariance_rows(alg.nz), point))
     return rep
+
+
+def _add_checks(rep: Report, bk, labels, name: str, law: str, fails: list) -> None:
+    """A failing check name(labels of the key) with its residual per (key,
+    value) of fails, or one passing check name when there is none."""
+    for key, value in fails:
+        rep.add(f"{name}({','.join(labels[i] for i in key)})", law, False, residual=_fmt_residual(bk, value))
+    if not fails:
+        rep.add(name, law, True)
 
 
 # -- structural subspaces --------------------------------------------------------
 
 
 def center(alg: LieSuperalgebra) -> Subspace:
-    """Joint kernel of all right-bracket maps v -> [v, e_j]."""
+    """Joint kernel of all right-bracket maps v -> [v, e_j], read from the
+    tolerance view `_nz` as `bracket` reads it."""
     bk, n = alg.backend, alg.dim
     rows = [{} for _ in range(n * n)]  # row j*n+k holds the (i, c[i][j][k])
-    for i, block in enumerate(alg.nz):
+    for i, block in enumerate(alg._nz):
         for j, pairs in enumerate(block):
             for k, x in pairs:
                 rows[j * n + k][i] = x

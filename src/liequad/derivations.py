@@ -1,38 +1,24 @@
 """Derivation spaces by exact linear algebra.
 
-Each linear condition is written once, as sparse rows over the entries of the
-unknown map: a solver takes the kernel of the rows, and a validator evaluates
-the same rows at a given map.  A derivation solves one system in the n^2
-matrix entries: the Leibniz rule contributes a row per basis pair and
-coordinate, the skew condition B(Dx, y) = -B(x, Dy) one per pair, and on
-super inputs the parity-preservation rows pin the off-blocks to zero (only
-even derivations are computed; the classification needs no odd ones).
-
-The rows are assembled as {unknown: coefficient} dicts straight from the
-nonzero structure constants and Gram entries, a handful of terms each, and go
-to the sparse elimination of `linalg` without a dense matrix in between.  A
-Leibniz row is built only for a coordinate that some term reaches.  One zero
-rule holds for every row system: a row holds no exact zero, and it is dropped
-when nothing is left or every entry is zero to the backend.  It is applied in
-two places: `_add_row` filters the skew rows, the images of `_skew_rank` and
-the pairing rows of `extensions`, and `_leibniz_rows` deletes an entry where a
-term cancels it and keeps the row by the same test, without a second scan.
-The inner span is reduced from one row per even e_i, ad(e_i) flattened and
-read from `nz` as `ad` reads it.
+A derivation solves one system in the n^2 matrix entries, the rows of
+`conditions`: the Leibniz rows, the skew rows for Der_a(g, B), and on super
+inputs the parity rows (only even derivations are computed; the classification
+needs no odd ones).  The inner span is reduced from one row per even e_i,
+ad(e_i) flattened and read from `nz` as `ad` reads it.
 
 A `DerivationSpace` keeps the sparse kernel rows; its matrices are built only
-when `basis` is read.  `_evaluate` is the one evaluator, over sparse points:
-`is_derivation` evaluates the Leibniz rows at D, and a caller that already has
-Der(g) gets dim Der_a(g, B) from `_skew_rank`, which evaluates the skew rows at
-the kernel rows of Der(g) instead of solving again; `fingerprint` does so.
+when `basis` is read.  `is_derivation` evaluates the Leibniz rows at D, and a
+caller that already has Der(g) gets dim Der_a(g, B) from `_skew_rank`, which
+evaluates the skew rows at the kernel rows of Der(g) instead of solving again;
+`fingerprint` does so.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
 from typing import Optional, Tuple
 
+from .conditions import _add_row, _evaluate, _flat, _leibniz_rows, _parity_rows, _skew_rows, failures
 from .core import BilinearForm, LieSuperalgebra, StructureError
 from .linalg import Matrix, Subspace, _dense_row, _nullspace_rows, _rref_sparse, _span_basis, _span_rows, solve_linear
 from .scalars import Frozen, _set, same_backend
@@ -68,115 +54,6 @@ class DerivationSpace(Frozen):
         return self.span().contains(_flat(d))
 
 
-def _output_index(alg: LieSuperalgebra):
-    """(left, right): left[i][k] and right[j][k] list the (l, c[i][l][k]) and
-    (l, c[l][j][k]) pairs of the nonzero structure constants, in increasing l."""
-    n = alg.dim
-    left = [[[] for _ in range(n)] for _ in range(n)]
-    right = [[[] for _ in range(n)] for _ in range(n)]
-    for a, block in enumerate(alg._nz):
-        for b, pairs in enumerate(block):
-            for k, x in pairs:
-                left[a][k].append((b, x))
-                right[b][k].append((a, x))
-    return left, right
-
-
-def _add_row(rows: list, bk, row: dict) -> None:
-    """Append the exactly nonzero entries of row, unless none is left or every
-    one is zero to bk: the zero rule of the module docstring, on both backends.
-    The row is copied only when it holds an exact zero; otherwise it is kept as given."""
-    if not all(row.values()):
-        row = {u: x for u, x in row.items() if x}
-    if row and not all(map(bk.is_zero, row.values())):
-        rows.append(row)
-
-
-def _leibniz_rows(alg: LieSuperalgebra):
-    """Sparse rows of the Leibniz system over unknowns x[(k,j)] = D[k][j].
-
-    The zero rule of `_add_row`, applied in place: an entry that a term cancels
-    to an exact zero is deleted there, so the keep test needs no rescan."""
-    bk, n = alg.backend, alg.dim
-    exact = bk.name == "exact"
-    left, right = _output_index(alg)
-    left_ks = [{k for k, pairs in enumerate(ks) if pairs} for ks in left]
-    right_ks = [{k for k, pairs in enumerate(ks) if pairs} for ks in right]
-    rows = []
-    for i in range(n):
-        for j in range(i, n):
-            cij = alg._nz[i][j]
-            # the k whose row has a term: all of them when [e_i,e_j] != 0
-            for k in range(n) if cij else sorted(left_ks[i] | right_ks[j]):
-                # D([e_i,e_j])_k = sum_m c[i][j][m] D[k][m]
-                row = {k * n + m: x for m, x in cij}
-                # -[D e_i, e_j]_k - [e_i, D e_j]_k = -sum_l D[l][i] c[l][j][k] - sum_l D[l][j] c[i][l][k]
-                for terms, col in ((right[j][k], i), (left[i][k], j)):
-                    for l, x in terms:
-                        u = l * n + col
-                        if u not in row:
-                            row[u] = -x
-                        elif row[u] == x:
-                            del row[u]
-                        else:
-                            row[u] -= x
-                if row and (exact or not all(map(bk.is_zero, row.values()))):
-                    rows.append(row)
-    return rows
-
-
-def _skew_rows(bk, gram: Matrix):
-    """Sparse rows of B(D e_i, e_j) + B(e_i, D e_j) = 0, i <= j, for the
-    (anti)symmetric Gram matrix of B, over unknowns x[(k,j)] = D[k][j]."""
-    n = gram.rows
-    g_rows = [[(k, x) for k, x in enumerate(r) if not bk.is_zero(x)] for r in gram.entries]
-    g_cols = [[] for _ in range(n)]  # g_cols[j] = the (k, g[k][j]) of g_rows, in increasing k
-    for k, r in enumerate(g_rows):
-        for j, x in r:
-            g_cols[j].append((k, x))
-    rows = []
-    for i in range(n):
-        for j in range(i, n):
-            # sum_k D[k][i] g[k][j] + D[k][j] g[i][k]
-            row = {k * n + i: x for k, x in g_cols[j]}
-            for k, x in g_rows[i]:
-                u = k * n + j
-                row[u] = row[u] + x if u in row else x
-            _add_row(rows, bk, row)
-    return rows
-
-
-def _evaluate(rows, size: int, points) -> list:
-    """{row index: value} of the rows at each point, one dict per point.
-
-    A point is a sparse {unknown: value} row over the size unknowns.  The rows
-    are indexed by unknown once, and each point walks only its entries, so a
-    row that meets none of them is absent from its dict."""
-    hits = [[] for _ in range(size)]  # hits[u] = (r, x) with x the coefficient of u in row r
-    for r, row in enumerate(rows):
-        for u, x in row.items():
-            hits[u].append((r, x))
-    images = []
-    for point in points:
-        image = {}
-        for u, y in point.items():
-            for r, x in hits[u]:
-                image[r] = image[r] + x * y if r in image else x * y
-        images.append(image)
-    return images
-
-
-def _vanishes(bk, rows, point) -> bool:
-    """Whether every row is zero to bk at the flat point, read at its exactly nonzero entries."""
-    image = _evaluate(rows, len(point), [{u: y for u, y in enumerate(point) if y}])[0]
-    return all(bk.is_zero(v) for v in image.values())
-
-
-def _flat(m: Matrix) -> list:
-    """The entries of m in row-major order: D[k][j] is unknown k * n + j."""
-    return list(chain.from_iterable(m.entries))
-
-
 def _skew_rank(der: DerivationSpace, form: BilinearForm) -> int:
     """Rank of S(D) = (B(De_i,e_j) + B(e_i,De_j))_{i<=j} on the rows of der.
 
@@ -188,11 +65,6 @@ def _skew_rank(der: DerivationSpace, form: BilinearForm) -> int:
     for image in _evaluate(skew, n * n, der.rows):
         _add_row(images, bk, image)
     return len(_rref_sparse(bk, images, len(skew))[0])
-
-
-def _parity_rows(alg: LieSuperalgebra):
-    n, ne, one = alg.dim, alg.space.dim_even, alg.backend.one
-    return [{k * n + j: one} for k in range(n) for j in range(n) if (k < ne) != (j < ne)]
 
 
 def derivation_space(alg: LieSuperalgebra, kind: str = "all", form: Optional[BilinearForm] = None) -> DerivationSpace:
@@ -216,7 +88,7 @@ def derivation_space(alg: LieSuperalgebra, kind: str = "all", form: Optional[Bil
         rows = [{k * n + j: x for j, pairs in enumerate(block) for k, x in pairs} for block in even]
         sols = _span_basis(bk, rows, n * n)
     elif kind in ("all", "skew"):
-        rows = _leibniz_rows(alg) + _parity_rows(alg)
+        rows = _leibniz_rows(bk, alg._nz) + [row for _, row in _parity_rows(bk, n, alg.space.dim_even, False)]
         if kind == "skew":
             rows += _skew_rows(bk, form.gram)
         # without rows the kernel is the standard basis: every matrix is a derivation
@@ -233,7 +105,7 @@ def is_derivation(alg: LieSuperalgebra, d: Matrix) -> bool:
     if d.rows != n or d.cols != n:
         return False
     point = [bk.zero if bk.is_zero(y) else y for y in _flat(d)]
-    return _vanishes(bk, _leibniz_rows(alg), point)
+    return not failures(bk, enumerate(_leibniz_rows(bk, alg._nz)), point)
 
 
 def is_inner(alg: LieSuperalgebra, d: Matrix) -> Optional[tuple]:

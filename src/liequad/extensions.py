@@ -23,34 +23,22 @@ construction with a core, the three double extensions, in one place:
 block, and brackets g* x g* into g by a symmetric pairing phi.
 
 Cocycles theta, pairings phi and actions psi are accepted only as explicit
-tensors/matrices and are validated eagerly: a constructor never
-returns something that fails its own axioms.  The only soft spot is the cyclic
-condition, whose failure downgrades the output to a bare Lie superalgebra with
-a warning instead of a quadratic one.
-
-Each linear condition on an input is written once, as sparse rows over its
-entries (see `derivations`): `sym_pairing_space` takes the kernel of the
-pairing and cyclic rows, and the validators evaluate the same rows, and the
-skew and Leibniz rows of `derivations`, at the given tensor or matrix.  The
-rows sum over the structure constants of the base that are nonzero to its
-backend: `_nz`, the tolerance view of the stored sparse table `nz`.
+tensors/matrices and are validated eagerly, by evaluating the rows of
+`conditions` at them: a constructor never returns something that fails its own
+axioms.  The only soft spot is the cyclic condition, whose failure downgrades
+the output to a bare Lie superalgebra with a warning instead of a quadratic one.
 """
 
 from __future__ import annotations
 
 import warnings
-from itertools import chain, product
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
-from .core import (
-    BilinearForm,
-    LieSuperalgebra,
-    QuadraticAlgebra,
-    StructureError,
-    _coerce_bracket_value,
-)
-from .derivations import _add_row, _evaluate, _flat, _output_index, _skew_rows, _vanishes, is_derivation
-from .linalg import Matrix, _nullspace_rows, _sparse_row, dot, vec_is_zero, zero_vec
+from .conditions import _add_row, _cocycle_rows, _cyclic_rows, _flat, _flat3, _folded, _pairing_rows, _skew_rows
+from .conditions import _transpose_rows, _unfolded, failures, is_cyclic
+from .core import BilinearForm, LieSuperalgebra, QuadraticAlgebra, StructureError, _coerce_bracket_value
+from .derivations import is_derivation
+from .linalg import Matrix, _nullspace_rows, dot, vec_is_zero, zero_vec
 from .scalars import Frozen, _set, same_backend
 
 
@@ -92,23 +80,6 @@ def _named(bk, labels, v) -> dict:
     return {l: x for l, x in zip(labels, v) if not bk.is_zero(x)}
 
 
-def _unfolded(n: int):
-    """unknown(i, j, k) = t[i][j][k] of a full n x n x n tensor: its index in
-    the row-major flattening `_flat3(t)`."""
-    return lambda i, j, k: (i * n + j) * n + k
-
-
-def _flat3(t) -> list:
-    return list(chain.from_iterable(chain.from_iterable(t)))
-
-
-def _cyclic_rows(bk, n: int, unknown) -> list:
-    """Rows of the cyclic identity t(x,y)z = t(y,z)x on all basis triples, over
-    the unknowns unknown(i, j, k) = t[i][j][k]."""
-    pairs = ((unknown(i, j, k), unknown(j, k, i)) for i, j, k in product(range(n), repeat=3))
-    return [{u1: bk.one, u2: -bk.one} for u1, u2 in pairs if u1 != u2]
-
-
 # -- cocycles -------------------------------------------------------------------
 
 
@@ -135,34 +106,15 @@ class Cocycle2(Frozen):
         return Cocycle2(self.base, theta)
 
     def validate(self) -> None:
-        """Antisymmetry plus the 2-cocycle identity on all basis triples."""
-        bk, n, nz = self.base.backend, self.base.dim, self.base._nz
-        labels, th = self.base.labels, self.theta
-        for i in range(n):
-            for j in range(n):
-                if any(not bk.is_zero(a + b) for a, b in zip(th[j][i], th[i][j])):
-                    raise ExtensionError(f"theta is not skew on ({labels[i]},{labels[j]})")
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    for m in range(n):
-                        # sum over the cyclic turns (a,b,z) of
-                        # theta(a,b)([e_z,e_m]) + theta([a,b],z)(e_m)
-                        acc = bk.zero
-                        for a, b, z in ((i, j, k), (j, k, i), (k, i, j)):
-                            for l, x in nz[z][m]:
-                                acc = acc + x * th[a][b][l]
-                            for l, x in nz[a][b]:
-                                acc = acc + x * th[l][z][m]
-                        if not bk.is_zero(acc):
-                            raise ExtensionError(
-                                f"2-cocycle identity fails on triple ({labels[i]},{labels[j]},{labels[k]})"
-                            )
+        """Antisymmetry plus the 2-cocycle identity on all basis triples: the
+        first failing key of `_cocycle_rows`, a pair or a triple, is raised."""
+        bk, labels = self.base.backend, self.base.labels
+        for key, _ in failures(bk, _cocycle_rows(bk, self.base._nz), _flat3(self.theta))[:1]:
+            what = "theta is not skew on" if len(key) == 2 else "2-cocycle identity fails on triple"
+            raise ExtensionError(f"{what} ({','.join(labels[i] for i in key)})")
 
     def is_cyclic(self) -> bool:
-        """theta(x,y)z = theta(y,z)x on all basis triples."""
-        bk, n = self.base.backend, self.base.dim
-        return _vanishes(bk, _cyclic_rows(bk, n, _unfolded(n)), _flat3(self.theta))
+        return is_cyclic(self.base.backend, self.theta)
 
 
 # -- symmetric pairings for the odd extension ------------------------------------
@@ -198,56 +150,17 @@ class SymPairing(Frozen):
             raise ExtensionError(rep[0])
 
     def is_cyclic(self) -> bool:
-        """phi(f,g)h = phi(g,h)f on all basis triples."""
-        bk, n = self.base.backend, self.base.dim
-        return _vanishes(bk, _cyclic_rows(bk, n, _unfolded(n)), _flat3(self.phi))
-
-
-def _pairing_rows(base: LieSuperalgebra, unknown):
-    """(key, row) pairs of the two compatibility conditions of the odd
-    construction over the unknowns unknown(i, j, k) = phi[i][j][k]; the key is
-    (1, x, i, j) or (2, i, j, k), the (x, f, g) or (f, g, h) that a failure names."""
-    bk, n = base.backend, base.dim
-    zero = bk.zero
-    # left[x][k] lists the (m, c[x][m][k]), right[m][f] the (l, c[l][m][f])
-    left, right = _output_index(base)
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    # condition (1): ad(x)(phi(f,g)) + phi(f, g o ad(x)) + phi(g, f o ad(x)) = 0
-    for x, (i, j), k in product(range(n), pairs, range(n)):
-        row = {}
-        for u, y in chain(
-            ((unknown(i, j, l), y) for l, y in left[x][k]),
-            ((unknown(i, m, k), y) for m, y in left[x][j]),
-            ((unknown(j, m, k), y) for m, y in left[x][i]),
-        ):
-            row[u] = row.get(u, zero) + y
-        if row:
-            yield (1, x, i, j), row
-    # condition (2): f o ad(phi(g,h)) + cycle = 0
-    for i, j in pairs:
-        for k, m in product(range(j, n), range(n)):
-            row = {}
-            for a, b, f in ((j, k, i), (k, i, j), (i, j, k)):
-                for l, y in right[m][f]:
-                    u = unknown(a, b, l)
-                    row[u] = row.get(u, zero) + y
-            if row:
-                yield (2, i, j, k), row
+        return is_cyclic(self.base.backend, self.phi)
 
 
 def _pairing_condition_failures(base: LieSuperalgebra, phi) -> list:
     """Symmetry plus the two compatibility conditions of the odd construction,
-    one message per failing pair or key of `_pairing_rows`."""
+    one message per failing key of `_transpose_rows` and `_pairing_rows`."""
     bk, n, labels = base.backend, base.dim, base.labels
-    out = []
-    for i in range(n):
-        for j in range(i, n):
-            if any(not bk.is_zero(a - b) for a, b in zip(phi[i][j], phi[j][i])):
-                out.append(f"phi is not symmetric on ({labels[i]},{labels[j]})")
-    keyed = list(_pairing_rows(base, _unfolded(n)))
-    image = _evaluate([row for _, row in keyed], n**3, [_sparse_row(_flat3(phi))])[0]
-    failing = dict.fromkeys(keyed[r][0] for r in sorted(image) if not bk.is_zero(image[r]))
-    for cond, a, b, c in failing:
+    point = _flat3(phi)
+    asym = failures(bk, _transpose_rows(bk, n, n, n), point)
+    out = [f"phi is not symmetric on ({labels[i]},{labels[j]})" for (i, j), _ in asym]
+    for (cond, a, b, c), _ in failures(bk, _pairing_rows(base._nz, _unfolded(n)), point):
         at = f"(x,f,g) = ({labels[a]}," if cond == 1 else f"({labels[a]}*,"
         out.append(f"pairing condition ({cond}) fails at {at}{labels[b]}*,{labels[c]}*)")
     return out
@@ -259,21 +172,16 @@ def sym_pairing_space(base: LieSuperalgebra, cyclic: bool = True) -> list:
     `_pairing_rows` and `_cyclic_rows` over the unknowns phi[i][j][k], i <= j."""
     _require_even(base, "the pairing solver")
     bk, n = base.backend, base.dim
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    pidx = {p: a for a, p in enumerate(pairs)}
-
-    def unknown(i, j, k):
-        return pidx[(min(i, j), max(i, j))] * n + k
-
+    pairs, unknown = _folded(n)
     rows = []
-    for _, row in _pairing_rows(base, unknown):
+    for _, row in _pairing_rows(base._nz, unknown):
         _add_row(rows, bk, row)
     if cyclic:
         rows += _cyclic_rows(bk, n, unknown)
     out = []
     for s in _nullspace_rows(bk, rows, len(pairs) * n):
         phi = [[None] * n for _ in range(n)]
-        for (i, j), a in pidx.items():
+        for a, (i, j) in enumerate(pairs):
             phi[i][j] = phi[j][i] = tuple(s.get(a * n + k, bk.zero) for k in range(n))
         out.append(SymPairing.from_tensor(base, tuple(tuple(r) for r in phi)))
     return out
@@ -300,7 +208,7 @@ def _check_action(g: LieSuperalgebra, psi, core: QuadraticAlgebra) -> None:
     for label, m in zip(g.labels, psi):
         if not is_derivation(core.algebra, m):
             raise ExtensionError(f"psi({label}) is not a derivation of the core")
-        if not _vanishes(bk, skew, _flat(m)):
+        if failures(bk, enumerate(skew), _flat(m)):
             raise ExtensionError(f"psi({label}) is not skew for the core form")
     for i, j in g.space.pairs():
         want = Matrix.zeros(bk, nh, nh)

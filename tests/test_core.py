@@ -269,6 +269,52 @@ def test_subspace_bracket_matches_definition(backend, data):
     assert subspace_bracket(alg, u, v).basis == want.basis
 
 
+def invariance_failures_from_definition(alg, gram):
+    """(name, residual) of every (i, j, k) with B([e_i,e_j],e_k) != B(e_i,[e_j,e_k]),
+    in the order of i, j, k, from the dense stored table and the Gram matrix."""
+    bk, n, lab, c, g = alg.backend, alg.dim, alg.labels, alg.c, gram.entries
+    out = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = sum((c[i][j][l] * g[l][k] for l in range(n)), bk.zero)
+                rhs = sum((c[j][k][l] * g[i][l] for l in range(n)), bk.zero)
+                if not bk.is_zero(lhs - rhs):
+                    out.append((f"invariance({lab[i]},{lab[j]},{lab[k]})", bk.format(lhs - rhs)))
+    return out
+
+
+EXACT_SUMS = {
+    "exact": ENTRIES["exact"],
+    # Gaussian integers: every float sum is exact, so the tolerance never enters
+    "complex": st.one_of(st.just(0j), st.just(0j), st.just(0j), st.builds(complex, st.integers(-3, 3), st.integers(-2, 2))),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(backend=st.sampled_from([EXACT, CB]), data=st.data())
+def test_invariance_failures_match_definition(backend, data):
+    # raw tables on even and odd labels and arbitrary Gram matrices: the keyed
+    # invariance rows fail exactly where the dense definition does, in its order
+    entry = EXACT_SUMS[backend.name].map(backend.coerce)
+    ne = data.draw(st.integers(0, 3))
+    no = data.draw(st.integers(0 if ne else 1, 2))
+    n = ne + no
+    space = SuperSpace.make([f"E{i}" for i in range(ne)], [f"O{i}" for i in range(no)])
+    c = tuple(tuple(data.draw(st.tuples(*[entry] * n)) for _ in range(n)) for _ in range(n))
+    alg = LieSuperalgebra(space, backend, sparse(c))
+    gram = Matrix(backend, tuple(data.draw(st.tuples(*[entry] * n)) for _ in range(n)))
+    form = BilinearForm(space, backend, data.draw(st.sampled_from(["even", "odd"])), gram)
+    want = invariance_failures_from_definition(alg, gram)
+    got = [(ch.name, ch.residual) for ch in verify_form(alg, form).checks if ch.name.startswith("invariance")]
+    if not want:
+        assert [name for name, _ in got] == ["invariance"]
+    elif backend is EXACT:
+        assert got == want
+    else:
+        assert [name for name, _ in got] == [name for name, _ in want]
+
+
 def jacobi_failures_from_definition(alg):
     """Labels of the triples i <= j <= k whose dense graded Jacobi sum is nonzero."""
     bk, sp, n, c = alg.backend, alg.space, alg.dim, alg.c
@@ -489,9 +535,8 @@ def test_series_pass_matches_on_random_tables(backend, data):
 
 RAW_ENTRIES = {
     "exact": ENTRIES["exact"],
-    # Gaussian integers and entries far below the tolerance: the center reads
-    # the stored table and alg.bracket its tolerance view, and these entries
-    # cannot tip a pivot between the two
+    # Gaussian integers and entries far below the tolerance, which cannot tip
+    # a pivot between the center and the definition
     "complex": st.one_of(
         st.just(0j),
         st.just(0j),
@@ -541,6 +586,19 @@ def test_series_match_definition_on_random_tables(backend, data):
     z, ds, lcs = _series(alg)
     assert [s.basis for s in ds] == [s.basis for s in derived]
     assert [s.basis for s in lcs] == [s.basis for s in lower]
+
+
+def test_center_reads_the_tolerance_view():
+    # [e0,e0] = 2e-9 e0 is above the tolerance and [e1,e0] = 1e-10 e0 below it:
+    # the center is the kernel of the brackets as alg.bracket computes them
+    nz = (
+        (((0, 2e-9),), ()),
+        (((0, 1e-10),), ()),
+    )
+    alg = LieSuperalgebra(SuperSpace.make(["E0", "E1"]), CB, nz)
+    e0, e1 = Subspace.full(CB, 2).basis
+    assert alg.bracket(e1, e0) == (0j, 0j)
+    assert center(alg) == Subspace.span(CB, [(0j, 1 + 0j)], 2)
 
 
 def test_format_vector():
