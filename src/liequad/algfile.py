@@ -177,9 +177,11 @@ def parse(text: str, tol: float = None) -> AlgebraFile:
     )
     form = None
     if form_entries:
-        parity = _form_parity(algebra, form_entries, backend)
+        parity, values = _form_parity(algebra, form_entries, backend)
         form = _build_at_lines(
-            lambda table: BilinearForm.build(algebra.space, table, parity, backend), form_entries, backend.parse
+            lambda table: BilinearForm.build(algebra.space, table, parity, backend),
+            form_entries,
+            lambda tok: values[tok] if tok in values else backend.parse(tok),
         )
     return AlgebraFile(name=name, algebra=algebra, form=form, params=params)
 
@@ -209,13 +211,16 @@ def _build_at_lines(build, entries, parse_value):
     raise ParseError(error)
 
 
-def _form_parity(algebra, entries, backend) -> str:
-    """Infer even/odd parity of the form from the block pattern of its entries."""
+def _form_parity(algebra, entries, backend) -> tuple:
+    """(parity, values): even or odd, inferred from the block pattern of the
+    entries whose token parses, and {token: value} of those tokens, so the
+    form is built without parsing them again."""
     sp = algebra.space
     mixed = same = 0
+    values = {}
     for (a, b), (_, tok) in entries.items():
         try:
-            val = backend.parse(tok)
+            val = values[tok] = backend.parse(tok)
         except ScalarParseError:
             continue
         if backend.is_zero(val):
@@ -226,7 +231,7 @@ def _form_parity(algebra, entries, backend) -> str:
             mixed += 1
     if mixed and same:
         raise ParseError("form entries mix the even and odd block patterns")
-    return "odd" if mixed else "even"
+    return "odd" if mixed else "even", values
 
 
 def _int_field(tokens, line_no) -> int:

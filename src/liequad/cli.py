@@ -145,27 +145,31 @@ def cmd_derivations(args) -> int:
     if args.kind == "skew" and af.form is None:
         raise ParseError("skew derivations need form lines in the algebra file")
     ds = derivation_space(af.algebra, args.kind, form)
+    bk, n = af.algebra.backend, af.algebra.dim
+    zero = bk.format(bk.zero)
+
+    def matrix(row):  # the formatted rows of D from its {k * n + j: D[k][j]} row, formatting the nonzeros only
+        flat = [zero] * (n * n)
+        for m, x in row.items():
+            flat[m] = bk.format(x)
+        return [flat[k * n : k * n + n] for k in range(n)]
+
     if args.format == "json":
-        bk = af.algebra.backend
         payload = {
             "tool": "liequad",
             "version": VERSION,
             "algebra": af.name,
             "kind": args.kind,
             "dimension": ds.dim,
-            "basis": [
-                [[bk.format(x) for x in row] for row in m.entries] for m in ds.basis
-            ],
+            "basis": [matrix(row) for row in ds.rows],
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(f"# {args.kind} derivations of {af.name}: dimension {ds.dim}")
-        labels = af.algebra.labels
-        for idx, m in enumerate(ds.basis):
+        for idx, row in enumerate(ds.rows):
             print(f"D{idx + 1}:")
-            for lab, row in zip(labels, m.entries):
-                body = " ".join(af.algebra.backend.format(x) for x in row)
-                print(f"  {lab:>6} | {body}")
+            for lab, entries in zip(af.algebra.labels, matrix(row)):
+                print(f"  {lab:>6} | {' '.join(entries)}")
     return 0
 
 

@@ -145,7 +145,11 @@ class LieSuperalgebra(Value):
         brackets = dict(brackets or {})
         for (la, lb), value in brackets.items():
             i, j = space.index(la), space.index(lb)
-            pairs = _nonzeros(_coerce_bracket_value(backend, space, value))
+            terms = {}  # {index: coefficient}; the pairs keep the exact nonzeros, by index
+            for label, coeff in dict(value).items():
+                x = backend.coerce(coeff)
+                terms[space.index(label)] = x
+            pairs = tuple((k, terms[k]) for k in sorted(terms) if terms[k])
             wrong = _parity_violations(space, backend, i, j, pairs)
             if wrong:
                 raise StructureError(wrong[0])
@@ -224,9 +228,9 @@ class LieSuperalgebra(Value):
         out = []
         for i in range(self.dim):
             for j in range(self.dim):
-                out += _parity_violations(sp, bk, i, j, nz[i][j])
                 if not (nz[i][j] or nz[j][i]):
                     continue
+                out += _parity_violations(sp, bk, i, j, nz[i][j])
                 cij, cji = dict(nz[i][j]), dict(nz[j][i])
                 sign = -_graded_sign(sp, i, j)
                 if any(not bk.is_zero(cji.get(k, zero) - sign * cij.get(k, zero)) for k in cij.keys() | cji.keys()):
@@ -250,13 +254,6 @@ class LieSuperalgebra(Value):
 
     def __repr__(self):
         return f"LieSuperalgebra(dim_even={self.space.dim_even}, dim_odd={self.space.dim_odd}, labels={self.labels})"
-
-
-def _coerce_bracket_value(backend, space: SuperSpace, value) -> Vector:
-    out = [backend.zero] * space.dim
-    for label, coeff in dict(value).items():
-        out[space.index(label)] = backend.coerce(coeff)
-    return tuple(out)
 
 
 def _parity_violations(space: SuperSpace, backend, i: int, j: int, pairs) -> list:
@@ -438,11 +435,6 @@ def _bracket(nz, x, y) -> dict:
                 p = ab * c
                 out[k] = out[k] + p if k in out else p
     return out
-
-
-def _nonzeros(row: Vector) -> tuple:
-    """(index, value) pairs of the entries that are exactly nonzero."""
-    return tuple((m, x) for m, x in enumerate(row) if x)
 
 
 def _combine(coeffs, rows) -> dict:

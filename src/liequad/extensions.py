@@ -36,7 +36,7 @@ from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from .conditions import _add_row, _cocycle_rows, _cyclic_rows, _flat, _flat3, _folded, _pairing_rows, _skew_rows
 from .conditions import _transpose_rows, _unfolded, failures, is_cyclic
-from .core import BilinearForm, LieSuperalgebra, QuadraticAlgebra, StructureError, _coerce_bracket_value
+from .core import BilinearForm, LieSuperalgebra, QuadraticAlgebra, StructureError
 from .derivations import is_derivation
 from .linalg import Matrix, _nullspace_rows, dot, vec_is_zero, zero_vec
 from .scalars import Frozen, _set, same_backend
@@ -63,7 +63,10 @@ def _tensor_from_labels(base: LieSuperalgebra, entries, what: str, symmetric: bo
     t = [[None] * n for _ in range(n)]
     for (la, lb), value in dict(entries).items():
         i, j = sp.index(la), sp.index(lb)
-        v = _coerce_bracket_value(bk, sp, value)
+        v = [bk.zero] * n
+        for label, coeff in dict(value).items():
+            v[sp.index(label)] = bk.coerce(coeff)
+        v = tuple(v)
         if t[i][j] is not None or (i != j and t[j][i] is not None):
             raise ExtensionError(f"{what} ({la},{lb}) specified twice")
         t[i][j] = v

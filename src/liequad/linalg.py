@@ -45,10 +45,15 @@ def vec_is_zero(backend, u: Vector) -> bool:
     return all(backend.is_zero(a) for a in u)
 
 def dot(u: Vector, v: Vector):
+    """Sum of the products a * b of the coordinate pairs, in order.  On the
+    exact backend a product with a zero factor is skipped, and the sum of none
+    is 0.  A complex product stays in the sum, 0j included, so the float
+    result keeps its signed zeros and an inf times 0 still gives nan."""
     acc = None
     for a, b in zip(u, v):
-        acc = a * b if acc is None else acc + a * b
-    return acc
+        if a and b or type(a) is complex or type(b) is complex:
+            acc = a * b if acc is None else acc + a * b
+    return 0 if acc is None else acc
 
 
 class Matrix(Value):

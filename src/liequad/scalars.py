@@ -214,6 +214,15 @@ def _split_token(token: str):
 
 
 def parse_exact(token: str) -> int | Fraction | Exact:
+    # an ASCII integer or ratio of integers skips Fraction's regex; any other
+    # token, or one that int or Fraction rejects, parses below
+    num, slash, den = token.strip().partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit()):
+        try:
+            return _real(Fraction(int(num), int(den))) if slash else int(num)
+        except (ValueError, ZeroDivisionError):
+            pass
     re_s, im_s = _split_token(token)
     try:
         re = Fraction(re_s) if re_s is not None else Fraction(0)

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from liequad import cli, data_file
 from liequad.cli import main, make_parser
+from liequad.derivations import derivation_space
 
 G4 = str(data_file("g4.alg"))
 
@@ -606,6 +607,38 @@ def test_every_shipped_derivation_basis_is_pinned(capsys):
             assert code == 0
             out.append(text)
     assert hashlib.sha256("".join(out).encode()).hexdigest() == DERIVATIONS_SHA256
+
+
+def derivations_from_basis(path, kind, fmt):
+    """`liequad derivations` output as printed from the dense matrices `ds.basis`."""
+    af = cli._load(path, None)
+    bk, labels = af.algebra.backend, af.algebra.labels
+    ds = derivation_space(af.algebra, kind, af.form if kind == "skew" else None)
+    if fmt == "json":
+        basis = [[[bk.format(x) for x in row] for row in m.entries] for m in ds.basis]
+        payload = {"tool": "liequad", "version": cli.VERSION, "algebra": af.name, "kind": kind, "dimension": ds.dim, "basis": basis}
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    out = [f"# {kind} derivations of {af.name}: dimension {ds.dim}"]
+    for idx, m in enumerate(ds.basis):
+        out.append(f"D{idx + 1}:")
+        out += (f"  {lab:>6} | {' '.join(bk.format(x) for x in row)}" for lab, row in zip(labels, m.entries))
+    return "\n".join(out) + "\n"
+
+
+def test_derivations_print_the_dense_basis(tmp_path, capsys):
+    # printed from the kernel rows, an absent entry as the backend's zero: the
+    # same bytes as the dense matrices, on the shipped files and complex copies
+    paths = sorted(data_file("g4.alg").parent.glob("*.alg"))
+    for name in ("g4", "go6_1", "tstar_h3"):
+        copy = tmp_path / f"{name}.alg"
+        copy.write_text(data_file(f"{name}.alg").read_text().replace("backend exact\n", "backend complex\n"))
+        paths.append(copy)
+    assert len(paths) == 14 and "backend complex" in paths[-1].read_text()
+    for path in paths:
+        for kind in ("all", "skew", "inner"):
+            for fmt in ("json", "text"):
+                code, out, _ = run(capsys, "--format", fmt, "derivations", str(path), "--kind", kind)
+                assert (code, out) == (0, derivations_from_basis(str(path), kind, fmt)), (path.name, kind, fmt)
 
 
 def test_closed_stdout_exits_1_without_traceback():

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liequad import catalog
-from liequad.core import BilinearForm, LieSuperalgebra, SuperSpace
+from liequad.core import BilinearForm, LieSuperalgebra, QuadraticAlgebra, StructureError, SuperSpace, orthogonal_complement
 from liequad.derivations import derivation_space
 from liequad.linalg import (
     _dense_row,
     _nullspace_rows,
     _rref_sparse,
+    _span_rows,
     _sparse_row,
     Matrix,
     Subspace,
@@ -505,3 +506,106 @@ def test_scaled_pivot_row_keeps_integral_values_as_int():
     pivots, reduced, _ = _rref_sparse(EXACT, [{0: Fraction(1, 2), 1: Fraction(3, 2), 2: Fraction(1, 3)}], 3)
     assert pivots == (0,) and reduced == [{0: 1, 1: 3, 2: Fraction(2, 3)}]
     assert [type(x) for x in reduced[0].values()] == [int, int, Fraction]
+
+
+
+# -- products with a form or a matrix: dot skips exact zeros on the exact backend only
+
+
+def reference_dot(u, v):
+    """dot as it was before it skipped exact-zero factors: every product, in order."""
+    acc = None
+    for a, b in zip(u, v):
+        acc = a * b if acc is None else acc + a * b
+    return acc
+
+
+def dense_dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), 0)
+
+
+EXACT_ENTRIES = [0, 0, 0, 0, 1, -1, 2, Fraction(1, 3), Fraction(-7, 2), Exact(1, 2), Exact(Fraction(1, 2), -1)]
+COMPLEX_ENTRIES = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1 + 0j, -1.5 + 0j, 2.25j]
+COMPLEX_ENTRIES += [complex(-0.0, 3.0), 1e-300 + 0j, complex(1e300, -1e300), complex(1e308, 0.0), -3.0 - 0.5j]
+
+
+@st.composite
+def form_products(draw, entries):
+    """(n x n Gram rows, up to three vectors of length n, n x m rows), entries drawn from entries."""
+    entry = st.sampled_from(entries)
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    gram = tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
+    vectors = [tuple(draw(entry) for _ in range(n)) for _ in range(draw(st.integers(0, 3)))]
+    other = tuple(tuple(draw(entry) for _ in range(m)) for _ in range(n))
+    return gram, vectors, other
+
+
+def outcomes(**products):
+    """{name: value, or (exception type, message)} of the given thunks."""
+    out = {}
+    for name, f in products.items():
+        try:
+            out[name] = f()
+        except Exception as exc:
+            out[name] = (type(exc), str(exc))
+    return out
+
+
+def library_products(bk, gram, vectors, other):
+    """apply, the matrix product, value, restrict and the orthogonal complement
+    of the span of the vectors, as the library computes them."""
+    n = len(gram)
+    g = Matrix(bk, gram)
+    labels = [f"E{i}" for i in range(n)]
+    form = BilinearForm(SuperSpace.make(labels), bk, "even", g)
+    q = QuadraticAlgebra(LieSuperalgebra.abelian(labels, backend=bk), form)
+    u, v = (vectors + [gram[0], gram[-1]])[:2]
+    return outcomes(
+        apply=lambda: [g.apply(w) for w in vectors],
+        mul=lambda: (g * Matrix(bk, other)).entries,
+        value=lambda: form.value(u, v),
+        restrict=lambda: form.restrict(vectors).entries,
+        complement=lambda: orthogonal_complement(q, Subspace.span(bk, vectors, n)).basis,
+    )
+
+
+def defined_products(bk, gram, vectors, other, dot):
+    """The same products from their definitions, every sum taken by dot."""
+    n = len(gram)
+
+    def apply(w):
+        return tuple(dot(r, w) for r in gram)
+
+    def complement():
+        s = Subspace.span(bk, vectors, n)
+        if rank(Matrix(bk, gram)) < n:
+            raise StructureError("orthogonal complement needs a non-degenerate form")
+        if not s.dim:
+            return Subspace.full(bk, n).basis
+        return _span_rows(bk, _nullspace_rows(bk, [_sparse_row(apply(b)) for b in s.basis], n), n).basis
+
+    u, v = (vectors + [gram[0], gram[-1]])[:2]
+    return outcomes(
+        apply=lambda: [apply(w) for w in vectors],
+        mul=lambda: tuple(tuple(dot(r, c) for c in zip(*other)) for r in gram),
+        value=lambda: dot(u, apply(v)),
+        restrict=lambda: tuple(tuple(dot(a, apply(b)) for b in vectors) for a in vectors),
+        complement=complement,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=form_products(EXACT_ENTRIES))
+def test_exact_form_products_match_dense_sums(case):
+    # skipping exact-zero products leaves every exact value as the dense sum has it
+    assert library_products(EXACT, *case) == defined_products(EXACT, *case, dense_dot)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=form_products(COMPLEX_ENTRIES))
+def test_complex_form_products_keep_every_float_product(case):
+    # on the complex backend each sum keeps its zero products: the same floats,
+    # signed zeros, infs and nans as the sum over every product
+    bk = complex_backend()
+    got, want = library_products(bk, *case), defined_products(bk, *case, reference_dot)
+    assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in want.items()}

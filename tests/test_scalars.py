@@ -14,6 +14,7 @@ from liequad.scalars import (
     ScalarOverflow,
     ScalarParseError,
     complex_backend,
+    _split_token,
     parse_complex,
     parse_exact,
 )
@@ -91,6 +92,54 @@ def test_parse_errors():
         parse_exact("1/0")
     with pytest.raises(ScalarParseError):
         parse_complex("")
+
+
+def reference_parse_exact(token):
+    """parse_exact as it was before its integer fast path: every token through Fraction."""
+    re_s, im_s = _split_token(token)
+    try:
+        re = Fraction(re_s) if re_s is not None else Fraction(0)
+        im = Fraction(im_s) if im_s is not None else Fraction(0)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ScalarParseError(f"bad exact scalar {token!r}: {exc}") from None
+    return Exact(re, im)
+
+
+def parse_outcome(parse, token):
+    """(type, value) of a parsed token, or (error type, message)."""
+    try:
+        x = parse(token)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(x), (x.real, x.imag) if type(x) is Exact else x
+
+
+PARSE_CASES = ["--3", "+-3", "1/-2", "1/0", "3/", "/3", "1_000", " 3", "\u0663", "-0/5", "+3/6", "9" * 5000]
+PARSE_CASES += ["-0", "+0", "007", "6/3", "-12/8", "1 / 2", "1/2 ", "3\n", "\u00b2", "1/\u0663", "+", "-", "/", "", " "]
+
+
+@pytest.mark.parametrize("token", PARSE_CASES, ids=lambda t: repr(t) if len(t) < 20 else f"{len(t)}-digit")
+def test_parse_exact_matches_the_fraction_path(token):
+    # the same value and type (int, Fraction or Exact), or the same error and message
+    assert parse_outcome(parse_exact, token) == parse_outcome(reference_parse_exact, token)
+
+
+@given(
+    token=st.text("0123456789+-/.eEi_ ", max_size=12)
+    | st.from_regex(r"\A[+-]?[0-9]{1,40}(/[+-]?[0-9]{0,40})?\Z")
+)
+def test_parse_exact_matches_the_fraction_path_on_random_tokens(token):
+    assert parse_outcome(parse_exact, token) == parse_outcome(reference_parse_exact, token)
+
+
+def test_integer_over_the_digit_limit_exits_2(tmp_path, capsys):
+    from liequad.cli import main
+
+    f = tmp_path / "big.alg"
+    f.write_text(f"algebra big\ndim_even 2\ndim_odd 0\nbasis X Y\nbracket X Y = {'9' * 5000} Y\n")
+    assert main(["verify", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: line 5: bad exact scalar '999") and "Traceback" not in err
 
 
 def test_complex_backend_zero_tolerance():
