@@ -30,6 +30,7 @@ import math
 import os
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii
 
 from . import catalog
 from .algfile import AlgebraFile, MapFile, ParseError, emit, parse, parse_mapfile
@@ -88,6 +89,38 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _dumps(x, pad: str = "\n") -> str:
+    """json.dumps(x, indent=2, sort_keys=True), byte for byte.
+
+    With indent set, json.dumps takes the standard library's pure-Python
+    encoder.  Dicts with str keys, lists, tuples, str, int, bool and None are
+    written here instead, and anything else by json.dumps, its lines moved to
+    the depth.  pad is a newline followed by the indentation of x's closing
+    bracket."""
+    t = type(x)
+    if t is str:
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if t is int:
+        return repr(x)
+    inner = pad + "  "
+    if t is list or t is tuple:
+        items = [encode_basestring_ascii(v) if type(v) is str else _dumps(v, inner) for v in x]
+        return f"[{inner}{(',' + inner).join(items)}{pad}]" if x else "[]"
+    if t is dict and all(type(k) is str for k in x):
+        items = [
+            f"{encode_basestring_ascii(k)}: {encode_basestring_ascii(v) if type(v) is str else _dumps(v, inner)}"
+            for k, v in sorted(x.items())
+        ]
+        return f"{{{inner}{(',' + inner).join(items)}{pad}}}" if x else "{}"
+    return json.dumps(x, indent=2, sort_keys=True).replace("\n", pad)
+
+
 def _require_form(af: AlgebraFile, what: str):
     if af.form is None:
         raise ParseError(f"{what} needs form lines in {af.name}")
@@ -102,7 +135,7 @@ def _emit_report(rep: Report, args, extra=None) -> int:
         if extra:
             payload.update(extra)
         payload.update(rep.as_dict())
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_dumps(payload))
     else:
         if not args.no_timestamp:
             print(f"# liequad {VERSION} at {_timestamp()}")
@@ -163,7 +196,7 @@ def cmd_derivations(args) -> int:
             "dimension": ds.dim,
             "basis": [matrix(row) for row in ds.rows],
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_dumps(payload))
     else:
         print(f"# {args.kind} derivations of {af.name}: dimension {ds.dim}")
         for idx, row in enumerate(ds.rows):
@@ -277,7 +310,7 @@ def cmd_decompose(args) -> int:
                 "center": [af.algebra.format_vector(v) for v in w.center.basis],
             }
             payload.update(w.report.as_dict())
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_dumps(payload))
         return 0
     if w is None:
         print(f"{af.name}: no central witness (the test is sufficient, not complete)")

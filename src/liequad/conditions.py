@@ -18,6 +18,14 @@ over: invariance reads the stored table `nz`, sub-tolerance entries included,
 since a large Gram entry can scale them above the tolerance; the others read
 the tolerance view `_nz`, as `bracket` and the series do.
 
+The Leibniz and skew generators take the grading: given it, they yield on
+the exact backend only the rows an even map can meet, those on the even
+blocks D[a][b], |a| = |b|.  On a table and a Gram matrix that respect parity
+every other row lies wholly on the odd blocks, which the parity rows set to
+zero, so the exact kernel is that of the full system; one that breaks parity,
+and the float backend, keep every row.  Given a Gram matrix, the invariance
+generator yields only the rows that meet one of its nonzero entries.
+
 One zero rule holds for every system that goes to a solver: a row holds no
 exact zero, and it is dropped when nothing is left or every entry is zero to
 the backend.  `_add_row` applies it to the skew rows, the images of
@@ -126,9 +134,9 @@ def _parity_rows(bk, n: int, n_even: int, odd: bool):
     even map or form (odd False), or where they agree, for an odd form (odd True)."""
     one = bk.one
     for k in range(n):
-        for j in range(n):
-            if ((k < n_even) != (j < n_even)) != odd:
-                yield (k, j), {k * n + j: one}
+        # the j of the other parity, or for an odd form of the same parity
+        for j in range(n_even) if (k < n_even) == odd else range(n_even, n):
+            yield (k, j), {k * n + j: one}
 
 
 def _transpose_rows(bk, n: int, depth: int, n_even: int):
@@ -147,51 +155,83 @@ def _transpose_rows(bk, n: int, depth: int, n_even: int):
 # -- maps: derivations ------------------------------------------------------------
 
 
-def _leibniz_rows(bk, nz):
+def _leibniz_rows(bk, nz, n_even=None):
     """Sparse rows of the Leibniz system over unknowns x[(k,j)] = D[k][j].
+
+    Given n_even, the grading in which e_i is odd from n_even on, only the rows
+    an even map can meet: those of the (i, j, k) with |i|+|j|+|k| even, the
+    rows of an even e_k first.  When the table respects parity, a term of row
+    (i, j, k) sits at a D[a][b] with |a|+|b| = |i|+|j|+|k|, so these rows lie
+    wholly on the even blocks and every other row wholly on the odd blocks,
+    which the parity rows set to zero.  A raw table that breaks parity mixes
+    the blocks in a row and keeps every row, as do n_even None
+    (`is_derivation` judges any map) and the float backend, which pivots as
+    dense elimination does: there the row swaps of the odd-block rows reorder
+    the others, and with them the rounding.
 
     The zero rule of `_add_row`, applied in place: an entry that a term cancels
     to an exact zero is deleted there, so the keep test needs no rescan."""
     n = len(nz)
     exact = bk.name == "exact"
+    ne = n_even if exact and n_even is not None else n
+    if ne < n:
+        entries = ((i, j, k) for i, block in enumerate(nz) for j, pairs in enumerate(block) for k, _ in pairs)
+        if any((k < ne) != ((i < ne) == (j < ne)) for i, j, k in entries):
+            ne = n  # a term of the wrong parity: keep every row
     left, right = _output_index(nz)
-    left_ks = [{k for k, pairs in enumerate(ks) if pairs} for ks in left]
-    right_ks = [{k for k, pairs in enumerate(ks) if pairs} for ks in right]
     rows = []
-    for i in range(n):
-        for j in range(i, n):
-            cij = nz[i][j]
-            # the k whose row has a term: all of them when [e_i,e_j] != 0
-            for k in range(n) if cij else sorted(left_ks[i] | right_ks[j]):
-                # D([e_i,e_j])_k = sum_m c[i][j][m] D[k][m]
-                row = {k * n + m: x for m, x in cij}
-                # -[D e_i, e_j]_k - [e_i, D e_j]_k = -sum_l D[l][i] c[l][j][k] - sum_l D[l][j] c[i][l][k]
-                for terms, col in ((right[j][k], i), (left[i][k], j)):
-                    for l, x in terms:
-                        u = l * n + col
-                        if u not in row:
-                            row[u] = -x
-                        elif row[u] == x:
-                            del row[u]
-                        else:
-                            row[u] -= x
-                if row and (exact or not all(map(bk.is_zero, row.values()))):
-                    rows.append(row)
+    for p, every in enumerate((range(ne), range(ne, n))):  # the rows whose e_k has parity p
+        if not every:
+            continue
+        # left_ks[i], right_ks[j]: the k of parity p where left[i][k], right[j][k] has a term
+        left_ks = [{k for k in every if ks[k]} for ks in left]
+        right_ks = [{k for k in every if ks[k]} for ks in right]
+        for i in range(n):
+            # the j >= i with |i|+|j| = p: even j when |i| = p, else odd j
+            for j in range(i, ne) if (i >= ne) == p else range(max(i, ne), n):
+                cij = nz[i][j]
+                # the k whose row has a term: all of parity p when [e_i,e_j] != 0
+                for k in every if cij else sorted(left_ks[i] | right_ks[j]):
+                    # D([e_i,e_j])_k = sum_m c[i][j][m] D[k][m]
+                    row = {k * n + m: x for m, x in cij}
+                    # -[D e_i, e_j]_k - [e_i, D e_j]_k = -sum_l D[l][i] c[l][j][k] - sum_l D[l][j] c[i][l][k]
+                    for terms, col in ((right[j][k], i), (left[i][k], j)):
+                        for l, x in terms:
+                            u = l * n + col
+                            if u not in row:
+                                row[u] = -x
+                            elif row[u] == x:
+                                del row[u]
+                            else:
+                                row[u] -= x
+                    if row and (exact or not all(map(bk.is_zero, row.values()))):
+                        rows.append(row)
     return rows
 
 
-def _skew_rows(bk, gram: Matrix):
+def _skew_rows(bk, gram: Matrix, n_even=None, odd=False):
     """Sparse rows of B(D e_i, e_j) + B(e_i, D e_j) = 0, i <= j, for the
-    (anti)symmetric Gram matrix of B, over unknowns x[(k,j)] = D[k][j]."""
+    (anti)symmetric Gram matrix of B, over unknowns x[(k,j)] = D[k][j].
+
+    Given n_even and the parity of the form (odd True for an odd form), only the
+    rows an even map can meet: those of the (i, j) with |i|+|j| the form's
+    parity.  When the Gram matrix keeps the form's parity pattern, row (i, j)
+    lies wholly on the blocks of parity |i|+|j|+|B|; one that breaks the
+    pattern keeps every row, as do n_even None and the float backend (see
+    `_leibniz_rows`)."""
     n = gram.rows
     g_rows = [[(k, x) for k, x in enumerate(r) if not bk.is_zero(x)] for r in gram.entries]
+    ne, odd = (n_even, odd) if bk.name == "exact" and n_even is not None else (n, False)
+    if (ne < n or odd) and any(((k < ne) != (j < ne)) != odd for k, r in enumerate(g_rows) for j, _ in r):
+        ne, odd = n, False  # an entry off the pattern: keep every row
     g_cols = [[] for _ in range(n)]  # g_cols[j] = the (k, g[k][j]) of g_rows, in increasing k
     for k, r in enumerate(g_rows):
         for j, x in r:
             g_cols[j].append((k, x))
     rows = []
     for i in range(n):
-        for j in range(i, n):
+        # the j >= i whose parity is |i| + |B|
+        for j in range(max(i, ne), n) if (i >= ne) != odd else range(i, ne):
             # sum_k D[k][i] g[k][j] + D[k][j] g[i][k]
             row = {k * n + i: x for k, x in g_cols[j]}
             for k, x in g_rows[i]:
@@ -263,16 +303,31 @@ def _pairing_rows(nz, unknown):
 # -- forms: invariance --------------------------------------------------------------
 
 
-def _invariance_rows(nz):
+def _invariance_rows(nz, gram=None):
     """((i, j, k), row) of B([e_i,e_j],e_k) - B(e_i,[e_j,e_k]) = 0 over the Gram
     unknowns of `_flat`: sum_l c[i][j][l] g[l][k] - sum_l c[j][k][l] g[i][l],
-    only where [e_i,e_j] or [e_j,e_k] has a term."""
+    only where [e_i,e_j] or [e_j,e_k] has a term.  Given a Gram matrix, only the
+    rows that meet one of its exactly nonzero entries: any other row sums no
+    term in `failures` at that point, so the failures and their order stay."""
     n = len(nz)
-    ks = [[k for k in range(n) if block[k]] for block in nz]  # ks[j] = the k with [e_j,e_k] != 0
     rhs = [[[(l, -x) for l, x in pairs] for pairs in block] for block in nz]  # the (l, -c[j][k][l])
+    # g[a] = the b with g[a][b] exactly nonzero; without a Gram matrix, every b
+    g = [range(n)] * n if gram is None else [[b for b, x in enumerate(r) if x] for r in gram.entries]
+    outs = [[] for _ in range(n)]  # outs[l] = the (j, k) with an e_l-term in [e_j,e_k]
+    for j, block in enumerate(nz):
+        for k, pairs in enumerate(block):
+            for l, _ in pairs:
+                outs[l].append((j, k))
     for i in range(n):
+        right = {}  # {j: the k}, met through a g[i][l] with l a term of [e_j,e_k]
+        for l in g[i]:
+            for j, k in outs[l]:
+                right.setdefault(j, set()).add(k)
         for j, cij in enumerate(nz[i]):
-            for k in range(n) if cij else ks[j]:
+            keys = right.get(j, ())
+            if cij:  # or met through a g[l][k] with l a term of [e_i,e_j]
+                keys = set(keys).union(*(g[l] for l, _ in cij))
+            for k in sorted(keys):
                 row = {l * n + k: x for l, x in cij}
                 for l, y in rhs[j][k]:
                     u = i * n + l

@@ -470,7 +470,7 @@ def verify_form(alg: LieSuperalgebra, form: BilinearForm) -> Report:
     # the rows read the stored table nz: a structure constant below the
     # tolerance still counts, since a large Gram entry can scale it above it
     law = "invariance B([x,y],z) = B(x,[y,z])"
-    _add_checks(rep, bk, labels, "invariance", law, failures(bk, _invariance_rows(alg.nz), point))
+    _add_checks(rep, bk, labels, "invariance", law, failures(bk, _invariance_rows(alg.nz, form.gram), point))
     return rep
 
 

@@ -3,14 +3,18 @@
 A derivation solves one system in the n^2 matrix entries, the rows of
 `conditions`: the Leibniz rows, the skew rows for Der_a(g, B), and on super
 inputs the parity rows (only even derivations are computed; the classification
-needs no odd ones).  The inner span is reduced from one row per even e_i,
+needs no odd ones).  The parity rows set the odd blocks to zero, so on the
+exact backend the Leibniz and skew rows are built on the even blocks only: on
+a super algebra about half of them lie wholly on the odd blocks and are never
+built, and the kernel, row for row, is that of the full system (see
+`conditions`).  The inner span is reduced from one row per even e_i,
 ad(e_i) flattened and read from `nz` as `ad` reads it.
 
 A `DerivationSpace` keeps the sparse kernel rows; its matrices are built only
 when `basis` is read.  `is_derivation` evaluates the Leibniz rows at D, and a
 caller that already has Der(g) gets dim Der_a(g, B) from `_skew_rank`, which
 evaluates the skew rows at the kernel rows of Der(g) instead of solving again;
-`fingerprint` does so.
+`fingerprint` does so, with the skew rows of the even blocks alone.
 """
 
 from __future__ import annotations
@@ -58,9 +62,10 @@ def _skew_rank(der: DerivationSpace, form: BilinearForm) -> int:
     """Rank of S(D) = (B(De_i,e_j) + B(e_i,De_j))_{i<=j} on the rows of der.
 
     S is evaluated through the rows of `_skew_rows` at the sparse rows of der,
-    so der.dim minus this rank is the dimension of the skew derivations in der."""
+    so der.dim minus this rank is the dimension of the skew derivations in der.
+    The rows on the odd blocks vanish at every even map and are not built."""
     bk, n = der.algebra.backend, der.algebra.dim
-    skew = _skew_rows(bk, form.gram)
+    skew = _skew_rows(bk, form.gram, der.algebra.space.dim_even, form.parity == "odd")
     images = []
     for image in _evaluate(skew, n * n, der.rows):
         _add_row(images, bk, image)
@@ -88,9 +93,10 @@ def derivation_space(alg: LieSuperalgebra, kind: str = "all", form: Optional[Bil
         rows = [{k * n + j: x for j, pairs in enumerate(block) for k, x in pairs} for block in even]
         sols = _span_basis(bk, rows, n * n)
     elif kind in ("all", "skew"):
-        rows = _leibniz_rows(bk, alg._nz) + [row for _, row in _parity_rows(bk, n, alg.space.dim_even, False)]
+        ne = alg.space.dim_even
+        rows = _leibniz_rows(bk, alg._nz, ne) + [row for _, row in _parity_rows(bk, n, ne, False)]
         if kind == "skew":
-            rows += _skew_rows(bk, form.gram)
+            rows += _skew_rows(bk, form.gram, ne, form.parity == "odd")
         # without rows the kernel is the standard basis: every matrix is a derivation
         sols = _nullspace_rows(bk, rows, n * n)
     else:

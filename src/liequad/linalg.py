@@ -158,7 +158,7 @@ def _rref_sparse(backend, rows: list, ncols: int) -> tuple:
     fewest nonzeros.  A row with one entry is such a candidate, so the exact
     backend first presolves singleton rows: each becomes {c: 1}, column c is
     deleted from every other row, and a row left with one entry follows in
-    turn.  A pivot equal to int 1 is not divided by.  The float backend takes
+    turn; no later pivot row holds c, so its pivot eliminates nothing.  A pivot equal to int 1 is not divided by.  The float backend takes
     the largest pivot weight, the first in row order on a tie, and moves the
     first pending row into the pivot's slot like a dense row swap, so its
     pivots and values are those of dense elimination.
@@ -206,6 +206,10 @@ def _rref_sparse(backend, rows: list, ncols: int) -> tuple:
         s, moved = slot[best], order[r]  # swap the rows in slots r and s
         order[r], order[s] = best, moved
         slot[best], slot[moved] = r, s
+        pivots.append(c)
+        r += 1
+        if c in presolved:
+            continue  # a presolved row is {c: 1}, and no other row holds column c
         prow = rows[best]
         p = prow[c]
         if type(p) is not int or p != 1:  # a unit pivot needs no scaling
@@ -235,8 +239,6 @@ def _rref_sparse(backend, rows: list, ncols: int) -> tuple:
                 elif j in row:
                     del row[j]
                     where[j].discard(i)
-        pivots.append(c)
-        r += 1
     return tuple(pivots), [rows[i] for i in order[:r]], [rows[i] for i in order[r:]]
 
 

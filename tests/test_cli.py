@@ -871,3 +871,30 @@ def test_mutated_auxiliary_files_exit_cleanly(aux_dir, case):
     argv = aux_argv(aux_dir, *case)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) in (0, 1, 2)
+
+
+# -- the JSON writer -----------------------------------------------------------------
+
+JSON_TEXT = st.text() | st.sampled_from(["", "\x00\x1f\x7f\n\t", 'a"b\\c/', "é∂", "  ", "😀", "\ud800"])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | JSON_TEXT | st.sampled_from([[], {}, ()]),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.tuples(kids, kids)
+    | st.dictionaries(JSON_TEXT, kids, max_size=4)
+    | st.dictionaries(st.integers(), kids, max_size=3),  # keys json.dumps turns into strings
+    max_leaves=30,
+)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [[], {}, (), [[], {}], {"a": {}, "b": []}, {"b": [1, {"c": None}], "a": True}, {"é": "\x00"}, [1.5, float("nan")]],
+)
+def test_json_writer_writes_the_bytes_of_json_dumps(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=JSON_VALUES)
+def test_json_writer_matches_json_dumps(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)

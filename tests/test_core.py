@@ -27,6 +27,7 @@ from liequad.core import (
     verify_form,
     verify_jacobi,
 )
+from liequad.conditions import _flat, _invariance_rows
 from liequad.linalg import EigenStructure, Matrix, Subspace, nullspace
 from liequad.morphisms import Fingerprint
 from liequad.scalars import EXACT, BackendMismatch, Exact, ExactBackend, complex_backend
@@ -313,6 +314,37 @@ def test_invariance_failures_match_definition(backend, data):
         assert got == want
     else:
         assert [name for name, _ in got] == [name for name, _ in want]
+
+
+def invariance_rows_from_definition(nz):
+    """((i, j, k), row) of every (i, j, k) where [e_i,e_j] or [e_j,e_k] has a term,
+    in the order of i, j, k: c[i][j][l] at g[l][k], minus c[j][k][l] at g[i][l]."""
+    n = len(nz)
+    out = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if nz[i][j] or nz[j][k]:
+                    row = {}
+                    for u, x in [(l * n + k, x) for l, x in nz[i][j]] + [(i * n + l, -x) for l, x in nz[j][k]]:
+                        row[u] = row[u] + x if u in row else x
+                    out.append(((i, j, k), row))
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(backend=st.sampled_from([EXACT, CB]), data=st.data())
+def test_invariance_rows_at_a_gram_matrix_are_those_that_meet_it(backend, data):
+    # raw tables and Gram matrices, sub-tolerance entries included: without a
+    # Gram matrix every row; with one, the rows that meet an exactly nonzero entry
+    entry = ENTRIES[backend.name].map(backend.coerce)
+    n = data.draw(st.integers(1, 4))
+    c = tuple(tuple(data.draw(st.tuples(*[entry] * n)) for _ in range(n)) for _ in range(n))
+    gram = Matrix(backend, tuple(data.draw(st.tuples(*[entry] * n)) for _ in range(n)))
+    nz, point = sparse(c), _flat(gram)
+    every = invariance_rows_from_definition(nz)
+    assert list(_invariance_rows(nz)) == every
+    assert list(_invariance_rows(nz, gram)) == [(key, row) for key, row in every if any(point[u] for u in row)]
 
 
 def jacobi_failures_from_definition(alg):

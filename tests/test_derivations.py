@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -7,16 +8,17 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liequad import catalog, extensions
-from liequad.core import BilinearForm, LieSuperalgebra, QuadraticAlgebra, StructureError
-from liequad.conditions import _add_row, _leibniz_rows, _skew_rows
+from liequad import catalog, data_file, extensions
+from liequad.algfile import parse
+from liequad.core import BilinearForm, LieSuperalgebra, QuadraticAlgebra, StructureError, SuperSpace
+from liequad.conditions import _add_row, _evaluate, _leibniz_rows, _parity_rows, _skew_rows
 from liequad.derivations import (
     derivation_space,
     is_derivation,
     is_inner,
     skew_derivation_family_g2n2,
 )
-from liequad.linalg import Matrix, Subspace, _nullspace_rows, nullspace
+from liequad.linalg import Matrix, Subspace, _nullspace_rows, _rref_sparse, nullspace
 from liequad.morphisms import fingerprint
 from liequad.scalars import EXACT, BackendMismatch, complex_backend
 
@@ -310,6 +312,129 @@ def test_derivation_spaces_match_definition(backend, data):
     ads = [tuple(x for r in alg.ad(i).entries for x in r) for i in range(n) if alg.parity(i) == 0]
     inner = derivation_space(alg, "inner").basis
     assert tuple(tuple(x for r in m.entries for x in r) for m in inner) == Subspace.span(backend, ads, n * n).basis
+
+
+# -- even derivations are solved on the even blocks ----------------------------------
+
+
+def full_system(alg, form=None):
+    """The kernel rows of the system of an even derivation written out in full:
+    every Leibniz row, the parity rows and, given a form, every skew row."""
+    bk, n = alg.backend, alg.dim
+    rows = _leibniz_rows(bk, alg._nz) + [row for _, row in _parity_rows(bk, n, alg.space.dim_even, False)]
+    if form is not None:
+        rows += _skew_rows(bk, form.gram)
+    return _nullspace_rows(bk, rows, n * n)
+
+
+def assert_full_system(alg, form):
+    """Der(g), Der_a(g, B) and the fingerprint's skew dimension are those of the
+    full system: the last is dim Der(g) minus the rank of every skew row at the
+    rows of Der(g), as `fingerprint` takes it."""
+    bk, n = alg.backend, alg.dim
+    der = full_system(alg)
+    assert list(derivation_space(alg, "all").rows) == der
+    assert list(derivation_space(alg, "skew", form).rows) == full_system(alg, form)
+    skew = _skew_rows(bk, form.gram)
+    images = []
+    for image in _evaluate(skew, n * n, der):
+        _add_row(images, bk, image)
+    rank = len(_rref_sparse(bk, images, len(skew))[0])
+    assert fingerprint(QuadraticAlgebra(alg, form)).skew_der_dim == len(der) - rank
+
+
+def assert_skipped_rows_are_odd(alg, form):
+    """On the exact backend the rows the solver gets are rows of the full system
+    on the even blocks D[a][b], |a| = |b|, and every row it skips lies wholly on
+    the odd blocks; the float backend gets every row, in order."""
+    bk, n, ne = alg.backend, alg.dim, alg.space.dim_even
+    on_odd_block = lambda u: (u // n < ne) != (u % n < ne)  # noqa: E731
+    for full, kept in (
+        (_leibniz_rows(bk, alg._nz), _leibniz_rows(bk, alg._nz, ne)),
+        (_skew_rows(bk, form.gram), _skew_rows(bk, form.gram, ne, form.parity == "odd")),
+    ):
+        if bk is not EXACT:
+            assert kept == full
+            continue
+        full, kept = (Counter(frozenset(row.items()) for row in rows) for rows in (full, kept))
+        assert not kept - full
+        assert not any(on_odd_block(u) for row in kept for u, _ in row)
+        assert all(on_odd_block(u) for row in full - kept for u, _ in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(backend=st.sampled_from([EXACT, CB]), data=st.data())
+def test_even_blocks_solve_the_full_system(backend, data):
+    alg, form = random_super_table(backend, data)
+    assert_skipped_rows_are_odd(alg, form)
+    assert_full_system(alg, form)
+
+
+GRID = [(f"{e.id}{params}", e.builder(EXACT, params)) for e in catalog.entries() for params in e.sample_grid(EXACT)]
+GO6_FILES = [f"go6_{i}.alg" for i in range(8)]
+
+
+@pytest.mark.parametrize("alg, form", [q for _, q in GRID], ids=[name for name, _ in GRID])
+def test_even_blocks_solve_the_full_system_on_the_catalog_grid(alg, form):
+    assert_skipped_rows_are_odd(alg, form)
+    assert_full_system(alg, form)
+
+
+@pytest.mark.parametrize("fname", GO6_FILES)
+def test_even_blocks_solve_the_full_system_on_the_shipped_files(fname):
+    af = parse(data_file(fname).read_text())
+    assert af.algebra.space.dim_odd
+    assert_skipped_rows_are_odd(af.algebra, af.form)
+    assert_full_system(af.algebra, af.form)
+
+
+def test_the_float_backend_solves_on_every_row():
+    # a constant just above the tolerance makes kernel entries of size 1e9; an
+    # elimination without the odd-block rows swaps the rows otherwise and rounds
+    # them otherwise, so the float backend keeps every row
+    x = 1e-9 + 1.0133415131312894e-10j
+    alg = LieSuperalgebra.build(["E0"], ["O0", "O1"], {("E0", "O0"): {"O1": x}, ("E0", "O1"): {"O0": x, "O1": 1j}}, CB)
+    assert_full_system(alg, BilinearForm.build(alg.space, {}, "even", CB))
+
+
+def raw_table(backend, data):
+    """A table and a Gram matrix on even and odd labels, through the raw
+    constructors: any entry, so parity and the form's pattern may break."""
+    entry = ENTRY[backend.name].map(backend.coerce)
+    n = data.draw(st.integers(1, 4))
+    ne = data.draw(st.integers(0, n))
+    space = SuperSpace(ne, n - ne, tuple(f"E{i}" for i in range(n)))
+    sparse = st.one_of(st.just(backend.zero), entry)
+    nz = tuple(
+        tuple(tuple((k, x) for k in range(n) for x in [data.draw(sparse)] if x) for _ in range(n)) for _ in range(n)
+    )
+    gram = Matrix(backend, tuple(tuple(data.draw(sparse) for _ in range(n)) for _ in range(n)))
+    parity = data.draw(st.sampled_from(["even", "odd"]))
+    return LieSuperalgebra(space, backend, nz), BilinearForm(space, backend, parity, gram)
+
+
+@settings(max_examples=150, deadline=None)
+@given(backend=st.sampled_from([EXACT, CB]), data=st.data())
+def test_raw_tables_that_break_parity_solve_the_full_system(backend, data):
+    alg, form = raw_table(backend, data)
+    assert_full_system(alg, form)
+
+
+def test_a_mixed_row_is_kept():
+    # [E, O] = E breaks parity: the row (E, O, E) of the Leibniz system reads
+    # -D[O][O] = 0, an even-block entry in a row of the odd class
+    space = SuperSpace(1, 1, ("E", "O"))
+    alg = LieSuperalgebra(space, EXACT, (((), ((0, 1),)), ((), ())))
+    assert alg.structure_violations()
+    assert derivation_space(alg, "all").dim == 1
+    # B(E, O) = 1 breaks the even pattern: the skew row (E, O) reads D[E][E] + D[O][O] = 0
+    gram = Matrix(EXACT, ((0, 1), (0, 0)))
+    assert derivation_space(LieSuperalgebra.abelian(["E"], ["O"]), "skew", BilinearForm(space, EXACT, "even", gram)).dim == 1
+    for form in (BilinearForm(space, EXACT, "even", gram), BilinearForm(space, EXACT, "odd", Matrix(EXACT, ((1, 0), (0, 0))))):
+        assert_full_system(alg, form)
+    # an odd form with B(E, E) = 1 on an even algebra: the skew row (E, E) reads 2 D[E][E] = 0
+    even = LieSuperalgebra.abelian(["E"])
+    assert derivation_space(even, "skew", BilinearForm(even.space, EXACT, "odd", Matrix(EXACT, ((1,),)))).dim == 0
 
 
 @settings(max_examples=60, deadline=None)
