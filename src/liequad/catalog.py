@@ -15,7 +15,10 @@ without checking any axiom; `build` adds the parameter checks and the eager
 axiom check.  verify_all() rebuilds each entry over a default parameter grid
 and machine-checks all of it: the axioms, the duality between center and
 derived subalgebra, the expected dimensions, the frozen fingerprint, and
-absence of central witnesses for the indecomposable entries.
+absence of central witnesses for the indecomposable entries.  It hands each
+algebra that passes its axioms to the caller, in the dict `verified` keyed by
+id, backend and coerced parameters; `verified_build` reads it back, so a
+caller checks no grid point twice.
 
 Notes on entries whose constants were derived here rather than copied:
 
@@ -38,7 +41,7 @@ from .core import (
     LieSuperalgebra,
     QuadraticAlgebra,
     _series,
-    orthogonal_complement,
+    is_orthogonal_complement,
     verify_form,
     verify_jacobi,
 )
@@ -763,7 +766,10 @@ def get(id: str) -> CatalogEntry:
         raise UnknownEntry(f"unknown catalog entry {id!r}") from None
 
 
-def build(id: str, backend=EXACT, **params) -> QuadraticAlgebra:
+def _coerce_params(id: str, backend=EXACT, **params) -> dict:
+    """The entry's default parameters overridden by `params`, coerced to the
+    backend and checked admissible, in the entry's parameter order (the order
+    of `sample_grid`)."""
     entry = get(id)
     bk = backend
     coerced = entry.default_params(bk)
@@ -778,8 +784,24 @@ def build(id: str, backend=EXACT, **params) -> QuadraticAlgebra:
     for spec in entry.params:
         if spec.admissible is not None and not spec.admissible(bk, coerced[spec.name]):
             raise InadmissibleParameter(f"{id}: parameter {spec.name}={coerced[spec.name]} not admissible")
-    alg, form = entry.builder(bk, coerced)
+    return coerced
+
+
+def build(id: str, backend=EXACT, **params) -> QuadraticAlgebra:
+    alg, form = get(id).builder(backend, _coerce_params(id, backend, **params))
     return QuadraticAlgebra.build(alg, form)
+
+
+def _grid_key(id: str, backend, params: Mapping) -> tuple:
+    return id, backend.name, tuple(params.items())
+
+
+def verified_build(verified: Mapping, id: str, backend=EXACT, **params) -> QuadraticAlgebra:
+    """`build(id, backend, **params)`, read from `verified` when `verify_all`
+    handed the algebra out there.  Any other point is built, so a grid point
+    whose axioms failed raises the StructureError of `build`."""
+    q = verified.get(_grid_key(id, backend, _coerce_params(id, backend, **params)))
+    return q if q is not None else build(id, backend, **params)
 
 
 def _param_str(params: Mapping) -> str:
@@ -788,13 +810,14 @@ def _param_str(params: Mapping) -> str:
     return "[" + ",".join(f"{k}={v}" for k, v in params.items()) + "]"
 
 
-def verify_entry(entry: CatalogEntry, params: Mapping, backend=EXACT) -> Report:
+def verify_entry(entry: CatalogEntry, params: Mapping, backend=EXACT, verified: Optional[dict] = None) -> Report:
     """Axioms, center/derived duality, expected dimensions and flags for one build.
 
     `params` are coerced and admissible, as `sample_grid` gives them.  A build
     that fails its axioms reports that one failing check and nothing more.
     Center and both series come from one `_series` pass, which every check
-    below reads."""
+    below reads.  A build that passes its axioms is stored in `verified`, when
+    given, for `verified_build` to read."""
     bk = backend
     rep = Report()
     tag = entry.id + _param_str(params)
@@ -805,6 +828,8 @@ def verify_entry(entry: CatalogEntry, params: Mapping, backend=EXACT) -> Report:
     if not axioms.ok:
         return rep
     q = QuadraticAlgebra(alg, form, axioms)
+    if verified is not None:
+        verified[_grid_key(entry.id, bk, params)] = q
     series = _series(alg)
     z, ds, lcs = series
     d = ds[1] if len(ds) > 1 else ds[0]  # the series stops at once when [g,g] = g
@@ -818,7 +843,7 @@ def verify_entry(entry: CatalogEntry, params: Mapping, backend=EXACT) -> Report:
     rep.add(
         f"{tag}:center-is-derived-perp",
         "center equals orthogonal complement of the derived subalgebra" + odd_note,
-        orthogonal_complement(q, d) == z,
+        is_orthogonal_complement(q, z, d),
     )
     rep.add(
         f"{tag}:center-dim",
@@ -853,7 +878,9 @@ def verify_entry(entry: CatalogEntry, params: Mapping, backend=EXACT) -> Report:
     return rep
 
 
-def verify_all(backend=EXACT, only: Optional[str] = None) -> Report:
+def verify_all(backend=EXACT, only: Optional[str] = None, verified: Optional[dict] = None) -> Report:
+    """verify_entry over the sample grid of every entry, or of `only`; the
+    algebras that pass their axioms are stored in `verified`, when given."""
     if only is not None:
         get(only)
     rep = Report()
@@ -861,5 +888,5 @@ def verify_all(backend=EXACT, only: Optional[str] = None) -> Report:
         if only is not None and entry.id != only:
             continue
         for params in entry.sample_grid(backend):
-            rep.extend(verify_entry(entry, params, backend))
+            rep.extend(verify_entry(entry, params, backend, verified))
     return rep

@@ -375,8 +375,14 @@ def _fmt_residual(backend, value) -> str:
 def verify_jacobi(alg: LieSuperalgebra) -> Report:
     """Graded Jacobi identity on all unordered basis triples.
 
-    Every failing triple becomes its own report entry carrying the largest
-    residual component; a clean run collapses to a single passing check.
+    Only the triples {a, b, c} with some e_m in the support of [e_b, e_c] and
+    [e_a, e_m] != 0 are evaluated: on every other triple each of the three
+    terms is an empty sum, so it cannot fail.  Both orientations of [e_b, e_c]
+    are read, since a raw table need not be antisymmetric.  The triples are
+    evaluated in sorted (i, j, k) order, the order of the loop over all of
+    them, so the report is the same.  Every failing triple becomes its own
+    report entry carrying the largest residual component; a clean run
+    collapses to a single passing check.
     """
     bk, sp = alg.backend, alg.space
     rep = Report()
@@ -386,32 +392,36 @@ def verify_jacobi(alg: LieSuperalgebra) -> Report:
     for msg in struct:
         rep.add("structure", "graded antisymmetry / parity consistency", False, witness=msg)
     nz = alg._nz
+    left = [[a for a in range(n) if nz[a][m]] for m in range(n)]  # left[m]: the a with [e_a, e_m] != 0
+    triples = set()
+    for b in range(n):
+        for c in range(n):
+            x, y = (b, c) if b <= c else (c, b)
+            for m, _ in nz[b][c]:
+                for a in left[m]:
+                    triples.add((a, x, y) if a <= x else (x, a, y) if a <= y else (x, y, a))
     fails = 0
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                if not (nz[j][k] or nz[k][i] or nz[i][j]):
-                    continue  # every inner bracket vanishes
-                # s1 [e_i,[e_j,e_k]] + s2 [e_j,[e_k,e_i]] + s3 [e_k,[e_i,e_j]] with
-                # s1 = (-1)^{|i||k|} and so on, over the nonzero structure constants only
-                term = {}
-                for a, inner, b in ((i, nz[j][k], k), (j, nz[k][i], i), (k, nz[i][j], j)):
-                    negate = _graded_sign(sp, a, b) < 0
-                    for l, x in _combine(inner, nz[a]).items():
-                        if negate:
-                            x = -x
-                        term[l] = term[l] + x if l in term else x
-                if not all(bk.is_zero(x) for x in term.values()):
-                    fails += 1
-                    full = tuple(term.get(l, bk.zero) for l in range(n))
-                    worst = max(full, key=lambda x: residual_magnitude(bk, x))
-                    rep.add(
-                        f"jacobi({sp.labels[i]},{sp.labels[j]},{sp.labels[k]})",
-                        law,
-                        False,
-                        residual=_fmt_residual(bk, worst),
-                        witness=alg.format_vector(full),
-                    )
+    for i, j, k in sorted(triples):
+        # s1 [e_i,[e_j,e_k]] + s2 [e_j,[e_k,e_i]] + s3 [e_k,[e_i,e_j]] with
+        # s1 = (-1)^{|i||k|} and so on, over the nonzero structure constants only
+        term = {}
+        for a, inner, b in ((i, nz[j][k], k), (j, nz[k][i], i), (k, nz[i][j], j)):
+            negate = _graded_sign(sp, a, b) < 0
+            for l, x in _combine(inner, nz[a]).items():
+                if negate:
+                    x = -x
+                term[l] = term[l] + x if l in term else x
+        if not all(bk.is_zero(x) for x in term.values()):
+            fails += 1
+            full = tuple(term.get(l, bk.zero) for l in range(n))
+            worst = max(full, key=lambda x: residual_magnitude(bk, x))
+            rep.add(
+                f"jacobi({sp.labels[i]},{sp.labels[j]},{sp.labels[k]})",
+                law,
+                False,
+                residual=_fmt_residual(bk, worst),
+                witness=alg.format_vector(full),
+            )
     if fails == 0 and not struct:
         rep.add("jacobi", law, True, residual="0" if bk.name == "exact" else "0.0")
     return rep
@@ -504,10 +514,19 @@ def graded_center_basis(alg: LieSuperalgebra):
 
 
 def _graded_parts(alg: LieSuperalgebra, s: Subspace):
-    """(even, odd) spans of the parity components of the basis of a graded s."""
+    """(even, odd) spans of the parity components of the basis of a graded s.
+
+    On the exact backend a basis whose vectors are each homogeneous splits as
+    it stands: rows of a reduced echelon basis are their own reduced echelon
+    basis, which the two spans would give back."""
     bk = alg.backend
-    even, odd = [], []
     ne = alg.space.dim_even
+    if bk.name == "exact":
+        even = tuple(v for v in s.basis if not any(v[ne:]))
+        odd = tuple(v for v in s.basis if not any(v[:ne]))
+        if len(even) + len(odd) == s.dim:
+            return Subspace(bk, alg.dim, even), Subspace(bk, alg.dim, odd)
+    even, odd = [], []
     for v in s.basis:
         ev = tuple(x if i < ne else bk.zero for i, x in enumerate(v))
         od = tuple(x if i >= ne else bk.zero for i, x in enumerate(v))
@@ -597,6 +616,30 @@ def orthogonal_complement(q: QuadraticAlgebra, s: Subspace) -> Subspace:
         return Subspace.full(bk, n)
     rows = [_sparse_row(form.gram.apply(b)) for b in s.basis]
     return _span_rows(bk, _nullspace_rows(bk, rows, n), n)
+
+
+def is_orthogonal_complement(q: QuadraticAlgebra, s: Subspace, t: Subspace) -> bool:
+    """s == t^perp; requires a non-degenerate form.
+
+    On the exact backend this is dim s + dim t = dim and B(s, t) = 0 over the
+    nonzero coordinates: a non-degenerate form has dim t^perp = dim - dim t,
+    so s lies in t^perp and has its dimension exactly when it equals it.  The
+    complex backend compares with `orthogonal_complement` under its tolerance."""
+    if q.backend.name != "exact":
+        return orthogonal_complement(q, t) == s
+    form = q.form
+    if not form.is_nondegenerate():
+        raise StructureError("orthogonal complement needs a non-degenerate form")
+    if s.dim + t.dim != q.dim:
+        return False
+    g = form.gram.entries
+    ts = [_sparse_row(v).items() for v in t.basis]
+    for u in s.basis:
+        rows = [(g[i], a) for i, a in enumerate(u) if a]
+        for v in ts:  # B(u, v) over the nonzero u_i g_ij v_j
+            if sum(a * row[j] * b for row, a in rows for j, b in v if row[j]):
+                return False
+    return True
 
 
 def is_ideal(alg: LieSuperalgebra, s: Subspace) -> bool:

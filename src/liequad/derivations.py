@@ -133,18 +133,20 @@ def is_inner(alg: LieSuperalgebra, d: Matrix) -> Optional[tuple]:
     return tuple(full)
 
 
-def skew_derivation_family_g2n2(n: int) -> DerivationSpace:
+def skew_derivation_family_g2n2(n: int, q=None) -> DerivationSpace:
     """Closed-form skew-derivation basis of the 1-step family of dimension 2n+2.
 
     The solved general form has D(X_0) = 0 and is parameterised by an n x n
     block (a_ij) together with two n-vectors (alpha, beta), so the dimension is
-    n^2 + 2n; cross-checked against the generic solver in the tests.
+    n^2 + 2n; cross-checked against the generic solver in the tests.  `q` is
+    the catalog's g2n2 at this n, when the caller has it; else it is built.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    from .catalog import build  # local import: catalog depends on this module
+    if q is None:
+        from .catalog import build  # local import: catalog depends on this module
 
-    q = build("g2n2", n=n)
+        q = build("g2n2", n=n)
     alg, one, idx = q.algebra, q.backend.one, range(1, n + 1)
 
     def entry(a: str, b: str) -> int:  # D[a][b], the a-coordinate of D(b)

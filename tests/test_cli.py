@@ -593,6 +593,113 @@ def test_report_all_text_output_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_TEXT_SHA256
 
 
+def count_calls(monkeypatch, module, name, calls):
+    """Count the calls of module.name from every liequad namespace that holds it."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("liequad") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+
+
+def test_report_all_verifies_each_algebra_once(monkeypatch):
+    # 74 grid points, 4 T*-extensions and 2 direct sums; the extras read the
+    # algebras the grid verified instead of building them again
+    from liequad import catalog, core
+
+    calls = {"verify_jacobi": 0, "verify_form": 0, "build": 0}
+    count_calls(monkeypatch, core, "verify_jacobi", calls)
+    count_calls(monkeypatch, core, "verify_form", calls)
+    count_calls(monkeypatch, catalog, "build", calls)
+    assert cli.build_full_report().ok
+    assert calls == {"verify_jacobi": 80, "verify_form": 80, "build": 0}
+
+
+def test_algebras_handed_to_the_extras_are_those_build_makes(monkeypatch):
+    from liequad import catalog
+
+    handed = []
+    original = catalog.verified_build
+
+    def recorded(verified, id, **params):
+        q = original(verified, id, **params)
+        handed.append((id, params, q))
+        return q
+
+    monkeypatch.setattr(catalog, "verified_build", recorded)
+    assert cli.build_full_report().ok
+    assert len(handed) == 14
+    for id, params, q in handed:
+        ref = catalog.build(id, **params)
+        assert q.algebra.nz == ref.algebra.nz and q.form.gram == ref.form.gram, (id, params)
+
+
+def break_entry(monkeypatch, id):
+    """Replace catalog entry id by one whose first bracket is doubled."""
+    from liequad import catalog
+    from liequad.catalog import CatalogEntry
+
+    entry = catalog.get(id)
+    fields = {name: getattr(entry, name) for name in CatalogEntry.__slots__}
+    brackets = fields["brackets"]
+
+    def doubled(bk, params):
+        table = dict(brackets(bk, params) if callable(brackets) else brackets)
+        pair = next(iter(table))
+        table[pair] = {label: 2 * x for label, x in table[pair].items()}
+        return table
+
+    fields["brackets"] = doubled
+    broken = CatalogEntry(fields.pop("id"), fields.pop("description"), **fields)
+    monkeypatch.setitem(catalog._BY_ID, id, broken)
+    monkeypatch.setattr(catalog, "_ENTRIES", tuple(broken if e is entry else e for e in catalog._ENTRIES))
+
+
+@pytest.mark.parametrize("id", ["g4", "g2n2", "g6_3", "go4_3"])
+def test_report_all_with_a_broken_entry_fails_as_build_does(capsys, monkeypatch, id):
+    # the grid reports the failing axioms, and the first extra that needs the
+    # entry stops the report with the StructureError of catalog.build
+    from liequad import catalog
+    from liequad.core import StructureError
+
+    break_entry(monkeypatch, id)
+    with pytest.raises(StructureError) as exc:
+        catalog.build(id, **({"n": 1} if id == "g2n2" else {}))
+    code, out, err = run(capsys, "--no-timestamp", "report", "--all")
+    assert (code, out, err) == (1, "", f"error: {exc.value}\n")
+    if id == "g4":
+        assert err == (
+            "error: verification failed:\n"
+            "FAIL  jacobi(X,P,Q)  [graded Jacobi identity]  residual=-1  witness=-Z\n"
+            "FAIL  invariance(X,P,Q)  [invariance B([x,y],z) = B(x,[y,z])]  residual=1\n"
+            "FAIL  invariance(P,X,Q)  [invariance B([x,y],z) = B(x,[y,z])]  residual=-1\n"
+            "FAIL  invariance(Q,X,P)  [invariance B([x,y],z) = B(x,[y,z])]  residual=-1\n"
+            "FAIL  invariance(Q,P,X)  [invariance B([x,y],z) = B(x,[y,z])]  residual=1\n"
+        )
+
+
+def test_cold_import_loads_every_traced_module():
+    # the benchmark's tracer looks each spanned module up in sys.modules after
+    # `import liequad.cli`; a module imported lazily would make it raise
+    import ast
+    from pathlib import Path
+
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py").read_text())
+    spanned = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["SPANNED"]
+    )
+    modules = sorted({f"liequad.{mod}" for mod, _ in spanned.values()})
+    probe = "import sys, liequad.cli; print(sorted(m for m in sys.argv[1:] if m not in sys.modules))"
+    done = subprocess.run([sys.executable, "-c", probe, *modules], check=True, capture_output=True, text=True)
+    assert "liequad.algfile" in modules and done.stdout.strip() == "[]"
+
+
 DERIVATIONS_SHA256 = "27f6dc17b69bd57e9cab659eb03ab9b9d83cdbacd994bfe0af2b853f34da8528"
 
 

@@ -3,15 +3,20 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from liequad import catalog
+from liequad import catalog, data_file
+from liequad.algfile import parse
 from liequad.core import (
     BilinearForm,
     LieSuperalgebra,
     QuadraticAlgebra,
     StructureError,
     SuperSpace,
+    _combine,
+    _fmt_residual,
+    _graded_parts,
+    _graded_sign,
     _series,
     center,
     derived_series,
@@ -20,6 +25,7 @@ from liequad.core import (
     is_ideal,
     is_nilpotent,
     is_nondegenerate_on,
+    is_orthogonal_complement,
     is_solvable,
     lower_central_series,
     orthogonal_complement,
@@ -28,9 +34,10 @@ from liequad.core import (
     verify_jacobi,
 )
 from liequad.conditions import _flat, _invariance_rows
-from liequad.linalg import EigenStructure, Matrix, Subspace, nullspace
+from liequad.linalg import EigenStructure, Matrix, Subspace, nullspace, rank
 from liequad.morphisms import Fingerprint
-from liequad.scalars import EXACT, BackendMismatch, Exact, ExactBackend, complex_backend
+from liequad.report import Report
+from liequad.scalars import EXACT, BackendMismatch, Exact, ExactBackend, complex_backend, residual_magnitude
 
 
 def sparse(c):
@@ -381,6 +388,171 @@ def test_jacobi_failures_match_definition(backend, data):
     alg = LieSuperalgebra(space, backend, sparse(c))
     got = [ch.name for ch in verify_jacobi(alg).checks if ch.name.startswith("jacobi(")]
     assert got == jacobi_failures_from_definition(alg)
+
+
+def jacobi_over_all_triples(alg):
+    """verify_jacobi's report from the loop over every triple i <= j <= k that
+    skips a triple only when all three inner brackets vanish."""
+    bk, sp, n, nz = alg.backend, alg.space, alg.dim, alg._nz
+    rep = Report()
+    law = "graded Jacobi identity"
+    struct = alg.structure_violations()
+    for msg in struct:
+        rep.add("structure", "graded antisymmetry / parity consistency", False, witness=msg)
+    fails = 0
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                if not (nz[j][k] or nz[k][i] or nz[i][j]):
+                    continue
+                term = {}
+                for a, inner, b in ((i, nz[j][k], k), (j, nz[k][i], i), (k, nz[i][j], j)):
+                    negate = _graded_sign(sp, a, b) < 0
+                    for l, x in _combine(inner, nz[a]).items():
+                        if negate:
+                            x = -x
+                        term[l] = term[l] + x if l in term else x
+                if not all(bk.is_zero(x) for x in term.values()):
+                    fails += 1
+                    full = tuple(term.get(l, bk.zero) for l in range(n))
+                    worst = max(full, key=lambda x: residual_magnitude(bk, x))
+                    rep.add(
+                        f"jacobi({sp.labels[i]},{sp.labels[j]},{sp.labels[k]})",
+                        law,
+                        False,
+                        residual=_fmt_residual(bk, worst),
+                        witness=alg.format_vector(full),
+                    )
+    if fails == 0 and not struct:
+        rep.add("jacobi", law, True, residual="0" if bk.name == "exact" else "0.0")
+    return rep
+
+
+@settings(max_examples=150, deadline=None)
+@given(backend=st.sampled_from([EXACT, CB]), data=st.data())
+def test_jacobi_triples_match_the_loop_over_all_triples(backend, data):
+    # raw tables that fail Jacobi, neither antisymmetric nor parity-consistent,
+    # sub-tolerance entries included: the triples that meet a structurally
+    # nonzero term give the same checks, in the same order, with the same
+    # residuals and witnesses
+    entry = ENTRIES[backend.name].map(backend.coerce)
+    ne = data.draw(st.integers(0, 3))
+    no = data.draw(st.integers(0 if ne else 1, 2))
+    space = SuperSpace.make([f"E{i}" for i in range(ne)], [f"O{i}" for i in range(no)])
+    n = space.dim
+    c = tuple(tuple(data.draw(st.tuples(*[entry] * n)) for _ in range(n)) for _ in range(n))
+    alg = LieSuperalgebra(space, backend, sparse(c))
+    want = jacobi_over_all_triples(alg)
+    assume(any(ch.name.startswith("jacobi(") for ch in want.checks))
+    got = verify_jacobi(alg)
+    assert [(ch.name, ch.ok, ch.residual, ch.witness) for ch in got.checks] == [
+        (ch.name, ch.ok, ch.residual, ch.witness) for ch in want.checks
+    ]
+
+
+def perp_by_complement(q, s, t):
+    return orthogonal_complement(q, t) == s
+
+
+def subspaces_of(alg):
+    """The center, both series and the zero space of alg: pairs of them give
+    both verdicts."""
+    z, ds, lcs = _series(alg)
+    return [z, Subspace.zero(alg.backend, alg.dim), *ds, *lcs]
+
+
+def test_orthogonal_complement_test_matches_the_complement_on_the_catalog_grid():
+    verdicts = set()
+    for entry in catalog.entries():
+        for params in entry.sample_grid(EXACT):
+            q = QuadraticAlgebra(*entry.builder(EXACT, params))
+            z, ds, _ = _series(q.algebra)
+            d = ds[1] if len(ds) > 1 else ds[0]
+            assert is_orthogonal_complement(q, z, d), entry.id
+            for s in subspaces_of(q.algebra):
+                for t in subspaces_of(q.algebra):
+                    got = is_orthogonal_complement(q, s, t)
+                    assert got == perp_by_complement(q, s, t), entry.id
+                    verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def tampered(text):
+    """The file with the first coefficient of every bracket doubled."""
+    out = []
+    for line in text.splitlines():
+        if line.startswith("bracket "):
+            head, terms = line.split(" = ", 1)
+            coeff, rest = terms.split(" ", 1)
+            line = f"{head} = {Fraction(coeff) * 2} {rest}"
+        out.append(line)
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in data_file("g4.alg").parent.glob("*.alg")))
+def test_orthogonal_complement_test_matches_the_complement_on_the_shipped_files(name):
+    text = data_file(name).read_text()
+    for af in (parse(text), parse(tampered(text))):
+        q = QuadraticAlgebra(af.algebra, af.form)
+        z, d = center(af.algebra), derived_subalgebra(af.algebra)
+        assert is_orthogonal_complement(q, z, d) == perp_by_complement(q, z, d)
+        for s in subspaces_of(af.algebra):
+            for t in subspaces_of(af.algebra):
+                assert is_orthogonal_complement(q, s, t) == perp_by_complement(q, s, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_orthogonal_complement_test_matches_the_complement_on_random_forms(data):
+    # random tables and non-degenerate Gram matrices on the exact backend; s is
+    # the complement of t, a part of it, or a span drawn at random
+    entry = ENTRIES["exact"].map(EXACT.coerce)
+    ne = data.draw(st.integers(0, 3))
+    no = data.draw(st.integers(0 if ne else 1, 2))
+    space = SuperSpace.make([f"E{i}" for i in range(ne)], [f"O{i}" for i in range(no)])
+    n = space.dim
+    c = tuple(tuple(data.draw(st.tuples(*[entry] * n)) for _ in range(n)) for _ in range(n))
+    gram = Matrix(EXACT, tuple(data.draw(st.tuples(*[entry] * n)) for _ in range(n)))
+    assume(rank(gram) == n)
+    alg = LieSuperalgebra(space, EXACT, sparse(c))
+    q = QuadraticAlgebra(alg, BilinearForm(space, EXACT, "even", gram))
+    vectors = st.lists(st.tuples(*[entry] * n), max_size=n)
+    t = data.draw(st.one_of(st.sampled_from(subspaces_of(alg)), vectors.map(lambda b: Subspace.span(EXACT, b, n))))
+    perp = orthogonal_complement(q, t)
+    s = data.draw(
+        st.one_of(
+            st.sampled_from(subspaces_of(alg) + [perp]),
+            st.integers(0, perp.dim).map(lambda k: Subspace(EXACT, n, perp.basis[:k])),
+            vectors.map(lambda b: Subspace.span(EXACT, b, n)),
+        )
+    )
+    assert is_orthogonal_complement(q, s, t) == perp_by_complement(q, s, t)
+
+
+def graded_parts_by_span(alg, s):
+    """(even, odd) spans of the parity components of the basis of s."""
+    bk, ne, n = alg.backend, alg.space.dim_even, alg.dim
+    even = [tuple(x if i < ne else bk.zero for i, x in enumerate(v)) for v in s.basis]
+    odd = [tuple(x if i >= ne else bk.zero for i, x in enumerate(v)) for v in s.basis]
+    return Subspace.span(bk, even, n), Subspace.span(bk, odd, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(backend=st.sampled_from([EXACT, CB]), homogeneous=st.booleans(), data=st.data())
+def test_graded_parts_match_the_spans_of_the_parity_components(backend, homogeneous, data):
+    # reduced bases of homogeneous vectors, which split as they stand, and of
+    # mixed ones, which take the spans; the complex backend always takes them
+    entry = ENTRIES[backend.name].map(backend.coerce)
+    ne = data.draw(st.integers(0, 3))
+    no = data.draw(st.integers(0 if ne else 1, 3))
+    n = ne + no
+    alg = LieSuperalgebra.abelian([f"E{i}" for i in range(ne)], [f"O{i}" for i in range(no)], backend)
+    vectors = data.draw(st.lists(st.tuples(*[entry] * n), max_size=n + 1))
+    if homogeneous:
+        vectors = [v[:ne] + (backend.zero,) * no if data.draw(st.booleans()) else (backend.zero,) * ne + v[ne:] for v in vectors]
+    s = Subspace.span(backend, vectors, n)
+    got, want = _graded_parts(alg, s), graded_parts_by_span(alg, s)
+    assert [p.basis for p in got] == [p.basis for p in want]
 
 
 def test_subspace_bracket_keeps_empty_rows():
