@@ -31,6 +31,7 @@ import math
 import os
 import sys
 import warnings
+from typing import Optional
 from json.encoder import encode_basestring_ascii
 
 from . import catalog
@@ -53,7 +54,6 @@ from .extensions import (
     direct_sum,
     double_extension_1d,
     double_extension_general,
-    super_double_extension,
     t_star_extension,
     ts_star_extension,
 )
@@ -149,12 +149,19 @@ def _emit_report(rep: Report, args, extra=None) -> int:
     return 0 if rep.ok else 1
 
 
-def cmd_verify(args) -> int:
-    af = _load(args.file, args.tol)
+def _axioms(af: AlgebraFile) -> Report:
+    """The graded Jacobi identity, and the form's checks when the file has form lines."""
     rep = Report()
     rep.extend(verify_jacobi(af.algebra).prefixed(af.name))
     if af.form is not None:
         rep.extend(verify_form(af.algebra, af.form).prefixed(af.name))
+    return rep
+
+
+def cmd_verify(args) -> int:
+    af = _load(args.file, args.tol)
+    rep = _axioms(af)
+    if af.form is not None:
         q = QuadraticAlgebra(af.algebra, af.form)
         z = center(af.algebra)
         d = derived_subalgebra(af.algebra)
@@ -229,7 +236,11 @@ def _psi_action(base: LieSuperalgebra, core: SuperSpace, bk, mf: MapFile) -> lis
     return [_linear_map(core, core, bk, mf.psi.get(gen, {})).matrix for gen in base.labels]
 
 
-def _cocycle_from_file(af: AlgebraFile, mf: MapFile) -> Cocycle2:
+def _cocycle_from_file(af: AlgebraFile, path) -> Optional[Cocycle2]:
+    """The cocycle on af's algebra of the theta lines in the file at path; None without a path."""
+    if not path:
+        return None
+    mf = parse_mapfile(_read(path), af.algebra.labels)
     return Cocycle2.build(af.algebra, _scalars(af.algebra.backend, mf.theta))
 
 
@@ -243,11 +254,7 @@ def cmd_extend(args) -> int:
         d = _linear_map(af.algebra.space, af.algebra.space, bk, mf.images).matrix
         out = double_extension_1d(q, d, tuple(args.labels))
     elif kind == "tstar":
-        theta = None
-        if args.cocycle:
-            mf = parse_mapfile(_read(args.cocycle), af.algebra.labels)
-            theta = _cocycle_from_file(af, mf)
-        out = t_star_extension(af.algebra, theta)
+        out = t_star_extension(af.algebra, _cocycle_from_file(af, args.cocycle))
     elif kind == "tsstar":
         phi_entries = {}
         if args.pairing:
@@ -255,23 +262,12 @@ def cmd_extend(args) -> int:
             phi_entries = _scalars(bk, mf.phi)
         phi = SymPairing.build(af.algebra, phi_entries)
         out = ts_star_extension(af.algebra, phi)
-    elif kind == "double":
+    else:  # double, or its alias superdouble
         core_af = _load(args.core, args.tol)
-        core = _require_form(core_af, "double")
+        core = _require_form(core_af, kind)
         mf = parse_mapfile(_read(args.psi), core_af.algebra.labels)
         psi = _psi_action(af.algebra, core_af.algebra.space, core_af.algebra.backend, mf)
-        out = double_extension_general(af.algebra, core, psi)
-    elif kind == "superdouble":
-        core = _require_form(_load(args.odd, args.tol), "superdouble")
-        mf = parse_mapfile(_read(args.psi), core.algebra.labels)
-        psi = _psi_action(af.algebra, core.space, bk, mf)
-        theta = None
-        if args.cocycle:
-            tmf = parse_mapfile(_read(args.cocycle), af.algebra.labels)
-            theta = _cocycle_from_file(af, tmf)
-        out = super_double_extension(af.algebra, core, psi, theta)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParseError(f"unknown constructor {kind}")
+        out = double_extension_general(af.algebra, core, psi, _cocycle_from_file(af, args.cocycle))
     # a constructor whose cocycle or pairing is not cyclic returns a bare algebra
     result, form = (out.algebra, out.form) if isinstance(out, QuadraticAlgebra) else (out, None)
     sys.stdout.write(emit(result, form, f"{af.name}_{kind}"))
@@ -297,6 +293,9 @@ def cmd_check_iso(args) -> int:
 def cmd_decompose(args) -> int:
     af = _load(args.file, args.tol)
     q = _require_form(af, "decompose")
+    rep = _axioms(af)
+    if not rep.ok:  # the witness search presumes the axioms: report them as verify does
+        return _emit_report(rep, args)
     w = decomposability_via_center(q)
     if args.format == "json":
         payload = {"tool": "liequad", "version": VERSION, "algebra": af.name}
@@ -507,22 +506,18 @@ def make_parser() -> argparse.ArgumentParser:
     d1.add_argument("base")
     d1.add_argument("--map", required=True, help="map file with the skew derivation")
     d1.add_argument("--labels", nargs=2, default=("e", "f"))
-    dg = psub.add_parser("double")
+    dg = psub.add_parser("double", aliases=["superdouble"])
     dg.add_argument("base")
     dg.add_argument("core")
     dg.add_argument("--psi", required=True)
+    dg.add_argument("--cocycle")
     ts = psub.add_parser("tstar")
     ts.add_argument("base")
     ts.add_argument("--cocycle")
-    sd = psub.add_parser("superdouble")
-    sd.add_argument("base")
-    sd.add_argument("odd")
-    sd.add_argument("--psi", required=True)
-    sd.add_argument("--cocycle")
     os_ = psub.add_parser("tsstar")
     os_.add_argument("base")
     os_.add_argument("--pairing")
-    for sp_ in (d1, dg, ts, sd, os_):
+    for sp_ in (d1, dg, ts, os_):
         sp_.set_defaults(fn=cmd_extend)
 
     p = sub.add_parser("check-iso", help="verify a supplied (i-)isomorphism")

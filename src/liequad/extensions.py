@@ -1,4 +1,4 @@
-"""Constructors: double extensions, T*-extensions and their odd/super variants.
+"""Constructors: double extensions, T*-extensions and the odd T*-extension.
 
 Every constructor except the direct sum builds g + h + g* through one routine,
 `_extend`, with these conventions (the Jacobi checker exercises the signs):
@@ -7,20 +7,20 @@ Every constructor except the direct sum builds g + h + g* through one routine,
   trailing star;
 * the coadjoint action is ad*(x)(f) = -f o ad(x), so on dual basis vectors
   [e_i, e_j*] = -sum_k c[i][k][j] e_k*;
-* g acts on a quadratic core (h, B_h) through psi by skew derivations, and
-  [a, b] = [a, b]_h + sum_k B_h(psi(e_k) a, b) e_k* for a, b in h;
+* g acts on a quadratic core (h, B_h), B_h even, through psi by even skew
+  derivations, and [a, b] = [a, b]_h + sum_k B_h(psi(e_k) a, b) e_k*;
 * an optional cocycle theta adds theta(x, y) in g* to [x, y];
 * the form pairs e_i with e_i* and restricts to B_h on h;
 * the basis order is g, the even part of h, g*, the odd part of h.
 
-The T*-extension is this double extension with h = 0, the one-dimensional
-double extension has g = span{e} with dual label f, and the super double
-extension is the double extension by a purely odd quadratic core h: an
-ordinary `QuadraticAlgebra` whose basis is all odd, so that h is abelian and
-B_h is a symplectic form.  `_extend` checks the action psi of every
-construction with a core, the three double extensions, in one place:
-`_check_action`.  The odd T*-extension makes g* odd, so g* leads the odd
-block, and brackets g* x g* into g by a symmetric pairing phi.
+The core of the one double extension may be even, purely odd or mixed; the
+super double extension, by a purely odd core, is the same function under a
+second name.  The T*-extension is the double extension with h = 0, and the
+one-dimensional double extension has g = span{e} with dual label f; on the
+core C^{2|2} it rebuilds the catalog's gs6_1 and gs6_2.  `_extend` alone
+checks that g is even, that theta or phi belongs to g and, by
+`_check_action`, the action psi.  The odd T*-extension makes g* odd, so g*
+leads the odd block, and brackets g* x g* into g by a symmetric pairing phi.
 
 Cocycles theta, pairings phi and actions psi are accepted only as explicit
 tensors/matrices and are validated eagerly, by evaluating the rows of
@@ -235,10 +235,15 @@ def _extend(
 ) -> Union[QuadraticAlgebra, LieSuperalgebra]:
     """g + h + g* with the brackets and form of the module docstring.
 
-    g* is odd exactly when the pairing phi is given.  A given core must share
-    the backend of g and is checked with its action psi by `_check_action`.  If theta or phi is not cyclic,
-    the bare algebra is returned with the warning."""
+    g must be even, and g* is odd exactly when the pairing phi is given; theta
+    and phi must belong to g.  A given core must share the backend of g and is
+    checked with its action psi by `_check_action`.  If theta or phi is not
+    cyclic, the bare algebra is returned with the warning."""
     bk, n = g.backend, g.dim
+    _require_even(g, "an extension")
+    for twist, what in ((theta, "theta is a cocycle"), (phi, "phi pairs the dual")):
+        if twist is not None and twist.base != g:
+            raise ExtensionError(f"{what} of a different algebra")
     if core is None:
         core = _zero_core(bk)
     else:
@@ -277,59 +282,37 @@ def _extend(
 
 
 def double_extension_1d(q: QuadraticAlgebra, d: Matrix, ext_labels: Tuple[str, str] = ("e", "f")) -> QuadraticAlgebra:
-    """One-dimensional double extension of an even quadratic algebra by a skew
-    derivation: new brackets [e,x] = Dx and [x,y] = [x,y] + B(Dx,y) f, with f
-    central and the form extended hyperbolically by B(e,f) = 1."""
+    """One-dimensional double extension of a quadratic algebra with an even form
+    by an even skew derivation: new brackets [e,x] = Dx and [x,y] = [x,y] +
+    B(Dx,y) f, with f central and the form extended by B(e,f) = 1."""
     alg = q.algebra
-    _require_even(alg, "the one-dimensional double extension")
     le, lf = ext_labels
     if le in alg.labels or lf in alg.labels or le == lf:
         raise ExtensionError("extension labels collide with the base labels")
     return _extend(LieSuperalgebra.abelian([le], backend=alg.backend), q, [d], duals=(lf,))
 
 
-def double_extension_general(galg: LieSuperalgebra, h: Optional[QuadraticAlgebra], psi: Sequence[Matrix]) -> QuadraticAlgebra:
-    """Double extension of an even quadratic algebra h by a Lie algebra g acting
-    through skew derivations; h may be None for the plain coadjoint semidirect
-    product on g + g*."""
-    _require_even(galg, "the double extension")
+def double_extension_general(
+    galg: LieSuperalgebra, h: Optional[QuadraticAlgebra], psi: Sequence[Matrix], theta: Optional[Cocycle2] = None
+) -> Union[QuadraticAlgebra, LieSuperalgebra]:
+    """Double extension of a quadratic algebra h with an even form by a Lie
+    algebra g acting through even skew derivations, twisted by an optional
+    cyclic cocycle theta; h may be None for the coadjoint semidirect product
+    on g + g*.  On odd a, b the new term of [a, b] is symmetric, as psi is
+    skew and B_h is skew on the odd part."""
     core = h if h is not None else _zero_core(galg.backend)
-    _require_even(core.algebra, "the double extension core")
-    return _extend(galg, core, tuple(psi))
+    warning = "theta is not cyclic: the double extension is returned without a form"
+    return _extend(galg, core, tuple(psi), theta, warning=warning)
+
+
+super_double_extension = double_extension_general  # the double extension by a purely odd core
 
 
 def t_star_extension(galg: LieSuperalgebra, theta: Optional[Cocycle2] = None) -> Union[QuadraticAlgebra, LieSuperalgebra]:
     """T*-extension on g + g*; quadratic via the canonical pairing when theta is
     cyclic, otherwise a bare Lie algebra is returned with a warning."""
-    _require_even(galg, "the T*-extension")
-    if theta is not None and theta.base is not galg and theta.base != galg:
-        raise ExtensionError("theta is a cocycle of a different algebra")
     return _extend(
         galg, theta=theta, warning="theta is not cyclic: the T*-extension is returned as a plain Lie algebra"
-    )
-
-
-def super_double_extension(
-    galg: LieSuperalgebra,
-    h: QuadraticAlgebra,
-    psi: Sequence[Matrix],
-    theta: Optional[Cocycle2] = None,
-) -> Union[QuadraticAlgebra, LieSuperalgebra]:
-    """Double extension of g by a purely odd quadratic core h: the even part is
-    g + g*, the odd part is h, and the odd-odd bracket is the pairing
-    phi(F,G) = sum_k B_h(psi(e_k)F, G) e_k*, which is symmetric whenever psi
-    is skew.  An optional cyclic cocycle twists the even-even bracket."""
-    _require_even(galg, "the super double extension")
-    if h.space.dim_even != 0:
-        raise ExtensionError("the super double extension needs a purely odd core")
-    if theta is not None and theta.base != galg:
-        raise ExtensionError("theta is a cocycle of a different algebra")
-    return _extend(
-        galg,
-        h,
-        tuple(psi),
-        theta,
-        warning="theta is not cyclic: the super double extension is returned without a form",
     )
 
 
@@ -337,12 +320,7 @@ def ts_star_extension(galg: LieSuperalgebra, phi: SymPairing) -> Union[Quadratic
     """Odd analogue of the T*-extension: g stays even, g* becomes odd, the
     odd-odd bracket is the symmetric pairing phi, and the canonical duality
     pairing supplies an odd invariant form when phi is cyclic."""
-    _require_even(galg, "the odd T*-extension")
-    if phi.base != galg:
-        raise ExtensionError("phi pairs the dual of a different algebra")
-    return _extend(
-        galg, phi=phi, warning="phi is not cyclic: the odd T*-extension is returned without a form"
-    )
+    return _extend(galg, phi=phi, warning="phi is not cyclic: the odd T*-extension is returned without a form")
 
 
 def direct_sum(

@@ -150,6 +150,22 @@ def test_decompose_no_witness(capsys):
     assert "no central witness" in out
 
 
+def test_decompose_checks_the_axioms_first(tmp_path, capsys):
+    # [P,Q] = 2 Z breaks invariance: decompose prints the failing checks as
+    # verify does and exits 1 instead of searching for a witness
+    bad = tmp_path / "g4.alg"
+    bad.write_text(data_file("g4.alg").read_text().replace("bracket P Q = 1 Z", "bracket P Q = 2 Z"))
+    code, out, err = run(capsys, "--no-timestamp", "decompose", str(bad))
+    assert (code, err) == (1, "")
+    assert "FAIL  g4:invariance(X,P,Q)" in out and out.endswith("# 4 of 8 checks failed\n")
+    assert "witness" not in out
+    code, out, _ = run(capsys, "--no-timestamp", "--format", "json", "decompose", str(bad))
+    payload = json.loads(out)
+    assert code == 1 and not payload["ok"] and "witness" not in payload
+    assert sum(c["status"] == "fail" for c in payload["checks"]) == 4
+    assert run(capsys, "--no-timestamp", "verify", str(bad))[0] == 1
+
+
 def test_check_iso_identity(tmp_path, capsys):
     mapfile = tmp_path / "ident.map"
     mapfile.write_text("".join(f"map {l} = 1 {l}\n" for l in ("X", "P", "Q", "Z")))
@@ -273,18 +289,57 @@ def test_extend_superdouble_core_form(tmp_path, capsys, core, code, message):
     assert got == code and message in err
 
 
-def test_extend_superdouble_needs_an_odd_core_with_a_form(tmp_path, capsys):
+def test_extend_superdouble_needs_a_core_with_an_even_form(tmp_path, capsys):
     (tmp_path / "a1.alg").write_text("algebra a1\ndim_even 1\ndim_odd 0\nbasis A\n")
     (tmp_path / "psi.map").write_text("")
     for core, expected in (
         ("dim_even 0\ndim_odd 2\nbasis F1 F2\n", (2, "error: superdouble needs form lines in h\n")),
-        # the constructor rejects an even core, as `extend double` rejects an odd one
-        ("dim_even 2\ndim_odd 0\nbasis U V\nform U V = 1\n", (1, "error: the super double extension needs a purely odd core\n")),
+        # go2: the core's form is odd
+        (
+            "dim_even 1\ndim_odd 1\nbasis X0 X1\nbracket X1 X1 = 1 X0\nform X0 X1 = 1\n",
+            (1, "error: form entry (X0,X1) violates the even parity pattern\n"),
+        ),
     ):
         (tmp_path / "h.alg").write_text("algebra h\n" + core)
         argv = [str(tmp_path / f) for f in ("a1.alg", "h.alg")] + ["--psi", str(tmp_path / "psi.map")]
-        code, out, err = run(capsys, "extend", "superdouble", *argv)
-        assert (code, out, err) == (expected[0], "", expected[1])
+        for name in ("double", "superdouble"):
+            code, out, err = run(capsys, "extend", name, *argv)
+            assert (code, out, err) == (expected[0], "", expected[1].replace("superdouble", name))
+
+
+def test_extend_superdouble_is_extend_double(tmp_path, capsys):
+    # one parser under two names: an even core is accepted under either, and
+    # the output differs in its name line only
+    (tmp_path / "a1.alg").write_text("algebra a1\ndim_even 1\ndim_odd 0\nbasis A\n")
+    (tmp_path / "psi.map").write_text("psi A P = 1 P\npsi A Q = -1 Q\n")
+    argv = [str(tmp_path / "a1.alg"), G4, "--psi", str(tmp_path / "psi.map")]
+    code, out, err = run(capsys, "extend", "superdouble", *argv)
+    assert (code, err) == (0, "") and out.startswith("algebra a1_superdouble\n")
+    code, ref, _ = run(capsys, "extend", "double", *argv)
+    assert code == 0 and out.split("\n", 1)[1] == ref.split("\n", 1)[1]
+
+
+C22 = "algebra c22\ndim_even 2\ndim_odd 2\nbasis P Q X1 Y1\nform P Q = 1\nform X1 Y1 = 1\n"
+
+
+def test_extend_double1d_of_c22_emits_gs6_1(tmp_path, capsys):
+    (tmp_path / "c22.alg").write_text(C22)
+    (tmp_path / "d.map").write_text("map P = 1 P\nmap Q = -1 Q\nmap Y1 = 1 X1\n")
+    argv = [str(tmp_path / "c22.alg"), "--map", str(tmp_path / "d.map"), "--labels", "X", "Z"]
+    code, out, err = run(capsys, "extend", "double1d", *argv)
+    assert (code, err) == (0, "") and out.startswith("algebra c22_double1d\n")
+    code, ref, _ = run(capsys, "catalog", "emit", "gs6_1")
+    assert code == 0 and out.split("\n", 1)[1] == ref.split("\n", 1)[1]
+
+
+def test_extend_double_rejects_an_action_across_parities(tmp_path, capsys):
+    (tmp_path / "a1.alg").write_text("algebra a1\ndim_even 1\ndim_odd 0\nbasis A\n")
+    (tmp_path / "c22.alg").write_text(C22)
+    (tmp_path / "psi.map").write_text("psi A P = 1 X1\npsi A Y1 = -1 Q\n")
+    argv = [str(tmp_path / f) for f in ("a1.alg", "c22.alg")] + ["--psi", str(tmp_path / "psi.map")]
+    for name in ("double", "superdouble"):
+        code, out, err = run(capsys, "extend", name, *argv)
+        assert (code, out) == (1, "") and err == "error: map sends Y1 across parities to Q\n"
 
 
 def test_extend_tsstar(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from liequad.core import (
     is_ideal,
     verify_jacobi,
 )
+from liequad.derivations import derivation_space
 from liequad.extensions import (
     Cocycle2,
     _pairing_condition_failures,
@@ -112,10 +114,94 @@ def test_double_1d_names_the_failing_action_check():
         double_extension_1d(q, scale_p_z, ext_labels=("X1", "Z1"))
 
 
-def test_double_1d_rejects_super_input():
-    q = catalog.build("gs4_1")
-    with pytest.raises(ExtensionError):
-        double_extension_1d(q, Matrix.zeros(EXACT, 4, 4))
+def c22():
+    """C^{2|2}: the abelian core on P, Q (even) and X1, Y1 (odd) with
+    B(P, Q) = B(X1, Y1) = 1."""
+    alg = LieSuperalgebra.abelian(["P", "Q"], ["X1", "Y1"])
+    return QuadraticAlgebra.build(alg, BilinearForm.build(alg.space, {("P", "Q"): 1, ("X1", "Y1"): 1}))
+
+
+def test_double_1d_of_c22_rebuilds_gs6_1():
+    # D: P -> P, Q -> -Q, Y1 -> X1 on the mixed core; the extension pair is (X, Z)
+    d = Matrix.from_rows(EXACT, [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
+    ref = catalog.build("gs6_1")
+    for q in (
+        double_extension_1d(c22(), d, ("X", "Z")),
+        double_extension_general(LieSuperalgebra.abelian(["X"]), c22(), [d]),
+    ):
+        assert q.algebra.space.dim_even == 4 and q.algebra.space.dim_odd == 2
+        assert q.algebra.nz == ref.algebra.nz and q.form.gram == ref.form.gram
+
+
+def test_double_extensions_of_c22_rebuild_gs6_2():
+    entry = catalog.get("gs6_2")
+    for params in entry.sample_grid(EXACT):
+        lam = params["lambda"]
+        d = Matrix.from_rows(EXACT, [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, lam, 0], [0, 0, 0, -lam]])  # diag(1, -1, lam, -lam)
+        ref = catalog.build("gs6_2", **params)
+        one = double_extension_1d(c22(), d, ("X", "Z"))
+        general = double_extension_general(LieSuperalgebra.abelian(["X"]), c22(), [d])
+        assert one.algebra.labels == ref.algebra.labels
+        for q in (one, general):
+            assert q.algebra.nz == ref.algebra.nz and q.form.gram == ref.form.gram
+
+
+EVEN_FORM_SUPER = [e.id for e in catalog.entries() if e.form_parity == "even" and e.id.startswith(("gs", "osp"))]
+
+
+@pytest.mark.parametrize("id", EVEN_FORM_SUPER)
+def test_double_extension_of_every_even_form_super_entry(id):
+    # each skew derivation of a non-abelian mixed core, and seeded combinations
+    # of them, extends to a verified quadratic superalgebra
+    rng = random.Random(id)
+    g = LieSuperalgebra.abelian(["E"])
+    for params in catalog.get(id).sample_grid(EXACT)[:2]:
+        core = catalog.build(id, **params)
+        basis = list(derivation_space(core.algebra, "skew", core.form).basis)
+        combos = []
+        for _ in range(5):
+            m = Matrix.zeros(EXACT, core.dim, core.dim)
+            for b in basis:
+                m = m + b.scale(EXACT.coerce(rng.randint(-3, 3)))
+            combos.append(m)
+        for d in basis + combos:
+            q = double_extension_general(g, core, [d])
+            assert isinstance(q, QuadraticAlgebra) and q.verified.ok
+            assert q.algebra.space.dim_odd == core.algebra.space.dim_odd
+
+
+def test_double_extension_rejects_an_action_that_breaks_parity():
+    # P -> X1, Y1 -> -Q is skew and, on an abelian core, a derivation, but it
+    # is not even: the output's parity check refuses it
+    d = Matrix.from_rows(EXACT, [[0, 0, 0, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 0, 0, 0]])
+    with pytest.raises(StructureError, match=r"^parity: \[A,P\] has a X1-component of the wrong parity$"):
+        double_extension_general(LieSuperalgebra.abelian(["A"]), c22(), [d])
+
+
+def test_double_extension_rejects_an_odd_form_core():
+    # go2's form pairs X0 with X1, which the even form of the result cannot hold
+    go2 = catalog.build("go2")
+    with pytest.raises(StructureError, match=r"^form entry \(X0,X1\) violates the even parity pattern$"):
+        double_extension_1d(go2, Matrix.zeros(EXACT, 2, 2))
+
+
+def test_extend_checks_the_base_and_its_twist_once_for_every_constructor():
+    # g must be even and theta or phi must belong to g, whichever constructor runs
+    sup = catalog.build("gs4_1").algebra
+    with pytest.raises(ExtensionError, match="^an extension requires a purely even algebra$"):
+        t_star_extension(sup)
+    with pytest.raises(ExtensionError, match="^an extension requires a purely even algebra$"):
+        double_extension_general(sup, c22(), [Matrix.zeros(EXACT, 4, 4)] * 4)
+    h3, th = heisenberg_cocycle(1)
+    g3 = catalog.base("g3_2")
+    with pytest.raises(ExtensionError, match="^theta is a cocycle of a different algebra$"):
+        t_star_extension(g3, th)
+    with pytest.raises(ExtensionError, match="^theta is a cocycle of a different algebra$"):
+        double_extension_general(g3, None, [Matrix.zeros(EXACT, 0, 0)] * 3, th)
+    ab2 = catalog.base("abelian", n=2)
+    phi = SymPairing.zero(catalog.base("g2"))
+    with pytest.raises(ExtensionError, match="^phi pairs the dual of a different algebra$"):
+        ts_star_extension(ab2, phi)
 
 
 # -- general double extension ----------------------------------------------------
@@ -314,13 +400,19 @@ def test_sde_rejects_non_skew_action():
         super_double_extension(g1, odd_core(), [Matrix.identity(EXACT, 2)])
 
 
+def test_sde_is_the_double_extension():
+    # one constructor under two names: an even core is accepted under either
+    assert super_double_extension is double_extension_general
+    g1 = catalog.base("abelian", n=1)
+    plane = LieSuperalgebra.abelian(["U", "V"])
+    even_core = QuadraticAlgebra.build(plane, BilinearForm.build(plane.space, {("U", "V"): 1}))
+    q = super_double_extension(g1, even_core, [Matrix.zeros(EXACT, 2, 2)])
+    assert q.algebra.space.dim_odd == 0 and q.verified.ok
+
+
 def test_sde_input_errors():
     g1 = catalog.base("abelian", n=1)
     zero = Matrix.zeros(EXACT, 2, 2)
-    plane = LieSuperalgebra.abelian(["U", "V"])
-    even_core = QuadraticAlgebra.build(plane, BilinearForm.build(plane.space, {("U", "V"): 1}))
-    with pytest.raises(ExtensionError, match="needs a purely odd core"):
-        super_double_extension(g1, even_core, [zero])
     with pytest.raises(ExtensionError, match="psi needs one matrix per base generator"):
         super_double_extension(g1, odd_core(), [zero, zero])
     with pytest.raises(ExtensionError, match=r"psi\(A1\) is not a derivation of the core"):
