@@ -31,6 +31,7 @@ import math
 import os
 import sys
 import warnings
+from fractions import Fraction
 from typing import Optional
 from json.encoder import encode_basestring_ascii
 
@@ -60,6 +61,7 @@ from .extensions import (
 from .linalg import Matrix
 from .morphisms import (
     GradedLinearMap,
+    check_sp2_lemma,
     decomposability_via_center,
     verify_i_isomorphism,
     verify_isomorphism,
@@ -382,7 +384,7 @@ def build_full_report() -> Report:
         ("g3_2", "g6_2", {}),
         ("g3_3", "g6_3", {"mu": "1/2"}),
     ):
-        g = catalog.base(base_id, **({"mu": "1/2"} if base_id == "g3_3" else {}))
+        g = catalog.base(base_id, **kw)
         ext = t_star_extension(g, None)
         ref = build(cat_id, **kw)
         rep.add(
@@ -418,28 +420,13 @@ def build_full_report() -> Report:
             s.algebra.nz == ref.algebra.nz and s.form.gram == ref.form.gram,
         )
 
-    from .morphisms import check_sp2_lemma
-
     bk = q4.backend
-    samples = [(1, 1), (2, 1), (1, 2), (3, 2), (2, 3)]
     ok = True
-    from .linalg import solve_linear
-
-    for x, y in samples:
+    for x, y in [(1, 1), (2, 1), (1, 2), (3, 2), (2, 3)]:
+        # B = v w^T with v = (x, y), w = (y, -x); this A has Av = v/2 and
+        # w^T A = -w^T/2, so [A,B] = B (every sample has x != 0)
         b = Matrix.from_rows(bk, [[x * y, -x * x], [y * y, -x * y]])
-        rows = [
-            [0, y * y, x * x],
-            [-2 * x * x, -2 * x * y, 0],
-            [-2 * y * y, 0, 2 * x * y],
-            [0, -y * y, -x * x],
-        ]
-        rhs = [x * y, -x * x, y * y, -x * y]
-        sol = solve_linear(Matrix.from_rows(bk, rows), rhs)
-        if sol is None:
-            ok = False
-            continue
-        p, qv, r = sol
-        a = Matrix(bk, ((p, qv), (r, -p)))
+        a = Matrix.from_rows(bk, [[Fraction(1, 2), 0], [Fraction(y, x), Fraction(-1, 2)]])
         ok = ok and check_sp2_lemma(a, b).ok
     rep.add(
         "lemma:sp2-samples",

@@ -236,9 +236,9 @@ def _extend(
     """g + h + g* with the brackets and form of the module docstring.
 
     g must be even, and g* is odd exactly when the pairing phi is given; theta
-    and phi must belong to g.  A given core must share the backend of g and is
-    checked with its action psi by `_check_action`.  If theta or phi is not
-    cyclic, the bare algebra is returned with the warning."""
+    and phi must belong to g.  A given core must share the backend of g, have
+    an even form and pass `_check_action` with its action psi.  If theta or
+    phi is not cyclic, the bare algebra is returned with the warning."""
     bk, n = g.backend, g.dim
     _require_even(g, "an extension")
     for twist, what in ((theta, "theta is a cocycle"), (phi, "phi pairs the dual")):
@@ -248,6 +248,8 @@ def _extend(
         core = _zero_core(bk)
     else:
         same_backend(g, core.algebra)
+        if core.form.parity != "even":
+            raise ExtensionError("a double extension needs a core with an even form")
         _check_action(g, psi, core)
     h, hgram = core.algebra, core.form.gram
     gl, hl = g.labels, h.labels

@@ -130,14 +130,6 @@ class Matrix(Value):
             acc = acc + self.entries[i][i]
         return acc
 
-    def power(self, k: int) -> "Matrix":
-        if self.rows != self.cols:
-            raise ValueError("power of a non-square matrix")
-        out = Matrix.identity(self.backend, self.rows)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def is_zero(self) -> bool:
         bk = self.backend
         return all(bk.is_zero(v) for r in self.entries for v in r)
@@ -439,16 +431,16 @@ def _poly_gcd_degree(backend, a: list, b: list) -> int:
 
 
 def eigen_structure(a: Matrix) -> EigenStructure:
-    """Nilpotency (A^n = 0) and semisimplicity of a square matrix of any size.
-
-    A is semisimple exactly when its minimal polynomial p is squarefree, that
-    is when gcd(p, p') is a constant.  Both backends take this one path; the
-    complex backend decides each zero test within its tolerance.
+    """Nilpotency and semisimplicity of a square matrix of any size, read off
+    its minimal polynomial p: A is nilpotent exactly when p is a power of x,
+    and semisimple exactly when p is squarefree, that is when gcd(p, p') is a
+    constant.  Both backends take this one path; the complex backend decides
+    each zero test within its tolerance.
     """
     if a.rows != a.cols:
         raise ValueError("eigen_structure needs a square matrix")
     bk = a.backend
-    nilpotent = a.power(a.rows).is_zero()
     p = minimal_polynomial(a)
+    nilpotent = all(bk.is_zero(c) for c in p[:-1])
     semisimple = _poly_gcd_degree(bk, p, _poly_deriv(bk, p)) == 0
     return EigenStructure(is_nilpotent=nilpotent, is_semisimple=semisimple)

@@ -147,36 +147,21 @@ class Witness(Frozen):
 def _central_core(q: QuadraticAlgebra, z: Subspace):
     """A minimal graded non-degenerate central subspace, or None; z is the center.
 
-    Even form: a single even central vector with B(u,u) != 0 (polarisation finds
-    one whenever the even-even center block is nonzero), else a symplectic pair
-    of odd central vectors.  Odd form: an even/odd central pair in duality.
+    A diagonal pass, then one pair scan: an even u with B(u,u) != 0, else the
+    first pair u, v (i < j) of the even-then-odd central basis with B(u,v) !=
+    0, giving [u + v] when both are even, as B(u+v,u+v) = 2B(u,v), else
+    [u, v]: an odd pair of an even form or an even/odd pair of an odd form.
     """
-    alg, form = q.algebra, q.form
-    bk = alg.backend
-    zev, zod = _graded_parts(alg, z)
-
-    if form.parity == "even":
-        ge = [[form.value(u, v) for v in zev.basis] for u in zev.basis]
-        # look for B(u,u) != 0 among even central vectors
-        for i in range(len(zev.basis)):
-            if not bk.is_zero(ge[i][i]):
-                return [zev.basis[i]]
-        for i in range(len(zev.basis)):
-            for j in range(i + 1, len(zev.basis)):
-                if not bk.is_zero(ge[i][j]):
-                    # B(zi+zj, zi+zj) = 2 B(zi,zj)
-                    return [vec_add(zev.basis[i], zev.basis[j])]
-        go = [[form.value(u, v) for v in zod.basis] for u in zod.basis]
-        for i in range(len(zod.basis)):
-            for j in range(i + 1, len(zod.basis)):
-                if not bk.is_zero(go[i][j]):
-                    return [zod.basis[i], zod.basis[j]]
-        return None
-    # odd form: need an even/odd central pair in duality
+    form, bk = q.form, q.backend
+    zev, zod = _graded_parts(q.algebra, z)
     for u in zev.basis:
-        for v in zod.basis:
-            if not bk.is_zero(form.value(u, v)):
-                return [u, v]
+        if not bk.is_zero(form.value(u, u)):
+            return [u]
+    basis, ne = zev.basis + zod.basis, len(zev.basis)
+    for i, u in enumerate(basis):
+        for j in range(i + 1, len(basis)):
+            if not bk.is_zero(form.value(u, basis[j])):
+                return [vec_add(u, basis[j])] if j < ne else [u, basis[j]]
     return None
 
 

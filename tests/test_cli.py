@@ -297,7 +297,7 @@ def test_extend_superdouble_needs_a_core_with_an_even_form(tmp_path, capsys):
         # go2: the core's form is odd
         (
             "dim_even 1\ndim_odd 1\nbasis X0 X1\nbracket X1 X1 = 1 X0\nform X0 X1 = 1\n",
-            (1, "error: form entry (X0,X1) violates the even parity pattern\n"),
+            (1, "error: a double extension needs a core with an even form\n"),
         ),
     ):
         (tmp_path / "h.alg").write_text("algebra h\n" + core)
@@ -305,6 +305,10 @@ def test_extend_superdouble_needs_a_core_with_an_even_form(tmp_path, capsys):
         for name in ("double", "superdouble"):
             code, out, err = run(capsys, "extend", name, *argv)
             assert (code, out, err) == (expected[0], "", expected[1].replace("superdouble", name))
+    # a nonzero action on the go2 core gets the same error, not a derivation check's
+    (tmp_path / "psi.map").write_text("psi A X0 = 1 X0\npsi A X1 = -1 X1\n")
+    code, out, err = run(capsys, "extend", "double", *argv)
+    assert (code, out, err) == (1, "", "error: a double extension needs a core with an even form\n")
 
 
 def test_extend_superdouble_is_extend_double(tmp_path, capsys):

@@ -179,10 +179,12 @@ def test_double_extension_rejects_an_action_that_breaks_parity():
 
 
 def test_double_extension_rejects_an_odd_form_core():
-    # go2's form pairs X0 with X1, which the even form of the result cannot hold
+    # go2's form pairs X0 with X1, which the even form of the result cannot hold;
+    # the core's form is checked before its action, zero or not
     go2 = catalog.build("go2")
-    with pytest.raises(StructureError, match=r"^form entry \(X0,X1\) violates the even parity pattern$"):
-        double_extension_1d(go2, Matrix.zeros(EXACT, 2, 2))
+    for d in (Matrix.zeros(EXACT, 2, 2), Matrix.from_rows(EXACT, [[1, 0], [0, -1]])):
+        with pytest.raises(ExtensionError, match="^a double extension needs a core with an even form$"):
+            double_extension_1d(go2, d)
 
 
 def test_extend_checks_the_base_and_its_twist_once_for_every_constructor():

@@ -609,3 +609,37 @@ def test_complex_form_products_keep_every_float_product(case):
     bk = complex_backend()
     got, want = library_products(bk, *case), defined_products(bk, *case, reference_dot)
     assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in want.items()}
+
+
+def shear(n, i, j, c):
+    """I + c E_ij (i != j): an integer unimodular matrix, inverse I - c E_ij."""
+    rows = [[int(r == s) for s in range(n)] for r in range(n)]
+    rows[i][j] = c
+    return M(rows)
+
+
+@st.composite
+def exact_squares(draw):
+    """An exact n x n matrix, n <= 5, of int, Fraction and Gaussian entries;
+    in half of the draws its strictly upper triangular part, conjugated by a
+    product of integer shears."""
+    n = draw(st.integers(1, 5))
+    rows = [[draw(st.sampled_from(EXACT_ENTRIES)) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        return M(rows)
+    a = M([[x if j > i else 0 for j, x in enumerate(r)] for i, r in enumerate(rows)])
+    # one shear per off-diagonal place, lower ones first: U = R L
+    for i, j in sorted(((i, j) for i in range(n) for j in range(n) if i != j), key=lambda p: p[0] < p[1]):
+        c = draw(st.integers(-2, 2))
+        a = shear(n, i, j, c) * a * shear(n, i, j, -c)
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_squares())
+def test_eigen_nilpotent_is_a_vanishing_power(a):
+    # the verdict read off the minimal polynomial against A^n by repeated products
+    power = Matrix.identity(EXACT, a.rows)
+    for _ in range(a.rows):
+        power = power * a
+    assert eigen_structure(a).is_nilpotent == power.is_zero()

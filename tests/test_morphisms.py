@@ -4,13 +4,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liequad import catalog
-from liequad.core import BilinearForm, LieSuperalgebra, QuadraticAlgebra, StructureError, center, derived_subalgebra
+from liequad import catalog, data_file
+from liequad.algfile import parse
+from liequad.core import (
+    BilinearForm,
+    LieSuperalgebra,
+    QuadraticAlgebra,
+    StructureError,
+    _graded_parts,
+    center,
+    derived_subalgebra,
+)
 from liequad.derivations import derivation_space
 from liequad.extensions import Cocycle2, direct_sum, double_extension_1d, t_star_extension
-from liequad.linalg import Matrix, Subspace
+from liequad.linalg import Matrix, Subspace, vec_add
 from liequad.morphisms import (
     GradedLinearMap,
+    _central_core,
     check_sp2_lemma,
     decomposability_via_center,
     fingerprint,
@@ -401,3 +411,81 @@ def test_fingerprint_solves_leibniz_once(monkeypatch):
     calls.clear()
     fingerprint(catalog.build("g4"), with_derivations=False)
     assert calls == []
+
+
+# -- the central core: one scan against the parity-split search ---------------
+
+
+def _parity_split_core(q, z):
+    """The parity-split search of a central core, kept as the reference for
+    `_central_core`; it also names the branch that answered."""
+    alg, form = q.algebra, q.form
+    bk = alg.backend
+    zev, zod = _graded_parts(alg, z)
+
+    if form.parity == "even":
+        ge = [[form.value(u, v) for v in zev.basis] for u in zev.basis]
+        for i in range(len(zev.basis)):
+            if not bk.is_zero(ge[i][i]):
+                return [zev.basis[i]], "diagonal"
+        for i in range(len(zev.basis)):
+            for j in range(i + 1, len(zev.basis)):
+                if not bk.is_zero(ge[i][j]):
+                    return [vec_add(zev.basis[i], zev.basis[j])], "even pair"
+        go = [[form.value(u, v) for v in zod.basis] for u in zod.basis]
+        for i in range(len(zod.basis)):
+            for j in range(i + 1, len(zod.basis)):
+                if not bk.is_zero(go[i][j]):
+                    return [zod.basis[i], zod.basis[j]], "odd pair"
+        return None, None
+    for u in zev.basis:
+        for v in zod.basis:
+            if not bk.is_zero(form.value(u, v)):
+                return [u, v], "even/odd pair"
+    return None, None
+
+
+def _central_core_inputs():
+    """(name, algebra) pairs: the catalog grids on both backends, the shipped
+    files and their complex copies, twisted Heisenberg T*-extensions and one
+    input per branch of the search."""
+    for bk in (EXACT, complex_backend()):
+        for entry in catalog.entries():
+            for params in entry.sample_grid(bk):
+                yield f"{entry.id}{params}/{bk.name}", QuadraticAlgebra.build(*entry.builder(bk, params))
+    for line in ("backend exact\n", "backend complex\n"):
+        for path in sorted(data_file(".").glob("*.alg")):
+            af = parse(path.read_text().replace("backend exact\n", line))
+            yield f"{path.name}/{af.algebra.backend.name}", QuadraticAlgebra.build(af.algebra, af.form)
+    h3 = catalog.base("g3_1")
+    for lam in (1, -1, 2, Fraction(1, 3), -7):
+        th = Cocycle2.build(h3, {("X", "Y"): {"Z": lam}, ("Y", "Z"): {"X": lam}, ("Z", "X"): {"Y": lam}})
+        yield f"tstar-heisenberg[{lam}]", t_star_extension(h3, th)
+    plane = LieSuperalgebra.abelian([], ["X1", "Y1"])
+    c02 = QuadraticAlgebra.build(plane, BilinearForm.build(plane.space, {("X1", "Y1"): 1}))
+    yield "g4 + C^{0|2}", direct_sum(catalog.build("g4"), c02)
+    yield "g6_3[mu=0]", catalog.build("g6_3", mu=0)
+    yield "go6_0", catalog.build("go6_0")
+    line = LieSuperalgebra.abelian(["e"])
+    yield "C^{1|0}", QuadraticAlgebra.build(line, BilinearForm.build(line.space, {("e", "e"): 1}))
+
+
+def test_central_core_scan_matches_the_parity_split_search():
+    # one input per branch; C^{1|0} is spanned by its one central vector, so
+    # the witness test turns the diagonal answer into a trivial splitting
+    expected = {
+        "tstar-heisenberg[1]": "diagonal",
+        "g6_3[mu=0]": "even pair",
+        "g4 + C^{0|2}": "odd pair",
+        "go6_0": "even/odd pair",
+        "C^{1|0}": "diagonal",
+    }
+    branch_of = {}
+    for name, q in _central_core_inputs():
+        z = center(q.algebra)
+        want, branch_of[name] = _parity_split_core(q, z)
+        assert _central_core(q, z) == want, name
+        if name == "C^{1|0}":
+            assert decomposability_via_center(q) is None
+    assert {name: branch_of[name] for name in expected} == expected
+    assert set(branch_of.values()) == {"diagonal", "even pair", "odd pair", "even/odd pair", None}
