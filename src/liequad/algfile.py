@@ -12,6 +12,7 @@ Algebra files:
     bracket <a> <b> = <coeff> <label> [+ <coeff> <label> ...]
     form <a> <b> = <coeff>
 
+Each header line, and the param line of each name, may appear once.
 Unspecified brackets and form entries are zero, and each unordered pair may
 appear once, in one orientation (the other is forced by graded antisymmetry or
 supersymmetry).  A nonzero coefficient on a label of the wrong parity is
@@ -35,16 +36,13 @@ from __future__ import annotations
 from typing import Dict, Mapping, Optional
 
 from .core import BilinearForm, LieSuperalgebra, StructureError
-from .scalars import EXACT, ScalarParseError, backend_by_name
+from .scalars import DEFAULT_TOL, EXACT, ComplexBackend, ScalarParseError
 
 
 class ParseError(ValueError):
-    def __init__(self, msg: str, line: int = 0, col: int = 0):
+    def __init__(self, msg: str, line: int = 0):
         self.line = line
-        self.col = col
-        self.msg = msg
-        where = f"line {line}" + (f", col {col}" if col else "") if line else ""
-        super().__init__(f"{where}: {msg}" if where else msg)
+        super().__init__(f"line {line}: {msg}" if line else msg)
 
 
 class AlgebraFile:
@@ -111,9 +109,15 @@ def parse(text: str, tol: float = None) -> AlgebraFile:
     params: Dict[str, str] = {}
     brackets = {}
     form_entries = {}
+    headers = {}  # header, or "param <k>", -> line of its first occurrence
 
     for line_no, tokens in _directives(text):
         key = tokens[0]
+        if key in ("algebra", "backend", "dim_even", "dim_odd", "basis", "param"):
+            entry = " ".join(tokens[:2]) if key == "param" else key
+            if entry in headers:
+                raise ParseError(f"{entry} given twice (first at line {headers[entry]})", line_no)
+            headers[entry] = line_no
         if key == "algebra":
             if len(tokens) != 2:
                 raise ParseError("algebra line needs exactly one name", line_no)
@@ -121,8 +125,7 @@ def parse(text: str, tol: float = None) -> AlgebraFile:
         elif key == "backend":
             if len(tokens) != 2 or tokens[1] not in ("exact", "complex"):
                 raise ParseError("backend must be 'exact' or 'complex'", line_no)
-            kw = {"tol": tol} if (tokens[1] == "complex" and tol is not None) else {}
-            backend = backend_by_name(tokens[1], **kw)
+            backend = EXACT if tokens[1] == "exact" else ComplexBackend(DEFAULT_TOL if tol is None else tol)
         elif key == "dim_even":
             dim_even = _int_field(tokens, line_no)
         elif key == "dim_odd":

@@ -745,16 +745,6 @@ _ENTRIES = (
 
 _BY_ID = {e.id: e for e in _ENTRIES}
 
-# symplectic rank-4 representative matrices (action of the even generator on the
-# odd part, images in columns) for the four dim-(2,4) entries
-SP4_REPRESENTATIVES = {
-    "gs6_4": ((0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, -1, 0)),
-    "gs6_5": ((0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, -1)),
-    "gs6_6": "diag(1, lambda, -1, -lambda)",
-    "gs6_7": ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, -1, 0), (0, 0, -1, -1)),
-}
-
-
 def entries() -> Tuple[CatalogEntry, ...]:
     return _ENTRIES
 

@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Optional
 from json.encoder import encode_basestring_ascii
 
-from . import catalog
+from . import __version__, catalog
 from .algfile import AlgebraFile, MapFile, ParseError, emit, parse, parse_mapfile
 from .core import (
     LieSuperalgebra,
@@ -69,7 +69,6 @@ from .morphisms import (
 from .report import Report
 from .scalars import DEFAULT_TOL, BackendMismatch, ScalarOverflow, ScalarParseError
 
-VERSION = "0.1.0"
 FORMATS = ("text", "json")
 
 
@@ -132,7 +131,7 @@ def _require_form(af: AlgebraFile, what: str):
 
 def _emit_report(rep: Report, args, extra=None) -> int:
     if args.format == "json":
-        payload = {"tool": "liequad", "version": VERSION}
+        payload = {"tool": "liequad", "version": __version__}
         if not args.no_timestamp:
             payload["timestamp"] = _timestamp()
         if extra:
@@ -141,7 +140,7 @@ def _emit_report(rep: Report, args, extra=None) -> int:
         print(_dumps(payload))
     else:
         if not args.no_timestamp:
-            print(f"# liequad {VERSION} at {_timestamp()}")
+            print(f"# liequad {__version__} at {_timestamp()}")
         if extra:
             for k, v in extra.items():
                 print(f"# {k}: {v}")
@@ -200,7 +199,7 @@ def cmd_derivations(args) -> int:
     if args.format == "json":
         payload = {
             "tool": "liequad",
-            "version": VERSION,
+            "version": __version__,
             "algebra": af.name,
             "kind": args.kind,
             "dimension": ds.dim,
@@ -300,7 +299,7 @@ def cmd_decompose(args) -> int:
         return _emit_report(rep, args)
     w = decomposability_via_center(q)
     if args.format == "json":
-        payload = {"tool": "liequad", "version": VERSION, "algebra": af.name}
+        payload = {"tool": "liequad", "version": __version__, "algebra": af.name}
         if not args.no_timestamp:
             payload["timestamp"] = _timestamp()
         if w is None:
@@ -342,10 +341,7 @@ def cmd_catalog(args) -> int:
         name = args.id + ("" if not params else "_" + "_".join(f"{k}{v}" for k, v in sorted(params.items())))
         sys.stdout.write(emit(q.algebra, q.form, name.replace("/", "_"), params=params))
         return 0
-    if args.catalog_cmd == "verify":
-        rep = catalog.verify_all(only=args.id)
-        return _emit_report(rep, args)
-    raise ParseError(f"unknown catalog command {args.catalog_cmd}")  # pragma: no cover
+    return _emit_report(catalog.verify_all(only=args.id), args)
 
 
 def build_full_report() -> Report:
@@ -371,7 +367,7 @@ def build_full_report() -> Report:
     )
     for n in (1, 2, 3):
         q = build("g2n2", n=n)
-        fam = skew_derivation_family_g2n2(n, q)
+        fam = skew_derivation_family_g2n2(q)
         generic = derivation_space(q.algebra, "skew", q.form)
         rep.add(
             f"derivations:g2n2-family-n{n}",

@@ -5,9 +5,11 @@ Conventions, fixed project-wide:
 * basis order is the even block first, then the odd block;
 * the structure constants are stored sparse: nz[i][j] lists the exactly
   nonzero (k, x) pairs of [e_i, e_j] = sum_k x e_k in increasing k, both
-  orientations, with graded antisymmetry validated at construction; `_nz` is
-  the same table without the entries that are zero to the backend tolerance,
-  and the dense c[i][j][k] is a view rebuilt on each access;
+  orientations; `LieSuperalgebra.build` validates graded antisymmetry, while
+  the raw constructor stores any table and `verify_jacobi` reports its
+  structure violations; `_nz` is the same table without the entries that are
+  zero to the backend tolerance, and the dense c[i][j][k] is a view rebuilt
+  on each access;
 * ad(e_i) is the matrix whose j-th column holds the coordinates of [e_i, e_j]
   (matrices act on column coordinate vectors);
 * supersymmetry of a form means B(y, x) = (-1)^{|x||y|} B(x, y); an even form

@@ -35,11 +35,9 @@ class DerivationSpace(Frozen):
 
     # no __slots__: the cached basis lives in the instance __dict__
 
-    def __init__(self, algebra: LieSuperalgebra, kind: str, rows: tuple, form: Optional[BilinearForm] = None):
+    def __init__(self, algebra: LieSuperalgebra, rows: tuple):
         _set(self, "algebra", algebra)
-        _set(self, "kind", kind)  # "all" | "skew" | "inner"
         _set(self, "rows", rows)
-        _set(self, "form", form)
 
     @property
     def dim(self) -> int:
@@ -101,7 +99,7 @@ def derivation_space(alg: LieSuperalgebra, kind: str = "all", form: Optional[Bil
         sols = _nullspace_rows(bk, rows, n * n)
     else:
         raise ValueError(f"unknown derivation kind {kind!r}")
-    return DerivationSpace(alg, kind, tuple(sols), form)
+    return DerivationSpace(alg, tuple(sols))
 
 
 def is_derivation(alg: LieSuperalgebra, d: Matrix) -> bool:
@@ -133,21 +131,16 @@ def is_inner(alg: LieSuperalgebra, d: Matrix) -> Optional[tuple]:
     return tuple(full)
 
 
-def skew_derivation_family_g2n2(n: int, q=None) -> DerivationSpace:
+def skew_derivation_family_g2n2(q) -> DerivationSpace:
     """Closed-form skew-derivation basis of the 1-step family of dimension 2n+2.
 
-    The solved general form has D(X_0) = 0 and is parameterised by an n x n
-    block (a_ij) together with two n-vectors (alpha, beta), so the dimension is
-    n^2 + 2n; cross-checked against the generic solver in the tests.  `q` is
-    the catalog's g2n2 at this n, when the caller has it; else it is built.
+    q is the catalog's g2n2, and n is read off its dimension.  The solved
+    general form has D(X_0) = 0 and is parameterised by an n x n block (a_ij)
+    together with two n-vectors (alpha, beta), so the dimension is n^2 + 2n;
+    cross-checked against the generic solver in the tests.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if q is None:
-        from .catalog import build  # local import: catalog depends on this module
-
-        q = build("g2n2", n=n)
-    alg, one, idx = q.algebra, q.backend.one, range(1, n + 1)
+    alg, one = q.algebra, q.backend.one
+    idx = range(1, alg.dim // 2)  # 1..n, as dim = 2n + 2
 
     def entry(a: str, b: str) -> int:  # D[a][b], the a-coordinate of D(b)
         return alg.space.index(a) * alg.dim + alg.space.index(b)
@@ -158,4 +151,4 @@ def skew_derivation_family_g2n2(n: int, q=None) -> DerivationSpace:
     rows += [{entry(f"X{i}", "Y0"): one, entry("X0", f"Y{i}"): -one} for i in idx]
     # beta_i: D(Y_0)=Y_i, D(X_i)=-X_0
     rows += [{entry(f"Y{i}", "Y0"): one, entry("X0", f"X{i}"): -one} for i in idx]
-    return DerivationSpace(alg, "skew", tuple(rows), q.form)
+    return DerivationSpace(alg, tuple(rows))

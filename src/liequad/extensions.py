@@ -295,16 +295,14 @@ def double_extension_1d(q: QuadraticAlgebra, d: Matrix, ext_labels: Tuple[str, s
 
 
 def double_extension_general(
-    galg: LieSuperalgebra, h: Optional[QuadraticAlgebra], psi: Sequence[Matrix], theta: Optional[Cocycle2] = None
+    galg: LieSuperalgebra, h: QuadraticAlgebra, psi: Sequence[Matrix], theta: Optional[Cocycle2] = None
 ) -> Union[QuadraticAlgebra, LieSuperalgebra]:
     """Double extension of a quadratic algebra h with an even form by a Lie
     algebra g acting through even skew derivations, twisted by an optional
-    cyclic cocycle theta; h may be None for the coadjoint semidirect product
-    on g + g*.  On odd a, b the new term of [a, b] is symmetric, as psi is
-    skew and B_h is skew on the odd part."""
-    core = h if h is not None else _zero_core(galg.backend)
+    cyclic cocycle theta.  On odd a, b the new term of [a, b] is symmetric, as
+    psi is skew and B_h is skew on the odd part."""
     warning = "theta is not cyclic: the double extension is returned without a form"
-    return _extend(galg, core, tuple(psi), theta, warning=warning)
+    return _extend(galg, h, tuple(psi), theta, warning=warning)
 
 
 super_double_extension = double_extension_general  # the double extension by a purely odd core

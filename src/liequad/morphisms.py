@@ -63,13 +63,13 @@ class GradedLinearMap(Frozen):
 
     @staticmethod
     def from_images(source: SuperSpace, target: SuperSpace, images, backend) -> "GradedLinearMap":
-        """images: mapping source label -> {target label: coeff}; missing = 0."""
-        cols = []
-        for l in source.labels:
-            v = [backend.zero] * target.dim
-            for lt, coeff in dict(images.get(l, {})).items():
+        """images: mapping source label -> {target label: coeff}; missing = 0.
+        A label unknown to its space raises KeyError."""
+        cols = [[backend.zero] * target.dim for _ in range(source.dim)]
+        for l, image in images.items():
+            v = cols[source.index(l)]
+            for lt, coeff in dict(image).items():
                 v[target.index(lt)] = backend.coerce(coeff)
-            cols.append(v)
         m = Matrix(backend, tuple(tuple(cols[j][i] for j in range(source.dim)) for i in range(target.dim)))
         return GradedLinearMap.build(source, target, m)
 

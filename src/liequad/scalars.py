@@ -249,13 +249,11 @@ class ExactBackend(Value):
     two ints would give a float.  Elimination pivots on the candidate row with
     the fewest nonzeros, and the reduced form it reaches is canonical."""
 
-    __slots__ = ("name",)
+    __slots__ = ()
 
+    name = "exact"
     zero = 0
     one = 1
-
-    def __init__(self, name: str = "exact"):
-        _set(self, "name", name)
 
     def coerce(self, v) -> int | Fraction | Exact:
         if isinstance(v, (int, Fraction)):
@@ -291,12 +289,12 @@ class ExactBackend(Value):
 class ComplexBackend(Value):
     """Double-precision complex arithmetic with a zero tolerance."""
 
-    __slots__ = ("tol", "name")
+    __slots__ = ("tol",)
 
-    def __init__(self, tol: float = DEFAULT_TOL, name: str = "complex"):
+    def __init__(self, tol: float = DEFAULT_TOL):
         _set(self, "tol", tol)
-        _set(self, "name", name)
 
+    name = "complex"
     zero = 0j
     one = 1 + 0j
 
@@ -336,14 +334,6 @@ EXACT = ExactBackend()
 
 def complex_backend(tol: float = DEFAULT_TOL) -> ComplexBackend:
     return ComplexBackend(tol=tol)
-
-
-def backend_by_name(name: str, tol: float = DEFAULT_TOL):
-    if name == "exact":
-        return EXACT
-    if name == "complex":
-        return ComplexBackend(tol=tol)
-    raise ValueError(f"unknown backend {name!r}")
 
 
 def same_backend(*objs):

@@ -142,8 +142,8 @@ def test_c03_derivation_dimensions():
             == ds5.span()
         )
         for n in (1, 2, 3):
-            fam = skew_derivation_family_g2n2(n)
             q = catalog.build("g2n2", n=n)
+            fam = skew_derivation_family_g2n2(q)
             generic = derivation_space(q.algebra, "skew", q.form)
             assert fam.dim == n * n + 2 * n == generic.dim
             assert fam.span() == generic.span()

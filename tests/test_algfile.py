@@ -95,6 +95,28 @@ def test_a_pair_is_given_once(first, again, message):
     assert err.value.line == 6
 
 
+@pytest.mark.parametrize(
+    "again, message",
+    [
+        ("algebra other", "algebra given twice (first at line 1)"),
+        ("backend complex", "backend given twice (first at line 2)"),
+        ("dim_even 2", "dim_even given twice (first at line 3)"),
+        ("dim_odd 1", "dim_odd given twice (first at line 4)"),
+        ("basis X Y F", "basis given twice (first at line 5)"),
+        ("param mu = 2", "param mu given twice (first at line 6)"),
+    ],
+    ids=["algebra", "backend", "dim_even", "dim_odd", "basis", "param"],
+)
+def test_a_header_is_given_once(again, message):
+    # a second header line would override the first; params of other names may follow
+    header = "algebra p\nbackend exact\ndim_even 2\ndim_odd 1\nbasis X Y F\nparam mu = 1\nparam nu = 1\n"
+    assert parse(header).params == {"mu": "1", "nu": "1"}
+    with pytest.raises(ParseError) as err:
+        parse(header + again + "\n")
+    assert str(err.value) == f"line 8: {message}"
+    assert err.value.line == 8
+
+
 def test_unknown_label_rejected():
     text = """
 algebra bad

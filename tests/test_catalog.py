@@ -203,16 +203,24 @@ def test_osp12_derived_is_whole():
     assert derived_subalgebra(q.algebra).dim == 5
 
 
+# symplectic rank-4 representative matrices (action of the even generator on the
+# odd part, images in columns) for three of the four dim-(2,4) entries; the
+# fourth, gs6_6, acts as diag(1, lambda, -1, -lambda)
+SP4_REPRESENTATIVES = {
+    "gs6_4": ((0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, -1, 0)),
+    "gs6_5": ((0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, -1)),
+    "gs6_7": ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, -1, 0), (0, 0, -1, -1)),
+}
+
+
 def test_sp4_representatives_match_catalog_actions():
-    for id in ("gs6_4", "gs6_5", "gs6_7"):
+    for id in SP4_REPRESENTATIVES:
         q = catalog.build(id)
         alg = q.algebra
         y0 = alg.space.index("Y0")
         ad = alg.ad(y0)
         got = tuple(tuple(ad.entries[2 + r][2 + c] for c in range(4)) for r in range(4))
-        want = tuple(
-            tuple(EXACT.coerce(v) for v in row) for row in catalog.SP4_REPRESENTATIVES[id]
-        )
+        want = tuple(tuple(EXACT.coerce(v) for v in row) for row in SP4_REPRESENTATIVES[id])
         assert got == want, id
     lam = EXACT.coerce(3)
     q = catalog.build("gs6_6", **{"lambda": 3})

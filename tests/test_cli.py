@@ -9,6 +9,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import liequad
 from liequad import cli, data_file
 from liequad.cli import main, make_parser
 from liequad.derivations import derivation_space
@@ -759,6 +760,51 @@ def test_cold_import_loads_every_traced_module():
     assert "liequad.algfile" in modules and done.stdout.strip() == "[]"
 
 
+def test_the_names_the_benchmark_reads_resolve():
+    # perfbench/tracing.py wraps each name of SPANNED and patches or reads the
+    # attributes below; perfbench/inputs.py and workloads.py call the rest
+    import ast
+    from pathlib import Path
+
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py").read_text())
+    spanned = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["SPANNED"]
+    )
+    names = [f"{mod}.{fname}" for mod, fnames in spanned.values() for fname in fnames]
+    names += ["linalg.dot", "linalg.Subspace.span", "scalars.Exact.__init__", "core.LieSuperalgebra.c"]
+    names += ["catalog.CatalogEntry.builder", "catalog.CatalogEntry.default_params", "core.LieSuperalgebra.ad_vector"]
+    names += ["derivation_space", "fingerprint"]
+    probe = (
+        "import functools, sys, liequad.cli\n"
+        "for name in sys.argv[1:]:\n"
+        "    functools.reduce(getattr, name.split('.'), sys.modules['liequad'])\n"
+    )
+    subprocess.run([sys.executable, "-c", probe, *names], check=True, capture_output=True, text=True)
+    from liequad import catalog, complex_backend, fingerprint
+    from liequad.core import QuadraticAlgebra
+    from liequad.scalars import EXACT
+
+    assert (EXACT.name, complex_backend().name) == ("exact", "complex")
+    entry = catalog.get("g4")
+    alg, form = entry.builder(EXACT, entry.default_params(EXACT))
+    fp = fingerprint(QuadraticAlgebra(alg, form), with_derivations=True)
+    assert (fp.der_dim, fp.skew_der_dim) == (5, 3)
+
+
+def test_one_version(capsys):
+    # the package, its metadata and the JSON output name the same version
+    import re
+    from pathlib import Path
+
+    toml = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    (declared,) = re.findall(r'^version = "([^"]+)"$', toml, re.M)
+    code, out, _ = run(capsys, "--no-timestamp", "--format", "json", "verify", str(data_file("g4.alg")))
+    assert code == 0
+    assert liequad.__version__ == declared == json.loads(out)["version"]
+
+
 DERIVATIONS_SHA256 = "27f6dc17b69bd57e9cab659eb03ab9b9d83cdbacd994bfe0af2b853f34da8528"
 
 
@@ -782,7 +828,7 @@ def derivations_from_basis(path, kind, fmt):
     ds = derivation_space(af.algebra, kind, af.form if kind == "skew" else None)
     if fmt == "json":
         basis = [[[bk.format(x) for x in row] for row in m.entries] for m in ds.basis]
-        payload = {"tool": "liequad", "version": cli.VERSION, "algebra": af.name, "kind": kind, "dimension": ds.dim, "basis": basis}
+        payload = {"tool": "liequad", "version": liequad.__version__, "algebra": af.name, "kind": kind, "dimension": ds.dim, "basis": basis}
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     out = [f"# {kind} derivations of {af.name}: dimension {ds.dim}"]
     for idx, m in enumerate(ds.basis):

@@ -884,7 +884,6 @@ VALUE_TYPES = [
     ("SuperSpace", lambda: SuperSpace.make(["X", "Y"], ["F"]), lambda: SuperSpace.make(["X", "Y"], ["G"])),
     ("Matrix", lambda: Matrix.from_rows(EXACT, [[1, "1/2"], [0, 3]]), lambda: Matrix.from_rows(EXACT, [[1, "1/2"], [0, 2]])),
     ("LieSuperalgebra", _h3, lambda: _h3(2)),
-    ("ExactBackend", ExactBackend, lambda: ExactBackend("other")),
     ("ComplexBackend", lambda: complex_backend(1e-9), lambda: complex_backend(1e-12)),
     ("EigenStructure", _eigen, lambda: _eigen(False)),
     ("Fingerprint", _fingerprint, lambda: _fingerprint(center_dim=2)),

@@ -139,22 +139,22 @@ def test_g2n2_not_inner_member():
 @pytest.mark.parametrize("n", range(1, 11))
 def test_g2n2_family_matches_generic_solver(n):
     # dimension 2n+2 up to 22; the paper's skew dimension is n^2 + 2n
-    fam = skew_derivation_family_g2n2(n)
     q = catalog.build("g2n2", n=n)
+    fam = skew_derivation_family_g2n2(q)
     generic = derivation_space(q.algebra, "skew", q.form)
     assert fam.dim == n * n + 2 * n == generic.dim
     assert fam.span() == generic.span()
 
 
 def test_g2n2_family_kills_x0():
-    fam = skew_derivation_family_g2n2(2)
+    fam = skew_derivation_family_g2n2(catalog.build("g2n2", n=2))
     ix = fam.algebra.space.index("X0")
     for m in fam.basis:
         assert all(EXACT.is_zero(x) for x in m.col(ix))
 
 
 def test_g2n2_n1_matches_diamond_count():
-    assert skew_derivation_family_g2n2(1).dim == 3
+    assert skew_derivation_family_g2n2(catalog.build("g2n2", n=1)).dim == 3
 
 
 def test_super_even_derivations_only():

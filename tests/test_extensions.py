@@ -121,6 +121,12 @@ def c22():
     return QuadraticAlgebra.build(alg, BilinearForm.build(alg.space, {("P", "Q"): 1, ("X1", "Y1"): 1}))
 
 
+def zero_core():
+    """The zero-dimensional quadratic algebra."""
+    alg = LieSuperalgebra.abelian(())
+    return QuadraticAlgebra.build(alg, BilinearForm.build(alg.space, {}))
+
+
 def test_double_1d_of_c22_rebuilds_gs6_1():
     # D: P -> P, Q -> -Q, Y1 -> X1 on the mixed core; the extension pair is (X, Z)
     d = Matrix.from_rows(EXACT, [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
@@ -199,7 +205,7 @@ def test_extend_checks_the_base_and_its_twist_once_for_every_constructor():
     with pytest.raises(ExtensionError, match="^theta is a cocycle of a different algebra$"):
         t_star_extension(g3, th)
     with pytest.raises(ExtensionError, match="^theta is a cocycle of a different algebra$"):
-        double_extension_general(g3, None, [Matrix.zeros(EXACT, 0, 0)] * 3, th)
+        double_extension_general(g3, zero_core(), [Matrix.zeros(EXACT, 0, 0)] * 3, th)
     ab2 = catalog.base("abelian", n=2)
     phi = SymPairing.zero(catalog.base("g2"))
     with pytest.raises(ExtensionError, match="^phi pairs the dual of a different algebra$"):
@@ -211,7 +217,7 @@ def test_extend_checks_the_base_and_its_twist_once_for_every_constructor():
 
 def test_general_double_with_trivial_core_is_coadjoint_semidirect():
     g = catalog.base("g3_1")
-    ext = double_extension_general(g, None, [Matrix.zeros(EXACT, 0, 0)] * 3)
+    ext = double_extension_general(g, zero_core(), [Matrix.zeros(EXACT, 0, 0)] * 3)
     ref = t_star_extension(g, None)
     assert ext.algebra.c == ref.algebra.c
     assert ext.form.gram == ref.form.gram

@@ -61,6 +61,15 @@ def test_graded_map_rejects_parity_mixing():
         )
 
 
+def test_graded_map_rejects_an_unknown_label():
+    # an unknown source label raises as an unknown target label does, instead
+    # of being dropped
+    sp = catalog.build("g4").algebra.space
+    for images in ({"X": {"X": 1}, "W": {"Z": 5}}, {"X": {"W": 1}}):
+        with pytest.raises(KeyError, match="^\"unknown basis label 'W'\"$"):
+            GradedLinearMap.from_images(sp, sp, images, EXACT)
+
+
 def test_isometry_failure_on_scaled_gram():
     g4 = catalog.build("g4")
     scaled_form = g4.form.to_backend(EXACT)
