@@ -10,6 +10,14 @@ Conventions, fixed project-wide:
   structure violations; `_nz` is the same table without the entries that are
   zero to the backend tolerance, and the dense c[i][j][k] is a view rebuilt
   on each access;
+* on the exact backend `build` guarantees what the checks would re-derive: a
+  table it wrote is graded-antisymmetric and parity-correct and holds no zero,
+  so its `_nz` is `nz` itself; a form it wrote is supersymmetric and on its
+  parity pattern.  The private field `_built` records this; it is not compared,
+  hashed or printed.  The complex backend keeps every check: `build` keeps
+  entries below the tolerance, and an even square [x, x] or an odd diagonal
+  B(x, x) below it is counted twice by its check, which can then fail.  The
+  raw constructor, `to_backend` and `relabel` keep every check too;
 * ad(e_i) is the matrix whose j-th column holds the coordinates of [e_i, e_j]
   (matrices act on column coordinate vectors);
 * supersymmetry of a form means B(y, x) = (-1)^{|x||y|} B(x, y); an even form
@@ -119,14 +127,16 @@ BracketTable = Mapping[Tuple[str, str], Mapping[str, object]]
 
 class LieSuperalgebra(Value):
     # nz[i][j] = nonzero (k, x) pairs of [e_i, e_j]; _nz, the view without the
-    # entries zero to the backend, is derived and left out of == and hash
-    __slots__ = ("space", "backend", "nz", "_nz")
+    # entries zero to the backend, and _built, true on a table that `build`
+    # wrote on the exact backend, are derived and left out of ==, hash and repr
+    __slots__ = ("space", "backend", "nz", "_nz", "_built")
     _compared = ("space", "backend", "nz")
 
     def __init__(self, space: SuperSpace, backend, nz: tuple):
         _set(self, "space", space)
         _set(self, "backend", backend)
         _set(self, "nz", nz)
+        _set(self, "_built", False)
         is_zero = backend.is_zero
         _set(self, "_nz", tuple(tuple(tuple(p for p in row if not is_zero(p[1])) for row in block) for block in nz))
 
@@ -169,7 +179,14 @@ class LieSuperalgebra(Value):
                 table[i][j] = pairs
                 table[j][i] = tuple((k, sign * x) for k, x in pairs)
         nz = tuple(tuple(row if row is not None else () for row in block) for block in table)
-        return LieSuperalgebra(space, backend, nz)
+        if backend.name != "exact":  # an entry below the tolerance is kept, and can break antisymmetry
+            return LieSuperalgebra(space, backend, nz)
+        # exact: every term is nonzero (so _nz is nz), of the right parity and
+        # mirrored with its graded sign, and an even square vanishes
+        alg = object.__new__(LieSuperalgebra)
+        for name, x in (("space", space), ("backend", backend), ("nz", nz), ("_nz", nz), ("_built", True)):
+            _set(alg, name, x)
+        return alg
 
     def table(self) -> dict:
         """The inverse of `build`: {(a, b): {label: coefficient}} over
@@ -271,6 +288,7 @@ def _parity_violations(space: SuperSpace, backend, i: int, j: int, pairs) -> lis
 
 class BilinearForm(Frozen):
     # no __slots__: the cached _rank lives in the instance __dict__
+    _built = False  # set by `build` on the exact backend: supersymmetric and on the parity pattern
 
     def __init__(self, space: SuperSpace, backend, parity: str, gram: Matrix):
         _set(self, "space", space)
@@ -303,7 +321,10 @@ class BilinearForm(Frozen):
                 g[j][i] = sign * x
             elif pi == 1 and not backend.is_zero(x):
                 raise StructureError(f"form entry ({la},{la}) must vanish on an odd element")
-        return BilinearForm(space, backend, parity, Matrix(backend, tuple(tuple(r) for r in g)))
+        form = BilinearForm(space, backend, parity, Matrix(backend, tuple(tuple(r) for r in g)))
+        if backend.name == "exact":  # on complex, an odd diagonal entry below the tolerance is kept
+            _set(form, "_built", True)
+        return form
 
     def table(self) -> dict:
         """The inverse of `build`: {(a, b): value} for a at or before b in the
@@ -385,12 +406,16 @@ def verify_jacobi(alg: LieSuperalgebra) -> Report:
     them, so the report is the same.  Every failing triple becomes its own
     report entry carrying the largest residual component; a clean run
     collapses to a single passing check.
+
+    The structure violations come first, each a failing check; a table that
+    `build` wrote on the exact backend has none by construction, so they are
+    not looked for there.
     """
     bk, sp = alg.backend, alg.space
     rep = Report()
     n = alg.dim
     law = "graded Jacobi identity"
-    struct = alg.structure_violations()
+    struct = [] if alg._built else alg.structure_violations()
     for msg in struct:
         rep.add("structure", "graded antisymmetry / parity consistency", False, witness=msg)
     nz = alg._nz
@@ -464,17 +489,26 @@ def _combine(coeffs, rows) -> dict:
 
 
 def verify_form(alg: LieSuperalgebra, form: BilinearForm) -> Report:
-    """Supersymmetry, parity pattern, non-degeneracy and invariance of a form."""
+    """Supersymmetry, parity pattern, non-degeneracy and invariance of a form.
+
+    A form that `BilinearForm.build` wrote on the exact backend is
+    supersymmetric and on its parity pattern by construction: for it, and an
+    algebra on the exact backend with the same even dimension, those two checks
+    pass without evaluating their rows.  Non-degeneracy and invariance are
+    always evaluated."""
     bk, sp = alg.backend, alg.space
     rep = Report()
     if form.space.dim != sp.dim:
         raise StructureError("form dimension does not match the algebra")
     n, ne, labels = sp.dim, sp.dim_even, sp.labels
     point = _flat(form.gram)
+    built = form._built and bk.name == "exact" and form.space.dim_even == ne
     law = "supersymmetry B(y,x) = (-1)^{|x||y|} B(x,y)"
-    _add_checks(rep, bk, labels, "supersymmetry", law, failures(bk, _transpose_rows(bk, n, 1, ne), point))
+    fails = [] if built else failures(bk, _transpose_rows(bk, n, 1, ne), point)
+    _add_checks(rep, bk, labels, "supersymmetry", law, fails)
     law = f"{form.parity} form parity block pattern"
-    _add_checks(rep, bk, labels, "parity-pattern", law, failures(bk, _parity_rows(bk, n, ne, form.parity == "odd"), point))
+    fails = [] if built else failures(bk, _parity_rows(bk, n, ne, form.parity == "odd"), point)
+    _add_checks(rep, bk, labels, "parity-pattern", law, fails)
     nondeg = form.is_nondegenerate()
     witness = None if nondeg else f"rank {form._rank} < dim {n}"
     rep.add("non-degeneracy", "non-degeneracy of the invariant form", nondeg, witness=witness)
@@ -552,8 +586,14 @@ def subspace_bracket(alg: LieSuperalgebra, u: Subspace, v: Subspace) -> Subspace
 
 def derived_subalgebra(alg: LieSuperalgebra) -> Subspace:
     """[g,g], read from the table: the span of the rows nz[i][j] over all n^2
-    ordered pairs, both orientations, in the order of `subspace_bracket`."""
-    return _span_rows(alg.backend, [dict(pairs) for block in alg._nz for pairs in block], alg.dim)
+    ordered pairs, both orientations, in the order of `subspace_bracket`.
+
+    A table that `build` wrote on the exact backend gives one orientation per
+    pair, `space.pairs()`: each mirror row is +-1 times its pair's row, and the
+    exact reduced echelon basis of a span does not depend on its rows."""
+    n, nz = alg.dim, alg._nz
+    pairs = alg.space.pairs() if alg._built else [(i, j) for i in range(n) for j in range(n)]
+    return _span_rows(alg.backend, [dict(nz[i][j]) for i, j in pairs], n)
 
 
 def _bracket_with_g(alg: LieSuperalgebra, s: Subspace) -> Subspace:

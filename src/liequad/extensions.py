@@ -300,7 +300,11 @@ def double_extension_general(
     """Double extension of a quadratic algebra h with an even form by a Lie
     algebra g acting through even skew derivations, twisted by an optional
     cyclic cocycle theta.  On odd a, b the new term of [a, b] is symmetric, as
-    psi is skew and B_h is skew on the odd part."""
+    psi is skew and B_h is skew on the odd part.  The core h is required: for
+    h = 0 pass the zero-dimensional quadratic algebra and one 0 x 0 matrix per
+    generator, since None would leave psi unread."""
+    if h is None:
+        raise ExtensionError("a double extension needs a core")
     warning = "theta is not cyclic: the double extension is returned without a form"
     return _extend(galg, h, tuple(psi), theta, warning=warning)
 

@@ -653,6 +653,39 @@ def test_report_all_text_output_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_TEXT_SHA256
 
 
+# verify, JSON then text per file in sorted order: the shipped files, their
+# complex-backend copies, and g4 with [P,Q] = 2 Z (exit 1 in each format)
+VERIFY_SHA256 = {
+    "shipped": "ed3f792c87613f6103f92f462f71fd889f1fd61bfd02e7e8d2afa6647982371d",
+    "complex": "b79b68ef3b78730a4f8d587c4fcb380e20a9aee156b6bee940fdaf71c26dbcf7",
+    "pq2z": "b676ed3cd61b1e22fb426a45564638263d0fa462229e82961d723ef6d38cf9c6",
+}
+
+
+def test_verify_output_is_pinned(tmp_path, capsys):
+    def copy(path, old, new):
+        text = path.read_text()
+        assert old in text
+        out = tmp_path / f"{new.split()[-1]}_{path.name}"
+        out.write_text(text.replace(old, new))
+        return out
+
+    shipped = sorted(data_file("g4.alg").parent.glob("*.alg"))
+    runs = {
+        "shipped": (shipped, 0),
+        "complex": ([copy(p, "\nbackend exact\n", "\nbackend complex\n") for p in shipped], 0),
+        "pq2z": ([copy(data_file("g4.alg"), "\nbracket P Q = 1 Z\n", "\nbracket P Q = 2 Z\n")], 1),
+    }
+    for name, (paths, want_code) in runs.items():
+        out = []
+        for path in paths:
+            for fmt in ("json", "text"):
+                code, text, _ = run(capsys, "--no-timestamp", "--format", fmt, "verify", str(path))
+                assert code == want_code
+                out.append(text)
+        assert hashlib.sha256("".join(out).encode()).hexdigest() == VERIFY_SHA256[name]
+
+
 def count_calls(monkeypatch, module, name, calls):
     """Count the calls of module.name from every liequad namespace that holds it."""
     original = getattr(module, name)

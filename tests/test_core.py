@@ -33,7 +33,7 @@ from liequad.core import (
     verify_form,
     verify_jacobi,
 )
-from liequad.conditions import _flat, _invariance_rows
+from liequad.conditions import _flat, _invariance_rows, _parity_rows, _transpose_rows, failures
 from liequad.linalg import EigenStructure, Matrix, Subspace, nullspace, rank
 from liequad.morphisms import Fingerprint
 from liequad.report import Report
@@ -601,6 +601,72 @@ def test_stored_table_is_the_nonzero_entries(backend, data):
         assert alg.to_backend(EXACT).nz == alg.nz
     again = LieSuperalgebra.build(labels[:ne], labels[ne:], dict(reversed(brackets.items())), backend)
     assert again == alg and hash(again) == hash(alg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_what_build_guarantees_on_the_exact_backend_holds(data):
+    # random labels, parities and coefficients, zeros and Gaussian values among
+    # them: every check that a table or form from build skips would pass, and
+    # the one-orientation [g,g] is the span of all n^2 rows
+    entry = ENTRIES["exact"]
+    labels = data.draw(st.lists(st.text("ABFXYZ", min_size=1, max_size=2), min_size=1, max_size=6, unique=True))
+    ne = data.draw(st.integers(0, len(labels)))
+    space = SuperSpace.make(labels[:ne], labels[ne:])
+    n, parity = space.dim, space.parity
+    odd_form = data.draw(st.booleans())
+    brackets, entries = {}, {}
+    for i in range(n):
+        for j in range(i, n):
+            a, b = (i, j) if data.draw(st.booleans()) else (j, i)
+            p = (parity(a) + parity(b)) % 2
+            square = i == j and not parity(i)  # [x,x] = 0 on an even x, B(x,x) = 0 on an odd one
+            if data.draw(st.booleans()):
+                value = st.just(0) if square else entry
+                brackets[labels[a], labels[b]] = {labels[k]: data.draw(value) for k in range(n) if parity(k) == p}
+            if p == odd_form and data.draw(st.booleans()):
+                entries[labels[a], labels[b]] = data.draw(st.just(0) if i == j and parity(i) else entry)
+    alg = LieSuperalgebra.build(labels[:ne], labels[ne:], brackets)
+    form = BilinearForm.build(space, entries, "odd" if odd_form else "even")
+    assert alg._built and form._built
+    assert alg.structure_violations() == []
+    assert alg._nz == alg.nz == LieSuperalgebra(space, EXACT, alg.nz)._nz
+    point = _flat(form.gram)
+    assert failures(EXACT, _transpose_rows(EXACT, n, 1, ne), point) == []
+    assert failures(EXACT, _parity_rows(EXACT, n, ne, odd_form), point) == []
+    every = Subspace.span(EXACT, [alg.bracket_basis(i, j) for i in range(n) for j in range(n)], n)
+    assert derived_subalgebra(alg).basis == every.basis
+    # the raw route evaluates every check, and reports the same
+    raw, raw_form = LieSuperalgebra(space, EXACT, alg.nz), BilinearForm(space, EXACT, form.parity, form.gram)
+    assert verify_jacobi(alg).as_dict() == verify_jacobi(raw).as_dict()
+    assert verify_form(alg, form).as_dict() == verify_form(raw, raw_form).as_dict()
+
+
+def test_the_raw_routes_keep_the_structure_checks():
+    # the raw constructor, to_backend and relabel record nothing, so
+    # verify_jacobi reports the structure violations with their messages
+    raw = raw_superalgebra(EXACT, {("X", "F", "G"): 1, ("F", "X", "G"): 1, ("X", "Y", "F"): 1})
+    for alg in (raw, raw.to_backend(EXACT), raw.relabel({"X": "U"})):
+        assert not alg._built
+        structure = [c.witness for c in verify_jacobi(alg).failures if c.name == "structure"]
+        assert structure == alg.structure_violations() and len(structure) == 5
+    built = LieSuperalgebra.build(["X", "Y"], ["F", "G"], {("X", "F"): {"G": 1}, ("F", "G"): {"X": 2}})
+    assert built._built and not built.to_backend(EXACT)._built and not built.relabel({})._built
+    # equal to a raw table of the same entries, in ==, hash and repr
+    same = LieSuperalgebra(built.space, EXACT, built.nz)
+    assert same == built and hash(same) == hash(built) and repr(same) == repr(built)
+    form = BilinearForm.build(built.space, {("X", "Y"): 1, ("F", "G"): 1})
+    assert form._built and not form.relabel(form.space)._built and not form.to_backend(EXACT)._built
+    for copied in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        alg = copied(built)
+        assert alg._built and alg._nz == alg.nz and alg == built
+        assert copied(form)._built and not copied(same)._built
+    # the complex backend records nothing: an even square below the
+    # tolerance is kept, and counted twice by the antisymmetry check
+    cb = LieSuperalgebra.build(["X", "Y"], [], {("X", "X"): {"Y": 6e-10}}, complex_backend(1e-9))
+    assert not cb._built and cb.structure_violations() == ["antisymmetry: c[X,X] != (-1)^(|i||j|+1) c[X,X]"]
+    cf = BilinearForm.build(SuperSpace.make([], ["F"]), {("F", "F"): 6e-10}, "even", complex_backend(1e-9))
+    assert not cf._built and [c.name for c in verify_form(LieSuperalgebra.abelian([], ["F"]), cf).failures][:1] == ["supersymmetry(F,F)"]
 
 
 def test_parity_consistency_rejected():

@@ -223,6 +223,13 @@ def test_general_double_with_trivial_core_is_coadjoint_semidirect():
     assert ext.form.gram == ref.form.gram
 
 
+@pytest.mark.parametrize("psi", [[Matrix.identity(EXACT, 5)], [], [Matrix.zeros(EXACT, 0, 0)] * 3])
+def test_general_double_without_a_core_is_refused(psi):
+    # no core is not the zero core: psi would go unread and T*(g) come back
+    with pytest.raises(ExtensionError, match="^a double extension needs a core$"):
+        double_extension_general(catalog.base("g3_1"), None, psi)
+
+
 def test_general_double_rank1_matches_1d():
     # base ruled by a single generator acting by a skew derivation
     core = catalog.build("g4")
