@@ -16,7 +16,10 @@ t(x,y)z = t(y,z)x; the supersymmetry, parity pattern and invariance
 B([x,y],z) = B(x,[y,z]) of a form.  Each generator takes the table it sums
 over: invariance reads the stored table `nz`, sub-tolerance entries included,
 since a large Gram entry can scale them above the tolerance; the others read
-the tolerance view `_nz`, as `bracket` and the series do.
+the tolerance view `_nz`, as `bracket` and the series do.  `verify_form`
+evaluates the invariance rows on the complex backend only, where their order
+of terms fixes the float bits; the exact backend sums the same residuals
+without rows (`core._invariance_failures`).
 
 The Leibniz and skew generators take the grading: given it, they yield on
 the exact backend only the rows an even map can meet, those on the even

@@ -37,12 +37,13 @@ from .linalg import (
     Vector,
     _dense_row,
     _nullspace_rows,
+    _rref_sparse,
+    _span_basis,
     _span_rows,
     _sparse_row,
     dot,
     rank,
     vec,
-    vec_is_zero,
 )
 from .report import Report
 from .scalars import EXACT, Frozen, Value, _set, residual_magnitude
@@ -86,11 +87,6 @@ class SuperSpace(Value):
             return self.labels.index(label)
         except ValueError:
             raise KeyError(f"unknown basis label {label!r}") from None
-
-    def basis_vector(self, backend, label: str) -> Vector:
-        v = [backend.zero] * self.dim
-        v[self.index(label)] = backend.one
-        return tuple(v)
 
 
 def _graded_sign(space: SuperSpace, i: int, j: int) -> int:
@@ -217,14 +213,14 @@ class LieSuperalgebra(Value):
     @property
     def c(self) -> tuple:
         """Dense view c[i][j] = coordinate tuple of [e_i, e_j], rebuilt on each access."""
-        return tuple(tuple(_dense_row(self.backend, dict(row), self.dim) for row in block) for block in self.nz)
+        return tuple(tuple(_dense_row(self.backend, row, self.dim) for row in block) for block in self.nz)
 
     def bracket_basis(self, i: int, j: int) -> Vector:
-        return _dense_row(self.backend, dict(self.nz[i][j]), self.dim)
+        return _dense_row(self.backend, self.nz[i][j], self.dim)
 
     def bracket(self, u: Vector, v: Vector) -> Vector:
         bk = self.backend
-        return _dense_row(bk, _bracket(self._nz, _pairs(bk, vec(bk, u)), _pairs(bk, vec(bk, v))), self.dim)
+        return _dense_row(bk, _bracket(self._nz, _pairs(bk, vec(bk, u)), _pairs(bk, vec(bk, v))).items(), self.dim)
 
     def ad(self, i: int) -> Matrix:
         """Matrix of [e_i, -], images in columns."""
@@ -234,7 +230,7 @@ class LieSuperalgebra(Value):
         """Matrix of [v, -], images in columns."""
         bk, n = self.backend, self.dim
         x = _pairs(bk, vec(bk, v))
-        cols = (_dense_row(bk, _bracket(self._nz, x, ((j, bk.one),)), n) for j in range(n))
+        cols = (_dense_row(bk, _bracket(self._nz, x, ((j, bk.one),)).items(), n) for j in range(n))
         return Matrix(bk, tuple(zip(*cols)))
 
     def structure_violations(self) -> list:
@@ -287,7 +283,7 @@ def _parity_violations(space: SuperSpace, backend, i: int, j: int, pairs) -> lis
 
 
 class BilinearForm(Frozen):
-    # no __slots__: the cached _rank lives in the instance __dict__
+    # no __slots__: the cached _rank and _sparse live in the instance __dict__
     _built = False  # set by `build` on the exact backend: supersymmetric and on the parity pattern
 
     def __init__(self, space: SuperSpace, backend, parity: str, gram: Matrix):
@@ -345,6 +341,18 @@ class BilinearForm(Frozen):
     def _rank(self) -> int:
         """Rank of the Gram matrix, computed once per form."""
         return rank(self.gram)
+
+    @cached_property
+    def _sparse(self) -> tuple:
+        """(rows, cols) of the Gram matrix, computed once per form: rows[i] lists
+        the (j, g[i][j]) and cols[j] the (i, g[i][j]) of its exactly nonzero
+        entries, in increasing index.  The exact backend sums over these."""
+        rows = tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in self.gram.entries)
+        cols = [[] for _ in rows]
+        for i, r in enumerate(rows):
+            for j, x in r:
+                cols[j].append((i, x))
+        return rows, tuple(map(tuple, cols))
 
     def is_nondegenerate(self) -> bool:
         return self._rank == self.space.dim
@@ -495,14 +503,17 @@ def verify_form(alg: LieSuperalgebra, form: BilinearForm) -> Report:
     supersymmetric and on its parity pattern by construction: for it, and an
     algebra on the exact backend with the same even dimension, those two checks
     pass without evaluating their rows.  Non-degeneracy and invariance are
-    always evaluated."""
+    always evaluated.  The exact backend sums invariance straight from the
+    nonzero structure constants and Gram entries (`_invariance_failures`); the
+    complex backend evaluates the rows of `conditions._invariance_rows` with
+    `failures`, whose order of terms fixes its float bits."""
     bk, sp = alg.backend, alg.space
     rep = Report()
     if form.space.dim != sp.dim:
         raise StructureError("form dimension does not match the algebra")
     n, ne, labels = sp.dim, sp.dim_even, sp.labels
-    point = _flat(form.gram)
     built = form._built and bk.name == "exact" and form.space.dim_even == ne
+    point = None if built else _flat(form.gram)
     law = "supersymmetry B(y,x) = (-1)^{|x||y|} B(x,y)"
     fails = [] if built else failures(bk, _transpose_rows(bk, n, 1, ne), point)
     _add_checks(rep, bk, labels, "supersymmetry", law, fails)
@@ -513,11 +524,41 @@ def verify_form(alg: LieSuperalgebra, form: BilinearForm) -> Report:
     witness = None if nondeg else f"rank {form._rank} < dim {n}"
     rep.add("non-degeneracy", "non-degeneracy of the invariant form", nondeg, witness=witness)
 
-    # the rows read the stored table nz: a structure constant below the
-    # tolerance still counts, since a large Gram entry can scale it above it
     law = "invariance B([x,y],z) = B(x,[y,z])"
-    _add_checks(rep, bk, labels, "invariance", law, failures(bk, _invariance_rows(alg.nz, form.gram), point))
+    if bk.name == "exact":
+        fails = _invariance_failures(alg._nz, form)
+    else:
+        # the rows read the stored table nz: a structure constant below the
+        # tolerance still counts, since a large Gram entry can scale it above it
+        fails = failures(bk, _invariance_rows(alg.nz, form.gram), point)
+    _add_checks(rep, bk, labels, "invariance", law, fails)
     return rep
+
+
+def _invariance_failures(nz, form: BilinearForm) -> list:
+    """((i, j, k), r) of every r = B([e_i,e_j],e_k) - B(e_i,[e_j,e_k]) != 0, in
+    increasing (i, j, k): the invariance check of the exact backend.
+
+    Each structure constant x = c[i][j][l] of the table nz adds x g[l][k] at
+    (i, j, k) over the nonzero g[l][k], and takes x g[h][l] away at (h, i, j)
+    over the nonzero g[h][l]; no row is built.  An exact sum does not depend on
+    the order of its terms, so the keys and residuals are those that `failures`
+    finds on the rows of `conditions._invariance_rows`."""
+    n = len(nz)
+    nn = n * n
+    rows, cols = form._sparse
+    acc = {}  # key (i * n + j) * n + k of (i, j, k) -> its residual
+    for i, block in enumerate(nz):
+        for j, pairs in enumerate(block):
+            m = i * n + j
+            for l, x in pairs:
+                for k, y in rows[l]:
+                    key = m * n + k
+                    acc[key] = acc[key] + x * y if key in acc else x * y
+                for h, y in cols[l]:
+                    key = h * nn + m
+                    acc[key] = acc[key] - x * y if key in acc else -(x * y)
+    return [((key // nn, key // n % n, key % n), acc[key]) for key in sorted(k for k, v in acc.items() if v)]
 
 
 def _add_checks(rep: Report, bk, labels, name: str, law: str, fails: list) -> None:
@@ -550,36 +591,41 @@ def graded_center_basis(alg: LieSuperalgebra):
 
 
 def _graded_parts(alg: LieSuperalgebra, s: Subspace):
-    """(even, odd) spans of the parity components of the basis of a graded s.
+    """(even, odd) spans of the parity components of the rows of a graded s.
 
-    On the exact backend a basis whose vectors are each homogeneous splits as
-    it stands: rows of a reduced echelon basis are their own reduced echelon
-    basis, which the two spans would give back."""
-    bk = alg.backend
-    ne = alg.space.dim_even
+    On the exact backend a basis whose rows are each homogeneous splits as it
+    stands: rows of a reduced echelon basis are their own reduced echelon
+    basis, which the two spans would give back.  Otherwise a component is
+    spanned when some entry of it is nonzero to the backend."""
+    bk, n, ne = alg.backend, alg.dim, alg.space.dim_even
     if bk.name == "exact":
-        even = tuple(v for v in s.basis if not any(v[ne:]))
-        odd = tuple(v for v in s.basis if not any(v[:ne]))
+        even = tuple(r for r in s.rows if all(j < ne for j, _ in r))
+        odd = tuple(r for r in s.rows if all(j >= ne for j, _ in r))
         if len(even) + len(odd) == s.dim:
-            return Subspace(bk, alg.dim, even), Subspace(bk, alg.dim, odd)
+            return Subspace(bk, n, even), Subspace(bk, n, odd)
     even, odd = [], []
-    for v in s.basis:
-        ev = tuple(x if i < ne else bk.zero for i, x in enumerate(v))
-        od = tuple(x if i >= ne else bk.zero for i, x in enumerate(v))
-        if not vec_is_zero(bk, ev):
+    for r in s.rows:
+        ev, od = {j: x for j, x in r if j < ne}, {j: x for j, x in r if j >= ne}
+        if not all(map(bk.is_zero, ev.values())):
             even.append(ev)
-        if not vec_is_zero(bk, od):
+        if not all(map(bk.is_zero, od.values())):
             odd.append(od)
-    evs = Subspace.span(bk, even, alg.dim)
-    ods = Subspace.span(bk, odd, alg.dim)
-    return evs, ods
+    return _span_rows(bk, even, n), _span_rows(bk, odd, n)
+
+
+def _terms(bk, s: Subspace) -> tuple:
+    """The rows of s without the entries zero to the backend, as `_pairs`
+    reads a vector: on the exact backend the rows as they are."""
+    if bk.name == "exact":
+        return s.rows
+    return tuple([p for p in r if not bk.is_zero(p[1])] for r in s.rows)
 
 
 def subspace_bracket(alg: LieSuperalgebra, u: Subspace, v: Subspace) -> Subspace:
     """Span of [a, b] over the basis pairs, summed over the nonzero structure
     constants in the order of `bracket`, one row per pair."""
     bk, nz = alg.backend, alg._nz
-    us, vs = ([_pairs(bk, x) for x in s.basis] for s in (u, v))
+    us, vs = _terms(bk, u), _terms(bk, v)
     rows = [{k: w for k, w in _bracket(nz, x, y).items() if w} for x in us for y in vs]
     return _span_rows(bk, rows, alg.dim)
 
@@ -599,7 +645,7 @@ def derived_subalgebra(alg: LieSuperalgebra) -> Subspace:
 def _bracket_with_g(alg: LieSuperalgebra, s: Subspace) -> Subspace:
     """[g, s]: the span of [e_i, b] over i and the basis b of s, read from the rows nz[i]."""
     bk, nz = alg.backend, alg._nz
-    bs = [_pairs(bk, b) for b in s.basis]
+    bs = _terms(bk, s)
     rows = [{k: w for k, w in _combine(b, nz[i]).items() if w} for i in range(alg.dim) for b in bs]
     return _span_rows(bk, rows, alg.dim)
 
@@ -648,15 +694,41 @@ def is_nilpotent(alg: LieSuperalgebra) -> bool:
     return lower_central_series(alg)[-1].dim == 0
 
 
+def _form_block(form: BilinearForm, us, vs):
+    """The rows [B(u, v) for v in vs], one per u in us, of two lists of sparse
+    rows.  The exact backend sums the nonzero terms u_i g_ij v_j; the complex
+    backend takes `BilinearForm.value` on the dense vectors, whose sums keep
+    every product."""
+    bk, n = form.backend, form.space.dim
+    if bk.name != "exact":
+        gv = [form.gram.apply(_dense_row(bk, v, n)) for v in vs]
+        for u in us:
+            u = _dense_row(bk, u, n)
+            yield [dot(u, w) for w in gv]
+        return
+    rows = form._sparse[0]
+    for u in us:
+        ug = _combine(u, rows)  # {j: B(u, e_j)}
+        yield [sum(ug[j] * b for j, b in v if j in ug) for v in vs]
+
+
 def orthogonal_complement(q: QuadraticAlgebra, s: Subspace) -> Subspace:
-    """{v : B(v, s) = 0}; requires a non-degenerate form."""
+    """{v : B(v, s) = 0}; requires a non-degenerate form.
+
+    The kernel of the rows G b over the basis b of s: summed from the nonzero
+    Gram columns on the exact backend, by the dense `Matrix.apply` on the
+    complex one."""
     form = q.form
     if not form.is_nondegenerate():
         raise StructureError("orthogonal complement needs a non-degenerate form")
     bk, n = q.backend, q.dim
     if s.dim == 0:
         return Subspace.full(bk, n)
-    rows = [_sparse_row(form.gram.apply(b)) for b in s.basis]
+    if bk.name == "exact":
+        cols = form._sparse[1]
+        rows = [{k: x for k, x in _combine(b, cols).items() if x} for b in s.rows]
+    else:
+        rows = [_sparse_row(form.gram.apply(b)) for b in s.basis]
     return _span_rows(bk, _nullspace_rows(bk, rows, n), n)
 
 
@@ -674,29 +746,23 @@ def is_orthogonal_complement(q: QuadraticAlgebra, s: Subspace, t: Subspace) -> b
         raise StructureError("orthogonal complement needs a non-degenerate form")
     if s.dim + t.dim != q.dim:
         return False
-    g = form.gram.entries
-    ts = [_sparse_row(v).items() for v in t.basis]
-    for u in s.basis:
-        rows = [(g[i], a) for i, a in enumerate(u) if a]
-        for v in ts:  # B(u, v) over the nonzero u_i g_ij v_j
-            if sum(a * row[j] * b for row, a in rows for j, b in v if row[j]):
-                return False
-    return True
+    return not any(any(r) for r in _form_block(form, s.rows, t.rows))
 
 
 def is_ideal(alg: LieSuperalgebra, s: Subspace) -> bool:
     """[e_i, b] lies in s for every basis vector e_i and every b in the basis of
     s: one elimination finds that the brackets add nothing to the span of s."""
     bk, n = alg.backend, alg.dim
-    rows = [_sparse_row(b) for b in s.basis]
-    for b in s.basis:
-        coeffs = _pairs(bk, b)
+    rows = [dict(r) for r in s.rows]
+    for b in _terms(bk, s):
         for i in range(n):
-            rows.append({k: x for k, x in _combine(coeffs, alg._nz[i]).items() if x})
-    return _span_rows(bk, rows, n).dim == s.dim
+            rows.append({k: x for k, x in _combine(b, alg._nz[i]).items() if x})
+    return len(_span_basis(bk, rows, n)) == s.dim
 
 
 def is_nondegenerate_on(form: BilinearForm, s: Subspace) -> bool:
+    """The Gram matrix of the form on the rows of s has full rank."""
     if s.dim == 0:
         return True
-    return rank(form.restrict(s.basis)) == s.dim
+    rows = [{b: x for b, x in enumerate(r) if x} for r in _form_block(form, s.rows, s.rows)]
+    return len(_rref_sparse(form.backend, rows, s.dim)[0]) == s.dim

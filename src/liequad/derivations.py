@@ -46,7 +46,7 @@ class DerivationSpace(Frozen):
     @cached_property
     def basis(self) -> Tuple[Matrix, ...]:
         bk, n = self.algebra.backend, self.algebra.dim
-        flat = (_dense_row(bk, r, n * n) for r in self.rows)
+        flat = (_dense_row(bk, r.items(), n * n) for r in self.rows)
         return tuple(Matrix(bk, tuple(s[k * n : k * n + n] for k in range(n))) for s in flat)
 
     def span(self) -> Subspace:

@@ -12,7 +12,9 @@ the division.  The float backend keeps largest-magnitude pivoting for
 stability, with the row order of dense elimination.  A kernel is a list of
 sparse rows, `_nullspace_rows`; the library reads these rows, and dense
 vectors are built from them only by `nullspace` and `DerivationSpace.basis`.
-Subspaces are kept as reduced-row-echelon bases; `contains` is the
+A `Subspace` keeps its reduced-row-echelon basis as sparse rows too, each a
+sorted tuple of (index, value) pairs; the library reads these rows, and its
+dense `basis` is built from them on each read.  `contains` is the
 span-dimension test, and `intersect` is Zassenhaus's algorithm.
 """
 
@@ -238,9 +240,10 @@ def _sparse_row(values) -> dict:
     return {j: x for j, x in enumerate(values) if x}
 
 
-def _dense_row(backend, row: dict, ncols: int) -> Vector:
+def _dense_row(backend, pairs, ncols: int) -> Vector:
+    """The vector with the (index, value) pairs as its entries, zero elsewhere."""
     out = [backend.zero] * ncols
-    for j, x in row.items():
+    for j, x in pairs:
         out[j] = x
     return tuple(out)
 
@@ -248,7 +251,7 @@ def _dense_row(backend, row: dict, ncols: int) -> Vector:
 def rref(m: Matrix):
     """Reduced row echelon form; returns (Matrix, pivot column indices)."""
     pivots, reduced, rest = _rref_sparse(m.backend, [_sparse_row(r) for r in m.entries], m.cols)
-    return Matrix(m.backend, tuple(_dense_row(m.backend, r, m.cols) for r in reduced + rest)), pivots
+    return Matrix(m.backend, tuple(_dense_row(m.backend, r.items(), m.cols) for r in reduced + rest)), pivots
 
 
 def rank(m: Matrix) -> int:
@@ -286,7 +289,7 @@ def _nullspace_rows(backend, rows: list, ncols: int) -> list:
 def nullspace(a: Matrix) -> list:
     """Basis of the kernel of A, one vector per free column."""
     kernel = _nullspace_rows(a.backend, [_sparse_row(r) for r in a.entries], a.cols)
-    return [_dense_row(a.backend, r, a.cols) for r in kernel]
+    return [_dense_row(a.backend, r.items(), a.cols) for r in kernel]
 
 
 def _span_basis(backend, rows: list, ambient_dim: int) -> list:
@@ -300,29 +303,32 @@ def _span_basis(backend, rows: list, ambient_dim: int) -> list:
 def _span_rows(backend, rows: list, ambient_dim: int) -> "Subspace":
     """Span of the sparse rows, which it reduces in place."""
     basis = _span_basis(backend, rows, ambient_dim)
-    return Subspace(backend, ambient_dim, tuple(_dense_row(backend, r, ambient_dim) for r in basis))
+    return Subspace(backend, ambient_dim, tuple(tuple(sorted(r.items())) for r in basis))
 
 
 class Subspace(Value):
-    """Row span held in reduced row echelon form.
+    """Row span held as its reduced row echelon basis, one sparse row per
+    basis vector: a tuple of the (index, value) pairs of its exactly nonzero
+    entries, in increasing index.
 
-    On the exact backend the echelon form is canonical, so equality is literal
-    tuple equality; on the float backend equality falls back to mutual
-    containment within the backend tolerance."""
+    `basis`, the rows as dense vectors, is rebuilt on each read.  On the exact
+    backend the echelon form is canonical, so equality is tuple equality of
+    the rows; on the float backend equality falls back to mutual containment
+    within the backend tolerance."""
 
-    __slots__ = ("backend", "ambient_dim", "basis")  # basis: RREF rows, no zero rows
+    __slots__ = ("backend", "ambient_dim", "rows")
 
-    def __init__(self, backend, ambient_dim: int, basis: tuple):
+    def __init__(self, backend, ambient_dim: int, rows: tuple):
         _set(self, "backend", backend)
         _set(self, "ambient_dim", ambient_dim)
-        _set(self, "basis", basis)
+        _set(self, "rows", rows)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
         if self.ambient_dim != other.ambient_dim or self.dim != other.dim:
             return False
-        if self.basis == other.basis:
+        if self.rows == other.rows:
             return True
         if self.backend.name == "exact":
             return False
@@ -340,7 +346,7 @@ class Subspace(Value):
 
     @staticmethod
     def full(backend, n: int) -> "Subspace":
-        return Subspace(backend, n, Matrix.identity(backend, n).entries)
+        return Subspace(backend, n, tuple(((i, backend.one),) for i in range(n)))
 
     @staticmethod
     def zero(backend, n: int) -> "Subspace":
@@ -348,25 +354,30 @@ class Subspace(Value):
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    @property
+    def basis(self) -> tuple:
+        """The rows as dense vectors, rebuilt on each access."""
+        return tuple(_dense_row(self.backend, r, self.ambient_dim) for r in self.rows)
 
     def contains(self, v: Sequence) -> bool:
         """True when adding v leaves the dimension of the span unchanged."""
         v = vec(self.backend, v)
         if len(v) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        rows = [_sparse_row(r) for r in self.basis + (v,)]
-        return _span_rows(self.backend, rows, self.ambient_dim).dim == self.dim
+        rows = [dict(r) for r in self.rows] + [_sparse_row(v)]
+        return len(_span_basis(self.backend, rows, self.ambient_dim)) == self.dim
 
     def sum_with(self, other: "Subspace") -> "Subspace":
-        return Subspace.span(self.backend, list(self.basis) + list(other.basis), self.ambient_dim)
+        return _span_rows(self.backend, [dict(r) for r in self.rows + other.rows], self.ambient_dim)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: the reduced rows of (u | u), u in self, and (w | 0), w in
         other, whose pivot lies in the second half span the intersection there."""
         n = self.ambient_dim
-        rows = [{**r, **{n + j: x for j, x in r.items()}} for r in map(_sparse_row, self.basis)]
-        rows += [_sparse_row(w) for w in other.basis]
+        rows = [dict(r + tuple((n + j, x) for j, x in r)) for r in self.rows]
+        rows += [dict(w) for w in other.rows]
         pivots, reduced, _ = _rref_sparse(self.backend, rows, 2 * n)
         meet = [{j - n: x for j, x in r.items() if j >= n} for c, r in zip(pivots, reduced) if c >= n]
         return _span_rows(self.backend, meet, n)

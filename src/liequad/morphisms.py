@@ -18,6 +18,7 @@ from .core import (
     StructureError,
     SuperSpace,
     _fmt_residual,
+    _form_block,
     _graded_parts,
     _series,
     center,
@@ -151,16 +152,19 @@ def _central_core(q: QuadraticAlgebra, z: Subspace):
     first pair u, v (i < j) of the even-then-odd central basis with B(u,v) !=
     0, giving [u + v] when both are even, as B(u+v,u+v) = 2B(u,v), else
     [u, v]: an odd pair of an even form or an even/odd pair of an odd form.
+    The values B(u, v) are read off one `_form_block` of the central rows.
     """
     form, bk = q.form, q.backend
     zev, zod = _graded_parts(q.algebra, z)
-    for u in zev.basis:
-        if not bk.is_zero(form.value(u, u)):
-            return [u]
-    basis, ne = zev.basis + zod.basis, len(zev.basis)
+    rows, ne = zev.rows + zod.rows, zev.dim
+    b = list(_form_block(form, rows, rows))
+    basis = zev.basis + zod.basis
+    for i in range(ne):
+        if not bk.is_zero(b[i][i]):
+            return [basis[i]]
     for i, u in enumerate(basis):
         for j in range(i + 1, len(basis)):
-            if not bk.is_zero(form.value(u, basis[j])):
+            if not bk.is_zero(b[i][j]):
                 return [vec_add(u, basis[j])] if j < ne else [u, basis[j]]
     return None
 
@@ -196,7 +200,7 @@ def verify_decomposition(q: QuadraticAlgebra, s1: Subspace, s2: Subspace) -> Rep
     bk = alg.backend
     rep.add("ideal(s1)", "ideal closure [g,s] in s", is_ideal(alg, s1))
     rep.add("ideal(s2)", "ideal closure [g,s] in s", is_ideal(alg, s2))
-    orth = all(bk.is_zero(form.value(u, v)) for u in s1.basis for v in s2.basis)
+    orth = all(bk.is_zero(x) for r in _form_block(form, s1.rows, s2.rows) for x in r)
     rep.add("orthogonality", "B(s1, s2) = 0", orth)
     rep.add("non-degeneracy(s1)", "restricted form non-degenerate", is_nondegenerate_on(form, s1))
     rep.add("non-degeneracy(s2)", "restricted form non-degenerate", is_nondegenerate_on(form, s2))

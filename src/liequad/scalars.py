@@ -18,6 +18,7 @@ nan raises `ScalarOverflow` when it is tested, instead of deciding a check.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 DEFAULT_TOL = 1e-9
@@ -213,6 +214,23 @@ def _split_token(token: str):
     return None, body
 
 
+def _fraction(s: str) -> Fraction:
+    """Fraction(s), refused with ValueError before Fraction expands a decimal
+    exponent: the digits before the last e or E plus the size of the exponent
+    after it may not exceed the int digit limit, which bounds the integer that
+    the exponent writes out (`0e9999999999` alone would take 10^10 digits)."""
+    i = max(s.rfind("e"), s.rfind("E"))
+    if i >= 0:
+        try:
+            exp = int(s[i + 1 :])
+        except ValueError:
+            exp = 0  # no exponent: Fraction reports the token
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        if sum(c.isdecimal() for c in s[:i]) + abs(exp) > limit:
+            raise ValueError(f"exponent {exp} exceeds the limit of {limit} digits")
+    return Fraction(s)
+
+
 def parse_exact(token: str) -> int | Fraction | Exact:
     # an ASCII integer or ratio of integers skips Fraction's regex; any other
     # token, or one that int or Fraction rejects, parses below
@@ -225,8 +243,8 @@ def parse_exact(token: str) -> int | Fraction | Exact:
             pass
     re_s, im_s = _split_token(token)
     try:
-        re = Fraction(re_s) if re_s is not None else Fraction(0)
-        im = Fraction(im_s) if im_s is not None else Fraction(0)
+        re = _fraction(re_s) if re_s is not None else Fraction(0)
+        im = _fraction(im_s) if im_s is not None else Fraction(0)
     except (ValueError, ZeroDivisionError) as exc:
         raise ScalarParseError(f"bad exact scalar {token!r}: {exc}") from None
     return Exact(re, im)
@@ -235,8 +253,8 @@ def parse_exact(token: str) -> int | Fraction | Exact:
 def parse_complex(token: str) -> complex:
     re_s, im_s = _split_token(token)
     try:
-        re = float(Fraction(re_s)) if re_s is not None else 0.0
-        im = float(Fraction(im_s)) if im_s is not None else 0.0
+        re = float(_fraction(re_s)) if re_s is not None else 0.0
+        im = float(_fraction(im_s)) if im_s is not None else 0.0
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ScalarParseError(f"bad complex scalar {token!r}: {exc}") from None
     return complex(re, im)

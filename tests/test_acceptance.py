@@ -56,6 +56,8 @@ from liequad.morphisms import (
 )
 from liequad.scalars import EXACT, complex_backend
 
+from helpers import basis_vector
+
 
 @contextmanager
 def criterion(num, text):
@@ -174,7 +176,7 @@ def test_c04_inner_extension_decomposability():
                 for k, x in enumerate(v):
                     u[1 + k] = -x
                 assert w.center.contains(tuple(u))
-                f = ext.algebra.space.basis_vector(EXACT, "f")
+                f = basis_vector(ext.algebra.space, EXACT, "f")
                 assert ext.form.value(tuple(u), f) == EXACT.one
                 done += 1
 
@@ -236,7 +238,7 @@ def test_c07a_second_derived_space():
         assert len(series) >= 3
         want = Subspace.span(
             EXACT,
-            [ext.algebra.space.basis_vector(EXACT, l) for l in ("T", "Z1", "Z2", "f")],
+            [basis_vector(ext.algebra.space, EXACT, l) for l in ("T", "Z1", "Z2", "f")],
             ext.dim,
         )
         assert series[2] == want and series[2].dim == 4
@@ -252,7 +254,7 @@ def test_c07b_claimed_splitting_as_stated():
         ext = _extended_g5(0, 1, 0)
         alg = ext.algebra
         sp = alg.space
-        bv = lambda l: sp.basis_vector(EXACT, l)
+        bv = lambda l: basis_vector(sp, EXACT, l)
         span = lambda labels: Subspace.span(EXACT, [bv(l) for l in labels], ext.dim)
         q_half = span(("e", "X2", "T", "f", "Z2"))
         pair_half = span(("X1", "Z1"))
@@ -281,7 +283,7 @@ def test_c07_companion_double_extension_structure():
     ext = _extended_g5(0, 1, 0)
     alg = ext.algebra
     sp = alg.space
-    bv = lambda l: sp.basis_vector(EXACT, l)
+    bv = lambda l: basis_vector(sp, EXACT, l)
     core_labels = ("e", "X2", "T", "f", "Z2")
     chain = {"e": {"X2": 1}, "X2": {"T": 1}, "T": {"Z2": -1}, "Z2": {"f": -1}, "f": {}}
     for src, img in chain.items():

@@ -19,6 +19,8 @@ from liequad.morphisms import (
 )
 from liequad.scalars import EXACT, complex_backend
 
+from helpers import basis_vector
+
 
 def test_catalog_has_at_least_25_entries():
     assert len(catalog.entries()) >= 25
@@ -181,7 +183,7 @@ def test_osp12_odd_bracket_from_invariance_oracle():
             for i in range(3):
                 ti = alg.ad(i)
                 tb = ti.col(b)  # action on e_b, odd block rows 3..4
-                rhs = -(q.form.value(alg.space.basis_vector(bk, alg.labels[a]), tb))
+                rhs = -(q.form.value(basis_vector(alg.space, bk, alg.labels[a]), tb))
                 assert stored[i] == rhs, (a, b, i)
             assert all(bk.is_zero(x) for x in stored[3:])
 

@@ -686,6 +686,33 @@ def test_verify_output_is_pinned(tmp_path, capsys):
         assert hashlib.sha256("".join(out).encode()).hexdigest() == VERIFY_SHA256[name]
 
 
+G5_INNER_MAP = (
+    "map X1 = 999983/1000033 T + 777777/1000037 Z2\n"
+    "map X2 = 1000003 T + -777777/1000037 Z1\n"
+    "map T = -999983/1000033 Z1 + -1000003 Z2\n"
+)
+
+
+def test_large_height_inner_double_extension_output_is_pinned(tmp_path, capsys):
+    # the double extension of g5 by ad(v), v = 1000003 X1 - 999983/1000033 X2
+    # + 777777/1000037 T; CI pins the same bytes: verify, then decompose, each
+    # JSON then text.  The central witness is e - v.
+    mp = tmp_path / "g5_inner.map"
+    mp.write_text(G5_INNER_MAP)
+    code, text, _ = run(capsys, "extend", "double1d", str(data_file("g5.alg")), "--map", str(mp))
+    assert code == 0
+    ext = tmp_path / "g5_double1d.alg"
+    ext.write_text(text)
+    out = []
+    for cmd in ("verify", "decompose"):
+        for fmt in ("json", "text"):
+            code, text, _ = run(capsys, "--no-timestamp", "--format", fmt, cmd, str(ext))
+            assert code == 0
+            out.append(text)
+    assert "  e - 1000003 X1 + 999983/1000033 X2 - 777777/1000037 T\n" in out[3]
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == "4b4e521bdef2d7fd3cc53b1e9e3c57f638b5feb53b1cc5694b3f6c46e0e9a9be"
+
+
 def count_calls(monkeypatch, module, name, calls):
     """Count the calls of module.name from every liequad namespace that holds it."""
     original = getattr(module, name)

@@ -17,6 +17,7 @@ from liequad.core import (
     _fmt_residual,
     _graded_parts,
     _graded_sign,
+    _invariance_failures,
     _series,
     center,
     derived_series,
@@ -34,10 +35,12 @@ from liequad.core import (
     verify_jacobi,
 )
 from liequad.conditions import _flat, _invariance_rows, _parity_rows, _transpose_rows, failures
-from liequad.linalg import EigenStructure, Matrix, Subspace, nullspace, rank
+from liequad.linalg import EigenStructure, Matrix, Subspace, nullspace, rank, solve_linear
 from liequad.morphisms import Fingerprint
 from liequad.report import Report
 from liequad.scalars import EXACT, BackendMismatch, Exact, ExactBackend, complex_backend, residual_magnitude
+
+from helpers import basis_vector
 
 
 def sparse(c):
@@ -153,7 +156,7 @@ def axiom_failures_from_definitions(alg, form):
     """(name, residual) of every failing Jacobi and invariance triple, computed
     with the dense bracket and form.value straight from the definitions."""
     bk, n, lab = alg.backend, alg.dim, alg.labels
-    e = [alg.space.basis_vector(bk, l) for l in lab]
+    e = [basis_vector(alg.space, bk, l) for l in lab]
     par = [alg.parity(i) for i in range(n)]
     out = set()
     for i in range(n):
@@ -271,7 +274,8 @@ def test_subspace_bracket_matches_definition(backend, data):
     space = SuperSpace.make([f"E{i}" for i in range(n)])
     c = tuple(tuple(data.draw(st.tuples(*[entry.map(backend.coerce)] * n)) for _ in range(n)) for _ in range(n))
     alg = LieSuperalgebra(space, backend, sparse(c))
-    subspaces = st.one_of(st.just(Subspace.full(backend, n)), vectors.map(lambda b: Subspace(backend, n, tuple(b))))
+    raw = vectors.map(lambda b: Subspace(backend, n, tuple(tuple((j, x) for j, x in enumerate(v) if x) for v in b)))
+    subspaces = st.one_of(st.just(Subspace.full(backend, n)), raw)
     u, v = data.draw(subspaces), data.draw(subspaces)
     want = Subspace.span(backend, [alg.bracket(a, b) for a in u.basis for b in v.basis], n)
     assert subspace_bracket(alg, u, v).basis == want.basis
@@ -321,6 +325,77 @@ def test_invariance_failures_match_definition(backend, data):
         assert got == want
     else:
         assert [name for name, _ in got] == [name for name, _ in want]
+
+
+def invariance_by_rows(alg, form):
+    """(key, residual) of the keyed invariance rows at the Gram matrix through
+    `failures`, the route the complex backend takes."""
+    return failures(alg.backend, _invariance_rows(alg.nz, form.gram), _flat(form.gram))
+
+
+def assert_direct_invariance_matches_the_rows(alg, form):
+    got, want = _invariance_failures(alg._nz, form), invariance_by_rows(alg, form)
+    assert got == want
+    assert [(key, EXACT.format(x)) for key, x in got] == [(key, EXACT.format(x)) for key, x in want]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_direct_invariance_sums_match_the_rows_on_random_tables(data):
+    # exact tables that build wrote, raw ones with and without their zero
+    # entries stored, and Gram matrices as drawn or of an invariant form
+    entry = ENTRIES["exact"].map(EXACT.coerce)
+    ne = data.draw(st.integers(0, 3))
+    no = data.draw(st.integers(0 if ne else 1, 2))
+    even, odd = [f"E{i}" for i in range(ne)], [f"O{i}" for i in range(no)]
+    space = SuperSpace.make(even, odd)
+    n, lab = space.dim, space.labels
+    kind = data.draw(st.sampled_from(["built", "raw", "raw with zeros"]))
+    if kind == "built":
+        brackets = {}
+        for i, j in space.pairs():
+            p = (space.parity(i) + space.parity(j)) % 2
+            brackets[(lab[i], lab[j])] = {lab[k]: data.draw(entry) for k in range(n) if space.parity(k) == p}
+        alg = LieSuperalgebra.build(even, odd, brackets)
+    else:
+        c = tuple(tuple(data.draw(st.tuples(*[entry] * n)) for _ in range(n)) for _ in range(n))
+        zeros = tuple(tuple(tuple(enumerate(row)) for row in block) for block in c)
+        alg = LieSuperalgebra(space, EXACT, sparse(c) if kind == "raw" else zeros)
+    if data.draw(st.booleans()):
+        gram = Matrix(EXACT, tuple(data.draw(st.tuples(*[entry] * n)) for _ in range(n)))
+    else:  # the zero form is invariant for any table
+        gram = Matrix.zeros(EXACT, n, n)
+    form = BilinearForm(space, EXACT, data.draw(st.sampled_from(["even", "odd"])), gram)
+    assert_direct_invariance_matches_the_rows(alg, form)
+
+
+def test_direct_invariance_sums_match_the_rows_on_the_catalog_grid():
+    for entry in catalog.entries():
+        for params in entry.sample_grid(EXACT):
+            alg, form = entry.builder(EXACT, params)
+            assert _invariance_failures(alg._nz, form) == [] == invariance_by_rows(alg, form), entry.id
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in data_file("g4.alg").parent.glob("*.alg")))
+def test_direct_invariance_sums_match_the_rows_on_the_shipped_files(name):
+    # the shipped file, which is invariant, and each copy with the first
+    # coefficient of one bracket line doubled, most of which are not
+    text = data_file(name).read_text()
+    good = parse(text)
+    assert_direct_invariance_matches_the_rows(good.algebra, good.form)
+    assert invariance_by_rows(good.algebra, good.form) == []
+    for line in text.splitlines():
+        if line.startswith("bracket "):
+            bad = parse(text.replace(line, tampered(line).rstrip("\n"), 1))
+            assert_direct_invariance_matches_the_rows(bad.algebra, bad.form)
+
+
+def test_direct_invariance_sums_on_g4_with_pq_equal_to_2z():
+    # the case CI runs: [P,Q] = 2Z breaks invariance at four triples, residual -1 or 1 each
+    af = parse(data_file("g4.alg").read_text().replace("bracket P Q = 1 Z", "bracket P Q = 2 Z"))
+    assert_direct_invariance_matches_the_rows(af.algebra, af.form)
+    got = [(ch.name, ch.residual) for ch in verify_form(af.algebra, af.form).checks if not ch.ok]
+    assert len(got) == 4 and {r for _, r in got} <= {"1", "-1"}
 
 
 def invariance_rows_from_definition(nz):
@@ -522,7 +597,7 @@ def test_orthogonal_complement_test_matches_the_complement_on_random_forms(data)
     s = data.draw(
         st.one_of(
             st.sampled_from(subspaces_of(alg) + [perp]),
-            st.integers(0, perp.dim).map(lambda k: Subspace(EXACT, n, perp.basis[:k])),
+            st.integers(0, perp.dim).map(lambda k: Subspace(EXACT, n, perp.rows[:k])),
             vectors.map(lambda b: Subspace.span(EXACT, b, n)),
         )
     )
@@ -858,6 +933,72 @@ def test_series_match_definition_on_random_tables(backend, data):
     assert [s.basis for s in lcs] == [s.basis for s in lower]
 
 
+def dense_in_span(basis, v):
+    """Whether v is a combination of the dense basis vectors: A x = v is
+    consistent for the matrix A whose columns they are."""
+    if not basis:
+        return not any(v)
+    return solve_linear(Matrix(EXACT, tuple(zip(*basis))), v) is not None
+
+
+def dense_intersection(u, w, n):
+    """The span of sum_i a_i u_i over the kernel vectors (a, b) of the matrix
+    whose columns are the basis vectors u_i of u and the -w_j of w."""
+    cols = list(u.basis) + [tuple(-x for x in v) for v in w.basis]
+    if not u.dim or not w.dim:
+        return Subspace.zero(EXACT, n)
+    kernel = nullspace(Matrix(EXACT, tuple(zip(*cols))))
+    return Subspace.span(EXACT, [[sum(k[i] * u.basis[i][m] for i in range(u.dim)) for m in range(n)] for k in kernel], n)
+
+
+def dense_complement(form, s, n):
+    """{v : B(v, b) = 0 for b in the basis of s}, one equation B(e_k, b) per b, by form.value."""
+    if not s.dim:
+        return Subspace.full(EXACT, n)
+    units = Subspace.full(EXACT, n).basis
+    return Subspace.span(EXACT, nullspace(Matrix(EXACT, tuple(tuple(form.value(e, b) for e in units) for b in s.basis))), n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_sparse_subspace_operations_match_dense_definitions(data):
+    # raw exact tables and Gram matrices: the operations that read the sparse
+    # rows of a Subspace against definitions that read only its dense basis
+    entry = ENTRIES["exact"].map(EXACT.coerce)
+    n = data.draw(st.integers(1, 5))
+    space = SuperSpace.make([f"E{i}" for i in range(n)])
+    c = tuple(tuple(data.draw(st.tuples(*[entry] * n)) for _ in range(n)) for _ in range(n))
+    alg = LieSuperalgebra(space, EXACT, sparse(c))
+    units = Subspace.full(EXACT, n).basis
+
+    def span(vectors):
+        return Subspace.span(EXACT, list(vectors), n)
+
+    rows = tuple(tuple(alg.bracket(e, f)[k] for e in units) for f in units for k in range(n))
+    z, ds, lcs = _series(alg)
+    assert z == center(alg) == span(nullspace(Matrix(EXACT, rows)))
+    assert ds == descend_from_definition(EXACT, n, lambda s: span(alg.bracket(a, b) for a in s.basis for b in s.basis))
+    assert lcs == descend_from_definition(EXACT, n, lambda s: span(alg.bracket(e, b) for e in units for b in s.basis))
+    vectors = st.lists(st.tuples(*[entry] * n), max_size=n + 1)
+    drawn = [span(data.draw(vectors)) for _ in range(2)]
+    subspaces = [z, Subspace.zero(EXACT, n), *ds, *lcs, *drawn]
+    gram = Matrix(EXACT, tuple(data.draw(st.tuples(*[entry] * n)) for _ in range(n)))
+    form = BilinearForm(space, EXACT, "even", gram)
+    q = QuadraticAlgebra(alg, form)
+    for u in subspaces:
+        # the rows are the exactly nonzero entries of the basis, and give it back
+        assert u.rows == tuple(tuple((j, x) for j, x in enumerate(v) if x) for v in u.basis)
+        assert span(u.basis).rows == u.rows
+        assert is_ideal(alg, u) == all(dense_in_span(u.basis, alg.bracket(e, b)) for e in units for b in u.basis)
+        v = data.draw(st.tuples(*[entry] * n))
+        assert u.contains(v) == dense_in_span(u.basis, v)
+        if form.is_nondegenerate():
+            assert orthogonal_complement(q, u) == dense_complement(form, u, n)
+        for w in drawn:
+            assert u.sum_with(w) == span(u.basis + w.basis)
+            assert u.intersect(w) == dense_intersection(u, w, n)
+
+
 def test_center_reads_the_tolerance_view():
     # [e0,e0] = 2e-9 e0 is above the tolerance and [e1,e0] = 1e-10 e0 below it:
     # the center is the kernel of the brackets as alg.bracket computes them
@@ -989,7 +1130,7 @@ IMMUTABLE = {
     "EigenStructure": (_eigen, "is_nilpotent"),
     "Fingerprint": (_fingerprint, "der_dim"),
     "BilinearForm": (_form, "gram"),
-    "Subspace": (lambda: Subspace.zero(EXACT, 2), "basis"),
+    "Subspace": (lambda: Subspace.full(EXACT, 2), "rows"),
     "Exact": (lambda: Exact(1, 1), "imag"),
 }
 

@@ -34,6 +34,8 @@ from liequad.linalg import Matrix, Subspace, nullspace
 from liequad.morphisms import GradedLinearMap, verify_i_isomorphism, verify_isomorphism
 from liequad.scalars import EXACT, Exact, complex_backend
 
+from helpers import basis_vector
+
 
 def heisenberg_cocycle(lam):
     h3 = catalog.base("g3_1")
@@ -65,10 +67,10 @@ def test_double_1d_zero_map_grows_center():
     ext = double_extension_1d(q, Matrix.zeros(EXACT, 4, 4))
     after = center(ext.algebra).dim
     assert after == before + 2
-    e = ext.algebra.space.basis_vector(EXACT, "e")
+    e = basis_vector(ext.algebra.space, EXACT, "e")
     assert all(
         EXACT.is_zero(x)
-        for x in ext.algebra.bracket(e, ext.algebra.space.basis_vector(EXACT, "X"))
+        for x in ext.algebra.bracket(e, basis_vector(ext.algebra.space, EXACT, "X"))
     )
 
 
@@ -79,7 +81,7 @@ def test_double_1d_inner_adx_central_element():
     # u = -e + X is central and pairs with f by -1
     u = [-1, 1, 0, 0, 0, 0]
     assert center(ext.algebra).contains([EXACT.coerce(v) for v in u])
-    f = ext.algebra.space.basis_vector(EXACT, "f")
+    f = basis_vector(ext.algebra.space, EXACT, "f")
     assert ext.form.value(tuple(EXACT.coerce(v) for v in u), f) == EXACT.coerce(-1)
 
 
@@ -88,8 +90,8 @@ def test_double_1d_structure():
     d = Matrix.zeros(EXACT, 5, 5)
     ext = double_extension_1d(q, d)
     assert ext.dim == q.dim + 2
-    f = ext.algebra.space.basis_vector(EXACT, "f")
-    e = ext.algebra.space.basis_vector(EXACT, "e")
+    f = basis_vector(ext.algebra.space, EXACT, "f")
+    e = basis_vector(ext.algebra.space, EXACT, "e")
     assert ext.form.value(e, f) == EXACT.one
     assert center(ext.algebra).contains(f)
 
@@ -287,7 +289,7 @@ def test_tstar_duals_form_isotropic_abelian_ideal():
     q = t_star_extension(g, None)
     alg = q.algebra
     duals = Subspace.span(
-        EXACT, [alg.space.basis_vector(EXACT, star(l)) for l in ("X", "Y", "Z")], 6
+        EXACT, [basis_vector(alg.space, EXACT, star(l)) for l in ("X", "Y", "Z")], 6
     )
     assert is_ideal(alg, duals)
     for u in duals.basis:
@@ -395,8 +397,8 @@ def test_sde_trivial_action_is_abelian_with_hyperbolic_form():
         all(EXACT.is_zero(x) for x in row) for block in q.algebra.c for row in block
     )
     assert q.form.value(
-        q.algebra.space.basis_vector(EXACT, "A1"),
-        q.algebra.space.basis_vector(EXACT, "A1*"),
+        basis_vector(q.algebra.space, EXACT, "A1"),
+        basis_vector(q.algebra.space, EXACT, "A1*"),
     ) == EXACT.one
 
 
@@ -538,7 +540,7 @@ def test_direct_sum_summands_are_nondegenerate_ideals():
     s = direct_sum(catalog.build("g4"), catalog.build("g5"), rename2=None)
     alg = s.algebra
     first = Subspace.span(
-        EXACT, [alg.space.basis_vector(EXACT, l) for l in ("X", "P", "Q", "Z")], alg.dim
+        EXACT, [basis_vector(alg.space, EXACT, l) for l in ("X", "P", "Q", "Z")], alg.dim
     )
     assert is_ideal(alg, first)
     assert is_nondegenerate_on(s.form, first)

@@ -254,7 +254,7 @@ def assert_kernel_rows_match_dense(backend, rows, ncols):
     for entries, width in ((rows, ncols), ((), ncols), ([r + (backend.zero,) * 2 for r in rows], ncols + 2)):
         kernel = _nullspace_rows(backend, [_sparse_row(r) for r in entries], width)
         assert all(all(x for x in r.values()) for r in kernel)
-        assert [_dense_row(backend, r, width) for r in kernel] == dense_nullspace(backend, entries, width)
+        assert [_dense_row(backend, r.items(), width) for r in kernel] == dense_nullspace(backend, entries, width)
 
 
 def dense_solve(backend, rows, b):

@@ -32,6 +32,8 @@ from liequad.morphisms import (
 )
 from liequad.scalars import EXACT, complex_backend
 
+from helpers import basis_vector
+
 
 def identity_map(q):
     return GradedLinearMap.build(
@@ -112,7 +114,7 @@ def test_inner_extension_witness():
     # u = -e + X - 2P - Q and f both lie in the witness's center
     u = [EXACT.coerce(v) for v in (-1, 1, -2, -1, 0, 0)]
     assert w.center.contains(u)
-    assert w.center.contains(ext.algebra.space.basis_vector(EXACT, "f"))
+    assert w.center.contains(basis_vector(ext.algebra.space, EXACT, "f"))
 
 
 def test_odd_symplectic_pair_is_a_central_witness():
@@ -165,12 +167,12 @@ def test_verify_decomposition_bad_split():
     g4 = catalog.build("g4")
     s1 = Subspace.span(
         EXACT,
-        [g4.algebra.space.basis_vector(EXACT, "X"), g4.algebra.space.basis_vector(EXACT, "Z")],
+        [basis_vector(g4.algebra.space, EXACT, "X"), basis_vector(g4.algebra.space, EXACT, "Z")],
         4,
     )
     s2 = Subspace.span(
         EXACT,
-        [g4.algebra.space.basis_vector(EXACT, "P"), g4.algebra.space.basis_vector(EXACT, "Q")],
+        [basis_vector(g4.algebra.space, EXACT, "P"), basis_vector(g4.algebra.space, EXACT, "Q")],
         4,
     )
     rep = verify_decomposition(g4, s1, s2)
@@ -188,7 +190,7 @@ def test_two_step_family_splitting():
     d[ix("Y1")][ix("Y1")] = -EXACT.one
     ext = double_extension_1d(q, Matrix(EXACT, tuple(tuple(r) for r in d)))
     sp = ext.algebra.space
-    bv = lambda l: sp.basis_vector(EXACT, l)
+    bv = lambda l: basis_vector(sp, EXACT, l)
 
     def combo(**terms):
         v = [EXACT.zero] * ext.dim

@@ -1,6 +1,8 @@
 import ast
 import pathlib
 import random
+import re
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -94,15 +96,33 @@ def test_parse_errors():
         parse_complex("")
 
 
+def bounded_fraction(part):
+    """Fraction(part), after the exponent rule of parse_exact: the decimal
+    digits before the last e or E plus the size of the integer after it may
+    not exceed the int digit limit."""
+    m = re.fullmatch(r"(.*)[eE]([^eE]*)", part, re.S)
+    if m:
+        try:
+            exp = int(m[2])
+        except ValueError:
+            exp = 0
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        if len(re.findall(r"\d", m[1])) + abs(exp) > limit:
+            raise ValueError(f"exponent {exp} exceeds the limit of {limit} digits")
+    return Fraction(part)
+
+
 def reference_parse_exact(token):
-    """parse_exact as it was before its integer fast path: every token through Fraction."""
+    """parse_exact as it was before its integer fast path: every token through
+    Fraction, with the exponent rule that keeps Fraction from writing out a
+    huge power of ten."""
     re_s, im_s = _split_token(token)
     try:
-        re = Fraction(re_s) if re_s is not None else Fraction(0)
-        im = Fraction(im_s) if im_s is not None else Fraction(0)
+        re_part = bounded_fraction(re_s) if re_s is not None else Fraction(0)
+        im_part = bounded_fraction(im_s) if im_s is not None else Fraction(0)
     except (ValueError, ZeroDivisionError) as exc:
         raise ScalarParseError(f"bad exact scalar {token!r}: {exc}") from None
-    return Exact(re, im)
+    return Exact(re_part, im_part)
 
 
 def parse_outcome(parse, token):
@@ -116,6 +136,7 @@ def parse_outcome(parse, token):
 
 PARSE_CASES = ["--3", "+-3", "1/-2", "1/0", "3/", "/3", "1_000", " 3", "\u0663", "-0/5", "+3/6", "9" * 5000]
 PARSE_CASES += ["-0", "+0", "007", "6/3", "-12/8", "1 / 2", "1/2 ", "3\n", "\u00b2", "1/\u0663", "+", "-", "/", "", " "]
+PARSE_CASES += ["1e5000", "0e9999999999", "1e4299", "1e4300", "-2.5E-4298", "1e-4300i", "1/2e9999", "\u00b2e4300", "1e_5"]
 
 
 @pytest.mark.parametrize("token", PARSE_CASES, ids=lambda t: repr(t) if len(t) < 20 else f"{len(t)}-digit")
@@ -130,6 +151,29 @@ def test_parse_exact_matches_the_fraction_path(token):
 )
 def test_parse_exact_matches_the_fraction_path_on_random_tokens(token):
     assert parse_outcome(parse_exact, token) == parse_outcome(reference_parse_exact, token)
+
+
+def test_exponents_past_the_digit_limit_are_refused_before_they_expand():
+    # the power of ten is never written out: 0e9999999999 would take 10^10 digits
+    for parse, kind in ((parse_exact, "exact"), (parse_complex, "complex")):
+        for token in ("0e9999999999", "1e-5000", "1.5e4299", "2+1E5000i"):
+            with pytest.raises(ScalarParseError, match=f"bad {kind} scalar .*exceeds the limit of 4300 digits"):
+                parse(token)
+    assert parse_exact("1e4299") == 10**4299 and parse_exact("15e-4298") == Fraction(15, 10**4298)
+    assert parse_complex("1e-300") == 1e-300
+
+
+@pytest.mark.parametrize("command", [["verify"], ["extend", "tstar"]])
+def test_an_exponent_past_the_digit_limit_exits_2(tmp_path, capsys, command):
+    # before the bound, verify passed this file and extend tstar ended in a
+    # ValueError traceback when it printed the 5001-digit coefficient
+    from liequad.cli import main
+
+    f = tmp_path / "big.alg"
+    f.write_text("algebra big\ndim_even 2\ndim_odd 0\nbasis X Y\nbracket X Y = 1e5000 Y\n")
+    assert main([*command, str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: line 5: bad exact scalar '1e5000': exponent 5000 exceeds the limit of 4300 digits\n"
 
 
 def test_integer_over_the_digit_limit_exits_2(tmp_path, capsys):
