@@ -23,11 +23,11 @@ without rows (`core._invariance_failures`).
 
 The Leibniz and skew generators take the grading: given it, they yield on
 the exact backend only the rows an even map can meet, those on the even
-blocks D[a][b], |a| = |b|.  On a table and a Gram matrix that respect parity
-every other row lies wholly on the odd blocks, which the parity rows set to
-zero, so the exact kernel is that of the full system; one that breaks parity,
-and the float backend, keep every row.  Given a Gram matrix, the invariance
-generator yields only the rows that meet one of its nonzero entries.
+blocks D[a][b], |a| = |b|.  The exact tables and Gram matrices respect
+parity, so every other row lies wholly on the odd blocks, which the parity
+rows set to zero, and the exact kernel is that of the full system; the float
+backend keeps every row.  Given a Gram matrix, the invariance generator
+yields only the rows that meet one of its nonzero entries.
 
 One zero rule holds for every system that goes to a solver: a row holds no
 exact zero, and it is dropped when nothing is left or every entry is zero to
@@ -161,26 +161,22 @@ def _transpose_rows(bk, n: int, depth: int, n_even: int):
 def _leibniz_rows(bk, nz, n_even=None):
     """Sparse rows of the Leibniz system over unknowns x[(k,j)] = D[k][j].
 
-    Given n_even, the grading in which e_i is odd from n_even on, only the rows
-    an even map can meet: those of the (i, j, k) with |i|+|j|+|k| even, the
-    rows of an even e_k first.  When the table respects parity, a term of row
-    (i, j, k) sits at a D[a][b] with |a|+|b| = |i|+|j|+|k|, so these rows lie
-    wholly on the even blocks and every other row wholly on the odd blocks,
-    which the parity rows set to zero.  A raw table that breaks parity mixes
-    the blocks in a row and keeps every row, as do n_even None
-    (`is_derivation` judges any map) and the float backend, which pivots as
-    dense elimination does: there the row swaps of the odd-block rows reorder
-    the others, and with them the rounding.
+    Given n_even, the grading of the table, in which e_i is odd from n_even
+    on, the exact backend yields only the rows an even map can meet: those of
+    the (i, j, k) with |i|+|j|+|k| even, the rows of an even e_k first.  Its
+    constructor refused a table that breaks parity, so a term of row (i, j, k)
+    sits at a D[a][b] with |a|+|b| = |i|+|j|+|k|: these rows lie wholly on the
+    even blocks and every other row wholly on the odd blocks, which the parity
+    rows set to zero.  n_even None (`is_derivation` judges any map) keeps every
+    row, as does the float backend, which pivots as dense elimination does:
+    there the row swaps of the odd-block rows reorder the others, and with
+    them the rounding.
 
     The zero rule of `_add_row`, applied in place: an entry that a term cancels
     to an exact zero is deleted there, so the keep test needs no rescan."""
     n = len(nz)
     exact = bk.name == "exact"
     ne = n_even if exact and n_even is not None else n
-    if ne < n:
-        entries = ((i, j, k) for i, block in enumerate(nz) for j, pairs in enumerate(block) for k, _ in pairs)
-        if any((k < ne) != ((i < ne) == (j < ne)) for i, j, k in entries):
-            ne = n  # a term of the wrong parity: keep every row
     left, right = _output_index(nz)
     rows = []
     for p, every in enumerate((range(ne), range(ne, n))):  # the rows whose e_k has parity p
@@ -216,17 +212,15 @@ def _skew_rows(bk, gram: Matrix, n_even=None, odd=False):
     """Sparse rows of B(D e_i, e_j) + B(e_i, D e_j) = 0, i <= j, for the
     (anti)symmetric Gram matrix of B, over unknowns x[(k,j)] = D[k][j].
 
-    Given n_even and the parity of the form (odd True for an odd form), only the
-    rows an even map can meet: those of the (i, j) with |i|+|j| the form's
-    parity.  When the Gram matrix keeps the form's parity pattern, row (i, j)
-    lies wholly on the blocks of parity |i|+|j|+|B|; one that breaks the
-    pattern keeps every row, as do n_even None and the float backend (see
-    `_leibniz_rows`)."""
+    Given n_even and the parity of the form (odd True for an odd form), the
+    form's grading and parity, the exact backend yields only the rows an even
+    map can meet: those of the (i, j) with |i|+|j| the form's parity.  Its
+    constructor refused a Gram matrix off the parity pattern, so row (i, j)
+    lies wholly on the blocks of parity |i|+|j|+|B|.  n_even None and the
+    float backend keep every row (see `_leibniz_rows`)."""
     n = gram.rows
     g_rows = [[(k, x) for k, x in enumerate(r) if not bk.is_zero(x)] for r in gram.entries]
     ne, odd = (n_even, odd) if bk.name == "exact" and n_even is not None else (n, False)
-    if (ne < n or odd) and any(((k < ne) != (j < ne)) != odd for k, r in enumerate(g_rows) for j, _ in r):
-        ne, odd = n, False  # an entry off the pattern: keep every row
     g_cols = [[] for _ in range(n)]  # g_cols[j] = the (k, g[k][j]) of g_rows, in increasing k
     for k, r in enumerate(g_rows):
         for j, x in r:

@@ -3,21 +3,17 @@
 Conventions, fixed project-wide:
 
 * basis order is the even block first, then the odd block;
-* the structure constants are stored sparse: nz[i][j] lists the exactly
-  nonzero (k, x) pairs of [e_i, e_j] = sum_k x e_k in increasing k, both
-  orientations; `LieSuperalgebra.build` validates graded antisymmetry, while
-  the raw constructor stores any table and `verify_jacobi` reports its
-  structure violations; `_nz` is the same table without the entries that are
-  zero to the backend tolerance, and the dense c[i][j][k] is a view rebuilt
-  on each access;
-* on the exact backend `build` guarantees what the checks would re-derive: a
-  table it wrote is graded-antisymmetric and parity-correct and holds no zero,
-  so its `_nz` is `nz` itself; a form it wrote is supersymmetric and on its
-  parity pattern.  The private field `_built` records this; it is not compared,
-  hashed or printed.  The complex backend keeps every check: `build` keeps
-  entries below the tolerance, and an even square [x, x] or an odd diagonal
-  B(x, x) below it is counted twice by its check, which can then fail.  The
-  raw constructor, `to_backend` and `relabel` keep every check too;
+* the structure constants are stored sparse: nz[i][j] lists the nonzero
+  (k, x) pairs of [e_i, e_j] = sum_k x e_k in increasing k, both
+  orientations; `_nz` is the table without the entries zero to the backend
+  tolerance, and the dense c[i][j][k] is a view rebuilt on each access;
+* on the exact backend every table and form is normal: the raw constructors,
+  which `build`, `to_backend` and `relabel` call, drop a table's zeros (so
+  `_nz` is `nz`) and refuse a term of the wrong parity, a nonzero even square,
+  a broken graded mirror and a Gram entry off its parity pattern or not
+  supersymmetric, so no reader looks for these.  The complex backend keeps
+  raw tables and forms and every check: an even square [x, x] or an odd
+  diagonal B(x, x) below the tolerance is counted twice by its check;
 * ad(e_i) is the matrix whose j-th column holds the coordinates of [e_i, e_j]
   (matrices act on column coordinate vectors);
 * supersymmetry of a form means B(y, x) = (-1)^{|x||y|} B(x, y); an even form
@@ -46,7 +42,7 @@ from .linalg import (
     vec,
 )
 from .report import Report
-from .scalars import EXACT, Frozen, Value, _set, residual_magnitude
+from .scalars import EXACT, Frozen, Value, _set, format_bounded, residual_magnitude, same_backend
 
 
 class StructureError(ValueError):
@@ -100,7 +96,7 @@ def format_vector(backend, space: SuperSpace, v: Vector) -> str:
     for x, label in zip(v, space.labels):
         if backend.is_zero(x):
             continue
-        s = backend.format(x)
+        s = format_bounded(backend, x)
         if s == "1":
             terms.append(("+", label))
         elif s == "-1":
@@ -123,18 +119,23 @@ BracketTable = Mapping[Tuple[str, str], Mapping[str, object]]
 
 class LieSuperalgebra(Value):
     # nz[i][j] = nonzero (k, x) pairs of [e_i, e_j]; _nz, the view without the
-    # entries zero to the backend, and _built, true on a table that `build`
-    # wrote on the exact backend, are derived and left out of ==, hash and repr
-    __slots__ = ("space", "backend", "nz", "_nz", "_built")
+    # entries zero to the backend, is derived and left out of ==, hash and repr
+    __slots__ = ("space", "backend", "nz", "_nz")
     _compared = ("space", "backend", "nz")
 
     def __init__(self, space: SuperSpace, backend, nz: tuple):
+        is_zero = backend.is_zero
+        view = nz
+        if any(is_zero(x) for block in nz for row in block for _, x in row):
+            view = tuple(tuple(tuple(p for p in row if not is_zero(p[1])) for row in block) for block in nz)
+        if backend.name == "exact":  # normal: no zero, and the first violation refused
+            nz = view
+            for msg in _violations(space, backend, nz):
+                raise StructureError(msg)
         _set(self, "space", space)
         _set(self, "backend", backend)
         _set(self, "nz", nz)
-        _set(self, "_built", False)
-        is_zero = backend.is_zero
-        _set(self, "_nz", tuple(tuple(tuple(p for p in row if not is_zero(p[1])) for row in block) for block in nz))
+        _set(self, "_nz", view)
 
     # -- construction ---------------------------------------------------------
 
@@ -158,9 +159,9 @@ class LieSuperalgebra(Value):
                 x = backend.coerce(coeff)
                 terms[space.index(label)] = x
             pairs = tuple((k, terms[k]) for k in sorted(terms) if terms[k])
-            wrong = _parity_violations(space, backend, i, j, pairs)
-            if wrong:
-                raise StructureError(wrong[0])
+            for k, x in pairs:  # checked here too, so that the message names the pair as given
+                if space.parity(k) != space.parity(i) ^ space.parity(j) and not backend.is_zero(x):
+                    raise StructureError(_parity_message(space.labels, i, j, k))
             if table[i][j] is not None:  # set as the counterpart of (lb, la)
                 raise StructureError(
                     f"both orientations of the pair ({la},{lb}) specified; "
@@ -174,15 +175,7 @@ class LieSuperalgebra(Value):
                 sign = -_graded_sign(space, i, j)
                 table[i][j] = pairs
                 table[j][i] = tuple((k, sign * x) for k, x in pairs)
-        nz = tuple(tuple(row if row is not None else () for row in block) for block in table)
-        if backend.name != "exact":  # an entry below the tolerance is kept, and can break antisymmetry
-            return LieSuperalgebra(space, backend, nz)
-        # exact: every term is nonzero (so _nz is nz), of the right parity and
-        # mirrored with its graded sign, and an even square vanishes
-        alg = object.__new__(LieSuperalgebra)
-        for name, x in (("space", space), ("backend", backend), ("nz", nz), ("_nz", nz), ("_built", True)):
-            _set(alg, name, x)
-        return alg
+        return LieSuperalgebra(space, backend, tuple(tuple(row or () for row in block) for block in table))
 
     def table(self) -> dict:
         """The inverse of `build`: {(a, b): {label: coefficient}} over
@@ -234,26 +227,8 @@ class LieSuperalgebra(Value):
         return Matrix(bk, tuple(zip(*cols)))
 
     def structure_violations(self) -> list:
-        """Parity-consistency and graded-antisymmetry violations, as messages.
-
-        Every stored entry counts, also one below the tolerance: two of them
-        can differ by more than it."""
-        bk, sp, nz = self.backend, self.space, self.nz
-        zero = bk.zero
-        out = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if not (nz[i][j] or nz[j][i]):
-                    continue
-                out += _parity_violations(sp, bk, i, j, nz[i][j])
-                cij, cji = dict(nz[i][j]), dict(nz[j][i])
-                sign = -_graded_sign(sp, i, j)
-                if any(not bk.is_zero(cji.get(k, zero) - sign * cij.get(k, zero)) for k in cij.keys() | cji.keys()):
-                    out.append(
-                        f"antisymmetry: c[{sp.labels[j]},{sp.labels[i]}] != "
-                        f"(-1)^(|i||j|+1) c[{sp.labels[i]},{sp.labels[j]}]"
-                    )
-        return out
+        """Parity and graded-antisymmetry violations: none on the exact backend, whose constructor refused them."""
+        return [] if self.backend.name == "exact" else list(_violations(self.space, self.backend, self.nz))
 
     def to_backend(self, backend) -> "LieSuperalgebra":
         coerce = backend.coerce
@@ -271,22 +246,40 @@ class LieSuperalgebra(Value):
         return f"LieSuperalgebra(dim_even={self.space.dim_even}, dim_odd={self.space.dim_odd}, labels={self.labels})"
 
 
-def _parity_violations(space: SuperSpace, backend, i: int, j: int, pairs) -> list:
-    """Messages for the (k, x) pairs of [e_i, e_j] nonzero to the backend and of the wrong parity."""
-    pij = (space.parity(i) + space.parity(j)) % 2
-    return [
-        f"parity: [{space.labels[i]},{space.labels[j]}] has a "
-        f"{space.labels[k]}-component of the wrong parity"
-        for k, x in pairs
-        if space.parity(k) != pij and not backend.is_zero(x)
-    ]
+def _parity_message(labels, i: int, j: int, k: int) -> str:
+    return f"parity: [{labels[i]},{labels[j]}] has a {labels[k]}-component of the wrong parity"
+
+
+def _violations(space: SuperSpace, backend, nz):
+    """Messages of the violations of nz over the pairs (i, j) in turn: each
+    term of [e_i, e_j] of the wrong parity, then c[j][i] != (-1)^(|i||j|+1)
+    c[i][j].  Every stored entry counts, also one below the tolerance: two of
+    them can differ by more than it."""
+    ne, labels, zero, is_zero = space.dim_even, space.labels, backend.zero, backend.is_zero
+    for i, block in enumerate(nz):
+        for j, row in enumerate(block):
+            mirror = nz[j][i]
+            if not (row or mirror):
+                continue
+            odd = (i >= ne) != (j >= ne)
+            for k, x in row:
+                if (k >= ne) != odd and not is_zero(x):
+                    yield _parity_message(labels, i, j, k)
+            sign = 1 if i >= ne and j >= ne else -1
+            if mirror == (row if sign == 1 else tuple([(k, -x) for k, x in row])):
+                continue
+            cij, cji = dict(row), dict(mirror)
+            if any(not is_zero(cji.get(k, zero) - sign * cij.get(k, zero)) for k in cij.keys() | cji.keys()):
+                yield f"antisymmetry: c[{labels[j]},{labels[i]}] != (-1)^(|i||j|+1) c[{labels[i]},{labels[j]}]"
 
 
 class BilinearForm(Frozen):
     # no __slots__: the cached _rank and _sparse live in the instance __dict__
-    _built = False  # set by `build` on the exact backend: supersymmetric and on the parity pattern
 
     def __init__(self, space: SuperSpace, backend, parity: str, gram: Matrix):
+        if backend.name == "exact":  # normal: the first violation refused
+            for msg in _form_violations(space, parity, gram.entries):
+                raise StructureError(msg)
         _set(self, "space", space)
         _set(self, "backend", backend)
         _set(self, "parity", parity)  # "even" | "odd"
@@ -303,24 +296,17 @@ class BilinearForm(Frozen):
             i, j = space.index(la), space.index(lb)
             x = backend.coerce(coeff)
             pi, pj = space.parity(i), space.parity(j)
-            want_mixed = parity == "odd"
-            if (pi != pj) != want_mixed and not backend.is_zero(x):
-                raise StructureError(
-                    f"form entry ({la},{lb}) violates the {parity} parity pattern"
-                )
+            if (pi != pj) != (parity == "odd") and not backend.is_zero(x):
+                raise StructureError(f"form entry ({la},{lb}) violates the {parity} parity pattern")
             if (j, i) in seen:
                 raise StructureError(f"both orientations of form pair ({la},{lb}) specified")
             seen.add((i, j))
-            sign = _graded_sign(space, i, j)
             g[i][j] = x
             if i != j:
-                g[j][i] = sign * x
+                g[j][i] = _graded_sign(space, i, j) * x
             elif pi == 1 and not backend.is_zero(x):
                 raise StructureError(f"form entry ({la},{la}) must vanish on an odd element")
-        form = BilinearForm(space, backend, parity, Matrix(backend, tuple(tuple(r) for r in g)))
-        if backend.name == "exact":  # on complex, an odd diagonal entry below the tolerance is kept
-            _set(form, "_built", True)
-        return form
+        return BilinearForm(space, backend, parity, Matrix(backend, tuple(tuple(r) for r in g)))
 
     def table(self) -> dict:
         """The inverse of `build`: {(a, b): value} for a at or before b in the
@@ -331,11 +317,6 @@ class BilinearForm(Frozen):
 
     def value(self, u: Vector, v: Vector):
         return dot(vec(self.backend, u), self.gram.apply(vec(self.backend, v)))
-
-    def restrict(self, vectors: Sequence[Vector]) -> Matrix:
-        vectors = [vec(self.backend, v) for v in vectors]
-        gv = [self.gram.apply(v) for v in vectors]
-        return Matrix(self.backend, tuple(tuple(dot(u, col) for col in gv) for u in vectors))
 
     @cached_property
     def _rank(self) -> int:
@@ -363,6 +344,19 @@ class BilinearForm(Frozen):
 
     def relabel(self, space: SuperSpace) -> "BilinearForm":
         return BilinearForm(space, self.backend, self.parity, self.gram)
+
+
+def _form_violations(space: SuperSpace, parity: str, g):
+    """Messages of the exact Gram entries over the pairs i <= j in turn:
+    g[i][j] != 0 off the form's parity pattern, then g[j][i] != (-1)^(|i||j|) g[i][j]."""
+    ne, labels, odd = space.dim_even, space.labels, parity == "odd"
+    for i, row in enumerate(g):
+        for j in range(i, len(row)):
+            x, y = row[j], g[j][i]
+            if x and ((i >= ne) != (j >= ne)) != odd:
+                yield f"form entry ({labels[i]},{labels[j]}) violates the {parity} parity pattern"
+            if y != (-x if i >= ne else x):  # j >= i, so e_j is odd when e_i is
+                yield f"supersymmetry: B({labels[j]},{labels[i]}) != (-1)^(|i||j|) B({labels[i]},{labels[j]})"
 
 
 class QuadraticAlgebra(Frozen):
@@ -398,9 +392,7 @@ class QuadraticAlgebra(Frozen):
 
 
 def _fmt_residual(backend, value) -> str:
-    if backend.name == "exact":
-        return backend.format(value)
-    return repr(residual_magnitude(backend, value))
+    return format_bounded(backend, value) if backend.name == "exact" else repr(residual_magnitude(backend, value))
 
 
 def verify_jacobi(alg: LieSuperalgebra) -> Report:
@@ -415,15 +407,13 @@ def verify_jacobi(alg: LieSuperalgebra) -> Report:
     report entry carrying the largest residual component; a clean run
     collapses to a single passing check.
 
-    The structure violations come first, each a failing check; a table that
-    `build` wrote on the exact backend has none by construction, so they are
-    not looked for there.
+    The structure violations come first, each a failing check: on the
+    complex backend only, since the exact constructor refused them.
     """
-    bk, sp = alg.backend, alg.space
+    bk, sp, n = alg.backend, alg.space, alg.dim
     rep = Report()
-    n = alg.dim
     law = "graded Jacobi identity"
-    struct = [] if alg._built else alg.structure_violations()
+    struct = alg.structure_violations()
     for msg in struct:
         rep.add("structure", "graded antisymmetry / parity consistency", False, witness=msg)
     nz = alg._nz
@@ -458,7 +448,7 @@ def verify_jacobi(alg: LieSuperalgebra) -> Report:
                 witness=alg.format_vector(full),
             )
     if fails == 0 and not struct:
-        rep.add("jacobi", law, True, residual="0" if bk.name == "exact" else "0.0")
+        rep.add("jacobi", law, True, residual=_fmt_residual(bk, bk.zero))
     return rep
 
 
@@ -496,42 +486,45 @@ def _combine(coeffs, rows) -> dict:
     return out
 
 
-def verify_form(alg: LieSuperalgebra, form: BilinearForm) -> Report:
-    """Supersymmetry, parity pattern, non-degeneracy and invariance of a form.
-
-    A form that `BilinearForm.build` wrote on the exact backend is
-    supersymmetric and on its parity pattern by construction: for it, and an
-    algebra on the exact backend with the same even dimension, those two checks
-    pass without evaluating their rows.  Non-degeneracy and invariance are
-    always evaluated.  The exact backend sums invariance straight from the
-    nonzero structure constants and Gram entries (`_invariance_failures`); the
-    complex backend evaluates the rows of `conditions._invariance_rows` with
-    `failures`, whose order of terms fixes its float bits."""
-    bk, sp = alg.backend, alg.space
-    rep = Report()
-    if form.space.dim != sp.dim:
+def _check_fits(alg: LieSuperalgebra, form: BilinearForm) -> None:
+    """Raise unless the form shares the algebra's backend (`BackendMismatch`)
+    and its dimension dim_even|dim_odd (`StructureError`)."""
+    same_backend(alg, form)
+    if (form.space.dim_even, form.space.dim_odd) != (alg.space.dim_even, alg.space.dim_odd):
         raise StructureError("form dimension does not match the algebra")
-    n, ne, labels = sp.dim, sp.dim_even, sp.labels
-    built = form._built and bk.name == "exact" and form.space.dim_even == ne
-    point = None if built else _flat(form.gram)
-    law = "supersymmetry B(y,x) = (-1)^{|x||y|} B(x,y)"
-    fails = [] if built else failures(bk, _transpose_rows(bk, n, 1, ne), point)
-    _add_checks(rep, bk, labels, "supersymmetry", law, fails)
-    law = f"{form.parity} form parity block pattern"
-    fails = [] if built else failures(bk, _parity_rows(bk, n, ne, form.parity == "odd"), point)
-    _add_checks(rep, bk, labels, "parity-pattern", law, fails)
+
+
+def verify_form(alg: LieSuperalgebra, form: BilinearForm) -> Report:
+    """Supersymmetry, parity pattern, non-degeneracy and invariance of a form
+    that fits the algebra (`_check_fits`).
+
+    On the exact backend, whose constructor refused a form off the first two,
+    they pass, and invariance is summed straight from the nonzero structure
+    constants and Gram entries (`_invariance_failures`).  The complex backend
+    evaluates the rows of `conditions` with `failures`, whose order of terms
+    fixes its float bits."""
+    _check_fits(alg, form)
+    bk, n, ne, labels = alg.backend, alg.dim, alg.space.dim_even, alg.labels
+    rep = Report()
+    if bk.name == "exact":
+        sym = pattern = ()
+    else:
+        point = _flat(form.gram)
+        sym = failures(bk, _transpose_rows(bk, n, 1, ne), point)
+        pattern = failures(bk, _parity_rows(bk, n, ne, form.parity == "odd"), point)
+    _add_checks(rep, bk, labels, "supersymmetry", "supersymmetry B(y,x) = (-1)^{|x||y|} B(x,y)", sym)
+    _add_checks(rep, bk, labels, "parity-pattern", f"{form.parity} form parity block pattern", pattern)
     nondeg = form.is_nondegenerate()
     witness = None if nondeg else f"rank {form._rank} < dim {n}"
     rep.add("non-degeneracy", "non-degeneracy of the invariant form", nondeg, witness=witness)
 
-    law = "invariance B([x,y],z) = B(x,[y,z])"
     if bk.name == "exact":
-        fails = _invariance_failures(alg._nz, form)
+        fails = _invariance_failures(alg.nz, form)
     else:
         # the rows read the stored table nz: a structure constant below the
         # tolerance still counts, since a large Gram entry can scale it above it
         fails = failures(bk, _invariance_rows(alg.nz, form.gram), point)
-    _add_checks(rep, bk, labels, "invariance", law, fails)
+    _add_checks(rep, bk, labels, "invariance", "invariance B([x,y],z) = B(x,[y,z])", fails)
     return rep
 
 
@@ -614,10 +607,7 @@ def _graded_parts(alg: LieSuperalgebra, s: Subspace):
 
 
 def _terms(bk, s: Subspace) -> tuple:
-    """The rows of s without the entries zero to the backend, as `_pairs`
-    reads a vector: on the exact backend the rows as they are."""
-    if bk.name == "exact":
-        return s.rows
+    """The rows of s without the entries zero to the backend, as `_pairs` reads a vector."""
     return tuple([p for p in r if not bk.is_zero(p[1])] for r in s.rows)
 
 
@@ -631,14 +621,13 @@ def subspace_bracket(alg: LieSuperalgebra, u: Subspace, v: Subspace) -> Subspace
 
 
 def derived_subalgebra(alg: LieSuperalgebra) -> Subspace:
-    """[g,g], read from the table: the span of the rows nz[i][j] over all n^2
-    ordered pairs, both orientations, in the order of `subspace_bracket`.
-
-    A table that `build` wrote on the exact backend gives one orientation per
-    pair, `space.pairs()`: each mirror row is +-1 times its pair's row, and the
-    exact reduced echelon basis of a span does not depend on its rows."""
+    """[g,g], read from the table: the span of the rows nz[i][j] over one
+    orientation per pair, `space.pairs()`, on the exact backend, where each
+    mirror row is +-1 times its pair's row and the reduced echelon basis does
+    not depend on the rows; over all n^2 ordered pairs, in the order of
+    `subspace_bracket`, on the complex one, whose raw table may be broken."""
     n, nz = alg.dim, alg._nz
-    pairs = alg.space.pairs() if alg._built else [(i, j) for i in range(n) for j in range(n)]
+    pairs = alg.space.pairs() if alg.backend.name == "exact" else [(i, j) for i in range(n) for j in range(n)]
     return _span_rows(alg.backend, [dict(nz[i][j]) for i, j in pairs], n)
 
 

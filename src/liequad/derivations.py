@@ -23,9 +23,9 @@ from functools import cached_property
 from typing import Optional, Tuple
 
 from .conditions import _add_row, _evaluate, _flat, _leibniz_rows, _parity_rows, _skew_rows, failures
-from .core import BilinearForm, LieSuperalgebra, StructureError
+from .core import BilinearForm, LieSuperalgebra, StructureError, _check_fits
 from .linalg import Matrix, Subspace, _dense_row, _nullspace_rows, _rref_sparse, _span_basis, _span_rows, solve_linear
-from .scalars import Frozen, _set, same_backend
+from .scalars import Frozen, _set
 
 
 class DerivationSpace(Frozen):
@@ -63,6 +63,7 @@ def _skew_rank(der: DerivationSpace, form: BilinearForm) -> int:
     so der.dim minus this rank is the dimension of the skew derivations in der.
     The rows on the odd blocks vanish at every even map and are not built."""
     bk, n = der.algebra.backend, der.algebra.dim
+    _check_fits(der.algebra, form)
     skew = _skew_rows(bk, form.gram, der.algebra.space.dim_even, form.parity == "odd")
     images = []
     for image in _evaluate(skew, n * n, der.rows):
@@ -76,13 +77,11 @@ def derivation_space(alg: LieSuperalgebra, kind: str = "all", form: Optional[Bil
     Only even (parity-preserving) derivations are in scope, so on super inputs
     the inner span ranges over the even basis elements: bracketing with an odd
     element reverses parity and obeys the signed Leibniz rule instead.  A form
-    must share the algebra's backend (else `BackendMismatch`) and dimension
-    (else `StructureError`)."""
+    must share the algebra's backend (else `BackendMismatch`), dimension and
+    grading (else `StructureError`)."""
     bk, n = alg.backend, alg.dim
     if form is not None:
-        same_backend(alg, form)
-        if form.space.dim != n:
-            raise StructureError("form dimension does not match the algebra")
+        _check_fits(alg, form)
     elif kind == "skew":
         raise ValueError("skew derivations need a bilinear form")
     if kind == "inner":

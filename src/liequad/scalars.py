@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 DEFAULT_TOL = 1e-9
@@ -178,13 +179,36 @@ def _parts(v):
     raise BackendMismatch(f"cannot mix {type(v).__name__} with exact scalars")
 
 
-def format_exact(z) -> str:
+def format_exact(z, real=str) -> str:
+    """z as `parse_exact` reads it back, each real part written by real."""
     if type(z) is not Exact:
-        return str(z)
+        return real(z)
     if not z.real:
-        return f"{z.imag}i"
+        return f"{real(z.imag)}i"
     sign = "+" if z.imag > 0 else ""
-    return f"{z.real}{sign}{z.imag}i"
+    return f"{real(z.real)}{sign}{real(z.imag)}i"
+
+
+def _bounded(q) -> str:
+    """str(q) for an exact real q, each int of it too long for `str` (see
+    `sys.get_int_max_str_digits()`) as its sign, first 12 digits and digit count."""
+    out = []
+    for k in (q.numerator,) if q.denominator == 1 else (q.numerator, q.denominator):
+        try:
+            out.append(str(k))
+        except ValueError:
+            d = Decimal(k).adjusted() + 1  # Decimal converts an int of any length
+            out.append(f"{'-' * (k < 0)}{abs(k) // 10 ** (d - 12)}...({d} digits)")
+    return "/".join(out)
+
+
+def format_bounded(backend, x) -> str:
+    """backend.format(x) for a report: an exact value too long for `str` is
+    written by `format_exact` with `_bounded` parts, so a verdict prints."""
+    try:
+        return backend.format(x)
+    except ValueError:
+        return format_exact(x, _bounded)
 
 
 def format_complex(z: complex) -> str:

@@ -990,6 +990,26 @@ def test_complex_overflow_in_a_check_is_a_usage_error(tmp_path, capsys):
         assert err.startswith("error: complex arithmetic overflowed to nan")
 
 
+def test_a_residual_past_the_digit_limit_prints_bounded(tmp_path, capsys):
+    # B([X,Y],Y) = 10^8598 has more digits than str writes under the default
+    # limit of 4300: each residual prints as its sign, first 12 digits and
+    # digit count, in text and in JSON, and the verdict is exit 1
+    f = tmp_path / "huge.alg"
+    f.write_text("algebra huge\ndim_even 2\ndim_odd 0\nbasis X Y\nbracket X Y = 1e4299 Y\nform X X = 1\nform Y Y = 1e4299\n")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        text = run(capsys, "--no-timestamp", "verify", str(f))
+        js = run(capsys, "--no-timestamp", "--format", "json", "verify", str(f))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert text[0] == js[0] == 1 and text[2] == js[2] == ""
+    residuals = [line.split("residual=")[1] for line in text[1].splitlines() if "invariance(" in line]
+    assert residuals == ["100000000000...(8599 digits)", "-200000000000...(8599 digits)", "100000000000...(8599 digits)"]
+    checks = json.loads(js[1])["checks"]
+    assert [c["residual"] for c in checks if c["check"].startswith("huge:invariance(")] == residuals
+
+
 def test_huge_exact_coefficient_is_a_failed_check(tmp_path, capsys):
     # 1e400 does not fit a double: the worst residual is picked exactly, so the
     # failed Jacobi check is reported (exit 1), not a traceback

@@ -40,12 +40,7 @@ from liequad.morphisms import Fingerprint
 from liequad.report import Report
 from liequad.scalars import EXACT, BackendMismatch, Exact, ExactBackend, complex_backend, residual_magnitude
 
-from helpers import basis_vector
-
-
-def sparse(c):
-    """The stored table of a dense c[i][j][k]: every exactly nonzero entry, sub-tolerance ones included."""
-    return tuple(tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in block) for block in c)
+from helpers import basis_vector, grams, restrict, sparse, tables
 
 
 def diamond():
@@ -128,28 +123,30 @@ def test_scaled_form_fails_invariance():
     assert any(c.residual == "1" for c in bad if c.name == "invariance(X,P,Q)")
 
 
-def form_failures(gram):
+def form_failures(backend, gram):
     """(name, residual) of the failing supersymmetry and parity-pattern checks
     of an even form with the given Gram matrix on span{X, Y | F}."""
-    alg = LieSuperalgebra.abelian(["X", "Y"], ["F"])
-    form = BilinearForm(alg.space, EXACT, "even", Matrix.from_rows(EXACT, gram))
+    alg = LieSuperalgebra.abelian(["X", "Y"], ["F"], backend)
+    form = BilinearForm(alg.space, backend, "even", Matrix.from_rows(backend, gram))
     return [(c.name, c.residual) for c in verify_form(alg, form).failures if c.name != "non-degeneracy"]
 
 
 def test_asymmetric_gram_fails_supersymmetry():
-    # B(Y,X) - B(X,Y) = 3 - 1, and B(F,F) must be antisymmetric on the odd part
-    assert form_failures([[1, 1, 0], [3, 1, 0], [0, 0, 5]]) == [
-        ("supersymmetry(X,Y)", "2"),
-        ("supersymmetry(F,F)", "10"),
-    ]
+    # B(Y,X) - B(X,Y) = 3 - 1, and B(F,F) must be antisymmetric on the odd
+    # part: the exact constructor refuses the first, the complex backend
+    # reports both
+    gram = [[1, 1, 0], [3, 1, 0], [0, 0, 5]]
+    with pytest.raises(StructureError, match=r"^supersymmetry: B\(Y,X\) != \(-1\)\^\(\|i\|\|j\|\) B\(X,Y\)$"):
+        form_failures(EXACT, gram)
+    assert form_failures(CB, gram) == [("supersymmetry(X,Y)", "2.0"), ("supersymmetry(F,F)", "10.0")]
 
 
 def test_mixed_entry_of_an_even_form_fails_the_parity_pattern():
     # supersymmetric, but B(X,F) = B(F,X) = 1/2 lies in the odd block
-    assert form_failures([[1, 0, Fraction(1, 2)], [0, 1, 0], [Fraction(1, 2), 0, 0]]) == [
-        ("parity-pattern(X,F)", "1/2"),
-        ("parity-pattern(F,X)", "1/2"),
-    ]
+    gram = [[1, 0, Fraction(1, 2)], [0, 1, 0], [Fraction(1, 2), 0, 0]]
+    with pytest.raises(StructureError, match=r"^form entry \(X,F\) violates the even parity pattern$"):
+        form_failures(EXACT, gram)
+    assert form_failures(CB, gram) == [("parity-pattern(X,F)", "0.5"), ("parity-pattern(F,X)", "0.5")]
 
 
 def axiom_failures_from_definitions(alg, form):
@@ -194,31 +191,43 @@ def test_axiom_failures_match_definitions(tampered):
     assert got == want
 
 
-def structure_violations_from_definitions(alg):
-    """The messages of structure_violations, from a dense loop over all entries."""
-    bk, sp, n = alg.backend, alg.space, alg.dim
+def structure_violations_from_definitions(space, backend, c):
+    """The messages of structure_violations for the dense table c, from a
+    dense loop over all entries."""
+    sp, n, bk = space, space.dim, backend
     out = []
     for i in range(n):
         for j in range(n):
             pij = (sp.parity(i) + sp.parity(j)) % 2
             for k in range(n):
-                if not bk.is_zero(alg.c[i][j][k]) and sp.parity(k) != pij:
+                if not bk.is_zero(c[i][j][k]) and sp.parity(k) != pij:
                     out.append(f"parity: [{sp.labels[i]},{sp.labels[j]}] has a {sp.labels[k]}-component of the wrong parity")
             sign = (-1) ** (sp.parity(i) * sp.parity(j) + 1)
-            if any(not bk.is_zero(alg.c[j][i][k] - sign * alg.c[i][j][k]) for k in range(n)):
+            if any(not bk.is_zero(c[j][i][k] - sign * c[i][j][k]) for k in range(n)):
                 out.append(f"antisymmetry: c[{sp.labels[j]},{sp.labels[i]}] != (-1)^(|i||j|+1) c[{sp.labels[i]},{sp.labels[j]}]")
     return out
 
 
+def structure_violations_made(space, backend, c):
+    """The structure violations of the dense table c as the library finds
+    them: the exact constructor's refusal, its one message, or the
+    `structure_violations` of the table it makes."""
+    try:
+        alg = LieSuperalgebra(space, backend, sparse(c))
+    except StructureError as exc:
+        return [str(exc)]
+    return alg.structure_violations()
+
+
 def raw_superalgebra(backend, entries):
-    """A LieSuperalgebra on even X, Y and odd F, G with exactly the given
-    (i, j, k): value structure constants, both orientations as written."""
+    """(space, c): even X, Y and odd F, G, and the dense table with exactly
+    the given (i, j, k): value structure constants, both orientations as written."""
     space = SuperSpace.make(["X", "Y"], ["F", "G"])
     ix = space.index
     c = [[[backend.zero] * 4 for _ in range(4)] for _ in range(4)]
     for (a, b, k), v in entries.items():
         c[ix(a)][ix(b)][ix(k)] = backend.coerce(v)
-    return LieSuperalgebra(space, backend, sparse(c))
+    return space, c
 
 
 @pytest.mark.parametrize(
@@ -236,10 +245,12 @@ def raw_superalgebra(backend, entries):
     ],
 )
 def test_structure_violations_match_definitions(backend, entries, expected):
-    alg = raw_superalgebra(backend, entries)
-    got = alg.structure_violations()
-    assert got == structure_violations_from_definitions(alg)
-    assert len(got) == expected
+    # the complex backend reports every violation; the exact constructor
+    # refuses the table with the first
+    space, c = raw_superalgebra(backend, entries)
+    want = structure_violations_from_definitions(space, backend, c)
+    assert len(want) == expected
+    assert structure_violations_made(space, backend, c) == (want[:1] if backend is EXACT else want)
 
 
 CB = complex_backend(1e-9)
@@ -263,6 +274,80 @@ ENTRIES = {
 }
 
 
+def random_space(data):
+    """A space of up to 3 even labels E0, E1, ... and 2 odd ones O0, O1, not empty."""
+    ne = data.draw(st.integers(0, 3))
+    no = data.draw(st.integers(0 if ne else 1, 2))
+    return SuperSpace.make([f"E{i}" for i in range(ne)], [f"O{i}" for i in range(no)])
+
+
+def dense(nz, n):
+    """The dense c[i][j][k] of a sparse exact table."""
+    return [[[dict(row).get(k, 0) for k in range(n)] for row in block] for block in nz]
+
+
+def tampered_entries(data, shape, entry):
+    """Up to three (index, value) changes of a dense table or matrix of that shape."""
+    index = st.tuples(*[st.integers(0, m - 1) for m in shape])
+    return data.draw(st.lists(st.tuples(index, entry), max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_the_exact_table_constructor_refuses_what_the_definitions_flag(data):
+    # normal tables with up to three coefficients changed, zeros stored: the
+    # constructor refuses exactly the tables the definitions flag, with their
+    # first message, and drops the zeros of the others
+    entry = ENTRIES["exact"].map(EXACT.coerce)
+    space = random_space(data)
+    n = space.dim
+    c = dense(data.draw(tables(EXACT, space, entry)), n)
+    for (i, j, k), x in tampered_entries(data, (n, n, n), entry):
+        c[i][j][k] = x
+    want = structure_violations_from_definitions(space, EXACT, c)
+    assert structure_violations_made(space, EXACT, c) == want[:1]
+    if not want:
+        with_zeros = tuple(tuple(tuple(enumerate(row)) for row in block) for block in c)
+        alg = LieSuperalgebra(space, EXACT, with_zeros)
+        assert alg == LieSuperalgebra(space, EXACT, sparse(c)) and alg.nz == alg._nz == sparse(c)
+
+
+def form_violations_from_definitions(space, parity, g):
+    """The messages of the exact form constructor, from a dense loop over the
+    pairs i <= j: g[i][j] != 0 off the parity pattern, then the supersymmetry
+    g[j][i] = (-1)^(|i||j|) g[i][j]."""
+    sp, n, out = space, space.dim, []
+    for i in range(n):
+        for j in range(i, n):
+            mixed = sp.parity(i) != sp.parity(j)
+            if g[i][j] and mixed != (parity == "odd"):
+                out.append(f"form entry ({sp.labels[i]},{sp.labels[j]}) violates the {parity} parity pattern")
+            if g[j][i] != (-1) ** (sp.parity(i) * sp.parity(j)) * g[i][j]:
+                out.append(f"supersymmetry: B({sp.labels[j]},{sp.labels[i]}) != (-1)^(|i||j|) B({sp.labels[i]},{sp.labels[j]})")
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(parity=st.sampled_from(["even", "odd"]), data=st.data())
+def test_the_exact_form_constructor_refuses_what_the_definitions_flag(parity, data):
+    # supersymmetric Gram matrices on the parity pattern with up to three
+    # entries changed: the constructor refuses exactly those the definitions
+    # flag, with their first message
+    entry = ENTRIES["exact"].map(EXACT.coerce)
+    space = random_space(data)
+    n = space.dim
+    g = [list(r) for r in data.draw(grams(EXACT, space, parity, entry))]
+    for (i, j), x in tampered_entries(data, (n, n), entry):
+        g[i][j] = x
+    want = form_violations_from_definitions(space, parity, g)
+    try:
+        BilinearForm(space, EXACT, parity, Matrix.from_rows(EXACT, g))
+        got = []
+    except StructureError as exc:
+        got = [str(exc)]
+    assert got == want[:1]
+
+
 @settings(max_examples=120, deadline=None)
 @given(backend=st.sampled_from([EXACT, CB]), data=st.data())
 def test_subspace_bracket_matches_definition(backend, data):
@@ -272,8 +357,7 @@ def test_subspace_bracket_matches_definition(backend, data):
     n = data.draw(st.integers(1, 5))
     vectors = st.lists(st.tuples(*[entry.map(backend.coerce)] * n), max_size=4)
     space = SuperSpace.make([f"E{i}" for i in range(n)])
-    c = tuple(tuple(data.draw(st.tuples(*[entry.map(backend.coerce)] * n)) for _ in range(n)) for _ in range(n))
-    alg = LieSuperalgebra(space, backend, sparse(c))
+    alg = LieSuperalgebra(space, backend, data.draw(tables(backend, space, entry.map(backend.coerce))))
     raw = vectors.map(lambda b: Subspace(backend, n, tuple(tuple((j, x) for j, x in enumerate(v) if x) for v in b)))
     subspaces = st.one_of(st.just(Subspace.full(backend, n)), raw)
     u, v = data.draw(subspaces), data.draw(subspaces)
@@ -306,17 +390,15 @@ EXACT_SUMS = {
 @settings(max_examples=120, deadline=None)
 @given(backend=st.sampled_from([EXACT, CB]), data=st.data())
 def test_invariance_failures_match_definition(backend, data):
-    # raw tables on even and odd labels and arbitrary Gram matrices: the keyed
-    # invariance rows fail exactly where the dense definition does, in its order
+    # tables on even and odd labels and Gram matrices, normal on the exact
+    # backend and raw on the complex one: the keyed invariance rows fail
+    # exactly where the dense definition does, in its order
     entry = EXACT_SUMS[backend.name].map(backend.coerce)
-    ne = data.draw(st.integers(0, 3))
-    no = data.draw(st.integers(0 if ne else 1, 2))
-    n = ne + no
-    space = SuperSpace.make([f"E{i}" for i in range(ne)], [f"O{i}" for i in range(no)])
-    c = tuple(tuple(data.draw(st.tuples(*[entry] * n)) for _ in range(n)) for _ in range(n))
-    alg = LieSuperalgebra(space, backend, sparse(c))
-    gram = Matrix(backend, tuple(data.draw(st.tuples(*[entry] * n)) for _ in range(n)))
-    form = BilinearForm(space, backend, data.draw(st.sampled_from(["even", "odd"])), gram)
+    space = random_space(data)
+    alg = LieSuperalgebra(space, backend, data.draw(tables(backend, space, entry)))
+    parity = data.draw(st.sampled_from(["even", "odd"]))
+    gram = Matrix(backend, data.draw(grams(backend, space, parity, entry)))
+    form = BilinearForm(space, backend, parity, gram)
     want = invariance_failures_from_definition(alg, gram)
     got = [(ch.name, ch.residual) for ch in verify_form(alg, form).checks if ch.name.startswith("invariance")]
     if not want:
@@ -345,10 +427,8 @@ def test_direct_invariance_sums_match_the_rows_on_random_tables(data):
     # exact tables that build wrote, raw ones with and without their zero
     # entries stored, and Gram matrices as drawn or of an invariant form
     entry = ENTRIES["exact"].map(EXACT.coerce)
-    ne = data.draw(st.integers(0, 3))
-    no = data.draw(st.integers(0 if ne else 1, 2))
-    even, odd = [f"E{i}" for i in range(ne)], [f"O{i}" for i in range(no)]
-    space = SuperSpace.make(even, odd)
+    space = random_space(data)
+    even, odd = space.labels[: space.dim_even], space.labels[space.dim_even :]
     n, lab = space.dim, space.labels
     kind = data.draw(st.sampled_from(["built", "raw", "raw with zeros"]))
     if kind == "built":
@@ -358,14 +438,15 @@ def test_direct_invariance_sums_match_the_rows_on_random_tables(data):
             brackets[(lab[i], lab[j])] = {lab[k]: data.draw(entry) for k in range(n) if space.parity(k) == p}
         alg = LieSuperalgebra.build(even, odd, brackets)
     else:
-        c = tuple(tuple(data.draw(st.tuples(*[entry] * n)) for _ in range(n)) for _ in range(n))
-        zeros = tuple(tuple(tuple(enumerate(row)) for row in block) for block in c)
-        alg = LieSuperalgebra(space, EXACT, sparse(c) if kind == "raw" else zeros)
+        nz = data.draw(tables(EXACT, space, entry))
+        zeros = tuple(tuple(tuple(enumerate(row)) for row in block) for block in dense(nz, n))
+        alg = LieSuperalgebra(space, EXACT, nz if kind == "raw" else zeros)
+    parity = data.draw(st.sampled_from(["even", "odd"]))
     if data.draw(st.booleans()):
-        gram = Matrix(EXACT, tuple(data.draw(st.tuples(*[entry] * n)) for _ in range(n)))
+        gram = Matrix(EXACT, data.draw(grams(EXACT, space, parity, entry)))
     else:  # the zero form is invariant for any table
         gram = Matrix.zeros(EXACT, n, n)
-    form = BilinearForm(space, EXACT, data.draw(st.sampled_from(["even", "odd"])), gram)
+    form = BilinearForm(space, EXACT, parity, gram)
     assert_direct_invariance_matches_the_rows(alg, form)
 
 
@@ -458,9 +539,7 @@ def test_jacobi_failures_match_definition(backend, data):
     entry = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-2, 2)).map(backend.coerce)
     n, n_odd = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 2))
     space = SuperSpace.make([f"E{i}" for i in range(n)], [f"F{i}" for i in range(n_odd)])
-    dim = n + n_odd
-    c = tuple(tuple(data.draw(st.tuples(*[entry] * dim)) for _ in range(dim)) for _ in range(dim))
-    alg = LieSuperalgebra(space, backend, sparse(c))
+    alg = LieSuperalgebra(space, backend, data.draw(tables(backend, space, entry)))
     got = [ch.name for ch in verify_jacobi(alg).checks if ch.name.startswith("jacobi(")]
     assert got == jacobi_failures_from_definition(alg)
 
@@ -506,17 +585,13 @@ def jacobi_over_all_triples(alg):
 @settings(max_examples=150, deadline=None)
 @given(backend=st.sampled_from([EXACT, CB]), data=st.data())
 def test_jacobi_triples_match_the_loop_over_all_triples(backend, data):
-    # raw tables that fail Jacobi, neither antisymmetric nor parity-consistent,
-    # sub-tolerance entries included: the triples that meet a structurally
-    # nonzero term give the same checks, in the same order, with the same
-    # residuals and witnesses
+    # tables that fail Jacobi, normal on the exact backend and on the complex
+    # one raw, neither antisymmetric nor parity-consistent, sub-tolerance
+    # entries included: the triples that meet a structurally nonzero term give
+    # the same checks, in the same order, with the same residuals and witnesses
     entry = ENTRIES[backend.name].map(backend.coerce)
-    ne = data.draw(st.integers(0, 3))
-    no = data.draw(st.integers(0 if ne else 1, 2))
-    space = SuperSpace.make([f"E{i}" for i in range(ne)], [f"O{i}" for i in range(no)])
-    n = space.dim
-    c = tuple(tuple(data.draw(st.tuples(*[entry] * n)) for _ in range(n)) for _ in range(n))
-    alg = LieSuperalgebra(space, backend, sparse(c))
+    space = random_space(data)
+    alg = LieSuperalgebra(space, backend, data.draw(tables(backend, space, entry)))
     want = jacobi_over_all_triples(alg)
     assume(any(ch.name.startswith("jacobi(") for ch in want.checks))
     got = verify_jacobi(alg)
@@ -582,15 +657,14 @@ def test_orthogonal_complement_test_matches_the_complement_on_random_forms(data)
     # random tables and non-degenerate Gram matrices on the exact backend; s is
     # the complement of t, a part of it, or a span drawn at random
     entry = ENTRIES["exact"].map(EXACT.coerce)
-    ne = data.draw(st.integers(0, 3))
-    no = data.draw(st.integers(0 if ne else 1, 2))
-    space = SuperSpace.make([f"E{i}" for i in range(ne)], [f"O{i}" for i in range(no)])
+    space = random_space(data)
     n = space.dim
-    c = tuple(tuple(data.draw(st.tuples(*[entry] * n)) for _ in range(n)) for _ in range(n))
-    gram = Matrix(EXACT, tuple(data.draw(st.tuples(*[entry] * n)) for _ in range(n)))
+    nz = data.draw(tables(EXACT, space, entry))
+    parity = data.draw(st.sampled_from(["even", "odd"]))
+    gram = Matrix(EXACT, data.draw(grams(EXACT, space, parity, entry)))
     assume(rank(gram) == n)
-    alg = LieSuperalgebra(space, EXACT, sparse(c))
-    q = QuadraticAlgebra(alg, BilinearForm(space, EXACT, "even", gram))
+    alg = LieSuperalgebra(space, EXACT, nz)
+    q = QuadraticAlgebra(alg, BilinearForm(space, EXACT, parity, gram))
     vectors = st.lists(st.tuples(*[entry] * n), max_size=n)
     t = data.draw(st.one_of(st.sampled_from(subspaces_of(alg)), vectors.map(lambda b: Subspace.span(EXACT, b, n))))
     perp = orthogonal_complement(q, t)
@@ -682,8 +756,10 @@ def test_stored_table_is_the_nonzero_entries(backend, data):
 @given(data=st.data())
 def test_what_build_guarantees_on_the_exact_backend_holds(data):
     # random labels, parities and coefficients, zeros and Gaussian values among
-    # them: every check that a table or form from build skips would pass, and
-    # the one-orientation [g,g] is the span of all n^2 rows
+    # them: on every exact route to a table and a form (build, the raw
+    # constructors, to_backend, relabel, copy and pickle) each check that the
+    # readers skip would pass, and the one-orientation [g,g] is the span of
+    # all n^2 rows
     entry = ENTRIES["exact"]
     labels = data.draw(st.lists(st.text("ABFXYZ", min_size=1, max_size=2), min_size=1, max_size=6, unique=True))
     ne = data.draw(st.integers(0, len(labels)))
@@ -703,45 +779,57 @@ def test_what_build_guarantees_on_the_exact_backend_holds(data):
                 entries[labels[a], labels[b]] = data.draw(st.just(0) if i == j and parity(i) else entry)
     alg = LieSuperalgebra.build(labels[:ne], labels[ne:], brackets)
     form = BilinearForm.build(space, entries, "odd" if odd_form else "even")
-    assert alg._built and form._built
-    assert alg.structure_violations() == []
-    assert alg._nz == alg.nz == LieSuperalgebra(space, EXACT, alg.nz)._nz
-    point = _flat(form.gram)
-    assert failures(EXACT, _transpose_rows(EXACT, n, 1, ne), point) == []
-    assert failures(EXACT, _parity_rows(EXACT, n, ne, odd_form), point) == []
-    every = Subspace.span(EXACT, [alg.bracket_basis(i, j) for i in range(n) for j in range(n)], n)
-    assert derived_subalgebra(alg).basis == every.basis
-    # the raw route evaluates every check, and reports the same
-    raw, raw_form = LieSuperalgebra(space, EXACT, alg.nz), BilinearForm(space, EXACT, form.parity, form.gram)
-    assert verify_jacobi(alg).as_dict() == verify_jacobi(raw).as_dict()
-    assert verify_form(alg, form).as_dict() == verify_form(raw, raw_form).as_dict()
+    lower = alg.relabel({l: l.lower() for l in labels})
+    copies = (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v)))
+    routes = [
+        (alg, form),
+        (LieSuperalgebra(space, EXACT, alg.nz), BilinearForm(space, EXACT, form.parity, form.gram)),
+        (alg.to_backend(EXACT), form.to_backend(EXACT)),
+        (lower, form.relabel(lower.space)),
+        *((cp(alg), cp(form)) for cp in copies),
+    ]
+    for a, f in routes:
+        assert structure_violations_from_definitions(a.space, EXACT, a.c) == a.structure_violations() == []
+        assert a._nz == a.nz == alg.nz
+        point = _flat(f.gram)
+        assert failures(EXACT, _transpose_rows(EXACT, n, 1, ne), point) == []
+        assert failures(EXACT, _parity_rows(EXACT, n, ne, odd_form), point) == []
+        every = Subspace.span(EXACT, [a.bracket_basis(i, j) for i in range(n) for j in range(n)], n)
+        assert derived_subalgebra(a).basis == every.basis
 
 
 def test_the_raw_routes_keep_the_structure_checks():
-    # the raw constructor, to_backend and relabel record nothing, so
-    # verify_jacobi reports the structure violations with their messages
-    raw = raw_superalgebra(EXACT, {("X", "F", "G"): 1, ("F", "X", "G"): 1, ("X", "Y", "F"): 1})
-    for alg in (raw, raw.to_backend(EXACT), raw.relabel({"X": "U"})):
-        assert not alg._built
+    # the exact constructor refuses a broken table with the first of the
+    # messages that the complex backend reports, all of them, as failing checks
+    space, c = raw_superalgebra(EXACT, {("X", "F", "G"): 1, ("F", "X", "G"): 1, ("X", "Y", "F"): 1})
+    want = structure_violations_from_definitions(space, EXACT, c)
+    assert len(want) == 5
+    with pytest.raises(StructureError) as refused:
+        LieSuperalgebra(space, EXACT, sparse(c))
+    assert str(refused.value) == want[0]
+    cb = complex_backend(1e-9)
+    raw = LieSuperalgebra(space, cb, sparse([[[cb.coerce(x) for x in r] for r in block] for block in c]))
+    for alg in (raw, raw.to_backend(cb), raw.relabel({"X": "U"})):
         structure = [c.witness for c in verify_jacobi(alg).failures if c.name == "structure"]
         assert structure == alg.structure_violations() and len(structure) == 5
+    # to_backend, relabel, copy and pickle keep the exact table nz and Gram
+    # matrix, and a raw table of the same entries is equal in ==, hash and repr
     built = LieSuperalgebra.build(["X", "Y"], ["F", "G"], {("X", "F"): {"G": 1}, ("F", "G"): {"X": 2}})
-    assert built._built and not built.to_backend(EXACT)._built and not built.relabel({})._built
-    # equal to a raw table of the same entries, in ==, hash and repr
     same = LieSuperalgebra(built.space, EXACT, built.nz)
     assert same == built and hash(same) == hash(built) and repr(same) == repr(built)
     form = BilinearForm.build(built.space, {("X", "Y"): 1, ("F", "G"): 1})
-    assert form._built and not form.relabel(form.space)._built and not form.to_backend(EXACT)._built
-    for copied in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
-        alg = copied(built)
-        assert alg._built and alg._nz == alg.nz and alg == built
-        assert copied(form)._built and not copied(same)._built
-    # the complex backend records nothing: an even square below the
+    copies = (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v)))
+    for alg in (built.to_backend(EXACT), built.relabel({"X": "U"}), *(cp(built) for cp in copies)):
+        assert alg.nz == alg._nz == built.nz
+    for f in (form.to_backend(EXACT), form.relabel(form.space), *(cp(form) for cp in copies)):
+        assert f.gram == form.gram
+    # the complex backend keeps its raw tables: an even square below the
     # tolerance is kept, and counted twice by the antisymmetry check
     cb = LieSuperalgebra.build(["X", "Y"], [], {("X", "X"): {"Y": 6e-10}}, complex_backend(1e-9))
-    assert not cb._built and cb.structure_violations() == ["antisymmetry: c[X,X] != (-1)^(|i||j|+1) c[X,X]"]
+    assert cb.structure_violations() == ["antisymmetry: c[X,X] != (-1)^(|i||j|+1) c[X,X]"]
     cf = BilinearForm.build(SuperSpace.make([], ["F"]), {("F", "F"): 6e-10}, "even", complex_backend(1e-9))
-    assert not cf._built and [c.name for c in verify_form(LieSuperalgebra.abelian([], ["F"]), cf).failures][:1] == ["supersymmetry(F,F)"]
+    odd = LieSuperalgebra.abelian([], ["F"], complex_backend(1e-9))
+    assert [c.name for c in verify_form(odd, cf).failures][:1] == ["supersymmetry(F,F)"]
 
 
 def test_parity_consistency_rejected():
@@ -873,8 +961,8 @@ def test_series_pass_matches_on_random_tables(backend, data):
     # one pass are those of the separate functions, [g,g] = g and 0 included
     entry = ENTRIES[backend.name].map(backend.coerce)
     n = data.draw(st.integers(1, 5))
-    c = tuple(tuple(data.draw(st.tuples(*[entry] * n)) for _ in range(n)) for _ in range(n))
-    assert_series_pass_matches(LieSuperalgebra(SuperSpace.make([f"E{i}" for i in range(n)]), backend, sparse(c)))
+    space = SuperSpace.make([f"E{i}" for i in range(n)])
+    assert_series_pass_matches(LieSuperalgebra(space, backend, data.draw(tables(backend, space, entry))))
     assert_series_pass_matches(LieSuperalgebra.abelian([f"E{i}" for i in range(n)], backend=backend))
 
 
@@ -905,16 +993,14 @@ def descend_from_definition(backend, n, step):
 @settings(max_examples=120, deadline=None)
 @given(backend=st.sampled_from([EXACT, CB]), data=st.data())
 def test_series_match_definition_on_random_tables(backend, data):
-    # raw tables on even and odd labels, graded antisymmetry and parity not
-    # imposed: each subspace is the span its definition builds from
-    # alg.bracket on basis vectors, reduced in the same row order
+    # tables on even and odd labels, normal on the exact backend and raw on
+    # the complex one, where graded antisymmetry and parity are not imposed:
+    # each subspace is the span its definition builds from alg.bracket on
+    # basis vectors, reduced in the same row order
     entry = RAW_ENTRIES[backend.name].map(backend.coerce)
-    ne = data.draw(st.integers(0, 3))
-    no = data.draw(st.integers(0 if ne else 1, 2))
-    n = ne + no
-    space = SuperSpace.make([f"E{i}" for i in range(ne)], [f"O{i}" for i in range(no)])
-    c = tuple(tuple(data.draw(st.tuples(*[entry] * n)) for _ in range(n)) for _ in range(n))
-    alg = LieSuperalgebra(space, backend, sparse(c))
+    space = random_space(data)
+    n = space.dim
+    alg = LieSuperalgebra(space, backend, data.draw(tables(backend, space, entry)))
     basis = Subspace.full(backend, n).basis
 
     def span(vectors):
@@ -962,13 +1048,12 @@ def dense_complement(form, s, n):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_sparse_subspace_operations_match_dense_definitions(data):
-    # raw exact tables and Gram matrices: the operations that read the sparse
+    # exact tables and Gram matrices: the operations that read the sparse
     # rows of a Subspace against definitions that read only its dense basis
     entry = ENTRIES["exact"].map(EXACT.coerce)
     n = data.draw(st.integers(1, 5))
     space = SuperSpace.make([f"E{i}" for i in range(n)])
-    c = tuple(tuple(data.draw(st.tuples(*[entry] * n)) for _ in range(n)) for _ in range(n))
-    alg = LieSuperalgebra(space, EXACT, sparse(c))
+    alg = LieSuperalgebra(space, EXACT, data.draw(tables(EXACT, space, entry)))
     units = Subspace.full(EXACT, n).basis
 
     def span(vectors):
@@ -982,8 +1067,7 @@ def test_sparse_subspace_operations_match_dense_definitions(data):
     vectors = st.lists(st.tuples(*[entry] * n), max_size=n + 1)
     drawn = [span(data.draw(vectors)) for _ in range(2)]
     subspaces = [z, Subspace.zero(EXACT, n), *ds, *lcs, *drawn]
-    gram = Matrix(EXACT, tuple(data.draw(st.tuples(*[entry] * n)) for _ in range(n)))
-    form = BilinearForm(space, EXACT, "even", gram)
+    form = BilinearForm(space, EXACT, "even", Matrix(EXACT, data.draw(grams(EXACT, space, "even", entry))))
     q = QuadraticAlgebra(alg, form)
     for u in subspaces:
         # the rows are the exactly nonzero entries of the basis, and give it back
@@ -1042,9 +1126,9 @@ def test_ad_vector_and_restrict_coerce_their_arguments():
     with pytest.raises(BackendMismatch):
         q.algebra.ad_vector((0.5, 0, 0, 0))
     with pytest.raises(BackendMismatch):
-        q.form.restrict([(0.5, 0, 0, 0), (0, 0, 0, 1)])
+        restrict(q.form, [(0.5, 0, 0, 0), (0, 0, 0, 1)])
     assert q.algebra.ad_vector(("1/2", 0, 0, 0)) == q.algebra.ad(0).scale(Fraction(1, 2))
-    assert q.form.restrict([("1/2", 0, 0, 0), (0, 0, 0, 1)]).entries == ((0, Fraction(1, 2)), (Fraction(1, 2), 0))
+    assert restrict(q.form, [("1/2", 0, 0, 0), (0, 0, 0, 1)]).entries == ((0, Fraction(1, 2)), (Fraction(1, 2), 0))
 
 
 def is_ideal_from_definition(alg, s):
@@ -1066,8 +1150,7 @@ def test_is_ideal_matches_definition(backend, data):
     entry = ENTRIES[backend.name]
     n = data.draw(st.integers(1, 4))
     space = SuperSpace.make([f"E{i}" for i in range(n)])
-    c = tuple(tuple(data.draw(st.tuples(*[entry.map(backend.coerce)] * n)) for _ in range(n)) for _ in range(n))
-    alg = LieSuperalgebra(space, backend, sparse(c))
+    alg = LieSuperalgebra(space, backend, data.draw(tables(backend, space, entry.map(backend.coerce))))
     vectors = data.draw(st.lists(st.tuples(*[entry.map(backend.coerce)] * n), max_size=n))
     s = Subspace.span(backend, vectors, n)
     assert is_ideal(alg, s) == is_ideal_from_definition(alg, s)

@@ -22,6 +22,8 @@ from liequad.linalg import Matrix, Subspace, _nullspace_rows, _rref_sparse, null
 from liequad.morphisms import fingerprint
 from liequad.scalars import EXACT, BackendMismatch, complex_backend
 
+from helpers import grams, tables
+
 
 def d_g4(x, y, z):
     # the solved 3-parameter skew family of the diamond, columns = images
@@ -399,17 +401,16 @@ def test_the_float_backend_solves_on_every_row():
 
 def raw_table(backend, data):
     """A table and a Gram matrix on even and odd labels, through the raw
-    constructors: any entry, so parity and the form's pattern may break."""
-    entry = ENTRY[backend.name].map(backend.coerce)
+    constructors: on the complex backend any entry, so parity and the form's
+    pattern may break; on the exact backend, whose constructors refuse such a
+    table or form, normal ones."""
+    entry = st.one_of(st.just(backend.zero), ENTRY[backend.name].map(backend.coerce))
     n = data.draw(st.integers(1, 4))
     ne = data.draw(st.integers(0, n))
     space = SuperSpace(ne, n - ne, tuple(f"E{i}" for i in range(n)))
-    sparse = st.one_of(st.just(backend.zero), entry)
-    nz = tuple(
-        tuple(tuple((k, x) for k in range(n) for x in [data.draw(sparse)] if x) for _ in range(n)) for _ in range(n)
-    )
-    gram = Matrix(backend, tuple(tuple(data.draw(sparse) for _ in range(n)) for _ in range(n)))
     parity = data.draw(st.sampled_from(["even", "odd"]))
+    nz = data.draw(tables(backend, space, entry))
+    gram = Matrix(backend, data.draw(grams(backend, space, parity, entry)))
     return LieSuperalgebra(space, backend, nz), BilinearForm(space, backend, parity, gram)
 
 
@@ -421,20 +422,28 @@ def test_raw_tables_that_break_parity_solve_the_full_system(backend, data):
 
 
 def test_a_mixed_row_is_kept():
-    # [E, O] = E breaks parity: the row (E, O, E) of the Leibniz system reads
-    # -D[O][O] = 0, an even-block entry in a row of the odd class
+    # [E, O] = E breaks parity, as do B(E, O) = 1 for an even form and
+    # B(E, E) = 1 for an odd one: the exact constructors refuse each
     space = SuperSpace(1, 1, ("E", "O"))
-    alg = LieSuperalgebra(space, EXACT, (((), ((0, 1),)), ((), ())))
+    with pytest.raises(StructureError, match=r"^parity: \[E,O\] has a E-component of the wrong parity$"):
+        LieSuperalgebra(space, EXACT, (((), ((0, 1),)), ((), ())))
+    with pytest.raises(StructureError, match=r"^form entry \(E,O\) violates the even parity pattern$"):
+        BilinearForm(space, EXACT, "even", Matrix(EXACT, ((0, 1), (0, 0))))
+    with pytest.raises(StructureError, match=r"^form entry \(E,E\) violates the odd parity pattern$"):
+        BilinearForm(space, EXACT, "odd", Matrix(EXACT, ((1, 0), (0, 0))))
+    # the complex backend keeps them and every row: the row (E, O, E) of the
+    # Leibniz system reads -D[O][O] = 0, an even-block entry in a row of the
+    # odd class, and the skew row (E, O) reads D[E][E] + D[O][O] = 0
+    alg = LieSuperalgebra(space, CB, (((), ((0, 1 + 0j),)), ((), ())))
     assert alg.structure_violations()
     assert derivation_space(alg, "all").dim == 1
-    # B(E, O) = 1 breaks the even pattern: the skew row (E, O) reads D[E][E] + D[O][O] = 0
-    gram = Matrix(EXACT, ((0, 1), (0, 0)))
-    assert derivation_space(LieSuperalgebra.abelian(["E"], ["O"]), "skew", BilinearForm(space, EXACT, "even", gram)).dim == 1
-    for form in (BilinearForm(space, EXACT, "even", gram), BilinearForm(space, EXACT, "odd", Matrix(EXACT, ((1, 0), (0, 0))))):
+    gram = Matrix(CB, ((0j, 1 + 0j), (0j, 0j)))
+    assert derivation_space(LieSuperalgebra.abelian(["E"], ["O"], CB), "skew", BilinearForm(space, CB, "even", gram)).dim == 1
+    for form in (BilinearForm(space, CB, "even", gram), BilinearForm(space, CB, "odd", Matrix(CB, ((1 + 0j, 0j), (0j, 0j))))):
         assert_full_system(alg, form)
     # an odd form with B(E, E) = 1 on an even algebra: the skew row (E, E) reads 2 D[E][E] = 0
-    even = LieSuperalgebra.abelian(["E"])
-    assert derivation_space(even, "skew", BilinearForm(even.space, EXACT, "odd", Matrix(EXACT, ((1,),)))).dim == 0
+    even = LieSuperalgebra.abelian(["E"], backend=CB)
+    assert derivation_space(even, "skew", BilinearForm(even.space, CB, "odd", Matrix(CB, ((1 + 0j,),)))).dim == 0
 
 
 @settings(max_examples=60, deadline=None)

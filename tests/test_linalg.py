@@ -25,10 +25,7 @@ from liequad.linalg import (
 )
 from liequad.scalars import EXACT, BackendMismatch, Exact, ExactBackend, complex_backend
 
-
-def sparse(c):
-    """The stored table of a dense c[i][j][k]: every exactly nonzero entry."""
-    return tuple(tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in block) for block in c)
+from helpers import grams, restrict, tables
 
 
 def M(rows):
@@ -490,12 +487,11 @@ def test_exact_results_hold_no_float(rows, data):
     n = data.draw(st.integers(1, 4))
     square = M([[data.draw(exact_entry) for _ in range(n)] for _ in range(n)])
     assert_no_float(minimal_polynomial(square))
-    # derivations of an arbitrary product table on an even space, skew for the
-    # random form as well
+    # derivations of a random antisymmetric product table on an even space,
+    # skew for a random symmetric form as well
     space = SuperSpace.make([f"E{i}" for i in range(n)])
-    c = tuple(tuple(vec(EXACT, [data.draw(exact_entry) for _ in range(n)]) for _ in range(n)) for _ in range(n))
-    alg = LieSuperalgebra(space, EXACT, sparse(c))
-    form = BilinearForm(space, EXACT, "even", square)
+    alg = LieSuperalgebra(space, EXACT, data.draw(tables(EXACT, space, exact_entry.map(EXACT.coerce))))
+    form = BilinearForm(space, EXACT, "even", M(data.draw(grams(EXACT, space, "even", exact_entry))))
     for kind in ("all", "skew", "inner"):
         assert_no_float(derivation_space(alg, kind, form).basis)
 
@@ -530,11 +526,12 @@ COMPLEX_ENTRIES += [complex(-0.0, 3.0), 1e-300 + 0j, complex(1e300, -1e300), com
 
 
 @st.composite
-def form_products(draw, entries):
-    """(n x n Gram rows, up to three vectors of length n, n x m rows), entries drawn from entries."""
+def form_products(draw, bk, entries):
+    """(n x n Gram rows, up to three vectors of length n, n x m rows), entries
+    drawn from entries; the Gram matrix is symmetric on the exact backend."""
     entry = st.sampled_from(entries)
     n, m = draw(st.integers(1, 5)), draw(st.integers(1, 4))
-    gram = tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
+    gram = draw(grams(bk, SuperSpace.make([f"E{i}" for i in range(n)]), "even", entry))
     vectors = [tuple(draw(entry) for _ in range(n)) for _ in range(draw(st.integers(0, 3)))]
     other = tuple(tuple(draw(entry) for _ in range(m)) for _ in range(n))
     return gram, vectors, other
@@ -564,7 +561,7 @@ def library_products(bk, gram, vectors, other):
         apply=lambda: [g.apply(w) for w in vectors],
         mul=lambda: (g * Matrix(bk, other)).entries,
         value=lambda: form.value(u, v),
-        restrict=lambda: form.restrict(vectors).entries,
+        restrict=lambda: restrict(form, vectors).entries,
         complement=lambda: orthogonal_complement(q, Subspace.span(bk, vectors, n)).basis,
     )
 
@@ -595,14 +592,14 @@ def defined_products(bk, gram, vectors, other, dot):
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=form_products(EXACT_ENTRIES))
+@given(case=form_products(EXACT, EXACT_ENTRIES))
 def test_exact_form_products_match_dense_sums(case):
     # skipping exact-zero products leaves every exact value as the dense sum has it
     assert library_products(EXACT, *case) == defined_products(EXACT, *case, dense_dot)
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=form_products(COMPLEX_ENTRIES))
+@given(case=form_products(complex_backend(), COMPLEX_ENTRIES))
 def test_complex_form_products_keep_every_float_product(case):
     # on the complex backend each sum keeps its zero products: the same floats,
     # signed zeros, infs and nans as the sum over every product
