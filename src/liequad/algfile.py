@@ -194,8 +194,10 @@ def _build_at_lines(build, entries, parse_value):
     key to parse_value(raw value); a failure is a ParseError at its line.
 
     Each check of the core builders that parse leaves to them (parity, an even
-    square, the form's block pattern) concerns one entry, so the first entry
-    that build rejects on its own is the one it rejected in the table."""
+    square, the form's block pattern, and on the complex backend an even
+    square or odd diagonal twice above the tolerance) concerns one entry, so
+    the first entry that build rejects on its own is the one it rejected in
+    the table."""
     table = {}
     for key, (line, raw) in entries.items():
         try:

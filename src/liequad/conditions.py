@@ -12,14 +12,14 @@ The conditions: the Leibniz rule, the skew condition B(Dx, y) = -B(x, Dy) and
 the parity rows of an even map; the antisymmetry and the identity of a
 2-cocycle theta: g x g -> g*; the symmetry and the two compatibility
 conditions of a pairing phi: g* x g* -> g; the cyclic identity
-t(x,y)z = t(y,z)x; the supersymmetry, parity pattern and invariance
-B([x,y],z) = B(x,[y,z]) of a form.  Each generator takes the table it sums
-over: invariance reads the stored table `nz`, sub-tolerance entries included,
-since a large Gram entry can scale them above the tolerance; the others read
-the tolerance view `_nz`, as `bracket` and the series do.  `verify_form`
-evaluates the invariance rows on the complex backend only, where their order
-of terms fixes the float bits; the exact backend sums the same residuals
-without rows (`core._invariance_failures`).
+t(x,y)z = t(y,z)x; the invariance B([x,y],z) = B(x,[y,z]) of a form, whose
+supersymmetry and parity pattern its constructor holds.  Each generator
+takes the table it sums over: invariance reads the stored table `nz`,
+sub-tolerance entries included, since a large Gram entry can scale them above
+the tolerance; the others read the tolerance view `_nz`, as `bracket` and the
+series do.  `verify_form` evaluates the invariance rows on the complex
+backend only, where their order of terms fixes the float bits; the exact
+backend sums the same residuals without rows (`core._invariance_failures`).
 
 The Leibniz and skew generators take the grading: given it, they yield on
 the exact backend only the rows an even map can meet, those on the even
@@ -132,20 +132,18 @@ def _output_index(nz):
     return left, right
 
 
-def _parity_rows(bk, n: int, n_even: int, odd: bool):
-    """((k, j), row) of D[k][j] = 0 where the parities of e_k and e_j differ, for an
-    even map or form (odd False), or where they agree, for an odd form (odd True)."""
+def _parity_rows(bk, n: int, n_even: int):
+    """((k, j), row) of D[k][j] = 0 where the parities of e_k and e_j differ: an even map."""
     one = bk.one
     for k in range(n):
-        # the j of the other parity, or for an odd form of the same parity
-        for j in range(n_even) if (k < n_even) == odd else range(n_even, n):
+        for j in range(n_even, n) if k < n_even else range(n_even):  # the j of the other parity
             yield (k, j), {k * n + j: one}
 
 
 def _transpose_rows(bk, n: int, depth: int, n_even: int):
     """((i, j), row) of t[j][i][m] = (-1)^{|i||j|} t[i][j][m], i <= j, m < depth, over the
-    row-major unknowns of an n x n x depth tensor whose e_i is odd from n_even on: supersymmetry
-    of a form at depth 1, symmetry at n_even = n, antisymmetry at 0 (an even diagonal has no row)."""
+    row-major unknowns of an n x n x depth tensor whose e_i is odd from n_even on: symmetry at
+    n_even = n, antisymmetry at 0 (an even diagonal has no row)."""
     one = bk.one
     for i in range(n):
         odd = i >= n_even  # then e_j is odd too, and the sign is -1

@@ -7,13 +7,13 @@ Conventions, fixed project-wide:
   (k, x) pairs of [e_i, e_j] = sum_k x e_k in increasing k, both
   orientations; `_nz` is the table without the entries zero to the backend
   tolerance, and the dense c[i][j][k] is a view rebuilt on each access;
-* on the exact backend every table and form is normal: the raw constructors,
-  which `build`, `to_backend` and `relabel` call, drop a table's zeros (so
-  `_nz` is `nz`) and refuse a term of the wrong parity, a nonzero even square,
-  a broken graded mirror and a Gram entry off its parity pattern or not
-  supersymmetric, so no reader looks for these.  The complex backend keeps
-  raw tables and forms and every check: an even square [x, x] or an odd
-  diagonal B(x, x) below the tolerance is counted twice by its check;
+* every table and form is normal: the raw constructors, which `build` and
+  `relabel` call, drop a table's exact zeros and refuse a term of the wrong
+  parity, a broken graded mirror (a nonzero even square among them) and a
+  Gram entry off its parity pattern or not supersymmetric, each judged by
+  `backend.is_zero`, so no reader looks for these.  On the exact backend
+  `_nz` is `nz`; on the complex one an even square [x, x] or an odd diagonal
+  B(x, x) is refused when twice it is above the tolerance;
 * ad(e_i) is the matrix whose j-th column holds the coordinates of [e_i, e_j]
   (matrices act on column coordinate vectors);
 * supersymmetry of a form means B(y, x) = (-1)^{|x||y|} B(x, y); an even form
@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Mapping, Sequence, Tuple
 
-from .conditions import _flat, _invariance_rows, _parity_rows, _transpose_rows, failures
+from .conditions import _flat, _invariance_rows, failures
 from .linalg import (
     Matrix,
     Subspace,
@@ -127,11 +127,11 @@ class LieSuperalgebra(Value):
         is_zero = backend.is_zero
         view = nz
         if any(is_zero(x) for block in nz for row in block for _, x in row):
+            # an exact zero is zero to the backend, so only then can nz hold one
+            nz = tuple(tuple(tuple(p for p in row if p[1]) for row in block) for block in nz)
             view = tuple(tuple(tuple(p for p in row if not is_zero(p[1])) for row in block) for block in nz)
-        if backend.name == "exact":  # normal: no zero, and the first violation refused
-            nz = view
-            for msg in _violations(space, backend, nz):
-                raise StructureError(msg)
+        for msg in _violations(space, backend, nz):  # normal: the first violation refused
+            raise StructureError(msg)
         _set(self, "space", space)
         _set(self, "backend", backend)
         _set(self, "nz", nz)
@@ -226,15 +226,6 @@ class LieSuperalgebra(Value):
         cols = (_dense_row(bk, _bracket(self._nz, x, ((j, bk.one),)).items(), n) for j in range(n))
         return Matrix(bk, tuple(zip(*cols)))
 
-    def structure_violations(self) -> list:
-        """Parity and graded-antisymmetry violations: none on the exact backend, whose constructor refused them."""
-        return [] if self.backend.name == "exact" else list(_violations(self.space, self.backend, self.nz))
-
-    def to_backend(self, backend) -> "LieSuperalgebra":
-        coerce = backend.coerce
-        nz = tuple(tuple(tuple((k, y) for k, x in row for y in (coerce(x),) if y) for row in b) for b in self.nz)
-        return LieSuperalgebra(self.space, backend, nz)
-
     def relabel(self, mapping: Mapping[str, str]) -> "LieSuperalgebra":
         labels = tuple(mapping.get(l, l) for l in self.labels)
         return LieSuperalgebra(SuperSpace(self.space.dim_even, self.space.dim_odd, labels), self.backend, self.nz)
@@ -277,9 +268,8 @@ class BilinearForm(Frozen):
     # no __slots__: the cached _rank and _sparse live in the instance __dict__
 
     def __init__(self, space: SuperSpace, backend, parity: str, gram: Matrix):
-        if backend.name == "exact":  # normal: the first violation refused
-            for msg in _form_violations(space, parity, gram.entries):
-                raise StructureError(msg)
+        for msg in _form_violations(space, backend, parity, gram.entries):  # normal: the first violation refused
+            raise StructureError(msg)
         _set(self, "space", space)
         _set(self, "backend", backend)
         _set(self, "parity", parity)  # "even" | "odd"
@@ -338,25 +328,28 @@ class BilinearForm(Frozen):
     def is_nondegenerate(self) -> bool:
         return self._rank == self.space.dim
 
-    def to_backend(self, backend) -> "BilinearForm":
-        g = Matrix.from_rows(backend, [[backend.coerce(x) for x in row] for row in self.gram.entries])
-        return BilinearForm(self.space, backend, self.parity, g)
-
     def relabel(self, space: SuperSpace) -> "BilinearForm":
         return BilinearForm(space, self.backend, self.parity, self.gram)
 
 
-def _form_violations(space: SuperSpace, parity: str, g):
-    """Messages of the exact Gram entries over the pairs i <= j in turn:
-    g[i][j] != 0 off the form's parity pattern, then g[j][i] != (-1)^(|i||j|) g[i][j]."""
-    ne, labels, odd = space.dim_even, space.labels, parity == "odd"
+def _form_violations(space: SuperSpace, backend, parity: str, g):
+    """Messages of the Gram entries over the pairs i <= j in turn: g[i][j]
+    nonzero to the backend off the form's parity pattern, then g[j][i] -
+    (-1)^(|i||j|) g[i][j] nonzero to it, tested only when the two differ
+    exactly (an exactly mirrored inf passes), then g[j][i] off the pattern,
+    which only a tolerance lets through the first two."""
+    ne, labels, odd, is_zero = space.dim_even, space.labels, parity == "odd", backend.is_zero
     for i, row in enumerate(g):
         for j in range(i, len(row)):
             x, y = row[j], g[j][i]
-            if x and ((i >= ne) != (j >= ne)) != odd:
+            off = ((i >= ne) != (j >= ne)) != odd
+            if off and not is_zero(x):
                 yield f"form entry ({labels[i]},{labels[j]}) violates the {parity} parity pattern"
-            if y != (-x if i >= ne else x):  # j >= i, so e_j is odd when e_i is
+            mirror = -x if i >= ne else x  # j >= i, so e_j is odd when e_i is
+            if y != mirror and not is_zero(y - mirror):
                 yield f"supersymmetry: B({labels[j]},{labels[i]}) != (-1)^(|i||j|) B({labels[i]},{labels[j]})"
+            if off and j > i and not is_zero(y):
+                yield f"form entry ({labels[j]},{labels[i]}) violates the {parity} parity pattern"
 
 
 class QuadraticAlgebra(Frozen):
@@ -401,21 +394,15 @@ def verify_jacobi(alg: LieSuperalgebra) -> Report:
     Only the triples {a, b, c} with some e_m in the support of [e_b, e_c] and
     [e_a, e_m] != 0 are evaluated: on every other triple each of the three
     terms is an empty sum, so it cannot fail.  Both orientations of [e_b, e_c]
-    are read, since a raw table need not be antisymmetric.  The triples are
-    evaluated in sorted (i, j, k) order, the order of the loop over all of
-    them, so the report is the same.  Every failing triple becomes its own
-    report entry carrying the largest residual component; a clean run
-    collapses to a single passing check.
-
-    The structure violations come first, each a failing check: on the
-    complex backend only, since the exact constructor refused them.
+    are read, since the tolerance view of a complex table is antisymmetric
+    only up to the tolerance.  The triples are evaluated in sorted (i, j, k)
+    order, the order of the loop over all of them, so the report is the same.
+    Every failing triple becomes its own report entry carrying the largest
+    residual component; a clean run collapses to a single passing check.
     """
     bk, sp, n = alg.backend, alg.space, alg.dim
     rep = Report()
     law = "graded Jacobi identity"
-    struct = alg.structure_violations()
-    for msg in struct:
-        rep.add("structure", "graded antisymmetry / parity consistency", False, witness=msg)
     nz = alg._nz
     left = [[a for a in range(n) if nz[a][m]] for m in range(n)]  # left[m]: the a with [e_a, e_m] != 0
     triples = set()
@@ -447,7 +434,7 @@ def verify_jacobi(alg: LieSuperalgebra) -> Report:
                 residual=_fmt_residual(bk, worst),
                 witness=alg.format_vector(full),
             )
-    if fails == 0 and not struct:
+    if fails == 0:
         rep.add("jacobi", law, True, residual=_fmt_residual(bk, bk.zero))
     return rep
 
@@ -498,22 +485,16 @@ def verify_form(alg: LieSuperalgebra, form: BilinearForm) -> Report:
     """Supersymmetry, parity pattern, non-degeneracy and invariance of a form
     that fits the algebra (`_check_fits`).
 
-    On the exact backend, whose constructor refused a form off the first two,
-    they pass, and invariance is summed straight from the nonzero structure
-    constants and Gram entries (`_invariance_failures`).  The complex backend
+    The constructor refused a form off the first two, so they pass.  The
+    exact backend sums invariance straight from the nonzero structure
+    constants and Gram entries (`_invariance_failures`); the complex backend
     evaluates the rows of `conditions` with `failures`, whose order of terms
     fixes its float bits."""
     _check_fits(alg, form)
-    bk, n, ne, labels = alg.backend, alg.dim, alg.space.dim_even, alg.labels
+    bk, n, labels = alg.backend, alg.dim, alg.labels
     rep = Report()
-    if bk.name == "exact":
-        sym = pattern = ()
-    else:
-        point = _flat(form.gram)
-        sym = failures(bk, _transpose_rows(bk, n, 1, ne), point)
-        pattern = failures(bk, _parity_rows(bk, n, ne, form.parity == "odd"), point)
-    _add_checks(rep, bk, labels, "supersymmetry", "supersymmetry B(y,x) = (-1)^{|x||y|} B(x,y)", sym)
-    _add_checks(rep, bk, labels, "parity-pattern", f"{form.parity} form parity block pattern", pattern)
+    rep.add("supersymmetry", "supersymmetry B(y,x) = (-1)^{|x||y|} B(x,y)", True)
+    rep.add("parity-pattern", f"{form.parity} form parity block pattern", True)
     nondeg = form.is_nondegenerate()
     witness = None if nondeg else f"rank {form._rank} < dim {n}"
     rep.add("non-degeneracy", "non-degeneracy of the invariant form", nondeg, witness=witness)
@@ -523,8 +504,12 @@ def verify_form(alg: LieSuperalgebra, form: BilinearForm) -> Report:
     else:
         # the rows read the stored table nz: a structure constant below the
         # tolerance still counts, since a large Gram entry can scale it above it
-        fails = failures(bk, _invariance_rows(alg.nz, form.gram), point)
-    _add_checks(rep, bk, labels, "invariance", "invariance B([x,y],z) = B(x,[y,z])", fails)
+        fails = failures(bk, _invariance_rows(alg.nz, form.gram), _flat(form.gram))
+    law = "invariance B([x,y],z) = B(x,[y,z])"
+    for key, value in fails:
+        rep.add(f"invariance({','.join(labels[i] for i in key)})", law, False, residual=_fmt_residual(bk, value))
+    if not fails:
+        rep.add("invariance", law, True)
     return rep
 
 
@@ -552,15 +537,6 @@ def _invariance_failures(nz, form: BilinearForm) -> list:
                     key = h * nn + m
                     acc[key] = acc[key] - x * y if key in acc else -(x * y)
     return [((key // nn, key // n % n, key % n), acc[key]) for key in sorted(k for k, v in acc.items() if v)]
-
-
-def _add_checks(rep: Report, bk, labels, name: str, law: str, fails: list) -> None:
-    """A failing check name(labels of the key) with its residual per (key,
-    value) of fails, or one passing check name when there is none."""
-    for key, value in fails:
-        rep.add(f"{name}({','.join(labels[i] for i in key)})", law, False, residual=_fmt_residual(bk, value))
-    if not fails:
-        rep.add(name, law, True)
 
 
 # -- structural subspaces --------------------------------------------------------
@@ -621,14 +597,11 @@ def subspace_bracket(alg: LieSuperalgebra, u: Subspace, v: Subspace) -> Subspace
 
 
 def derived_subalgebra(alg: LieSuperalgebra) -> Subspace:
-    """[g,g], read from the table: the span of the rows nz[i][j] over one
-    orientation per pair, `space.pairs()`, on the exact backend, where each
-    mirror row is +-1 times its pair's row and the reduced echelon basis does
-    not depend on the rows; over all n^2 ordered pairs, in the order of
-    `subspace_bracket`, on the complex one, whose raw table may be broken."""
-    n, nz = alg.dim, alg._nz
-    pairs = alg.space.pairs() if alg.backend.name == "exact" else [(i, j) for i in range(n) for j in range(n)]
-    return _span_rows(alg.backend, [dict(nz[i][j]) for i, j in pairs], n)
+    """[g,g], read from the table: the span of the rows of the tolerance view
+    over one orientation per pair, `space.pairs()`, since each mirror row is
+    +-1 times its pair's row (on the complex backend up to the tolerance)."""
+    nz = alg._nz
+    return _span_rows(alg.backend, [dict(nz[i][j]) for i, j in alg.space.pairs()], alg.dim)
 
 
 def _bracket_with_g(alg: LieSuperalgebra, s: Subspace) -> Subspace:
@@ -643,7 +616,7 @@ def _descend(series: list, step) -> list:
     """Append step(last) to series until the dimension stops falling or reaches 0."""
     while series[-1].dim:
         nxt = step(series[-1])
-        if nxt.dim == series[-1].dim:
+        if nxt.dim >= series[-1].dim:  # a float span can grow: 3, 2, 3, ... would never end
             break
         series.append(nxt)
     return series

@@ -91,7 +91,7 @@ def derivation_space(alg: LieSuperalgebra, kind: str = "all", form: Optional[Bil
         sols = _span_basis(bk, rows, n * n)
     elif kind in ("all", "skew"):
         ne = alg.space.dim_even
-        rows = _leibniz_rows(bk, alg._nz, ne) + [row for _, row in _parity_rows(bk, n, ne, False)]
+        rows = _leibniz_rows(bk, alg._nz, ne) + [row for _, row in _parity_rows(bk, n, ne)]
         if kind == "skew":
             rows += _skew_rows(bk, form.gram, ne, form.parity == "odd")
         # without rows the kernel is the standard basis: every matrix is a derivation

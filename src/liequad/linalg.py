@@ -311,10 +311,11 @@ class Subspace(Value):
     basis vector: a tuple of the (index, value) pairs of its exactly nonzero
     entries, in increasing index.
 
-    `basis`, the rows as dense vectors, is rebuilt on each read.  On the exact
-    backend the echelon form is canonical, so equality is tuple equality of
-    the rows; on the float backend equality falls back to mutual containment
-    within the backend tolerance."""
+    `basis`, the rows as dense vectors, is rebuilt on each read.  Equal rows
+    span the same space; otherwise equality is containment of one basis in
+    the other span, of equal dimension, within the backend tolerance.  An
+    exact reduced echelon basis is canonical, so there rows that differ span
+    different spaces and the containment test says so."""
 
     __slots__ = ("backend", "ambient_dim", "rows")
 
@@ -328,11 +329,7 @@ class Subspace(Value):
             return NotImplemented
         if self.ambient_dim != other.ambient_dim or self.dim != other.dim:
             return False
-        if self.rows == other.rows:
-            return True
-        if self.backend.name == "exact":
-            return False
-        return all(other.contains(v) for v in self.basis)
+        return self.rows == other.rows or all(other.contains(v) for v in self.basis)
 
     __hash__ = None
 

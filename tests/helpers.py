@@ -2,6 +2,7 @@
 
 from hypothesis import strategies as st
 
+from liequad.core import BilinearForm, LieSuperalgebra
 from liequad.linalg import Matrix, dot, vec
 
 
@@ -20,13 +21,27 @@ def restrict(form, vectors) -> Matrix:
     return Matrix(form.backend, tuple(tuple(dot(u, col) for col in gv) for u in vectors))
 
 
+def to_backend(value, backend):
+    """The algebra or form with every coefficient coerced to backend, made by
+    its raw constructor."""
+    coerce = backend.coerce
+    if isinstance(value, BilinearForm):
+        gram = Matrix.from_rows(backend, [[coerce(x) for x in row] for row in value.gram.entries])
+        return BilinearForm(value.space, backend, value.parity, gram)
+    nz = tuple(tuple(tuple((k, coerce(x)) for k, x in row) for row in block) for block in value.nz)
+    return LieSuperalgebra(value.space, backend, nz)
+
+
 def sparse(c):
     """The stored table of a dense c[i][j][k]: every exactly nonzero entry, sub-tolerance ones included."""
     return tuple(tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in block) for block in c)
 
 
 @st.composite
-def _normal_table(draw, space, entry):
+def tables(draw, space, entry):
+    """Sparse normal tables on space, graded-antisymmetric and
+    parity-correct, one coefficient drawn from entry per term of each pair of
+    `space.pairs()`."""
     n, ne = space.dim, space.dim_even
     c = [[[0] * n for _ in range(n)] for _ in range(n)]
     for i, j in space.pairs():
@@ -39,35 +54,16 @@ def _normal_table(draw, space, entry):
     return sparse(c)
 
 
-def tables(backend, space, entry):
-    """Sparse tables on space, each coefficient drawn from entry: on the exact
-    backend normal ones, graded-antisymmetric and parity-correct, one draw per
-    term of each pair of `space.pairs()`; on the complex backend raw ones, one
-    draw for every (i, j, k)."""
-    if backend.name == "exact":
-        return _normal_table(space, entry)
-    n = space.dim
-    return st.tuples(*[st.tuples(*[st.tuples(*[entry] * n)] * n)] * n).map(sparse)
-
-
 @st.composite
-def _normal_gram(draw, space, parity, entry):
+def grams(draw, backend, space, parity, entry):
+    """Gram matrices, as tuples of rows, of a form of that parity on space,
+    supersymmetric and on the parity pattern: one draw from entry per entry at
+    or above the diagonal that the pattern allows, the backend's zero elsewhere."""
     n, ne = space.dim, space.dim_even
-    g = [[0] * n for _ in range(n)]
+    g = [[backend.zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             if ((i >= ne) != (j >= ne)) == (parity == "odd") and not (i == j and i >= ne):
                 x = draw(entry)
                 g[i][j], g[j][i] = x, -x if i >= ne else x
     return tuple(map(tuple, g))
-
-
-def grams(backend, space, parity, entry):
-    """Gram matrices, as tuples of rows, of a form of that parity on space: on
-    the exact backend supersymmetric and on the parity pattern, one draw per
-    entry at or above the diagonal that the pattern allows; on the complex
-    backend any entry anywhere."""
-    if backend.name == "exact":
-        return _normal_gram(space, parity, entry)
-    n = space.dim
-    return st.tuples(*[st.tuples(*[entry] * n)] * n)

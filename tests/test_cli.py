@@ -1010,6 +1010,31 @@ def test_a_residual_past_the_digit_limit_prints_bounded(tmp_path, capsys):
     assert [c["residual"] for c in checks if c["check"].startswith("huge:invariance(")] == residuals
 
 
+# complex files whose even square [X,X] or odd diagonal B(F,F) is below the
+# tolerance, but twice it is not: the constructor refuses them at their line
+TWICE_THE_TOLERANCE = [
+    (
+        "algebra sq\nbackend complex\ndim_even 2\ndim_odd 0\nbasis X Y\nbracket X X = 6e-10 Y\n",
+        "error: line 6: antisymmetry: c[X,X] != (-1)^(|i||j|+1) c[X,X]\n",
+    ),
+    (
+        "algebra od\nbackend complex\ndim_even 1\ndim_odd 2\nbasis X F G\nform X X = 1\nform F G = 1\nform F F = 6e-10\n",
+        "error: line 8: supersymmetry: B(F,F) != (-1)^(|i||j|) B(F,F)\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, error", TWICE_THE_TOLERANCE, ids=["even-square", "odd-diagonal"])
+def test_a_complex_square_twice_above_the_tolerance_is_refused_at_its_line(tmp_path, text, error):
+    # in a fresh process: exit 2, the one error line and no traceback
+    f = tmp_path / "near.alg"
+    f.write_text(text)
+    done = subprocess.run(
+        [sys.executable, "-m", "liequad.cli", "--no-timestamp", "verify", str(f)], capture_output=True, text=True
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", error)
+
+
 def test_huge_exact_coefficient_is_a_failed_check(tmp_path, capsys):
     # 1e400 does not fit a double: the worst residual is picked exactly, so the
     # failed Jacobi check is reported (exit 1), not a traceback

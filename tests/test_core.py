@@ -14,6 +14,7 @@ from liequad.core import (
     StructureError,
     SuperSpace,
     _combine,
+    _descend,
     _fmt_residual,
     _graded_parts,
     _graded_sign,
@@ -34,13 +35,15 @@ from liequad.core import (
     verify_form,
     verify_jacobi,
 )
-from liequad.conditions import _flat, _invariance_rows, _parity_rows, _transpose_rows, failures
+from liequad.conditions import _flat, _invariance_rows, failures
 from liequad.linalg import EigenStructure, Matrix, Subspace, nullspace, rank, solve_linear
 from liequad.morphisms import Fingerprint
 from liequad.report import Report
-from liequad.scalars import EXACT, BackendMismatch, Exact, ExactBackend, complex_backend, residual_magnitude
+from liequad.scalars import EXACT, BackendMismatch, Exact, ExactBackend, ScalarOverflow, complex_backend, residual_magnitude
 
-from helpers import basis_vector, grams, restrict, sparse, tables
+from helpers import basis_vector, grams, restrict, sparse, tables, to_backend
+
+CB = complex_backend(1e-9)
 
 
 def diamond():
@@ -123,30 +126,47 @@ def test_scaled_form_fails_invariance():
     assert any(c.residual == "1" for c in bad if c.name == "invariance(X,P,Q)")
 
 
-def form_failures(backend, gram):
-    """(name, residual) of the failing supersymmetry and parity-pattern checks
-    of an even form with the given Gram matrix on span{X, Y | F}."""
+def form_checks(backend, gram):
+    """(name, ok) of the supersymmetry and parity-pattern checks of an even
+    form with the given Gram matrix on span{X, Y | F}."""
     alg = LieSuperalgebra.abelian(["X", "Y"], ["F"], backend)
     form = BilinearForm(alg.space, backend, "even", Matrix.from_rows(backend, gram))
-    return [(c.name, c.residual) for c in verify_form(alg, form).failures if c.name != "non-degeneracy"]
+    return [(c.name, c.ok) for c in verify_form(alg, form).checks if c.name in ("supersymmetry", "parity-pattern")]
 
 
 def test_asymmetric_gram_fails_supersymmetry():
     # B(Y,X) - B(X,Y) = 3 - 1, and B(F,F) must be antisymmetric on the odd
-    # part: the exact constructor refuses the first, the complex backend
-    # reports both
-    gram = [[1, 1, 0], [3, 1, 0], [0, 0, 5]]
-    with pytest.raises(StructureError, match=r"^supersymmetry: B\(Y,X\) != \(-1\)\^\(\|i\|\|j\|\) B\(X,Y\)$"):
-        form_failures(EXACT, gram)
-    assert form_failures(CB, gram) == [("supersymmetry(X,Y)", "2.0"), ("supersymmetry(F,F)", "10.0")]
+    # part: the constructor of each backend refuses the first it meets; a
+    # supersymmetric form passes both checks without rows
+    law = r" != \(-1\)\^\(\|i\|\|j\|\) "
+    for backend in (EXACT, CB):
+        with pytest.raises(StructureError, match=rf"^supersymmetry: B\(Y,X\){law}B\(X,Y\)$"):
+            form_checks(backend, [[1, 1, 0], [3, 1, 0], [0, 0, 5]])
+        with pytest.raises(StructureError, match=rf"^supersymmetry: B\(F,F\){law}B\(F,F\)$"):
+            form_checks(backend, [[1, 1, 0], [1, 1, 0], [0, 0, 5]])
+        assert form_checks(backend, [[1, 1, 0], [1, 1, 0], [0, 0, 0]]) == [("supersymmetry", True), ("parity-pattern", True)]
 
 
 def test_mixed_entry_of_an_even_form_fails_the_parity_pattern():
     # supersymmetric, but B(X,F) = B(F,X) = 1/2 lies in the odd block
     gram = [[1, 0, Fraction(1, 2)], [0, 1, 0], [Fraction(1, 2), 0, 0]]
-    with pytest.raises(StructureError, match=r"^form entry \(X,F\) violates the even parity pattern$"):
-        form_failures(EXACT, gram)
-    assert form_failures(CB, gram) == [("parity-pattern(X,F)", "0.5"), ("parity-pattern(F,X)", "0.5")]
+    for backend in (EXACT, CB):
+        with pytest.raises(StructureError, match=r"^form entry \(X,F\) violates the even parity pattern$"):
+            form_checks(backend, gram)
+
+
+def test_the_mirror_of_a_complex_form_entry_is_held_to_the_pattern():
+    # B(X,F) = 6e-10 is below the tolerance and B(F,X) = 1.2e-9 within it of
+    # B(X,F), but above it: refused at (F,X)
+    with pytest.raises(StructureError, match=r"^form entry \(F,X\) violates the even parity pattern$"):
+        form_checks(CB, [[1, 0, 6e-10], [0, 1, 0], [1.2e-9, 0, 0]])
+    # a mirror equal to its entry is not subtracted from it, so an inf passes;
+    # 1e308 against -1e308 leaves the range of a double
+    space, inf = SuperSpace.make(["X", "Y"]), float("inf")
+    gram = Matrix.from_rows(CB, [[1e308, inf], [inf, 1]])
+    assert BilinearForm(space, CB, "even", gram).gram == gram
+    with pytest.raises(ScalarOverflow):
+        BilinearForm(space, CB, "even", Matrix.from_rows(CB, [[1, 1e308], [-1e308, 1]]))
 
 
 def axiom_failures_from_definitions(alg, form):
@@ -192,8 +212,8 @@ def test_axiom_failures_match_definitions(tampered):
 
 
 def structure_violations_from_definitions(space, backend, c):
-    """The messages of structure_violations for the dense table c, from a
-    dense loop over all entries."""
+    """The messages of the table constructor's checks for the dense table c,
+    from a dense loop over all entries."""
     sp, n, bk = space, space.dim, backend
     out = []
     for i in range(n):
@@ -210,13 +230,12 @@ def structure_violations_from_definitions(space, backend, c):
 
 def structure_violations_made(space, backend, c):
     """The structure violations of the dense table c as the library finds
-    them: the exact constructor's refusal, its one message, or the
-    `structure_violations` of the table it makes."""
+    them: the constructor's refusal, its one message, or none."""
     try:
-        alg = LieSuperalgebra(space, backend, sparse(c))
+        LieSuperalgebra(space, backend, sparse(c))
     except StructureError as exc:
         return [str(exc)]
-    return alg.structure_violations()
+    return []
 
 
 def raw_superalgebra(backend, entries):
@@ -245,15 +264,13 @@ def raw_superalgebra(backend, entries):
     ],
 )
 def test_structure_violations_match_definitions(backend, entries, expected):
-    # the complex backend reports every violation; the exact constructor
-    # refuses the table with the first
+    # the constructor of each backend refuses the table with the first violation
     space, c = raw_superalgebra(backend, entries)
     want = structure_violations_from_definitions(space, backend, c)
     assert len(want) == expected
-    assert structure_violations_made(space, backend, c) == (want[:1] if backend is EXACT else want)
+    assert structure_violations_made(space, backend, c) == want[:1]
 
 
-CB = complex_backend(1e-9)
 ENTRIES = {
     "exact": st.one_of(
         st.just(0),
@@ -282,7 +299,7 @@ def random_space(data):
 
 
 def dense(nz, n):
-    """The dense c[i][j][k] of a sparse exact table."""
+    """The dense c[i][j][k] of a sparse table, 0 where it holds no entry."""
     return [[[dict(row).get(k, 0) for k in range(n)] for row in block] for block in nz]
 
 
@@ -301,7 +318,7 @@ def test_the_exact_table_constructor_refuses_what_the_definitions_flag(data):
     entry = ENTRIES["exact"].map(EXACT.coerce)
     space = random_space(data)
     n = space.dim
-    c = dense(data.draw(tables(EXACT, space, entry)), n)
+    c = dense(data.draw(tables(space, entry)), n)
     for (i, j, k), x in tampered_entries(data, (n, n, n), entry):
         c[i][j][k] = x
     want = structure_violations_from_definitions(space, EXACT, c)
@@ -312,18 +329,21 @@ def test_the_exact_table_constructor_refuses_what_the_definitions_flag(data):
         assert alg == LieSuperalgebra(space, EXACT, sparse(c)) and alg.nz == alg._nz == sparse(c)
 
 
-def form_violations_from_definitions(space, parity, g):
-    """The messages of the exact form constructor, from a dense loop over the
-    pairs i <= j: g[i][j] != 0 off the parity pattern, then the supersymmetry
-    g[j][i] = (-1)^(|i||j|) g[i][j]."""
-    sp, n, out = space, space.dim, []
+def form_violations_from_definitions(space, parity, g, backend=EXACT):
+    """The messages of the form constructor, from a dense loop over the pairs
+    i <= j: g[i][j] nonzero to the backend off the parity pattern, then the
+    supersymmetry g[j][i] = (-1)^(|i||j|) g[i][j] up to the tolerance, then
+    g[j][i] off the pattern."""
+    sp, n, out, is_zero = space, space.dim, [], backend.is_zero
     for i in range(n):
         for j in range(i, n):
-            mixed = sp.parity(i) != sp.parity(j)
-            if g[i][j] and mixed != (parity == "odd"):
+            off = (sp.parity(i) != sp.parity(j)) != (parity == "odd")
+            if off and not is_zero(g[i][j]):
                 out.append(f"form entry ({sp.labels[i]},{sp.labels[j]}) violates the {parity} parity pattern")
-            if g[j][i] != (-1) ** (sp.parity(i) * sp.parity(j)) * g[i][j]:
+            if not is_zero(g[j][i] - (-1) ** (sp.parity(i) * sp.parity(j)) * g[i][j]):
                 out.append(f"supersymmetry: B({sp.labels[j]},{sp.labels[i]}) != (-1)^(|i||j|) B({sp.labels[i]},{sp.labels[j]})")
+            if off and j > i and not is_zero(g[j][i]):
+                out.append(f"form entry ({sp.labels[j]},{sp.labels[i]}) violates the {parity} parity pattern")
     return out
 
 
@@ -348,6 +368,42 @@ def test_the_exact_form_constructor_refuses_what_the_definitions_flag(parity, da
     assert got == want[:1]
 
 
+NEAR_TOL = st.builds(complex, st.floats(-2e-9, 2e-9), st.floats(-2e-9, 2e-9))  # either side of the tolerance
+
+
+@settings(max_examples=300, deadline=None)
+@given(parity=st.sampled_from(["even", "odd"]), data=st.data())
+def test_the_complex_constructors_refuse_what_the_tolerance_definitions_flag(parity, data):
+    # normal tables and Gram matrices with coefficients near the tolerance and
+    # up to three entries changed, some by less than it: each constructor
+    # refuses exactly what the dense definitions under the tolerance flag, with
+    # their first message; a kept table stores every exactly nonzero entry and
+    # equals the one with its zeros stored
+    entry = st.one_of(ENTRIES["complex"], NEAR_TOL).map(CB.coerce)
+    space = random_space(data)
+    n = space.dim
+    c = dense(data.draw(tables(space, entry)), n)
+    for (i, j, k), x in tampered_entries(data, (n, n, n), entry):
+        c[i][j][k] = x
+    want = structure_violations_from_definitions(space, CB, c)
+    assert structure_violations_made(space, CB, c) == want[:1]
+    if not want:
+        with_zeros = tuple(tuple(tuple(enumerate(row)) for row in block) for block in c)
+        alg = LieSuperalgebra(space, CB, with_zeros)
+        assert alg == LieSuperalgebra(space, CB, sparse(c)) and alg.nz == sparse(c)
+        assert alg._nz == tuple(tuple(tuple(p for p in row if not CB.is_zero(p[1])) for row in b) for b in alg.nz)
+    g = [list(r) for r in data.draw(grams(CB, space, parity, entry))]
+    for (i, j), x in tampered_entries(data, (n, n), entry):
+        g[i][j] = x
+    want = form_violations_from_definitions(space, parity, g, CB)
+    try:
+        BilinearForm(space, CB, parity, Matrix.from_rows(CB, g))
+        got = []
+    except StructureError as exc:
+        got = [str(exc)]
+    assert got == want[:1]
+
+
 @settings(max_examples=120, deadline=None)
 @given(backend=st.sampled_from([EXACT, CB]), data=st.data())
 def test_subspace_bracket_matches_definition(backend, data):
@@ -357,7 +413,7 @@ def test_subspace_bracket_matches_definition(backend, data):
     n = data.draw(st.integers(1, 5))
     vectors = st.lists(st.tuples(*[entry.map(backend.coerce)] * n), max_size=4)
     space = SuperSpace.make([f"E{i}" for i in range(n)])
-    alg = LieSuperalgebra(space, backend, data.draw(tables(backend, space, entry.map(backend.coerce))))
+    alg = LieSuperalgebra(space, backend, data.draw(tables(space, entry.map(backend.coerce))))
     raw = vectors.map(lambda b: Subspace(backend, n, tuple(tuple((j, x) for j, x in enumerate(v) if x) for v in b)))
     subspaces = st.one_of(st.just(Subspace.full(backend, n)), raw)
     u, v = data.draw(subspaces), data.draw(subspaces)
@@ -390,12 +446,11 @@ EXACT_SUMS = {
 @settings(max_examples=120, deadline=None)
 @given(backend=st.sampled_from([EXACT, CB]), data=st.data())
 def test_invariance_failures_match_definition(backend, data):
-    # tables on even and odd labels and Gram matrices, normal on the exact
-    # backend and raw on the complex one: the keyed invariance rows fail
-    # exactly where the dense definition does, in its order
+    # normal tables on even and odd labels and Gram matrices: the keyed
+    # invariance rows fail exactly where the dense definition does, in its order
     entry = EXACT_SUMS[backend.name].map(backend.coerce)
     space = random_space(data)
-    alg = LieSuperalgebra(space, backend, data.draw(tables(backend, space, entry)))
+    alg = LieSuperalgebra(space, backend, data.draw(tables(space, entry)))
     parity = data.draw(st.sampled_from(["even", "odd"]))
     gram = Matrix(backend, data.draw(grams(backend, space, parity, entry)))
     form = BilinearForm(space, backend, parity, gram)
@@ -438,7 +493,7 @@ def test_direct_invariance_sums_match_the_rows_on_random_tables(data):
             brackets[(lab[i], lab[j])] = {lab[k]: data.draw(entry) for k in range(n) if space.parity(k) == p}
         alg = LieSuperalgebra.build(even, odd, brackets)
     else:
-        nz = data.draw(tables(EXACT, space, entry))
+        nz = data.draw(tables(space, entry))
         zeros = tuple(tuple(tuple(enumerate(row)) for row in block) for block in dense(nz, n))
         alg = LieSuperalgebra(space, EXACT, nz if kind == "raw" else zeros)
     parity = data.draw(st.sampled_from(["even", "odd"]))
@@ -539,7 +594,7 @@ def test_jacobi_failures_match_definition(backend, data):
     entry = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-2, 2)).map(backend.coerce)
     n, n_odd = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 2))
     space = SuperSpace.make([f"E{i}" for i in range(n)], [f"F{i}" for i in range(n_odd)])
-    alg = LieSuperalgebra(space, backend, data.draw(tables(backend, space, entry)))
+    alg = LieSuperalgebra(space, backend, data.draw(tables(space, entry)))
     got = [ch.name for ch in verify_jacobi(alg).checks if ch.name.startswith("jacobi(")]
     assert got == jacobi_failures_from_definition(alg)
 
@@ -550,9 +605,6 @@ def jacobi_over_all_triples(alg):
     bk, sp, n, nz = alg.backend, alg.space, alg.dim, alg._nz
     rep = Report()
     law = "graded Jacobi identity"
-    struct = alg.structure_violations()
-    for msg in struct:
-        rep.add("structure", "graded antisymmetry / parity consistency", False, witness=msg)
     fails = 0
     for i in range(n):
         for j in range(i, n):
@@ -577,7 +629,7 @@ def jacobi_over_all_triples(alg):
                         residual=_fmt_residual(bk, worst),
                         witness=alg.format_vector(full),
                     )
-    if fails == 0 and not struct:
+    if fails == 0:
         rep.add("jacobi", law, True, residual="0" if bk.name == "exact" else "0.0")
     return rep
 
@@ -585,13 +637,12 @@ def jacobi_over_all_triples(alg):
 @settings(max_examples=150, deadline=None)
 @given(backend=st.sampled_from([EXACT, CB]), data=st.data())
 def test_jacobi_triples_match_the_loop_over_all_triples(backend, data):
-    # tables that fail Jacobi, normal on the exact backend and on the complex
-    # one raw, neither antisymmetric nor parity-consistent, sub-tolerance
-    # entries included: the triples that meet a structurally nonzero term give
-    # the same checks, in the same order, with the same residuals and witnesses
+    # normal tables that fail Jacobi, sub-tolerance entries included: the
+    # triples that meet a structurally nonzero term give the same checks, in
+    # the same order, with the same residuals and witnesses
     entry = ENTRIES[backend.name].map(backend.coerce)
     space = random_space(data)
-    alg = LieSuperalgebra(space, backend, data.draw(tables(backend, space, entry)))
+    alg = LieSuperalgebra(space, backend, data.draw(tables(space, entry)))
     want = jacobi_over_all_triples(alg)
     assume(any(ch.name.startswith("jacobi(") for ch in want.checks))
     got = verify_jacobi(alg)
@@ -659,7 +710,7 @@ def test_orthogonal_complement_test_matches_the_complement_on_random_forms(data)
     entry = ENTRIES["exact"].map(EXACT.coerce)
     space = random_space(data)
     n = space.dim
-    nz = data.draw(tables(EXACT, space, entry))
+    nz = data.draw(tables(space, entry))
     parity = data.draw(st.sampled_from(["even", "odd"]))
     gram = Matrix(EXACT, data.draw(grams(EXACT, space, parity, entry)))
     assume(rank(gram) == n)
@@ -706,10 +757,14 @@ def test_graded_parts_match_the_spans_of_the_parity_components(backend, homogene
 
 def test_subspace_bracket_keeps_empty_rows():
     # the float elimination breaks pivot ties by row slot: with the empty
-    # [X,X] row dropped, the tie in column Y would go to [X,Z], not [X,Y], and
-    # the Y row of the basis would end in 0.33333333333299997
+    # [X,X] row dropped, the pivot [Y,Z] of column X would move [X,Y] out of
+    # the first slot, the tie in column Y would go to [X,Z], not [X,Y], and the
+    # Y row of the basis would end in 0.33333333333299997
     z = (0j, 0j, 0j)
-    c = ((z, (0j, 3 + 0j, 1 + 0j), (0j, -3 + 0j, -1 + 1e-12 + 0j)), ((1 + 0j, 0j, 0j), z, z), (z, z, z))
+    xy, xz = (0j, 3 + 0j, 1 + 0j), (0j, -3 + 0j, -1 + 1e-12 + 0j)
+    yz = (1 + 0j, 0j, 0j)
+    neg = lambda v: tuple(-x for x in v)  # noqa: E731
+    c = ((z, xy, xz), (neg(xy), z, yz), (neg(xz), neg(yz), z))
     alg = LieSuperalgebra(SuperSpace.make(["X", "Y", "Z"]), CB, sparse(c))
     full = Subspace.full(CB, 3)
     want = Subspace.span(CB, [alg.bracket(a, b) for a in full.basis for b in full.basis], 3)
@@ -746,8 +801,7 @@ def test_stored_table_is_the_nonzero_entries(backend, data):
             assert alg.bracket_basis(i, j) == tuple(want[i][j])
     assert alg.c == tuple(tuple(map(tuple, block)) for block in want)
     assert alg.relabel({l: l.lower() for l in labels}).nz == alg.nz
-    if backend is EXACT:
-        assert alg.to_backend(EXACT).nz == alg.nz
+    assert to_backend(alg, backend).nz == alg.nz
     again = LieSuperalgebra.build(labels[:ne], labels[ne:], dict(reversed(brackets.items())), backend)
     assert again == alg and hash(again) == hash(alg)
 
@@ -784,34 +838,28 @@ def test_what_build_guarantees_on_the_exact_backend_holds(data):
     routes = [
         (alg, form),
         (LieSuperalgebra(space, EXACT, alg.nz), BilinearForm(space, EXACT, form.parity, form.gram)),
-        (alg.to_backend(EXACT), form.to_backend(EXACT)),
+        (to_backend(alg, EXACT), to_backend(form, EXACT)),
         (lower, form.relabel(lower.space)),
         *((cp(alg), cp(form)) for cp in copies),
     ]
     for a, f in routes:
-        assert structure_violations_from_definitions(a.space, EXACT, a.c) == a.structure_violations() == []
+        assert structure_violations_from_definitions(a.space, EXACT, a.c) == []
         assert a._nz == a.nz == alg.nz
-        point = _flat(f.gram)
-        assert failures(EXACT, _transpose_rows(EXACT, n, 1, ne), point) == []
-        assert failures(EXACT, _parity_rows(EXACT, n, ne, odd_form), point) == []
+        assert form_violations_from_definitions(f.space, f.parity, f.gram.entries) == []
         every = Subspace.span(EXACT, [a.bracket_basis(i, j) for i in range(n) for j in range(n)], n)
         assert derived_subalgebra(a).basis == every.basis
 
 
 def test_the_raw_routes_keep_the_structure_checks():
-    # the exact constructor refuses a broken table with the first of the
-    # messages that the complex backend reports, all of them, as failing checks
+    # each constructor refuses a broken table with the first of its 5
+    # violations, the exact one and its complex copy alike
     space, c = raw_superalgebra(EXACT, {("X", "F", "G"): 1, ("F", "X", "G"): 1, ("X", "Y", "F"): 1})
     want = structure_violations_from_definitions(space, EXACT, c)
     assert len(want) == 5
-    with pytest.raises(StructureError) as refused:
-        LieSuperalgebra(space, EXACT, sparse(c))
-    assert str(refused.value) == want[0]
-    cb = complex_backend(1e-9)
-    raw = LieSuperalgebra(space, cb, sparse([[[cb.coerce(x) for x in r] for r in block] for block in c]))
-    for alg in (raw, raw.to_backend(cb), raw.relabel({"X": "U"})):
-        structure = [c.witness for c in verify_jacobi(alg).failures if c.name == "structure"]
-        assert structure == alg.structure_violations() and len(structure) == 5
+    for backend in (EXACT, CB):
+        with pytest.raises(StructureError) as refused:
+            LieSuperalgebra(space, backend, sparse([[[backend.coerce(x) for x in r] for r in block] for block in c]))
+        assert str(refused.value) == want[0]
     # to_backend, relabel, copy and pickle keep the exact table nz and Gram
     # matrix, and a raw table of the same entries is equal in ==, hash and repr
     built = LieSuperalgebra.build(["X", "Y"], ["F", "G"], {("X", "F"): {"G": 1}, ("F", "G"): {"X": 2}})
@@ -819,17 +867,21 @@ def test_the_raw_routes_keep_the_structure_checks():
     assert same == built and hash(same) == hash(built) and repr(same) == repr(built)
     form = BilinearForm.build(built.space, {("X", "Y"): 1, ("F", "G"): 1})
     copies = (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v)))
-    for alg in (built.to_backend(EXACT), built.relabel({"X": "U"}), *(cp(built) for cp in copies)):
+    for alg in (to_backend(built, EXACT), built.relabel({"X": "U"}), *(cp(built) for cp in copies)):
         assert alg.nz == alg._nz == built.nz
-    for f in (form.to_backend(EXACT), form.relabel(form.space), *(cp(form) for cp in copies)):
+    for f in (to_backend(form, EXACT), form.relabel(form.space), *(cp(form) for cp in copies)):
         assert f.gram == form.gram
-    # the complex backend keeps its raw tables: an even square below the
-    # tolerance is kept, and counted twice by the antisymmetry check
-    cb = LieSuperalgebra.build(["X", "Y"], [], {("X", "X"): {"Y": 6e-10}}, complex_backend(1e-9))
-    assert cb.structure_violations() == ["antisymmetry: c[X,X] != (-1)^(|i||j|+1) c[X,X]"]
-    cf = BilinearForm.build(SuperSpace.make([], ["F"]), {("F", "F"): 6e-10}, "even", complex_backend(1e-9))
-    odd = LieSuperalgebra.abelian([], ["F"], complex_backend(1e-9))
-    assert [c.name for c in verify_form(odd, cf).failures][:1] == ["supersymmetry(F,F)"]
+    # an even square or an odd diagonal B(x, x) below the tolerance is kept
+    # by build, and refused when twice it is above it
+    cb = complex_backend(1e-9)
+    with pytest.raises(StructureError, match=r"^antisymmetry: c\[X,X\] != \(-1\)\^\(\|i\|\|j\|\+1\) c\[X,X\]$"):
+        LieSuperalgebra.build(["X", "Y"], [], {("X", "X"): {"Y": 6e-10}}, cb)
+    kept = LieSuperalgebra.build(["X", "Y"], [], {("X", "X"): {"Y": 4e-10}}, cb)
+    assert kept.nz[0][0] == ((1, 4e-10),) and kept._nz[0][0] == ()
+    odd = SuperSpace.make([], ["F"])
+    with pytest.raises(StructureError, match=r"^supersymmetry: B\(F,F\) != \(-1\)\^\(\|i\|\|j\|\) B\(F,F\)$"):
+        BilinearForm.build(odd, {("F", "F"): 6e-10}, "even", cb)
+    assert BilinearForm.build(odd, {("F", "F"): 4e-10}, "even", cb).gram.entries == ((4e-10,),)
 
 
 def test_parity_consistency_rejected():
@@ -962,8 +1014,29 @@ def test_series_pass_matches_on_random_tables(backend, data):
     entry = ENTRIES[backend.name].map(backend.coerce)
     n = data.draw(st.integers(1, 5))
     space = SuperSpace.make([f"E{i}" for i in range(n)])
-    assert_series_pass_matches(LieSuperalgebra(space, backend, data.draw(tables(backend, space, entry))))
+    assert_series_pass_matches(LieSuperalgebra(space, backend, data.draw(tables(space, entry))))
     assert_series_pass_matches(LieSuperalgebra.abelian([f"E{i}" for i in range(n)], backend=backend))
+
+
+def test_a_series_stops_when_the_dimension_does_not_fall():
+    # [E0,E2] = x E1 + (2-i) E2 with |x| just above the tolerance and
+    # [E2,E2] = i E0: the reduced [g,g] holds an entry of about 1.8e9, and the
+    # rounding of its bracket spans g again, so a series that stopped only at
+    # an equal dimension would alternate 3, 2, 3, ... without end
+    x = -7.417791856996642e-10 + 1e-09j
+    nz = (((), (), ((1, x), (2, 2 - 1j))), ((), (), ()), (((1, -x), (2, -2 + 1j)), (), ((0, 1j),)))
+    alg = LieSuperalgebra(SuperSpace(1, 2, ("E0", "E1", "E2")), CB, nz)
+    gg = derived_subalgebra(alg)
+    assert gg.dim == 2 and subspace_bracket(alg, gg, gg).dim == 3
+    steps = []
+
+    def step(s):  # [s, s], for at most a few steps
+        steps.append(s)
+        assert len(steps) < 5, "the series does not end"
+        return subspace_bracket(alg, s, s)
+
+    assert [s.dim for s in _descend([Subspace.full(CB, 3), gg], step)] == [3, 2]
+    assert [s.dim for s in derived_series(alg)] == [s.dim for s in lower_central_series(alg)] == [3, 2]
 
 
 RAW_ENTRIES = {
@@ -979,11 +1052,12 @@ RAW_ENTRIES = {
 }
 
 
-def descend_from_definition(backend, n, step):
-    """g, step(g), ... while the dimension falls and is not 0."""
+def descend_from_definition(backend, n, step, gg=None):
+    """g, step(g), ... while the dimension falls and is not 0; gg, when
+    given, in place of step(g)."""
     series = [Subspace.full(backend, n)]
     while series[-1].dim:
-        nxt = step(series[-1])
+        nxt = gg if gg is not None and len(series) == 1 else step(series[-1])
         if nxt.dim == series[-1].dim:
             break
         series.append(nxt)
@@ -993,14 +1067,13 @@ def descend_from_definition(backend, n, step):
 @settings(max_examples=120, deadline=None)
 @given(backend=st.sampled_from([EXACT, CB]), data=st.data())
 def test_series_match_definition_on_random_tables(backend, data):
-    # tables on even and odd labels, normal on the exact backend and raw on
-    # the complex one, where graded antisymmetry and parity are not imposed:
-    # each subspace is the span its definition builds from alg.bracket on
-    # basis vectors, reduced in the same row order
+    # normal tables on even and odd labels: each subspace is the span its
+    # definition builds from alg.bracket on basis vectors, reduced in the
+    # same row order
     entry = RAW_ENTRIES[backend.name].map(backend.coerce)
     space = random_space(data)
     n = space.dim
-    alg = LieSuperalgebra(space, backend, data.draw(tables(backend, space, entry)))
+    alg = LieSuperalgebra(space, backend, data.draw(tables(space, entry)))
     basis = Subspace.full(backend, n).basis
 
     def span(vectors):
@@ -1009,9 +1082,13 @@ def test_series_match_definition_on_random_tables(backend, data):
     # the center: v with [v, e_j] = 0 for every j, one equation per (j, k)
     rows = tuple(tuple(alg.bracket(e, f)[k] for e in basis) for f in basis for k in range(n))
     assert center(alg) == span(nullspace(Matrix(backend, rows)))
-    assert derived_subalgebra(alg).basis == span(alg.bracket(e, f) for e in basis for f in basis).basis
-    derived = descend_from_definition(backend, n, lambda s: span(alg.bracket(a, b) for a in s.basis for b in s.basis))
-    lower = descend_from_definition(backend, n, lambda s: span(alg.bracket(e, b) for e in basis for b in s.basis))
+    # [g,g] spans [e_i, e_j] over one orientation per pair, since graded
+    # antisymmetry makes the other +-1 times it; a float elimination of both
+    # rounds otherwise
+    gg = span(alg.bracket(basis[i], basis[j]) for i, j in space.pairs())
+    assert derived_subalgebra(alg).basis == gg.basis
+    derived = descend_from_definition(backend, n, lambda s: span(alg.bracket(a, b) for a in s.basis for b in s.basis), gg)
+    lower = descend_from_definition(backend, n, lambda s: span(alg.bracket(e, b) for e in basis for b in s.basis), gg)
     assert [s.basis for s in derived_series(alg)] == [s.basis for s in derived]
     assert [s.basis for s in lower_central_series(alg)] == [s.basis for s in lower]
     z, ds, lcs = _series(alg)
@@ -1053,7 +1130,7 @@ def test_sparse_subspace_operations_match_dense_definitions(data):
     entry = ENTRIES["exact"].map(EXACT.coerce)
     n = data.draw(st.integers(1, 5))
     space = SuperSpace.make([f"E{i}" for i in range(n)])
-    alg = LieSuperalgebra(space, EXACT, data.draw(tables(EXACT, space, entry)))
+    alg = LieSuperalgebra(space, EXACT, data.draw(tables(space, entry)))
     units = Subspace.full(EXACT, n).basis
 
     def span(vectors):
@@ -1084,16 +1161,18 @@ def test_sparse_subspace_operations_match_dense_definitions(data):
 
 
 def test_center_reads_the_tolerance_view():
-    # [e0,e0] = 2e-9 e0 is above the tolerance and [e1,e0] = 1e-10 e0 below it:
-    # the center is the kernel of the brackets as alg.bracket computes them
+    # [E1,E0] = 2e-9 E0 is above the tolerance and [E2,E0] = 1e-10 E0 below
+    # it: the center is the kernel of the brackets as alg.bracket computes
+    # them, span{E2}, not the span of -0.05 E1 + E2 that the stored table gives
     nz = (
-        (((0, 2e-9),), ()),
-        (((0, 1e-10),), ()),
+        ((), ((0, -2e-9),), ((0, -1e-10),)),
+        (((0, 2e-9),), (), ()),
+        (((0, 1e-10),), (), ()),
     )
-    alg = LieSuperalgebra(SuperSpace.make(["E0", "E1"]), CB, nz)
-    e0, e1 = Subspace.full(CB, 2).basis
-    assert alg.bracket(e1, e0) == (0j, 0j)
-    assert center(alg) == Subspace.span(CB, [(0j, 1 + 0j)], 2)
+    alg = LieSuperalgebra(SuperSpace.make(["E0", "E1", "E2"]), CB, nz)
+    e0, e1, e2 = Subspace.full(CB, 3).basis
+    assert alg.bracket(e2, e0) == (0j, 0j, 0j)
+    assert center(alg) == Subspace.span(CB, [e2], 3)
 
 
 def test_format_vector():
@@ -1144,16 +1223,54 @@ def is_ideal_from_definition(alg, s):
     return True
 
 
+# (brackets on E0..E{n-1}, spanning vectors, verdict): each basis row has two or
+# more nonzero coordinates, and the bracket with the first alone gives the
+# other verdict
+IDEAL_CASES = [
+    # E0 + E1 is central, though [E2, E0] = -E2 is not in its span
+    ({("E0", "E2"): {"E2": 1}, ("E1", "E2"): {"E2": -1}}, [(1, 1, 0)], True),
+    # [E2, E0 + E1] = -E2, though E0 is central
+    ({("E1", "E2"): {"E2": 1}}, [(1, 1, 0)], False),
+    # ad E3 is the identity on span{E0, E1, E2}, so each of its subspaces is an ideal
+    ({("E0", "E3"): {"E0": -1}, ("E1", "E3"): {"E1": -1}, ("E2", "E3"): {"E2": -1}}, [(1, 0, 2, 0), (0, 1, -1, 0)], True),
+    # [E3, E0 + E2] = E2 lies outside the span, though E0 and E1 are central
+    ({("E2", "E3"): {"E2": -1}}, [(1, 0, 1, 0), (0, 1, 1, 0)], False),
+]
+
+
 @settings(max_examples=120, deadline=None)
 @given(backend=st.sampled_from([EXACT, CB]), data=st.data())
 def test_is_ideal_matches_definition(backend, data):
+    # the fixed cases, whose rows a reading of one coordinate would get
+    # wrong, then normal tables and random spans
+    for brackets, vectors, verdict in IDEAL_CASES:
+        n = len(vectors[0])
+        alg = LieSuperalgebra.build([f"E{i}" for i in range(n)], [], brackets, backend)
+        s = Subspace.span(backend, vectors, n)
+        assert all(len(r) >= 2 for r in s.rows)
+        assert is_ideal(alg, s) == is_ideal_from_definition(alg, s) == verdict
     entry = ENTRIES[backend.name]
     n = data.draw(st.integers(1, 4))
     space = SuperSpace.make([f"E{i}" for i in range(n)])
-    alg = LieSuperalgebra(space, backend, data.draw(tables(backend, space, entry.map(backend.coerce))))
+    alg = LieSuperalgebra(space, backend, data.draw(tables(space, entry.map(backend.coerce))))
     vectors = data.draw(st.lists(st.tuples(*[entry.map(backend.coerce)] * n), max_size=n))
     s = Subspace.span(backend, vectors, n)
     assert is_ideal(alg, s) == is_ideal_from_definition(alg, s)
+
+
+def test_the_complex_tables_that_broke_is_ideal_are_refused():
+    # two raw tables on which is_ideal and its definition once disagreed;
+    # each has a nonzero even square, which the constructor now refuses
+    square = r"^antisymmetry: c\[E{0},E{0}\] != \(-1\)\^\(\|i\|\|j\|\+1\) c\[E{0},E{0}\]$"
+    e = tuple(tuple(() for _ in range(4)) for _ in range(4))
+    nz = e[:3] + ((*e[3][:3], ((2, 1j), (3, 1j))),)  # [E3,E3] = i E2 + i E3
+    with pytest.raises(StructureError, match=square.format(3)):
+        LieSuperalgebra(SuperSpace.make([f"E{i}" for i in range(4)]), CB, nz)
+    # [E0,E0] = 2i E0 and [E1,E0] = 2i E0 + (1e-9 + 1.58e-10 i) E1, where
+    # is_ideal(span{E0}) read False and the definition True
+    nz = ((((0, 2j),), ()), (((0, 2j), (1, 1e-9 + 1.58e-10j)), ()))
+    with pytest.raises(StructureError, match=square.format(0)):
+        LieSuperalgebra(SuperSpace.make(["E0", "E1"]), CB, nz)
 
 
 def _fingerprint(der_dim=5, skew_der_dim=3, center_dim=1):

@@ -22,7 +22,7 @@ from liequad.linalg import Matrix, Subspace, _nullspace_rows, _rref_sparse, null
 from liequad.morphisms import fingerprint
 from liequad.scalars import EXACT, BackendMismatch, complex_backend
 
-from helpers import grams, tables
+from helpers import grams, tables, to_backend
 
 
 def d_g4(x, y, z):
@@ -240,12 +240,12 @@ def test_skew_rejects_a_form_of_a_larger_dimension(g4, g5):
 
 def test_skew_rejects_a_complex_form_on_an_exact_algebra(g4):
     with pytest.raises(BackendMismatch):
-        derivation_space(g4.algebra, "skew", g4.form.to_backend(CB))
+        derivation_space(g4.algebra, "skew", to_backend(g4.form, CB))
 
 
 def test_skew_rejects_an_exact_form_on_a_complex_algebra(g4):
     with pytest.raises(BackendMismatch):
-        derivation_space(g4.algebra.to_backend(CB), "skew", g4.form)
+        derivation_space(to_backend(g4.algebra, CB), "skew", g4.form)
 
 
 def random_super_table(backend, data):
@@ -323,7 +323,7 @@ def full_system(alg, form=None):
     """The kernel rows of the system of an even derivation written out in full:
     every Leibniz row, the parity rows and, given a form, every skew row."""
     bk, n = alg.backend, alg.dim
-    rows = _leibniz_rows(bk, alg._nz) + [row for _, row in _parity_rows(bk, n, alg.space.dim_even, False)]
+    rows = _leibniz_rows(bk, alg._nz) + [row for _, row in _parity_rows(bk, n, alg.space.dim_even)]
     if form is not None:
         rows += _skew_rows(bk, form.gram)
     return _nullspace_rows(bk, rows, n * n)
@@ -400,16 +400,15 @@ def test_the_float_backend_solves_on_every_row():
 
 
 def raw_table(backend, data):
-    """A table and a Gram matrix on even and odd labels, through the raw
-    constructors: on the complex backend any entry, so parity and the form's
-    pattern may break; on the exact backend, whose constructors refuse such a
-    table or form, normal ones."""
+    """A normal table and Gram matrix on even and odd labels, through the raw
+    constructors, which refuse a table or form that breaks parity or the
+    form's pattern."""
     entry = st.one_of(st.just(backend.zero), ENTRY[backend.name].map(backend.coerce))
     n = data.draw(st.integers(1, 4))
     ne = data.draw(st.integers(0, n))
     space = SuperSpace(ne, n - ne, tuple(f"E{i}" for i in range(n)))
     parity = data.draw(st.sampled_from(["even", "odd"]))
-    nz = data.draw(tables(backend, space, entry))
+    nz = data.draw(tables(space, entry))
     gram = Matrix(backend, data.draw(grams(backend, space, parity, entry)))
     return LieSuperalgebra(space, backend, nz), BilinearForm(space, backend, parity, gram)
 
@@ -423,27 +422,22 @@ def test_raw_tables_that_break_parity_solve_the_full_system(backend, data):
 
 def test_a_mixed_row_is_kept():
     # [E, O] = E breaks parity, as do B(E, O) = 1 for an even form and
-    # B(E, E) = 1 for an odd one: the exact constructors refuse each
+    # B(E, E) = 1 for an odd one: the constructors of both backends refuse each
     space = SuperSpace(1, 1, ("E", "O"))
-    with pytest.raises(StructureError, match=r"^parity: \[E,O\] has a E-component of the wrong parity$"):
-        LieSuperalgebra(space, EXACT, (((), ((0, 1),)), ((), ())))
-    with pytest.raises(StructureError, match=r"^form entry \(E,O\) violates the even parity pattern$"):
-        BilinearForm(space, EXACT, "even", Matrix(EXACT, ((0, 1), (0, 0))))
-    with pytest.raises(StructureError, match=r"^form entry \(E,E\) violates the odd parity pattern$"):
-        BilinearForm(space, EXACT, "odd", Matrix(EXACT, ((1, 0), (0, 0))))
-    # the complex backend keeps them and every row: the row (E, O, E) of the
-    # Leibniz system reads -D[O][O] = 0, an even-block entry in a row of the
-    # odd class, and the skew row (E, O) reads D[E][E] + D[O][O] = 0
-    alg = LieSuperalgebra(space, CB, (((), ((0, 1 + 0j),)), ((), ())))
-    assert alg.structure_violations()
-    assert derivation_space(alg, "all").dim == 1
-    gram = Matrix(CB, ((0j, 1 + 0j), (0j, 0j)))
-    assert derivation_space(LieSuperalgebra.abelian(["E"], ["O"], CB), "skew", BilinearForm(space, CB, "even", gram)).dim == 1
-    for form in (BilinearForm(space, CB, "even", gram), BilinearForm(space, CB, "odd", Matrix(CB, ((1 + 0j, 0j), (0j, 0j))))):
-        assert_full_system(alg, form)
-    # an odd form with B(E, E) = 1 on an even algebra: the skew row (E, E) reads 2 D[E][E] = 0
-    even = LieSuperalgebra.abelian(["E"], backend=CB)
-    assert derivation_space(even, "skew", BilinearForm(even.space, CB, "odd", Matrix(CB, ((1 + 0j,),)))).dim == 0
+    for backend in (EXACT, CB):
+        with pytest.raises(StructureError, match=r"^parity: \[E,O\] has a E-component of the wrong parity$"):
+            LieSuperalgebra(space, backend, (((), ((0, backend.one),)), ((), ())))
+        with pytest.raises(StructureError, match=r"^form entry \(E,O\) violates the even parity pattern$"):
+            BilinearForm(space, backend, "even", Matrix.from_rows(backend, ((0, 1), (0, 0))))
+        with pytest.raises(StructureError, match=r"^form entry \(E,E\) violates the odd parity pattern$"):
+            BilinearForm(space, backend, "odd", Matrix.from_rows(backend, ((1, 0), (0, 0))))
+    # below the tolerance such a term is kept in the stored table, and the
+    # rows of the system, which read the tolerance view, are the full system's
+    alg = LieSuperalgebra(space, CB, (((), ((0, 5e-10),)), (((0, -5e-10),), ())))
+    assert alg.nz[0][1] == ((0, 5e-10),) and alg._nz[0][1] == ()
+    gram = Matrix.from_rows(CB, ((1, 5e-10), (5e-10, 0)))
+    assert_full_system(alg, BilinearForm(space, CB, "even", gram))
+    assert derivation_space(alg, "all").dim == 2
 
 
 @settings(max_examples=60, deadline=None)

@@ -32,7 +32,7 @@ from liequad.morphisms import (
 )
 from liequad.scalars import EXACT, complex_backend
 
-from helpers import basis_vector
+from helpers import basis_vector, to_backend
 
 
 def identity_map(q):
@@ -74,7 +74,7 @@ def test_graded_map_rejects_an_unknown_label():
 
 def test_isometry_failure_on_scaled_gram():
     g4 = catalog.build("g4")
-    scaled_form = g4.form.to_backend(EXACT)
+    scaled_form = to_backend(g4.form, EXACT)
     from liequad.core import BilinearForm, QuadraticAlgebra
 
     doubled = BilinearForm(
