@@ -16,8 +16,9 @@ Each header line, and the param line of each name, may appear once.
 Unspecified brackets and form entries are zero, and each unordered pair may
 appear once, in one orientation (the other is forced by graded antisymmetry or
 supersymmetry).  A nonzero coefficient on a label of the wrong parity is
-rejected by LieSuperalgebra.build; a zero one is dropped.  A ParseError names
-the line of the offending entry, also for the checks of the core builders.
+refused by the LieSuperalgebra constructor; a zero one is dropped.  A
+ParseError names the line of the offending entry: for the constructors'
+checks, the first entry refused on its own, with its own message.
 Exact coefficients are fractions p/q, optionally with an imaginary part
 written like 1/2+3/4i; the complex backend takes decimal literals.  Parsing
 round-trips bit-exactly on the exact backend.
@@ -193,11 +194,12 @@ def _build_at_lines(build, entries, parse_value):
     """build(table) for entries {key: (line, raw value)}, where table maps each
     key to parse_value(raw value); a failure is a ParseError at its line.
 
-    Each check of the core builders that parse leaves to them (parity, an even
-    square, the form's block pattern, and on the complex backend an even
-    square or odd diagonal twice above the tolerance) concerns one entry, so
-    the first entry that build rejects on its own is the one it rejected in
-    the table."""
+    Each check that parse leaves to the constructors (parity, an even square,
+    the form's block pattern and an odd diagonal) concerns one entry, since
+    build writes exact mirrors.  A failure is reported at the first entry, in
+    file order, that build refuses on its own, with the message of that
+    one-entry build: the constructor names the first fault in basis order,
+    which may sit on a later line."""
     table = {}
     for key, (line, raw) in entries.items():
         try:
@@ -211,8 +213,8 @@ def _build_at_lines(build, entries, parse_value):
     for key, (line, _) in entries.items():
         try:
             build({key: table[key]})
-        except StructureError:
-            raise ParseError(error, line) from None
+        except StructureError as exc:
+            raise ParseError(str(exc), line) from None
     raise ParseError(error)
 
 

@@ -8,12 +8,13 @@ Conventions, fixed project-wide:
   orientations; `_nz` is the table without the entries zero to the backend
   tolerance, and the dense c[i][j][k] is a view rebuilt on each access;
 * every table and form is normal: the raw constructors, which `build` and
-  `relabel` call, drop a table's exact zeros and refuse a term of the wrong
-  parity, a broken graded mirror (a nonzero even square among them) and a
-  Gram entry off its parity pattern or not supersymmetric, each judged by
-  `backend.is_zero`, so no reader looks for these.  On the exact backend
-  `_nz` is `nz`; on the complex one an even square [x, x] or an odd diagonal
-  B(x, x) is refused when twice it is above the tolerance;
+  `relabel` call, are the one place that checks it.  They drop a table's
+  exact zeros and refuse a term of the wrong parity, a broken graded mirror
+  (a nonzero even square among them) and a Gram entry off its parity pattern
+  or not supersymmetric, each judged by `backend.is_zero`.  On the exact
+  backend `_nz` is `nz`; on the complex one an even square [x, x] or an odd
+  diagonal B(x, x) is refused when twice it is above the tolerance, and so is
+  a mirror zero to it where its entry is not, so `_nz` has one support per pair;
 * ad(e_i) is the matrix whose j-th column holds the coordinates of [e_i, e_j]
   (matrices act on column coordinate vectors);
 * supersymmetry of a form means B(y, x) = (-1)^{|x||y|} B(x, y); an even form
@@ -147,7 +148,8 @@ class LieSuperalgebra(Value):
         backend=EXACT,
     ) -> "LieSuperalgebra":
         """Build from one orientation per unordered pair; the graded-antisymmetric
-        counterpart is filled in automatically and conflicts are rejected."""
+        counterpart is filled in automatically.  The constructor checks the rest
+        and names the first faulty pair in basis order."""
         space = SuperSpace.make(even, odd)
         n = space.dim
         table = [[None] * n for _ in range(n)]
@@ -159,21 +161,14 @@ class LieSuperalgebra(Value):
                 x = backend.coerce(coeff)
                 terms[space.index(label)] = x
             pairs = tuple((k, terms[k]) for k in sorted(terms) if terms[k])
-            for k, x in pairs:  # checked here too, so that the message names the pair as given
-                if space.parity(k) != space.parity(i) ^ space.parity(j) and not backend.is_zero(x):
-                    raise StructureError(_parity_message(space.labels, i, j, k))
             if table[i][j] is not None:  # set as the counterpart of (lb, la)
                 raise StructureError(
                     f"both orientations of the pair ({la},{lb}) specified; "
                     "graded antisymmetry fixes the second one"
                 )
-            if i == j:
-                if space.parity(i) == 0 and any(not backend.is_zero(x) for _, x in pairs):
-                    raise StructureError(f"[{la},{la}] must vanish on an even element")
-                table[i][i] = pairs
-            else:
+            table[i][j] = pairs
+            if i != j:
                 sign = -_graded_sign(space, i, j)
-                table[i][j] = pairs
                 table[j][i] = tuple((k, sign * x) for k, x in pairs)
         return LieSuperalgebra(space, backend, tuple(tuple(row or () for row in block) for block in table))
 
@@ -237,15 +232,12 @@ class LieSuperalgebra(Value):
         return f"LieSuperalgebra(dim_even={self.space.dim_even}, dim_odd={self.space.dim_odd}, labels={self.labels})"
 
 
-def _parity_message(labels, i: int, j: int, k: int) -> str:
-    return f"parity: [{labels[i]},{labels[j]}] has a {labels[k]}-component of the wrong parity"
-
-
 def _violations(space: SuperSpace, backend, nz):
     """Messages of the violations of nz over the pairs (i, j) in turn: each
     term of [e_i, e_j] of the wrong parity, then c[j][i] != (-1)^(|i||j|+1)
     c[i][j].  Every stored entry counts, also one below the tolerance: two of
-    them can differ by more than it."""
+    them can differ by more than it.  A coordinate zero to the backend in one
+    orientation only breaks the mirror too, so `_nz` has one support per pair."""
     ne, labels, zero, is_zero = space.dim_even, space.labels, backend.zero, backend.is_zero
     for i, block in enumerate(nz):
         for j, row in enumerate(block):
@@ -255,12 +247,13 @@ def _violations(space: SuperSpace, backend, nz):
             odd = (i >= ne) != (j >= ne)
             for k, x in row:
                 if (k >= ne) != odd and not is_zero(x):
-                    yield _parity_message(labels, i, j, k)
+                    yield f"parity: [{labels[i]},{labels[j]}] has a {labels[k]}-component of the wrong parity"
             sign = 1 if i >= ne and j >= ne else -1
             if mirror == (row if sign == 1 else tuple([(k, -x) for k, x in row])):
                 continue
             cij, cji = dict(row), dict(mirror)
-            if any(not is_zero(cji.get(k, zero) - sign * cij.get(k, zero)) for k in cij.keys() | cji.keys()):
+            pairs = [(cij.get(k, zero), cji.get(k, zero)) for k in cij.keys() | cji.keys()]
+            if any(not is_zero(y - sign * x) or is_zero(x) != is_zero(y) for x, y in pairs):
                 yield f"antisymmetry: c[{labels[j]},{labels[i]}] != (-1)^(|i||j|+1) c[{labels[i]},{labels[j]}]"
 
 
@@ -285,17 +278,12 @@ class BilinearForm(Frozen):
         for (la, lb), coeff in dict(entries).items():
             i, j = space.index(la), space.index(lb)
             x = backend.coerce(coeff)
-            pi, pj = space.parity(i), space.parity(j)
-            if (pi != pj) != (parity == "odd") and not backend.is_zero(x):
-                raise StructureError(f"form entry ({la},{lb}) violates the {parity} parity pattern")
             if (j, i) in seen:
                 raise StructureError(f"both orientations of form pair ({la},{lb}) specified")
             seen.add((i, j))
             g[i][j] = x
             if i != j:
                 g[j][i] = _graded_sign(space, i, j) * x
-            elif pi == 1 and not backend.is_zero(x):
-                raise StructureError(f"form entry ({la},{la}) must vanish on an odd element")
         return BilinearForm(space, backend, parity, Matrix(backend, tuple(tuple(r) for r in g)))
 
     def table(self) -> dict:
@@ -393,9 +381,9 @@ def verify_jacobi(alg: LieSuperalgebra) -> Report:
 
     Only the triples {a, b, c} with some e_m in the support of [e_b, e_c] and
     [e_a, e_m] != 0 are evaluated: on every other triple each of the three
-    terms is an empty sum, so it cannot fail.  Both orientations of [e_b, e_c]
-    are read, since the tolerance view of a complex table is antisymmetric
-    only up to the tolerance.  The triples are evaluated in sorted (i, j, k)
+    terms is an empty sum, so it cannot fail.  One orientation of [e_b, e_c]
+    is read: the constructor gives both the same support in the tolerance
+    view `_nz`.  The triples are evaluated in sorted (i, j, k)
     order, the order of the loop over all of them, so the report is the same.
     Every failing triple becomes its own report entry carrying the largest
     residual component; a clean run collapses to a single passing check.
@@ -406,10 +394,9 @@ def verify_jacobi(alg: LieSuperalgebra) -> Report:
     nz = alg._nz
     left = [[a for a in range(n) if nz[a][m]] for m in range(n)]  # left[m]: the a with [e_a, e_m] != 0
     triples = set()
-    for b in range(n):
-        for c in range(n):
-            x, y = (b, c) if b <= c else (c, b)
-            for m, _ in nz[b][c]:
+    for x in range(n):
+        for y in range(x, n):
+            for m, _ in nz[x][y]:
                 for a in left[m]:
                     triples.add((a, x, y) if a <= x else (x, a, y) if a <= y else (x, y, a))
     fails = 0

@@ -38,7 +38,7 @@ from .conditions import _add_row, _cocycle_rows, _cyclic_rows, _flat, _flat3, _f
 from .conditions import _transpose_rows, _unfolded, failures, is_cyclic
 from .core import BilinearForm, LieSuperalgebra, QuadraticAlgebra, StructureError
 from .derivations import is_derivation
-from .linalg import Matrix, _nullspace_rows, dot, vec_is_zero, zero_vec
+from .linalg import Matrix, _nullspace_rows, dot, zero_vec
 from .scalars import Frozen, _set, same_backend
 
 
@@ -58,7 +58,8 @@ def _require_even(alg: LieSuperalgebra, what: str):
 def _tensor_from_labels(base: LieSuperalgebra, entries, what: str, symmetric: bool) -> tuple:
     """t[i][j] = coordinates of the value on the basis pair (e_i, e_j), from one
     orientation per pair; the other is mirrored, negated unless symmetric, and
-    pairs not given are zero."""
+    pairs not given are zero.  A diagonal value is kept as given: a cocycle's
+    `validate` refuses a nonzero one."""
     bk, sp, n = base.backend, base.space, base.dim
     t = [[None] * n for _ in range(n)]
     for (la, lb), value in dict(entries).items():
@@ -72,8 +73,6 @@ def _tensor_from_labels(base: LieSuperalgebra, entries, what: str, symmetric: bo
         t[i][j] = v
         if i != j:
             t[j][i] = v if symmetric else tuple(-x for x in v)
-        elif not symmetric and not vec_is_zero(bk, v):
-            raise ExtensionError("theta(x,x) must vanish")
     zero = zero_vec(bk, n)
     return tuple(tuple(row if row is not None else zero for row in block) for block in t)
 

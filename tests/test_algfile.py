@@ -159,16 +159,21 @@ def test_parity_rule_is_the_one_of_build():
 @pytest.mark.parametrize(
     "body, line, message",
     [
-        ("bracket X Y = 1 Y\nbracket X X = 1 Y\n", 6, "[X,X] must vanish on an even element"),
+        ("bracket X Y = 1 Y\nbracket X X = 1 Y\n", 6, "antisymmetry: c[X,X] != (-1)^(|i||j|+1) c[X,X]"),
         ("bracket X Y = 1 Y\n\nbracket Y F = 1/0 F\n", 7, "bad exact scalar '1/0': Fraction(1, 0)"),
-        ("form X Y = 1\nform F F = 1\n", 6, "form entry (F,F) must vanish on an odd element"),
+        ("form X Y = 1\nform F F = 1\n", 6, "supersymmetry: B(F,F) != (-1)^(|i||j|) B(F,F)"),
         ("form X Y = 1\nform X X = 1x\n", 6, "bad exact scalar '1x': Invalid literal for Fraction: '1x'"),
+        # the constructor meets [X,Y] first in basis order, but line 5 fails on its own
+        ("bracket Y Y = 1 X\nbracket X Y = 1 F\n", 5, "antisymmetry: c[Y,Y] != (-1)^(|i||j|+1) c[Y,Y]"),
+        # a reversed entry is named in basis order
+        ("bracket Y X = 1 F\n", 5, "parity: [X,Y] has a F-component of the wrong parity"),
     ],
-    ids=["even-square", "bracket-scalar", "odd-diagonal", "form-scalar"],
+    ids=["even-square", "bracket-scalar", "odd-diagonal", "form-scalar", "two-faults", "reversed-entry"],
 )
 def test_build_errors_carry_their_line(body, line, message):
-    # the checks left to LieSuperalgebra.build and BilinearForm.build, and the
-    # scalars, are reported at the line of the offending entry
+    # the checks left to the LieSuperalgebra and BilinearForm constructors, and
+    # the scalars, are reported at the first line that fails on its own, with
+    # its own message
     header = "algebra p\ndim_even 2\ndim_odd 1\nbasis X Y F\n"
     with pytest.raises(ParseError) as err:
         parse(header + body)

@@ -234,6 +234,12 @@ def test_extend_prints_a_warning_line(tmp_path, capsys):
         assert err == "warning: theta is not cyclic: the T*-extension is returned as a plain Lie algebra\n"
 
 
+def test_extend_refuses_a_cocycle_diagonal(tmp_path, capsys):
+    coc = tmp_path / "theta.map"
+    coc.write_text("theta X X = 1 P\n")
+    assert run(capsys, "extend", "tstar", G4, "--cocycle", str(coc)) == (1, "", "error: theta is not skew on (X,X)\n")
+
+
 def test_extend_double1d(tmp_path, capsys):
     mapfile = tmp_path / "adx.map"
     mapfile.write_text("map P = 1 P\nmap Q = -1 Q\n")
@@ -278,7 +284,7 @@ def test_extend_superdouble(tmp_path, capsys):
         # a degenerate core form fails the output's non-degeneracy check
         ("dim_odd 3\nbasis F1 F2 F3\nform F1 F2 = 1\n", 1, "FAIL  non-degeneracy"),
         ("dim_odd 2\nbasis F1 F2\nform F1 F2 = 1\n", 0, ""),
-        ("dim_odd 2\nbasis F1 F2\nform F1 F1 = 1\n", 2, "must vanish on an odd element"),
+        ("dim_odd 2\nbasis F1 F2\nform F1 F1 = 1\n", 2, "error: line 5: supersymmetry: B(F1,F1) != (-1)^(|i||j|) B(F1,F1)\n"),
     ],
 )
 def test_extend_superdouble_core_form(tmp_path, capsys, core, code, message):

@@ -213,7 +213,8 @@ def test_axiom_failures_match_definitions(tampered):
 
 def structure_violations_from_definitions(space, backend, c):
     """The messages of the table constructor's checks for the dense table c,
-    from a dense loop over all entries."""
+    from a dense loop over all entries.  A mirror also breaks where exactly one
+    of c[i][j][k] and c[j][i][k] is zero to the backend."""
     sp, n, bk = space, space.dim, backend
     out = []
     for i in range(n):
@@ -223,7 +224,10 @@ def structure_violations_from_definitions(space, backend, c):
                 if not bk.is_zero(c[i][j][k]) and sp.parity(k) != pij:
                     out.append(f"parity: [{sp.labels[i]},{sp.labels[j]}] has a {sp.labels[k]}-component of the wrong parity")
             sign = (-1) ** (sp.parity(i) * sp.parity(j) + 1)
-            if any(not bk.is_zero(c[j][i][k] - sign * c[i][j][k]) for k in range(n)):
+            if any(
+                not bk.is_zero(c[j][i][k] - sign * c[i][j][k]) or bk.is_zero(c[j][i][k]) != bk.is_zero(c[i][j][k])
+                for k in range(n)
+            ):
                 out.append(f"antisymmetry: c[{sp.labels[j]},{sp.labels[i]}] != (-1)^(|i||j|+1) c[{sp.labels[i]},{sp.labels[j]}]")
     return out
 
@@ -258,6 +262,9 @@ def raw_superalgebra(backend, entries):
         (EXACT, {("X", "F", "G"): 1, ("F", "X", "G"): 1, ("F", "G", "X"): 2, ("G", "F", "X"): 2}, 2),
         # below the tolerance on both sides, but 1.8e-9 apart: still reported
         (complex_backend(1e-9), {("X", "Y", "X"): 0.9e-9, ("Y", "X", "X"): 0.9e-9}, 2),
+        # 0.5e-9 from antisymmetric, but 1.2e-9 is nonzero to the tolerance and
+        # its mirror -0.7e-9 is zero to it: the supports differ
+        (complex_backend(1e-9), {("X", "Y", "Y"): 1.2e-9, ("Y", "X", "Y"): -0.7e-9}, 2),
         # below the tolerance and antisymmetric, or below it with a wrong parity
         (complex_backend(1e-9), {("X", "Y", "X"): 0.9e-9, ("Y", "X", "X"): -0.9e-9, ("X", "Y", "G"): 0.5e-9}, 0),
         (EXACT, {("X", "Y", "Y"): 1, ("Y", "X", "Y"): -1, ("F", "G", "Y"): 1, ("G", "F", "Y"): 1}, 0),
@@ -702,18 +709,70 @@ def test_orthogonal_complement_test_matches_the_complement_on_the_shipped_files(
                 assert is_orthogonal_complement(q, s, t) == perp_by_complement(q, s, t)
 
 
+NONZERO = st.one_of(
+    st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 3)),
+    st.builds(Exact, st.integers(-2, 2), st.sampled_from([-2, -1, 1, 2])),
+).map(EXACT.coerce)
+
+
+@st.composite
+def invertible(draw, m, entry):
+    """An m x m matrix P L U: P a permutation, L unit lower triangular and U
+    upper triangular with a nonzero diagonal.  Every invertible matrix has
+    this form."""
+    one, zero = EXACT.one, EXACT.zero
+    lower = [[one if i == j else draw(entry) if j < i else zero for j in range(m)] for i in range(m)]
+    upper = [[draw(NONZERO) if i == j else draw(entry) if j > i else zero for j in range(m)] for i in range(m)]
+    lu = [[sum((lower[i][k] * upper[k][j] for k in range(m)), zero) for j in range(m)] for i in range(m)]
+    return [lu[i] for i in draw(st.permutations(range(m)))]
+
+
+@st.composite
+def nondegenerate_grams(draw, parity, entry):
+    """(space, Gram rows) of a form of that parity, non-degenerate by
+    construction, every such form reachable.  An even form is A G0 A^T on up to
+    3 even vectors, A invertible and G0 a nonzero diagonal (over Q every
+    non-degenerate symmetric form is congruent to one), whose first two
+    entries may be the hyperbolic plane instead, so that isotropic basis
+    vectors are drawn often; B(O0, O1) = -B(O1, O0) != 0 on 0 or 2 odd ones.  An odd form pairs 1 or 2
+    even vectors with as many odd ones through an invertible A."""
+    if parity == "odd":
+        ne = no = draw(st.integers(1, 2))
+    else:
+        no = draw(st.sampled_from([0, 2]))
+        ne = draw(st.integers(0 if no else 1, 3))
+    space = SuperSpace.make([f"E{i}" for i in range(ne)], [f"O{i}" for i in range(no)])
+    a = draw(invertible(ne, entry))
+    g = [[EXACT.zero] * (ne + no) for _ in range(ne + no)]
+    if parity == "odd":
+        for i in range(ne):
+            for j in range(ne):
+                g[i][ne + j] = g[ne + j][i] = a[i][j]
+    else:
+        g0 = [[draw(NONZERO) if k == l else EXACT.zero for l in range(ne)] for k in range(ne)]
+        if ne >= 2 and draw(st.booleans()):
+            g0[0][0] = g0[1][1] = EXACT.zero
+            g0[0][1] = g0[1][0] = draw(NONZERO)
+        for i in range(ne):
+            for j in range(ne):
+                g[i][j] = sum((a[i][k] * g0[k][l] * a[j][l] for k in range(ne) for l in range(ne)), EXACT.zero)
+        if no:
+            x = draw(NONZERO)
+            g[ne][ne + 1], g[ne + 1][ne] = x, -x
+    return space, tuple(map(tuple, g))
+
+
 @settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_orthogonal_complement_test_matches_the_complement_on_random_forms(data):
+@given(parity=st.sampled_from(["even", "odd"]), data=st.data())
+def test_orthogonal_complement_test_matches_the_complement_on_random_forms(parity, data):
     # random tables and non-degenerate Gram matrices on the exact backend; s is
     # the complement of t, a part of it, or a span drawn at random
     entry = ENTRIES["exact"].map(EXACT.coerce)
-    space = random_space(data)
+    space, rows = data.draw(nondegenerate_grams(parity, entry))
     n = space.dim
     nz = data.draw(tables(space, entry))
-    parity = data.draw(st.sampled_from(["even", "odd"]))
-    gram = Matrix(EXACT, data.draw(grams(EXACT, space, parity, entry)))
-    assume(rank(gram) == n)
+    gram = Matrix(EXACT, rows)
+    assert rank(gram) == n
     alg = LieSuperalgebra(space, EXACT, nz)
     q = QuadraticAlgebra(alg, BilinearForm(space, EXACT, parity, gram))
     vectors = st.lists(st.tuples(*[entry] * n), max_size=n)

@@ -340,6 +340,12 @@ def test_cocycle_validation_rejects_non_cocycle():
         Cocycle2.build(g, {("Y", "Z"): {"X": 1}})
 
 
+def test_a_cocycle_diagonal_is_refused_by_validate():
+    # the label reader keeps theta(X, X); the antisymmetry rows of validate refuse it
+    with pytest.raises(ExtensionError, match=r"^theta is not skew on \(X,X\)$"):
+        Cocycle2.build(catalog.base("g3_1"), {("X", "X"): {"Y": 1}})
+
+
 # -- super double extension --------------------------------------------------------
 
 
