@@ -34,7 +34,9 @@ exact zero, and it is dropped when nothing is left or every entry is zero to
 the backend.  `_add_row` applies it to the skew rows, the images of
 `derivations._skew_rank` and the pairing rows of `sym_pairing_space`;
 `_leibniz_rows` deletes an entry where a term cancels it and keeps the row by
-the same test.  A validator evaluates the rows as generated.
+the same test.  The exact solve's Leibniz rows also skip a single-term row
+whose unknown an earlier single-term row sets to 0: it is a multiple of that
+row.  A validator evaluates the rows as generated.
 """
 
 from __future__ import annotations
@@ -168,15 +170,20 @@ def _leibniz_rows(bk, nz, n_even=None):
     rows set to zero.  n_even None (`is_derivation` judges any map) keeps every
     row, as does the float backend, which pivots as dense elimination does:
     there the row swaps of the odd-block rows reorder the others, and with
-    them the rounding.
+    them the rounding.  On that exact path a single-term row, such as the
+    {l * n + col: -x} of a lone term, is kept only the first time its unknown
+    occurs: a repeat is a multiple of it, so the kernel is still that of the
+    full system, and every kept row is one of its rows.
 
     The zero rule of `_add_row`, applied in place: an entry that a term cancels
     to an exact zero is deleted there, so the keep test needs no rescan."""
     n = len(nz)
     exact = bk.name == "exact"
-    ne = n_even if exact and n_even is not None else n
+    solving = exact and n_even is not None
+    ne = n_even if solving else n
     left, right = _output_index(nz)
     rows = []
+    zeroed = set()  # the unknowns of the single-term rows kept so far, when solving
     for p, every in enumerate((range(ne), range(ne, n))):  # the rows whose e_k has parity p
         if not every:
             continue
@@ -201,6 +208,10 @@ def _leibniz_rows(bk, nz, n_even=None):
                                 del row[u]
                             else:
                                 row[u] -= x
+                    if solving and len(row) == 1:
+                        if row.keys() <= zeroed:
+                            continue  # a kept row already sets this unknown to 0
+                        zeroed.update(row)
                     if row and (exact or not all(map(bk.is_zero, row.values()))):
                         rows.append(row)
     return rows

@@ -439,6 +439,8 @@ def _bracket(nz, x, y) -> dict:
     for i, a in x:
         row = nz[i]
         for j, b in y:
+            if not row[j]:
+                continue  # no product to scale
             ab = a * b
             for k, c in row[j]:
                 p = ab * c

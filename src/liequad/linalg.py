@@ -152,10 +152,12 @@ def _rref_sparse(backend, rows: list, ncols: int) -> tuple:
     fewest nonzeros.  A row with one entry is such a candidate, so the exact
     backend first presolves singleton rows: each becomes {c: 1}, column c is
     deleted from every other row, and a row left with one entry follows in
-    turn; no later pivot row holds c, so its pivot eliminates nothing.  A pivot equal to int 1 is not divided by.  The float backend takes
-    the largest pivot weight, the first in row order on a tie, and moves the
-    first pending row into the pivot's slot like a dense row swap, so its
-    pivots and values are those of dense elimination.
+    turn; no later pivot row holds c, so its pivot eliminates nothing.  A pivot
+    equal to int 1 is not divided by, and a pivot row at int -1 is negated.
+    Exact rows hold no zeros, so an exact multiplier is never tested for one.
+    The float backend takes the largest pivot weight, the first in row order
+    on a tie, and moves the first pending row into the pivot's slot like a
+    dense row swap, so its pivots and values are those of dense elimination.
     """
     exact = backend.name == "exact"
     is_zero, weight, one, zero = backend.is_zero, backend.pivot_weight, backend.one, backend.zero
@@ -206,7 +208,10 @@ def _rref_sparse(backend, rows: list, ncols: int) -> tuple:
             continue  # a presolved row is {c: 1}, and no other row holds column c
         prow = rows[best]
         p = prow[c]
-        if type(p) is not int or p != 1:  # a unit pivot needs no scaling
+        if type(p) is int and p == -1:  # negated, not divided
+            for j, v in prow.items():
+                prow[j] = -v
+        elif type(p) is not int or p != 1:  # a unit pivot needs no scaling
             inv = backend.div(one, p)
             for j, v in list(prow.items()):
                 v = inv * v
@@ -222,8 +227,8 @@ def _rref_sparse(backend, rows: list, ncols: int) -> tuple:
                 continue
             row = rows[i]
             f = row[c]
-            if is_zero(f):
-                continue
+            if not exact and is_zero(f):
+                continue  # an exact row holds no zero
             for j, b in prow.items():
                 v = row.get(j, zero) - f * b
                 if v:

@@ -2,17 +2,18 @@
 
 All structural verification runs on the exact backend, where each value has one
 canonical form: an integral real is a plain `int`, any other real a
-`fractions.Fraction`, and only a value a + b*i with b != 0 is an `Exact` (with
-Fraction components).  Constructors (`Exact(a, 0)`, `coerce`, `parse_exact`)
-and `ExactBackend.div` return that form; sums and products of ints and
-Fractions are left as Python computes them, and an integral Fraction compares,
-hashes and prints like the int.  Since `/` on two ints is a float, exact
-scalars are divided with `backend.div`, never with `/`.  Almost every scalar is
-real; i is needed only by the orthonormal-basis presentation of the
-five-dimensional simple entry.  The complex backend is ordinary `complex` plus a
-zero tolerance; it serves `.alg` files with decimal coefficients and the
-isometries by irrational cube roots.  A complex value that overflows to inf or
-nan raises `ScalarOverflow` when it is tested, instead of deciding a check.
+`fractions.Fraction`, and only a value a + b*i with b != 0 is an `Exact`,
+integer coordinates over one denominator that compute in int arithmetic.
+Constructors (`Exact(a, 0)`, `coerce`, `parse_exact`) and `ExactBackend.div`
+return that form; sums and products of ints and Fractions are left as Python
+computes them, and an integral Fraction compares, hashes and prints like the
+int.  Since `/` on two ints is a float, exact scalars are divided with
+`backend.div`, never with `/`.  Almost every scalar is real; i is needed only
+by the orthonormal-basis presentation of the five-dimensional simple entry.
+The complex backend is ordinary `complex` plus a zero tolerance; it serves
+`.alg` files with decimal coefficients and the isometries by irrational cube
+roots.  A complex value that overflows to inf or nan raises `ScalarOverflow`
+when it is tested, instead of deciding a check.
 """
 
 from __future__ import annotations
@@ -92,12 +93,16 @@ def _real(q):
 
 
 class Exact(Frozen):
-    """Gaussian rational a + b*i with b != 0 and exact Fraction components.
+    """Gaussian rational (a + b*i)/d with b != 0, held as the ints (a, b, d) in
+    lowest terms: gcd(a, b, d) = 1 and d > 0, so equal values hold equal ints.
 
-    `Exact(a, 0)` and every operation with a real result return the real value
-    (an int or a Fraction) instead, so an Exact is never zero (and always true)."""
+    `+ - * /` and negation compute in ints, and `real` and `imag` are built as
+    Fractions when read.  `Exact(a, 0)` and every operation with a real result
+    return the real value (an int or a Fraction) instead, so an Exact is never
+    zero (and always true).  Only `Exact(re, im)` runs `__init__`; arithmetic
+    makes its results through `_gauss`."""
 
-    __slots__ = ("real", "imag")
+    __slots__ = ("_abd",)
 
     def __new__(cls, re=0, im=0):
         if not im:
@@ -105,52 +110,62 @@ class Exact(Frozen):
         return object.__new__(cls)
 
     def __init__(self, re=0, im=0):
-        _set(self, "real", re if type(re) is Fraction else Fraction(re))
-        _set(self, "imag", im if type(im) is Fraction else Fraction(im))
+        re, im = Fraction(re), Fraction(im)
+        d = math.lcm(re.denominator, im.denominator)  # each part is reduced, so (a, b, d) is too
+        _set(self, "_abd", (re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d))
 
     def __getnewargs__(self):  # copy and pickle: __new__ without arguments would return 0
         return (self.real, self.imag)
 
+    real = property(lambda self: Fraction(self._abd[0], self._abd[2]))
+    imag = property(lambda self: Fraction(self._abd[1], self._abd[2]))
+
     def __add__(self, other):
-        a, b = _parts(other)
-        return Exact(self.real + a, self.imag + b)
+        a, b, d = self._abd
+        c, e, f = _coords(other)
+        return _gauss(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        a, b = _parts(other)
-        return Exact(self.real - a, self.imag - b)
+        a, b, d = self._abd
+        c, e, f = _coords(other)
+        return _gauss(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other):
-        a, b = _parts(other)
-        return Exact(a - self.real, b - self.imag)
+        a, b, d = self._abd
+        c, e, f = _coords(other)
+        return _gauss(c * d - a * f, e * d - b * f, d * f)
 
     def __mul__(self, other):
-        a, b = _parts(other)
-        if not b:
-            return Exact(self.real * a, self.imag * a)
-        return Exact(self.real * a - self.imag * b, self.real * b + self.imag * a)
+        a, b, d = self._abd
+        c, e, f = _coords(other)
+        return _gauss(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        a, b = _parts(other)
-        if not a and not b:
+        # (a + bi)/d / ((c + ei)/f) = f (a + bi)(c - ei) / (d (c^2 + e^2))
+        a, b, d = self._abd
+        c, e, f = _coords(other)
+        if not c and not e:
             raise ZeroDivisionError("division by zero scalar")
-        d = a * a + b * b
-        return Exact((self.real * a + self.imag * b) / d, (self.imag * a - self.real * b) / d)
+        return _gauss(f * (a * c + b * e), f * (b * c - a * e), d * (c * c + e * e))
 
     def __rtruediv__(self, other):
-        a, b = _parts(other)
-        d = self.abs2()
-        return Exact((a * self.real + b * self.imag) / d, (b * self.real - a * self.imag) / d)
+        a, b, d = self._abd
+        c, e, f = _coords(other)
+        return _gauss(d * (c * a + e * b), d * (e * a - c * b), f * (a * a + b * b))
 
     def __neg__(self):
-        return Exact(-self.real, -self.imag)
+        a, b, d = self._abd
+        return _gauss(-a, -b, d)
 
     def __eq__(self, other):
-        if isinstance(other, (Exact, int, Fraction)):
-            return (self.real, self.imag) == _parts(other)
+        if type(other) is Exact:
+            return self._abd == other._abd
+        if isinstance(other, (int, Fraction)):
+            return False  # b != 0
         return NotImplemented
 
     def __hash__(self):
@@ -158,7 +173,8 @@ class Exact(Frozen):
 
     def abs2(self):
         """|z|^2 as a Fraction; exact, no square roots."""
-        return self.real * self.real + self.imag * self.imag
+        a, b, d = self._abd
+        return Fraction(a * a + b * b, d * d)
 
     def __complex__(self):
         return complex(self.real) + 1j * complex(self.imag)
@@ -170,13 +186,25 @@ class Exact(Frozen):
         return format_exact(self)
 
 
-def _parts(v):
-    """(real, imaginary) parts of an exact operand."""
+def _coords(v):
+    """The ints (a, b, d) of an exact operand, its value being (a + b*i)/d."""
     if type(v) is Exact:
-        return v.real, v.imag
-    if isinstance(v, (int, Fraction)):
-        return v, 0
+        return v._abd
+    if isinstance(v, int):
+        return v, 0, 1
+    if isinstance(v, Fraction):
+        return v.numerator, 0, v.denominator
     raise BackendMismatch(f"cannot mix {type(v).__name__} with exact scalars")
+
+
+def _gauss(a: int, b: int, d: int):
+    """(a + b*i)/d, for d > 0, in canonical form: the real value when b = 0."""
+    if not b:
+        return a if d == 1 else _real(Fraction(a, d))
+    g = math.gcd(a, b, d)
+    z = object.__new__(Exact)
+    _set(z, "_abd", (a // g, b // g, d // g) if g != 1 else (a, b, d))
+    return z
 
 
 def format_exact(z, real=str) -> str:

@@ -887,6 +887,35 @@ def test_every_shipped_derivation_basis_is_pinned(capsys):
     assert hashlib.sha256("".join(out).encode()).hexdigest() == DERIVATIONS_SHA256
 
 
+# osp12, the one entry with Gaussian coefficients, emitted from the catalog:
+# derivations (all, skew, inner) in JSON, then in text; verify then decompose,
+# each JSON then text
+OSP12_SHA256 = {
+    "derivations json": "4064981971ac24965156239c637a33aee1b7b090c65732365988eb73692adffd",
+    "derivations text": "e47f55662653511fa0e436947c4db5efd9b5e741e3aa9b4e1695ecdd71f20827",
+    "verify decompose": "32233565c7a3c54da5ee3fe64c460ff47c78c57e3ac9a6708775d60aa211b2a7",
+}
+
+
+def test_gaussian_outputs_are_pinned(tmp_path, capsys):
+    code, text, _ = run(capsys, "catalog", "emit", "osp12")
+    assert code == 0 and "i F" in text
+    path = tmp_path / "osp12.alg"
+    path.write_text(text)
+    runs = {
+        "derivations json": [("--format", "json", "derivations", str(path), "--kind", kind) for kind in ("all", "skew", "inner")],
+        "derivations text": [("derivations", str(path), "--kind", kind) for kind in ("all", "skew", "inner")],
+        "verify decompose": [("--format", fmt, cmd, str(path)) for cmd in ("verify", "decompose") for fmt in ("json", "text")],
+    }
+    for name, argvs in runs.items():
+        out = []
+        for argv in argvs:
+            code, text, _ = run(capsys, "--no-timestamp", *argv)
+            assert code == 0
+            out.append(text)
+        assert hashlib.sha256("".join(out).encode()).hexdigest() == OSP12_SHA256[name], name
+
+
 def derivations_from_basis(path, kind, fmt):
     """`liequad derivations` output as printed from the dense matrices `ds.basis`."""
     af = cli._load(path, None)

@@ -1390,7 +1390,7 @@ IMMUTABLE = {
     "Fingerprint": (_fingerprint, "der_dim"),
     "BilinearForm": (_form, "gram"),
     "Subspace": (lambda: Subspace.full(EXACT, 2), "rows"),
-    "Exact": (lambda: Exact(1, 1), "imag"),
+    "Exact": (lambda: Exact(1, 1), "_abd"),  # the stored ints; `imag` builds a new Fraction on each read
 }
 
 

@@ -1,5 +1,7 @@
 import ast
+import copy
 import pathlib
+import pickle
 import random
 import re
 import sys
@@ -16,6 +18,7 @@ from liequad.scalars import (
     ScalarOverflow,
     ScalarParseError,
     complex_backend,
+    format_bounded,
     _split_token,
     parse_complex,
     parse_exact,
@@ -275,6 +278,64 @@ def test_real_exact_is_a_fraction(a):
     assert w != a and EXACT.abs2(w) == a * a + 1
     assert (w.real, w.imag) == (a, 1)
     assert type(w.real) is Fraction and type(w.imag) is Fraction
+
+
+# -- Exact against a reference on (Fraction, Fraction) pairs, at large heights ---------
+
+HEIGHT = 10**30
+big_fraction = st.builds(Fraction, st.integers(-HEIGHT, HEIGHT), st.integers(1, HEIGHT))
+big_part = st.one_of(st.just(0), st.integers(-HEIGHT, HEIGHT), big_fraction)
+big_value = st.builds(Exact, big_part, big_part)  # a real one when the imaginary part is 0
+big_operand = st.one_of(st.integers(-HEIGHT, HEIGHT), big_fraction, big_value)
+
+
+def ref_format(pair) -> str:
+    """The text of a value from its pair, as `parse_exact` reads it back."""
+    a, b = pair
+    if not b:
+        return str(a)
+    return f"{b}i" if not a else f"{a}{'+' * (b > 0)}{b}i"
+
+
+def assert_matches_pair(z, pair):
+    """z is the value of pair in canonical form, hashed and printed from the pair alone."""
+    assert ref_pair(z) == pair and type(z) is canonical_type(pair)
+    assert hash(z) == (hash(pair) if pair[1] else hash(pair[0]))
+    assert EXACT.format(z) == ref_format(pair) and str(z) == ref_format(pair)
+
+
+@given(x=big_value, y=big_operand)
+def test_exact_matches_fraction_pairs_at_large_heights(x, y):
+    for u, v in ((x, y), (y, x)):
+        for op, f in OPS.items():
+            if op == "/" and not v:
+                with pytest.raises(ZeroDivisionError):
+                    f(u, v)
+                continue
+            z, pair = f(u, v), ref_op(op, u, v)
+            assert (z == Exact(*pair)) and (z == u) == (ref_pair(u) == pair)
+            if op == "/" or Exact in (type(u), type(v)):
+                assert_matches_pair(z, pair)
+            else:
+                assert ref_pair(z) == pair and type(z) in (int, Fraction)
+    for z in (x, y):
+        a, b = ref_pair(z)
+        assert EXACT.abs2(z) == a * a + b * b and complex(z) == complex(float(a), float(b))
+        if type(z) is Exact:  # a real operand negates and pickles as Python's own
+            assert_matches_pair(-z, (-a, -b))
+            for w in (copy.copy(z), copy.deepcopy(z), pickle.loads(pickle.dumps(z))):
+                assert_matches_pair(w, (a, b))
+
+
+def test_exact_parts_past_the_digit_limit_print_bounded():
+    # a real part of 4401 digits: str refuses it, format_bounded prints its head
+    z = Exact(Fraction(10**4400 + 1, 3), 1)
+    assert ref_pair(z * 2) == (Fraction(2 * 10**4400 + 2, 3), 2)
+    with pytest.raises(ValueError):
+        EXACT.format(z)
+    assert format_bounded(EXACT, z) == "100000000000...(4401 digits)/3+1i"
+    assert format_bounded(EXACT, z * 2) == "200000000000...(4401 digits)/3+2i"
+    assert format_bounded(EXACT, -z) == "-100000000000...(4401 digits)/3-1i"
 
 
 # -- exact scalars are divided only by backend.div ---------------------------------
