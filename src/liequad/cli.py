@@ -386,7 +386,7 @@ def build_full_report() -> Report:
         rep.add(
             f"reconstruction:{cat_id}",
             "zero-cocycle T*-extension reproduces the catalog table",
-            ext.algebra.nz == ref.algebra.nz and ext.form.gram == ref.form.gram,
+            ext.algebra.nz == ref.algebra.nz and ext.form.rows == ref.form.rows,
         )
 
     h3 = catalog.base("g3_1")
@@ -413,7 +413,7 @@ def build_full_report() -> Report:
         rep.add(
             f"direct-sum:go6_5[gamma={gamma}]",
             "orthogonal sum reproduces the catalog row constant-for-constant",
-            s.algebra.nz == ref.algebra.nz and s.form.gram == ref.form.gram,
+            s.algebra.nz == ref.algebra.nz and s.form.rows == ref.form.rows,
         )
 
     bk = q4.backend

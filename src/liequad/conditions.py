@@ -26,8 +26,9 @@ the exact backend only the rows an even map can meet, those on the even
 blocks D[a][b], |a| = |b|.  The exact tables and Gram matrices respect
 parity, so every other row lies wholly on the odd blocks, which the parity
 rows set to zero, and the exact kernel is that of the full system; the float
-backend keeps every row.  Given a Gram matrix, the invariance generator
-yields only the rows that meet one of its nonzero entries.
+backend keeps every row.  The skew and invariance generators read a Gram
+matrix as its sparse rows, `BilinearForm.rows`; given them, the invariance
+generator yields only the rows that meet one of its nonzero entries.
 
 One zero rule holds for every system that goes to a solver: a row holds no
 exact zero, and it is dropped when nothing is left or every entry is zero to
@@ -217,9 +218,11 @@ def _leibniz_rows(bk, nz, n_even=None):
     return rows
 
 
-def _skew_rows(bk, gram: Matrix, n_even=None, odd=False):
+def _skew_rows(bk, gram_rows, n_even=None, odd=False):
     """Sparse rows of B(D e_i, e_j) + B(e_i, D e_j) = 0, i <= j, for the
-    (anti)symmetric Gram matrix of B, over unknowns x[(k,j)] = D[k][j].
+    (anti)symmetric Gram matrix of B given by its sparse rows
+    (`BilinearForm.rows`), over unknowns x[(k,j)] = D[k][j].  A Gram entry
+    zero to the backend adds no term.
 
     Given n_even and the parity of the form (odd True for an odd form), the
     form's grading and parity, the exact backend yields only the rows an even
@@ -227,8 +230,8 @@ def _skew_rows(bk, gram: Matrix, n_even=None, odd=False):
     constructor refused a Gram matrix off the parity pattern, so row (i, j)
     lies wholly on the blocks of parity |i|+|j|+|B|.  n_even None and the
     float backend keep every row (see `_leibniz_rows`)."""
-    n = gram.rows
-    g_rows = [[(k, x) for k, x in enumerate(r) if not bk.is_zero(x)] for r in gram.entries]
+    n = len(gram_rows)
+    g_rows = [[p for p in r if not bk.is_zero(p[1])] for r in gram_rows]
     ne, odd = (n_even, odd) if bk.name == "exact" and n_even is not None else (n, False)
     g_cols = [[] for _ in range(n)]  # g_cols[j] = the (k, g[k][j]) of g_rows, in increasing k
     for k, r in enumerate(g_rows):
@@ -309,16 +312,17 @@ def _pairing_rows(nz, unknown):
 # -- forms: invariance --------------------------------------------------------------
 
 
-def _invariance_rows(nz, gram=None):
+def _invariance_rows(nz, gram_rows=None):
     """((i, j, k), row) of B([e_i,e_j],e_k) - B(e_i,[e_j,e_k]) = 0 over the Gram
     unknowns of `_flat`: sum_l c[i][j][l] g[l][k] - sum_l c[j][k][l] g[i][l],
-    only where [e_i,e_j] or [e_j,e_k] has a term.  Given a Gram matrix, only the
-    rows that meet one of its exactly nonzero entries: any other row sums no
-    term in `failures` at that point, so the failures and their order stay."""
+    only where [e_i,e_j] or [e_j,e_k] has a term.  Given the sparse rows of a
+    Gram matrix (`BilinearForm.rows`), only the rows that meet one of its
+    exactly nonzero entries: any other row sums no term in `failures` at that
+    point, so the failures and their order stay."""
     n = len(nz)
     rhs = [[[(l, -x) for l, x in pairs] for pairs in block] for block in nz]  # the (l, -c[j][k][l])
     # g[a] = the b with g[a][b] exactly nonzero; without a Gram matrix, every b
-    g = [range(n)] * n if gram is None else [[b for b, x in enumerate(r) if x] for r in gram.entries]
+    g = [range(n)] * n if gram_rows is None else [[b for b, _ in r] for r in gram_rows]
     outs = [[] for _ in range(n)]  # outs[l] = the (j, k) with an e_l-term in [e_j,e_k]
     for j, block in enumerate(nz):
         for k, pairs in enumerate(block):

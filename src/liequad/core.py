@@ -7,6 +7,11 @@ Conventions, fixed project-wide:
   (k, x) pairs of [e_i, e_j] = sum_k x e_k in increasing k, both
   orientations; `_nz` is the table without the entries zero to the backend
   tolerance, and the dense c[i][j][k] is a view rebuilt on each access;
+* a form's Gram matrix is stored sparse too, `rows` and `cols` holding the
+  exactly nonzero entries; the dense `gram` is a view rebuilt on each read;
+* one zero rule on both backends: a product with an exact-zero factor is
+  left out of every sum `linalg.dot` takes and every sum over `rows` or
+  `cols`, and a sum of none is 0;
 * every table and form is normal: the raw constructors, which `build` and
   `relabel` call, are the one place that checks it.  They drop a table's
   exact zeros and refuse a term of the wrong parity, a broken graded mirror
@@ -39,7 +44,6 @@ from .linalg import (
     _span_rows,
     _sparse_row,
     dot,
-    rank,
     vec,
 )
 from .report import Report
@@ -258,15 +262,20 @@ def _violations(space: SuperSpace, backend, nz):
 
 
 class BilinearForm(Frozen):
-    # no __slots__: the cached _rank and _sparse live in the instance __dict__
+    """A form held sparse: rows[i] lists the (j, g[i][j]) and cols[j] the
+    (i, g[i][j]) of the exactly nonzero Gram entries, in increasing index."""
+
+    # no __slots__: the cached _rank lives in the instance __dict__
 
     def __init__(self, space: SuperSpace, backend, parity: str, gram: Matrix):
         for msg in _form_violations(space, backend, parity, gram.entries):  # normal: the first violation refused
             raise StructureError(msg)
+        g = gram.entries
         _set(self, "space", space)
         _set(self, "backend", backend)
         _set(self, "parity", parity)  # "even" | "odd"
-        _set(self, "gram", gram)
+        _set(self, "rows", tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in g))
+        _set(self, "cols", tuple(tuple((i, x) for i, x in enumerate(c) if x) for c in zip(*g)))
 
     @staticmethod
     def build(space: SuperSpace, entries: Mapping[Tuple[str, str], object], parity: str = "even", backend=EXACT) -> "BilinearForm":
@@ -286,32 +295,26 @@ class BilinearForm(Frozen):
                 g[j][i] = _graded_sign(space, i, j) * x
         return BilinearForm(space, backend, parity, Matrix(backend, tuple(tuple(r) for r in g)))
 
+    @property
+    def gram(self) -> Matrix:
+        """Dense view of the Gram matrix, rebuilt on each read."""
+        bk, n = self.backend, self.space.dim
+        return Matrix(bk, tuple(_dense_row(bk, r, n) for r in self.rows))
+
     def table(self) -> dict:
         """The inverse of `build`: {(a, b): value} for a at or before b in the
         basis, the entries nonzero to the backend only."""
-        g, labels, is_zero = self.gram.entries, self.space.labels, self.backend.is_zero
-        n = len(labels)
-        return {(labels[i], labels[j]): g[i][j] for i in range(n) for j in range(i, n) if not is_zero(g[i][j])}
+        labels, is_zero = self.space.labels, self.backend.is_zero
+        return {(labels[i], labels[j]): x for i, r in enumerate(self.rows) for j, x in r if j >= i and not is_zero(x)}
 
     def value(self, u: Vector, v: Vector):
-        return dot(vec(self.backend, u), self.gram.apply(vec(self.backend, v)))
+        bk = self.backend
+        return next(_form_block(self, [_sparse_row(vec(bk, u)).items()], [_sparse_row(vec(bk, v)).items()]))[0]
 
     @cached_property
     def _rank(self) -> int:
         """Rank of the Gram matrix, computed once per form."""
-        return rank(self.gram)
-
-    @cached_property
-    def _sparse(self) -> tuple:
-        """(rows, cols) of the Gram matrix, computed once per form: rows[i] lists
-        the (j, g[i][j]) and cols[j] the (i, g[i][j]) of its exactly nonzero
-        entries, in increasing index.  The exact backend sums over these."""
-        rows = tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in self.gram.entries)
-        cols = [[] for _ in rows]
-        for i, r in enumerate(rows):
-            for j, x in r:
-                cols[j].append((i, x))
-        return rows, tuple(map(tuple, cols))
+        return len(_rref_sparse(self.backend, [dict(r) for r in self.rows], self.space.dim)[0])
 
     def is_nondegenerate(self) -> bool:
         return self._rank == self.space.dim
@@ -493,7 +496,7 @@ def verify_form(alg: LieSuperalgebra, form: BilinearForm) -> Report:
     else:
         # the rows read the stored table nz: a structure constant below the
         # tolerance still counts, since a large Gram entry can scale it above it
-        fails = failures(bk, _invariance_rows(alg.nz, form.gram), _flat(form.gram))
+        fails = failures(bk, _invariance_rows(alg.nz, form.rows), _flat(form.gram))
     law = "invariance B([x,y],z) = B(x,[y,z])"
     for key, value in fails:
         rep.add(f"invariance({','.join(labels[i] for i in key)})", law, False, residual=_fmt_residual(bk, value))
@@ -513,7 +516,7 @@ def _invariance_failures(nz, form: BilinearForm) -> list:
     finds on the rows of `conditions._invariance_rows`."""
     n = len(nz)
     nn = n * n
-    rows, cols = form._sparse
+    rows, cols = form.rows, form.cols
     acc = {}  # key (i * n + j) * n + k of (i, j, k) -> its residual
     for i, block in enumerate(nz):
         for j, pairs in enumerate(block):
@@ -647,39 +650,27 @@ def is_nilpotent(alg: LieSuperalgebra) -> bool:
 
 def _form_block(form: BilinearForm, us, vs):
     """The rows [B(u, v) for v in vs], one per u in us, of two lists of sparse
-    rows.  The exact backend sums the nonzero terms u_i g_ij v_j; the complex
-    backend takes `BilinearForm.value` on the dense vectors, whose sums keep
-    every product."""
-    bk, n = form.backend, form.space.dim
-    if bk.name != "exact":
-        gv = [form.gram.apply(_dense_row(bk, v, n)) for v in vs]
-        for u in us:
-            u = _dense_row(bk, u, n)
-            yield [dot(u, w) for w in gv]
-        return
-    rows = form._sparse[0]
+    rows: G v summed over the Gram columns `cols`, then B(u, v) over the u_i
+    with (G v)_i nonzero, each sum in increasing index, as `dot` takes it.
+    Every product with an exact-zero factor is left out, and a sum of none is 0."""
+    gvs = [_combine(v, form.cols) for v in vs]
     for u in us:
-        ug = _combine(u, rows)  # {j: B(u, e_j)}
-        yield [sum(ug[j] * b for j, b in v if j in ug) for v in vs]
+        xs = [x for _, x in u]
+        yield [dot(xs, [gv.get(i, 0) for i, _ in u]) for gv in gvs]
 
 
 def orthogonal_complement(q: QuadraticAlgebra, s: Subspace) -> Subspace:
     """{v : B(v, s) = 0}; requires a non-degenerate form.
 
-    The kernel of the rows G b over the basis b of s: summed from the nonzero
-    Gram columns on the exact backend, by the dense `Matrix.apply` on the
-    complex one."""
+    The kernel of the rows G b over the basis b of s, summed from the exactly
+    nonzero Gram columns as `_form_block` sums them."""
     form = q.form
     if not form.is_nondegenerate():
         raise StructureError("orthogonal complement needs a non-degenerate form")
     bk, n = q.backend, q.dim
     if s.dim == 0:
         return Subspace.full(bk, n)
-    if bk.name == "exact":
-        cols = form._sparse[1]
-        rows = [{k: x for k, x in _combine(b, cols).items() if x} for b in s.rows]
-    else:
-        rows = [_sparse_row(form.gram.apply(b)) for b in s.basis]
+    rows = [{k: x for k, x in _combine(b, form.cols).items() if x} for b in s.rows]
     return _span_rows(bk, _nullspace_rows(bk, rows, n), n)
 
 

@@ -64,7 +64,7 @@ def _skew_rank(der: DerivationSpace, form: BilinearForm) -> int:
     The rows on the odd blocks vanish at every even map and are not built."""
     bk, n = der.algebra.backend, der.algebra.dim
     _check_fits(der.algebra, form)
-    skew = _skew_rows(bk, form.gram, der.algebra.space.dim_even, form.parity == "odd")
+    skew = _skew_rows(bk, form.rows, der.algebra.space.dim_even, form.parity == "odd")
     images = []
     for image in _evaluate(skew, n * n, der.rows):
         _add_row(images, bk, image)
@@ -93,7 +93,7 @@ def derivation_space(alg: LieSuperalgebra, kind: str = "all", form: Optional[Bil
         ne = alg.space.dim_even
         rows = _leibniz_rows(bk, alg._nz, ne) + [row for _, row in _parity_rows(bk, n, ne)]
         if kind == "skew":
-            rows += _skew_rows(bk, form.gram, ne, form.parity == "odd")
+            rows += _skew_rows(bk, form.rows, ne, form.parity == "odd")
         # without rows the kernel is the standard basis: every matrix is a derivation
         sols = _nullspace_rows(bk, rows, n * n)
     else:

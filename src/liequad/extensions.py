@@ -206,7 +206,7 @@ def _check_action(g: LieSuperalgebra, psi, core: QuadraticAlgebra) -> None:
     bk, nh = g.backend, core.dim
     if len(psi) != g.dim:
         raise ExtensionError("psi needs one matrix per base generator")
-    skew = _skew_rows(bk, core.form.gram)
+    skew = _skew_rows(bk, core.form.rows)
     for label, m in zip(g.labels, psi):
         if not is_derivation(core.algebra, m):
             raise ExtensionError(f"psi({label}) is not a derivation of the core")
@@ -334,13 +334,12 @@ def direct_sum(
     """Orthogonal direct sum: block brackets and block Gram, even blocks first.
 
     Labels of the second summand may be renamed to avoid collisions; each
-    summand embeds as a non-degenerate ideal of the result.
+    summand embeds as a non-degenerate ideal of the result.  The summands
+    must share a backend (else `BackendMismatch`).
     """
     if q1.form.parity != q2.form.parity:
         raise ExtensionError("direct sum needs forms of matching parity")
-    bk = q1.backend
-    if q2.backend.name != bk.name:
-        raise ExtensionError("direct sum needs a common backend")
+    bk = same_backend(q1, q2)
     a2 = q2.algebra.relabel(rename2 or {})
     f2 = q2.form.relabel(a2.space)
     a1, f1 = q1.algebra, q1.form

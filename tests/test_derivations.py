@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -8,9 +9,21 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liequad import catalog, data_file, extensions
+from liequad import catalog, data_file, extensions, linalg
 from liequad.algfile import parse
-from liequad.core import BilinearForm, LieSuperalgebra, QuadraticAlgebra, StructureError, SuperSpace
+from liequad.core import (
+    BilinearForm,
+    LieSuperalgebra,
+    QuadraticAlgebra,
+    StructureError,
+    SuperSpace,
+    center,
+    derived_series,
+    derived_subalgebra,
+    is_nondegenerate_on,
+    lower_central_series,
+    orthogonal_complement,
+)
 from liequad.conditions import _add_row, _evaluate, _leibniz_rows, _parity_rows, _skew_rows
 from liequad.derivations import (
     derivation_space,
@@ -19,7 +32,7 @@ from liequad.derivations import (
     skew_derivation_family_g2n2,
 )
 from liequad.linalg import Matrix, Subspace, _nullspace_rows, _rref_sparse, nullspace
-from liequad.morphisms import fingerprint
+from liequad.morphisms import decomposability_via_center, fingerprint
 from liequad.scalars import EXACT, BackendMismatch, complex_backend
 
 from helpers import grams, tables, to_backend
@@ -325,7 +338,7 @@ def full_system(alg, form=None):
     bk, n = alg.backend, alg.dim
     rows = _leibniz_rows(bk, alg._nz) + [row for _, row in _parity_rows(bk, n, alg.space.dim_even)]
     if form is not None:
-        rows += _skew_rows(bk, form.gram)
+        rows += _skew_rows(bk, form.rows)
     return _nullspace_rows(bk, rows, n * n)
 
 
@@ -337,7 +350,7 @@ def assert_full_system(alg, form):
     der = full_system(alg)
     assert list(derivation_space(alg, "all").rows) == der
     assert list(derivation_space(alg, "skew", form).rows) == full_system(alg, form)
-    skew = _skew_rows(bk, form.gram)
+    skew = _skew_rows(bk, form.rows)
     images = []
     for image in _evaluate(skew, n * n, der):
         _add_row(images, bk, image)
@@ -355,7 +368,7 @@ def assert_skipped_rows_are_odd(alg, form):
     on_odd_block = lambda u: (u // n < ne) != (u % n < ne)  # noqa: E731
     for full, kept, repeats in (
         (_leibniz_rows(bk, alg._nz), _leibniz_rows(bk, alg._nz, ne), True),
-        (_skew_rows(bk, form.gram), _skew_rows(bk, form.gram, ne, form.parity == "odd"), False),
+        (_skew_rows(bk, form.rows), _skew_rows(bk, form.rows, ne, form.parity == "odd"), False),
     ):
         if bk is not EXACT:
             assert kept == full
@@ -448,7 +461,7 @@ def test_a_mixed_row_is_kept():
 @given(data=st.data())
 def test_exact_rows_hold_no_zero(data):
     alg, form = random_super_table(EXACT, data)
-    rows = _leibniz_rows(EXACT, alg._nz) + _skew_rows(EXACT, form.gram)
+    rows = _leibniz_rows(EXACT, alg._nz) + _skew_rows(EXACT, form.rows)
     if alg.space.dim_odd == 0:  # the pairing solver takes even algebras only
         captured = []
 
@@ -460,6 +473,38 @@ def test_exact_rows_hold_no_zero(data):
             extensions.sym_pairing_space(alg, cyclic=False)
         rows += captured
     assert all(row and all(x for x in row.values()) for row in rows)
+
+
+def test_no_row_given_to_the_elimination_holds_an_exact_zero(monkeypatch):
+    # `_rref_sparse` needs rows without exact zeros: its presolve would turn a
+    # row {u: 0} into {u: 1} and set u to 0.  It is wrapped in every module that
+    # imported it, and each input row is checked over the solver paths.
+    rref, calls, zeros = linalg._rref_sparse, [], []
+
+    def checked(bk, rows, ncols):
+        calls.append(len(rows))
+        zeros.extend(dict(r) for r in rows if not all(r.values()))
+        return rref(bk, rows, ncols)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "liequad" and getattr(module, "_rref_sparse", None) is rref:
+            monkeypatch.setattr(module, "_rref_sparse", checked)
+    qs = [catalog.build(entry.id) for entry in catalog.entries()]
+    qs += [catalog.build("g2n2", n=n) for n in (1, 2, 3)]
+    for q in qs:
+        alg, form = q.algebra, q.form
+        for kind in ("all", "skew", "inner"):
+            derivation_space(alg, kind, form)
+        fingerprint(q)
+        derived_series(alg)
+        lower_central_series(alg)
+        for s in (center(alg), derived_subalgebra(alg)):
+            orthogonal_complement(q, s)
+            is_nondegenerate_on(form, s)
+        decomposability_via_center(q)
+    for id in ("g3_1", "g3_2"):
+        extensions.sym_pairing_space(catalog.base(id))
+    assert calls and zeros == []
 
 
 def test_add_row_is_the_zero_filter():

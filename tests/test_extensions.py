@@ -32,7 +32,7 @@ from liequad.extensions import (
 )
 from liequad.linalg import Matrix, Subspace, nullspace
 from liequad.morphisms import GradedLinearMap, verify_i_isomorphism, verify_isomorphism
-from liequad.scalars import EXACT, Exact, complex_backend
+from liequad.scalars import EXACT, BackendMismatch, Exact, complex_backend
 
 from helpers import basis_vector
 
@@ -538,6 +538,14 @@ def test_direct_sum_reproduces_go6_5(gamma):
 def test_direct_sum_parity_mismatch_rejected():
     with pytest.raises(ExtensionError):
         direct_sum(catalog.build("g4"), catalog.build("go2"))
+
+
+def test_direct_sum_mixed_backends_rejected():
+    # an exact and a complex summand raise BackendMismatch, in either order
+    exact, cplx = catalog.build("g4"), catalog.build("g5", complex_backend())
+    for q1, q2 in ((exact, cplx), (cplx, exact)):
+        with pytest.raises(BackendMismatch, match="mixed backends"):
+            direct_sum(q1, q2)
 
 
 def test_direct_sum_summands_are_nondegenerate_ideals():

@@ -1,4 +1,6 @@
+import operator
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -515,15 +517,13 @@ def test_scaled_pivot_row_keeps_integral_values_as_int():
 
 
 
-# -- products with a form or a matrix: dot skips exact zeros on the exact backend only
+# -- products with a form or a matrix: dot skips exact-zero factors on both backends
 
 
-def reference_dot(u, v):
-    """dot as it was before it skipped exact-zero factors: every product, in order."""
-    acc = None
-    for a, b in zip(u, v):
-        acc = a * b if acc is None else acc + a * b
-    return acc
+def zero_rule_dot(u, v):
+    """The sum, left to right, of every product a * b with no exact-zero factor; 0 for none."""
+    terms = [a * b for a, b in zip(u, v) if a and b]
+    return reduce(operator.add, terms) if terms else 0
 
 
 def dense_dot(u, v):
@@ -611,10 +611,11 @@ def test_exact_form_products_match_dense_sums(case):
 @settings(max_examples=150, deadline=None)
 @given(case=form_products(complex_backend(), COMPLEX_ENTRIES))
 def test_complex_form_products_keep_every_float_product(case):
-    # on the complex backend each sum keeps its zero products: the same floats,
-    # signed zeros, infs and nans as the sum over every product
+    # on the complex backend each sum keeps every product without an exact-zero
+    # factor, in index order: the same floats, signed zeros, infs and nans as
+    # that sum from the definition, bit for bit
     bk = complex_backend()
-    got, want = library_products(bk, *case), defined_products(bk, *case, reference_dot)
+    got, want = library_products(bk, *case), defined_products(bk, *case, zero_rule_dot)
     assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in want.items()}
 
 

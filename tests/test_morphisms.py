@@ -144,16 +144,16 @@ def test_gram_rank_is_computed_once_per_form(monkeypatch):
     # whether the form is non-degenerate; its Gram matrix is ranked only once
     import liequad.core as core
 
-    ranked = []
-    rank = core.rank
-    monkeypatch.setattr(core, "rank", lambda m: ranked.append(m) or rank(m))
+    ranked = []  # the input rows of each elimination in core, as given
+    rref = core._rref_sparse
+    monkeypatch.setattr(core, "_rref_sparse", lambda bk, rows, n: ranked.append([dict(r) for r in rows]) or rref(bk, rows, n))
     h3 = catalog.base("g3_1")
     th = Cocycle2.build(h3, {("X", "Y"): {"Z": 1}, ("Y", "Z"): {"X": 1}, ("Z", "X"): {"Y": 1}})
     q = t_star_extension(h3, th)
     assert core.verify_form(q.algebra, q.form).ok
     core.orthogonal_complement(q, center(q.algebra))
     assert decomposability_via_center(q) is not None
-    assert sum(m is q.form.gram for m in ranked) == 1
+    assert sum(rows == [dict(r) for r in q.form.rows] for rows in ranked) == 1
 
 
 def test_verify_decomposition_trivial_split():

@@ -340,11 +340,9 @@ def test_exact_parts_past_the_digit_limit_print_bounded():
 
 # -- exact scalars are divided only by backend.div ---------------------------------
 
-# (module, enclosing function): number of `/` it may hold
+# (module, enclosing function): number of `/` it holds
 DIVISIONS_ALLOWED = {
     ("__init__.py", "data_file"): 2,  # pathlib join
-    ("scalars.py", "Exact.__truediv__"): 2,  # Fraction parts
-    ("scalars.py", "Exact.__rtruediv__"): 2,
     ("scalars.py", "ExactBackend.div"): 1,  # an Exact operand
     ("scalars.py", "ComplexBackend.div"): 1,
 }
@@ -368,11 +366,64 @@ def divisions(path):
 
 def test_every_division_is_on_the_allowlist():
     # `/` on two ints is a float, so an exact quotient must go through
-    # backend.div; the allowlist names the few sites that may use `/` directly
+    # backend.div; the allowlist names the few sites that use `/` directly, each
+    # with its exact count, so an allowance the code no longer uses fails too
     found = Counter()
     for path in sorted(pathlib.Path(liequad.__file__).parent.glob("*.py")):
         found += divisions(path)
-    assert {site: n for site, n in found.items() if n > DIVISIONS_ALLOWED.get(site, 0)} == {}
+    assert dict(found) == DIVISIONS_ALLOWED
+
+
+# -- the backends take routes of their own only in named functions -----------------
+
+# (module, function) of each library function outside scalars.py that compares a
+# backend's name: float term order or the tolerance gives the complex backend a
+# route of its own there
+BACKEND_BRANCHES = {
+    ("catalog.py", "_mod_le_one"),
+    ("catalog.py", "verify_entry"),  # the frozen fingerprints are exact
+    ("conditions.py", "_leibniz_rows"),
+    ("conditions.py", "_skew_rows"),
+    ("core.py", "_fmt_residual"),
+    ("core.py", "_graded_parts"),
+    ("core.py", "is_orthogonal_complement"),
+    ("core.py", "verify_form"),
+    ("linalg.py", "_rref_sparse"),
+}
+
+
+def names_a_backend(node):
+    """True for `bk.name`, `backend.name` and `<expression>.backend.name`."""
+    if not (isinstance(node, ast.Attribute) and node.attr == "name"):
+        return False
+    owner = node.value
+    return isinstance(owner, ast.Name) and owner.id in ("bk", "backend") or isinstance(owner, ast.Attribute) and owner.attr == "backend"
+
+
+def backend_branches(path):
+    """(module, innermost enclosing function) of every comparison on a backend's name."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Compare) and any(map(names_a_backend, [node.left, *node.comparators])):
+            found.add((path.name, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def test_backend_name_branches_are_the_listed_ones():
+    # a new branch on the backend's name must be listed here, and a listed one
+    # that is gone must leave the list
+    found = set()
+    for path in sorted(pathlib.Path(liequad.__file__).parent.glob("*.py")):
+        if path.name != "scalars.py":
+            found |= backend_branches(path)
+    assert found == BACKEND_BRANCHES
 
 
 @pytest.mark.parametrize("x", [complex("inf"), complex("nan"), complex(1e200) * 1e200 - complex(1e200) * 1e200, complex(1.5e308, 1.5e308)])
